@@ -77,6 +77,13 @@ echo "== tier 1: stream label =="
 # of the token-swap finisher splice.
 (cd build && ctest --output-on-failure -L stream)
 
+echo "== tier 1: schedule label =="
+# The scheduler suite (tests/test_schedule.cpp): the running-window
+# constrained scheduler pinned byte-identical to the O(n^2) reference
+# loop on Surface-17, Surface-7 and a 5-ion trap, and the window-peak
+# bound that fails fast if the window regrows with the circuit.
+(cd build && ctest --output-on-failure -L schedule)
+
 echo "== tier 1: pass registry lint =="
 # Every registered pass name must be documented in DESIGN.md's pass table.
 scripts/check_pass_registry.sh

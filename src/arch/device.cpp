@@ -106,19 +106,25 @@ int Device::feedline(int qubit) const {
   return feedline_[static_cast<std::size_t>(qubit)];
 }
 
-std::vector<int> Device::parked_qubits(int a, int b) const {
-  if (frequency_group_.empty()) return {};
+bool Device::parks(int a, int b, int q) const {
+  if (frequency_group_.empty() || q < 0 || q >= num_qubits()) return false;
   const int ga = frequency_group(a);
   const int gb = frequency_group(b);
-  if (ga < 0 || gb < 0 || ga == gb) return {};
+  if (ga < 0 || gb < 0 || ga == gb) return false;
   // Convention: smaller group index = higher frequency (f1 > f2 > f3).
   const int high = ga < gb ? a : b;
   const int low = ga < gb ? b : a;
-  const int low_group = frequency_group(low);
+  return q != low && coupling_.connected(high, q) &&
+         frequency_group(q) == frequency_group(low);
+}
+
+std::vector<int> Device::parked_qubits(int a, int b) const {
   std::vector<int> parked;
+  if (frequency_group_.empty()) return parked;
+  // Only neighbours of the higher-frequency qubit can be parked.
+  const int high = frequency_group(a) < frequency_group(b) ? a : b;
   for (const int n : coupling_.neighbors(high)) {
-    if (n == low) continue;
-    if (frequency_group(n) == low_group) parked.push_back(n);
+    if (parks(a, b, n)) parked.push_back(n);
   }
   return parked;
 }

@@ -142,6 +142,9 @@ class Device {
   /// parked for the duration of the CZ. Returns empty when the device has
   /// no frequency groups.
   [[nodiscard]] std::vector<int> parked_qubits(int a, int b) const;
+  /// True when `q` is parked while CZ(a, b) runs: the parking rule above
+  /// as an allocation-free O(1) predicate (parked_qubits is defined by it).
+  [[nodiscard]] bool parks(int a, int b, int q) const;
 
   [[nodiscard]] bool has_control_constraints() const;
 

@@ -18,9 +18,7 @@ ExecutionSnapshot::ExecutionSnapshot(Circuit circuit, const Device& device,
         "execution snapshot expects a routed circuit on physical qubits");
   }
   dag_ = std::make_unique<DependencyDag>(circuit_);
-  if (device.has_control_constraints()) {
-    constraints_ = surface_control_constraints();
-  }
+  constraints_ = constraints_for_device(device);
   priority_.assign(dag_->num_nodes(), 0.0);
   for (std::size_t i = dag_->num_nodes(); i-- > 0;) {
     double downstream = 0.0;

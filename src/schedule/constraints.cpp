@@ -50,8 +50,8 @@ bool FeedlineConstraint::compatible(const ScheduledGate& candidate,
   if (line < 0) return true;
   for (const ScheduledGate& other : running) {
     if (other.gate.kind != GateKind::Measure) continue;
-    if (device.feedline(other.gate.qubits[0]) != line) continue;
     if (!candidate.overlaps(other)) continue;
+    if (device.feedline(other.gate.qubits[0]) != line) continue;
     // Overlapping measurements on a shared feedline must start together.
     if (other.start_cycle != candidate.start_cycle) return false;
   }
@@ -62,30 +62,21 @@ bool ParkingConstraint::compatible(const ScheduledGate& candidate,
                                    const std::vector<ScheduledGate>& running,
                                    const Device& device) const {
   if (device.frequency_groups().empty()) return true;
-  const auto parked_by = [&](const ScheduledGate& op) -> std::vector<int> {
-    if (op.gate.kind != GateKind::CZ) return {};
-    return device.parked_qubits(op.gate.qubits[0], op.gate.qubits[1]);
+  // True when `op` is a CZ that parks a qubit `victim` operates on.
+  const auto parks_any = [&](const ScheduledGate& op,
+                             const ScheduledGate& victim) {
+    if (op.gate.kind != GateKind::CZ) return false;
+    for (const int q : victim.gate.qubits) {
+      if (device.parks(op.gate.qubits[0], op.gate.qubits[1], q)) return true;
+    }
+    return false;
   };
-  // 1. The candidate must not touch a qubit parked by a running CZ.
+  // The candidate must not touch a qubit parked by a running CZ, and a CZ
+  // candidate's own parked qubits must be idle for its whole window.
   for (const ScheduledGate& other : running) {
     if (!candidate.overlaps(other)) continue;
-    for (const int parked : parked_by(other)) {
-      for (const int q : candidate.gate.qubits) {
-        if (q == parked) return false;
-      }
-    }
-  }
-  // 2. If the candidate is a CZ, its own parked qubits must be idle for its
-  //    whole window.
-  const std::vector<int> own_parked = parked_by(candidate);
-  if (!own_parked.empty()) {
-    for (const ScheduledGate& other : running) {
-      if (!candidate.overlaps(other)) continue;
-      for (const int q : other.gate.qubits) {
-        for (const int parked : own_parked) {
-          if (q == parked) return false;
-        }
-      }
+    if (parks_any(other, candidate) || parks_any(candidate, other)) {
+      return false;
     }
   }
   return true;

@@ -11,7 +11,7 @@
 //  * FeedlineConstraint — measurements on one feedline either start in the
 //    same cycle or do not overlap at all.
 //  * ParkingConstraint — while CZ(a,b) runs, the frequency-adjacent
-//    neighbours returned by Device::parked_qubits(a,b) are detuned and may
+//    neighbours for which Device::parks(a,b,q) holds are detuned and may
 //    not execute anything.
 #pragma once
 
@@ -29,7 +29,9 @@ class ResourceConstraint {
   virtual ~ResourceConstraint() = default;
   [[nodiscard]] virtual std::string name() const = 0;
   /// True when `candidate` may run alongside the already-admitted,
-  /// time-overlapping `running` operations.
+  /// time-overlapping `running` operations. Implementations must ignore
+  /// operations in `running` that do not overlap `candidate`: callers pass
+  /// their running window, which may still hold gates that already ended.
   [[nodiscard]] virtual bool compatible(
       const ScheduledGate& candidate,
       const std::vector<ScheduledGate>& running,

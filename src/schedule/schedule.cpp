@@ -1,6 +1,7 @@
 #include "schedule/schedule.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "common/error.hpp"
@@ -28,18 +29,6 @@ Circuit Schedule::to_circuit(const std::string& name) const {
 }
 
 bool Schedule::is_consistent_with(const Circuit& source) const {
-  // 1. No two overlapping operations share a qubit.
-  for (std::size_t i = 0; i < operations_.size(); ++i) {
-    for (std::size_t j = i + 1; j < operations_.size(); ++j) {
-      if (!operations_[i].overlaps(operations_[j])) continue;
-      for (const int qa : operations_[i].gate.qubits) {
-        for (const int qb : operations_[j].gate.qubits) {
-          if (qa == qb) return false;
-        }
-      }
-    }
-  }
-  // 2. Same multiset of gates and same per-qubit order as the source.
   if (operations_.size() != source.size()) return false;
   std::vector<std::size_t> order(operations_.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -47,25 +36,45 @@ bool Schedule::is_consistent_with(const Circuit& source) const {
                                                       std::size_t b) {
     return operations_[a].start_cycle < operations_[b].start_cycle;
   });
-  std::map<int, std::vector<const Gate*>> scheduled_per_qubit;
+  // Per-qubit lanes of operation indices, in start order.
+  std::map<int, std::vector<std::size_t>> lanes;
   for (const std::size_t i : order) {
-    for (const int q : operations_[i].gate.qubits) {
-      scheduled_per_qubit[q].push_back(&operations_[i].gate);
+    for (const int q : operations_[i].gate.qubits) lanes[q].push_back(i);
+  }
+  // 1. No two overlapping operations share a qubit. The earlier ops of a
+  //    lane that start before an op ends form a prefix of the lane, so the
+  //    op overlaps one of them exactly when that prefix's latest end lies
+  //    past its start. (Checking adjacent ops only would miss a
+  //    zero-duration barrier sitting between two overlapping gates.)
+  for (const auto& [q, lane] : lanes) {
+    std::vector<int> prefix_end{std::numeric_limits<int>::min()};
+    for (std::size_t k = 0; k < lane.size(); ++k) {
+      const ScheduledGate& op = operations_[lane[k]];
+      const auto first_after = std::partition_point(
+          lane.begin(), lane.begin() + static_cast<std::ptrdiff_t>(k),
+          [&](std::size_t i) {
+            return operations_[i].start_cycle < op.end_cycle();
+          });
+      if (prefix_end[static_cast<std::size_t>(first_after - lane.begin())] >
+          op.start_cycle) {
+        return false;
+      }
+      prefix_end.push_back(std::max(prefix_end.back(), op.end_cycle()));
     }
   }
+  // 2. Same multiset of gates and same per-qubit order as the source.
   std::map<int, std::vector<const Gate*>> source_per_qubit;
   for (const Gate& gate : source) {
     for (const int q : gate.qubits) source_per_qubit[q].push_back(&gate);
   }
-  if (scheduled_per_qubit.size() != source_per_qubit.size()) return false;
+  if (lanes.size() != source_per_qubit.size()) return false;
   for (const auto& [q, gates] : source_per_qubit) {
-    const auto it = scheduled_per_qubit.find(q);
-    if (it == scheduled_per_qubit.end() ||
-        it->second.size() != gates.size()) {
+    const auto it = lanes.find(q);
+    if (it == lanes.end() || it->second.size() != gates.size()) {
       return false;
     }
     for (std::size_t i = 0; i < gates.size(); ++i) {
-      if (!(*gates[i] == *it->second[i])) return false;
+      if (!(*gates[i] == operations_[it->second[i]].gate)) return false;
     }
   }
   return true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "ir/dag.hpp"
@@ -79,7 +80,12 @@ Schedule schedule_constrained(
   std::vector<int> end_cycle(num_nodes, 0);
   std::vector<int> qubit_busy(static_cast<std::size_t>(circuit.num_qubits()),
                               0);
-  std::vector<ScheduledGate> admitted;  // for constraint overlap checks
+  // Running window: admitted gates that may still overlap a candidate.
+  // Every candidate starts at `cycle`, which only moves forward, and every
+  // constraint ignores non-overlapping gates, so a gate that ended at or
+  // before `cycle` can never matter again and is dropped on each advance.
+  std::vector<ScheduledGate> running;
+  std::size_t window_peak = 0;
 
   int cycle = 0;
   std::size_t scheduled = 0;
@@ -116,7 +122,7 @@ Schedule schedule_constrained(
       const ScheduledGate candidate{gate, cycle, duration};
       bool allowed = true;
       for (const auto& constraint : constraints) {
-        if (!constraint->compatible(candidate, admitted, device)) {
+        if (!constraint->compatible(candidate, running, device)) {
           allowed = false;
           break;
         }
@@ -126,7 +132,8 @@ Schedule schedule_constrained(
         continue;
       }
       // Admit.
-      admitted.push_back(candidate);
+      running.push_back(candidate);
+      window_peak = std::max(window_peak, running.size());
       schedule.add(candidate);
       end_cycle[static_cast<std::size_t>(node)] = cycle + duration;
       for (const int q : gate.qubits) {
@@ -152,10 +159,14 @@ Schedule schedule_constrained(
     }
     cycle = next;
     ++cycle_advances;
+    std::erase_if(running, [cycle](const ScheduledGate& op) {
+      return op.end_cycle() <= cycle;
+    });
   }
   obs::add(obs, "schedule.constrained_runs");
   obs::add(obs, "schedule.cycle_advances", cycle_advances);
   obs::add(obs, "schedule.constraint_deferrals", constraint_deferrals);
+  obs::observe(obs, "schedule.window_peak", static_cast<double>(window_peak));
   obs::observe(obs, "schedule.depth",
                static_cast<double>(schedule.total_cycles()));
   return schedule;

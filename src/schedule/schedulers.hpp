@@ -28,8 +28,10 @@ namespace qmap {
 
 /// Cycle-driven list scheduler honouring `constraints`. Gates are
 /// prioritized by downstream critical-path length. With an empty constraint
-/// stack this degrades to an ASAP schedule. `obs` (maybe null) receives
-/// cycle-advance / constraint-deferral counters and a depth histogram.
+/// stack this degrades to an ASAP schedule. Constraint checks see only the
+/// gates still running at the current cycle. `obs` (maybe null) receives
+/// cycle-advance / constraint-deferral counters and depth and running-window
+/// peak histograms.
 [[nodiscard]] Schedule schedule_constrained(
     const Circuit& circuit, const Device& device,
     const std::vector<std::unique_ptr<ResourceConstraint>>& constraints,

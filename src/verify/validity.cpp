@@ -236,18 +236,19 @@ ValidityReport ValidityChecker::check_schedule(const Schedule& schedule,
   }
 
   // Classical-control constraint re-audit (Sec. V), replayed in admission
-  // order exactly as the constrained scheduler admits operations.
+  // order exactly as the constrained scheduler admits operations. Starts
+  // never decrease in that order, so an op that ended at or before the
+  // current start overlaps no later op either and leaves the window.
   if (options_.check_control_constraints) {
     const auto constraints = constraints_for_device(device_);
     if (!constraints.empty()) {
-      std::vector<ScheduledGate> admitted;
-      admitted.reserve(ops.size());
+      std::vector<ScheduledGate> running;
       for (const std::size_t i : order) {
         if (full_(report)) break;
-        std::vector<ScheduledGate> running;
-        for (const ScheduledGate& prior : admitted) {
-          if (prior.overlaps(ops[i])) running.push_back(prior);
-        }
+        std::erase_if(running, [start = ops[i].start_cycle](
+                                   const ScheduledGate& prior) {
+          return prior.end_cycle() <= start;
+        });
         for (const auto& constraint : constraints) {
           if (!constraint->compatible(ops[i], running, device_)) {
             add_(report, Violation::Kind::ControlConflict, i,
@@ -256,7 +257,7 @@ ValidityReport ValidityChecker::check_schedule(const Schedule& schedule,
                      constraint->name() + "'");
           }
         }
-        admitted.push_back(ops[i]);
+        running.push_back(ops[i]);
       }
     }
   }

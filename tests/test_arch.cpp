@@ -173,6 +173,18 @@ TEST(Surface17, ParkingRuleMatchesModel) {
       EXPECT_TRUE(s17.coupling().connected(high, p));
       EXPECT_NE(p, low);
     }
+    // Complete too: every such neighbour is parked, and the allocation-free
+    // predicate agrees with the list for every qubit and operand order.
+    for (int q = 0; q < s17.num_qubits(); ++q) {
+      const bool in_list =
+          std::find(parked.begin(), parked.end(), q) != parked.end();
+      const bool by_model = q != low && s17.coupling().connected(high, q) &&
+                            s17.frequency_group(q) == s17.frequency_group(low);
+      EXPECT_EQ(in_list, by_model) << "edge " << edge.a << "-" << edge.b
+                                   << " qubit " << q;
+      EXPECT_EQ(s17.parks(edge.a, edge.b, q), in_list);
+      EXPECT_EQ(s17.parks(edge.b, edge.a, q), in_list);
+    }
   }
   // Parking is symmetric in the operand order.
   const auto& edge = s17.coupling().edges().front();

@@ -21,6 +21,10 @@ struct ConfigCase {
   Device (*builtin)();
 };
 
+// Print the case by its file name: gtest's default dumps the raw bytes of
+// the two pointers, which would put load addresses into the test names.
+void PrintTo(const ConfigCase& param, std::ostream* os) { *os << param.file; }
+
 Device qdot2x5() { return devices::quantum_dot_array(2, 5); }
 
 class ShippedConfig : public testing::TestWithParam<ConfigCase> {};

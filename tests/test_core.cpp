@@ -8,6 +8,7 @@
 #include "core/snapshot.hpp"
 #include "route/router.hpp"
 #include "schedule/constraints.hpp"
+#include "verify/validity.hpp"
 #include "workloads/workloads.hpp"
 
 namespace qmap {
@@ -188,6 +189,22 @@ TEST(Snapshot, ExposesAllSectionSixComponents) {
   // The resulting schedule is consistent with the routed circuit.
   EXPECT_TRUE(
       snapshot.partial_schedule().is_consistent_with(compiled.routing.circuit));
+}
+
+TEST(Snapshot, HonoursTrappedIonParallelismLimit) {
+  // trapped_ion(n) serializes two-qubit gates on its shared bus; the
+  // snapshot must schedule with the device's own constraint stack, not
+  // just the Surface control constraints.
+  const Device ion = devices::trapped_ion(5);
+  Circuit c(5);
+  c.cx(0, 1).cx(2, 3).h(4);
+  ExecutionSnapshot snapshot(c, ion, Placement::identity(5, 5));
+  snapshot.run_to_completion();
+  const Schedule& schedule = snapshot.partial_schedule();
+  EXPECT_FALSE(schedule.operations()[0].overlaps(schedule.operations()[1]));
+  const verify::ValidityReport report =
+      verify::ValidityChecker(ion).check_schedule(schedule, c);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(Snapshot, ControlSettingsTrackSharedAwgs) {

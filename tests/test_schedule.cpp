@@ -2,8 +2,13 @@
 // implementations, and the constrained scheduler's guarantees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "arch/builtin.hpp"
 #include "decompose/decomposer.hpp"
+#include "ir/dag.hpp"
+#include "obs/obs.hpp"
 #include "schedule/constraints.hpp"
 #include "schedule/schedulers.hpp"
 #include "workloads/workloads.hpp"
@@ -30,6 +35,179 @@ bool satisfies_constraints(
   }
   return true;
 }
+
+/// The constrained scheduler as it was before the running window: every
+/// candidate is checked against every gate admitted so far, O(n^2). Kept
+/// only as the parity reference for schedule_constrained.
+Schedule reference_schedule_constrained(
+    const Circuit& circuit, const Device& device,
+    const std::vector<std::unique_ptr<ResourceConstraint>>& constraints) {
+  DependencyDag dag(circuit);
+  const std::size_t num_nodes = dag.num_nodes();
+  Schedule schedule(circuit.num_qubits());
+  std::vector<double> priority(num_nodes, 0.0);
+  for (std::size_t i = num_nodes; i-- > 0;) {
+    double downstream = 0.0;
+    for (const int succ : dag.successors(static_cast<int>(i))) {
+      downstream = std::max(downstream, priority[static_cast<std::size_t>(succ)]);
+    }
+    priority[i] = downstream + device.cycles_for(circuit.gate(i));
+  }
+  std::vector<int> end_cycle(num_nodes, 0);
+  std::vector<int> qubit_busy(static_cast<std::size_t>(circuit.num_qubits()),
+                              0);
+  std::vector<ScheduledGate> admitted;
+  int cycle = 0;
+  std::size_t scheduled = 0;
+  while (scheduled < num_nodes) {
+    std::vector<int> ready = dag.ready();
+    std::stable_sort(ready.begin(), ready.end(), [&](int a, int b) {
+      return priority[static_cast<std::size_t>(a)] >
+             priority[static_cast<std::size_t>(b)];
+    });
+    bool progressed = false;
+    for (const int node : ready) {
+      const Gate& gate = circuit.gate(static_cast<std::size_t>(node));
+      const int duration = device.cycles_for(gate);
+      bool startable = true;
+      for (const int pred : dag.predecessors(node)) {
+        if (end_cycle[static_cast<std::size_t>(pred)] > cycle) {
+          startable = false;
+          break;
+        }
+      }
+      if (startable) {
+        for (const int q : gate.qubits) {
+          if (qubit_busy[static_cast<std::size_t>(q)] > cycle) {
+            startable = false;
+            break;
+          }
+        }
+      }
+      if (!startable) continue;
+      const ScheduledGate candidate{gate, cycle, duration};
+      bool allowed = true;
+      for (const auto& constraint : constraints) {
+        if (!constraint->compatible(candidate, admitted, device)) {
+          allowed = false;
+          break;
+        }
+      }
+      if (!allowed) continue;
+      admitted.push_back(candidate);
+      schedule.add(candidate);
+      end_cycle[static_cast<std::size_t>(node)] = cycle + duration;
+      for (const int q : gate.qubits) {
+        qubit_busy[static_cast<std::size_t>(q)] =
+            std::max(qubit_busy[static_cast<std::size_t>(q)],
+                     cycle + duration);
+      }
+      dag.mark_scheduled(node);
+      ++scheduled;
+      progressed = true;
+    }
+    if (scheduled == num_nodes) break;
+    int next = cycle + 1;
+    if (!progressed) {
+      int earliest_event = std::numeric_limits<int>::max();
+      for (const int busy : qubit_busy) {
+        if (busy > cycle) earliest_event = std::min(earliest_event, busy);
+      }
+      if (earliest_event != std::numeric_limits<int>::max()) {
+        next = std::max(next, earliest_event);
+      }
+    }
+    cycle = next;
+  }
+  return schedule;
+}
+
+std::string describe(const ScheduledGate& op) {
+  return "'" + op.gate.to_string() + "' at cycle " +
+         std::to_string(op.start_cycle) + " for " +
+         std::to_string(op.duration_cycles);
+}
+
+/// Byte-identity of two schedules; on mismatch, names the first differing
+/// operation.
+::testing::AssertionResult same_schedule(const Schedule& got,
+                                         const Schedule& want) {
+  if (got.num_qubits() != want.num_qubits()) {
+    return ::testing::AssertionFailure()
+           << "width " << got.num_qubits() << " vs " << want.num_qubits();
+  }
+  const auto& a = got.operations();
+  const auto& b = want.operations();
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (!(a[i].gate == b[i].gate) || a[i].start_cycle != b[i].start_cycle ||
+        a[i].duration_cycles != b[i].duration_cycles) {
+      return ::testing::AssertionFailure()
+             << "first differing op #" << i << ": got " << describe(a[i])
+             << ", reference " << describe(b[i]);
+    }
+  }
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << a.size() << " ops vs reference " << b.size();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A random circuit that exercises every Sec. V constraint: single-qubit
+/// pulses drawn from a small set (so shared-AWG groups both agree and
+/// clash), native two-qubit gates and SWAPs on coupled pairs (parking and
+/// the trapped-ion parallelism limit), runs of measurements on one
+/// feedline, and — when `barriers` — zero-duration barriers.
+Circuit control_stress_circuit(const Device& device, int num_gates, Rng& rng,
+                               bool barriers) {
+  const int n = device.num_qubits();
+  const auto& edges = device.coupling().edges();
+  Circuit c(n);
+  while (static_cast<int>(c.size()) < num_gates) {
+    const double roll = rng.uniform();
+    const int q = rng.integer(0, n - 1);
+    if (roll < 0.35) {
+      switch (rng.integer(0, 4)) {
+        case 0: c.x(q); break;
+        case 1: c.y(q); break;
+        case 2: c.rx(kPi / 2, q); break;
+        case 3: c.ry(kPi / 2, q); break;
+        default: c.ry(-kPi / 2, q); break;
+      }
+    } else if (roll < 0.65) {
+      const auto& edge = edges[rng.index(edges.size())];
+      if (rng.uniform() < 0.1) {
+        c.swap(edge.a, edge.b);
+      } else if (device.native_two_qubit() == GateKind::CX) {
+        c.cx(edge.a, edge.b);
+      } else {
+        c.cz(edge.a, edge.b);
+      }
+    } else if (roll < 0.80) {
+      c.measure(q, q);
+    } else if (roll < 0.88) {
+      // A run of measurements on q's feedline (or on q's neighbours when
+      // the device has none), long enough to overlap many later cycles.
+      const int line = device.feedline(q);
+      for (int other = 0; other < n; ++other) {
+        const bool in_run = line >= 0 ? device.feedline(other) == line
+                                      : other == q ||
+                                            device.coupling().connected(q, other);
+        if (in_run) c.measure(other, other);
+      }
+    } else if (roll < 0.93 && barriers) {
+      if (rng.uniform() < 0.3) {
+        c.barrier();
+      } else {
+        c.barrier({q, (q + 1) % n});
+      }
+    } else {
+      c.h(q);
+    }
+  }
+  return c;
+}
+
 
 TEST(Asap, ParallelIndependentGates) {
   const Device s17 = devices::surface17();
@@ -208,6 +386,51 @@ TEST(Constrained, DifferentGatesSameGroupSerialize) {
   EXPECT_EQ(schedule.total_cycles(), 2);
 }
 
+TEST(ConstrainedParity, MatchesQuadraticReferenceByteForByte) {
+  // The running window must be exact: the same Schedule, op for op, as the
+  // O(n^2) loop that checks every admitted gate.
+  for (const Device& device : {devices::surface17(), devices::surface7(),
+                               devices::trapped_ion(5)}) {
+    const auto constraints = constraints_for_device(device);
+    ASSERT_FALSE(constraints.empty()) << device.name();
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      Rng rng(seed);
+      const Circuit c = control_stress_circuit(
+          device, seed <= 2 ? 1500 : 200, rng, /*barriers=*/seed % 3 != 0);
+      EXPECT_TRUE(same_schedule(schedule_constrained(c, device, constraints),
+                                reference_schedule_constrained(c, device,
+                                                               constraints)))
+          << device.name() << " seed " << seed;
+    }
+  }
+}
+
+TEST(ConstrainedParity, WindowPeakBoundedByDeviceWidth) {
+  // Every gate left in the window after a cycle advance is still running,
+  // and running gates hold disjoint qubits, so without zero-duration
+  // barriers the window never exceeds the register. A window that regrows
+  // with the circuit (the O(n^2) scan) fails here on the long circuits.
+  for (const Device& device : {devices::surface17(), devices::surface7(),
+                               devices::trapped_ion(5)}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng rng(seed);
+      const Circuit c = control_stress_circuit(device, 1000, rng,
+                                               /*barriers=*/false);
+      obs::Observer observer;
+      const Schedule schedule = schedule_constrained(
+          c, device, constraints_for_device(device), &observer);
+      const obs::HistogramSnapshot peak =
+          observer.metrics().histogram("schedule.window_peak");
+      ASSERT_EQ(peak.count, 1u) << device.name();
+      EXPECT_GE(peak.sum, 1.0) << device.name() << " seed " << seed;
+      EXPECT_LE(peak.sum, static_cast<double>(device.num_qubits()))
+          << device.name() << " seed " << seed << ": running window grew to "
+          << peak.sum << " gates on a " << device.num_qubits()
+          << "-qubit device (" << schedule.size() << " ops scheduled)";
+    }
+  }
+}
+
 TEST(ScheduleForDevice, PicksConstraintsAutomatically) {
   Circuit c(5);
   c.h(0).cx(1, 0);
@@ -246,6 +469,58 @@ TEST(ScheduleConsistency, DetectsOverlapOnSharedQubit) {
   Circuit source(2);
   source.x(0).y(0);
   EXPECT_FALSE(bad.is_consistent_with(source));
+}
+
+TEST(ScheduleConsistency, ZeroDurationOpBetweenOverlappingGates) {
+  // Start order on qubit 0: measure [0,30), barrier [0,0), x [5,6). No
+  // adjacent pair overlaps, but the measure and the x do.
+  Circuit source(1);
+  source.measure(0, 0).barrier({0}).x(0);
+  Schedule bad(1);
+  bad.add(ScheduledGate{source.gate(0), 0, 30});
+  bad.add(ScheduledGate{source.gate(1), 0, 0});
+  bad.add(ScheduledGate{source.gate(2), 5, 1});
+  EXPECT_FALSE(bad.is_consistent_with(source));
+}
+
+TEST(ScheduleConsistency, LaneSweepMatchesPairwiseOverlapCheck) {
+  // The per-qubit lane sweep gives the same answer as checking every pair
+  // of operations, on valid schedules and on randomly jittered ones.
+  const auto pairwise_clash = [](const Schedule& schedule) {
+    const auto& ops = schedule.operations();
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      for (std::size_t j = i + 1; j < ops.size(); ++j) {
+        if (!ops[i].overlaps(ops[j])) continue;
+        for (const int qa : ops[i].gate.qubits) {
+          for (const int qb : ops[j].gate.qubits) {
+            if (qa == qb) return true;
+          }
+        }
+      }
+    }
+    return false;
+  };
+  const Device s7 = devices::surface7();
+  int clashes = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const Circuit c = control_stress_circuit(s7, 40, rng, /*barriers=*/true);
+    const Schedule valid = schedule_for_device(c, s7);
+    ASSERT_FALSE(pairwise_clash(valid));
+    EXPECT_TRUE(valid.is_consistent_with(c)) << "seed " << seed;
+    Schedule jittered(valid.num_qubits());
+    for (const ScheduledGate& op : valid.operations()) {
+      ScheduledGate moved = op;
+      if (rng.uniform() < 0.2) moved.start_cycle += rng.integer(-3, 3);
+      jittered.add(std::move(moved));
+    }
+    const bool clash = pairwise_clash(jittered);
+    clashes += clash ? 1 : 0;
+    if (clash) {
+      EXPECT_FALSE(jittered.is_consistent_with(c)) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(clashes, 0) << "jitter never produced an overlap";
 }
 
 }  // namespace

@@ -187,6 +187,61 @@ TEST(ValidityChecker, RejectsSharedMicrowaveConflict) {
       << report.to_string();
 }
 
+TEST(ValidityChecker, CatchesLateConflictWithLongRunningMeasure) {
+  // A Surface-17 schedule with a slow readout: one Measure starts at cycle
+  // 0, about 1000 conflict-free X gates fill the following cycles, and a
+  // second Measure on the same feedline starts while the first is still
+  // running. The re-audit's running window must still hold the first
+  // Measure that many ops later.
+  Device s17 = devices::surface17();
+  Durations durations = s17.durations();
+  durations.measure_cycles = 100;
+  s17.set_durations(durations);
+  int first = -1;
+  int second = -1;
+  for (int a = 0; a < s17.num_qubits() && second < 0; ++a) {
+    for (int b = a + 1; b < s17.num_qubits(); ++b) {
+      if (s17.feedline(a) >= 0 && s17.feedline(a) == s17.feedline(b)) {
+        first = a;
+        second = b;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(second, 0) << "Surface-17 should share a feedline";
+  const auto build = [&](int planted_start, Circuit& source) {
+    source = Circuit(17);
+    Schedule schedule(17);
+    source.measure(first, first);
+    schedule.add(ScheduledGate{source.gate(0), 0, 100});
+    constexpr int kBodyCycles = 67;  // 15 idle qubits x 67 cycles = 1005 ops
+    for (int cycle = 0; cycle < kBodyCycles; ++cycle) {
+      for (int q = 0; q < 17; ++q) {
+        if (q == first || q == second) continue;
+        source.x(q);
+        schedule.add(ScheduledGate{source.gate(source.size() - 1), cycle, 1});
+      }
+    }
+    source.measure(second, second);
+    schedule.add(
+        ScheduledGate{source.gate(source.size() - 1), planted_start, 100});
+    return schedule;
+  };
+  Circuit source;
+  const Schedule clean = build(100, source);
+  EXPECT_TRUE(ValidityChecker(s17).check_schedule(clean, source).ok());
+
+  const Schedule planted = build(67, source);
+  ASSERT_GT(planted.size(), 1000u);
+  const ValidityReport report =
+      ValidityChecker(s17).check_schedule(planted, source);
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  const Violation& v = report.violations.front();
+  EXPECT_EQ(v.kind, Violation::Kind::ControlConflict);
+  EXPECT_EQ(v.index, planted.size() - 1);
+  EXPECT_NE(v.message.find("feedline"), std::string::npos) << v.message;
+}
+
 TEST(ValidityChecker, AcceptsConstrainedSchedulerOutput) {
   const Device s17 = devices::surface17();
   Rng rng(11);
