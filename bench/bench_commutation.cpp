@@ -10,6 +10,7 @@
 
 #include "bench_util.hpp"
 #include "ir/dag.hpp"
+#include "route/route_ir.hpp"
 #include "route/sabre.hpp"
 
 namespace {
@@ -82,13 +83,17 @@ void print_figure() {
 
   section("Front-layer width after the opening Hadamard (QFT-6)");
   const Circuit qft = workloads::qft(6, false);
-  DependencyDag sequential(qft, DagMode::Sequential);
-  DependencyDag relaxed(qft, DagMode::Commutation);
-  sequential.mark_scheduled(sequential.ready().front());
-  relaxed.mark_scheduled(relaxed.ready().front());
+  RouteArena arena;
+  const RouteIR strict_ir = RouteIR::build(qft, DagMode::Sequential, arena);
+  const RouteIR relaxed_ir = RouteIR::build(qft, DagMode::Commutation, arena);
+  FrontLayer sequential(strict_ir, arena);
+  FrontLayer relaxed(relaxed_ir, arena);
+  sequential.mark_scheduled(sequential.ready()[0]);
+  relaxed.mark_scheduled(relaxed.ready()[0]);
+  std::vector<std::uint32_t> two(strict_ir.num_two_qubit);
   std::cout << "strict ready 2q gates:  "
-            << sequential.ready_two_qubit().size() << "\n"
-            << "relaxed ready 2q gates: " << relaxed.ready_two_qubit().size()
+            << sequential.ready_two_qubit(two.data()) << "\n"
+            << "relaxed ready 2q gates: " << relaxed.ready_two_qubit(two.data())
             << "\n";
 }
 
@@ -97,8 +102,10 @@ void BM_DagConstruction(benchmark::State& state) {
   const Circuit circuit = workloads::random_circuit(10, 200, rng, 0.5);
   const DagMode mode =
       state.range(0) == 0 ? DagMode::Sequential : DagMode::Commutation;
+  RouteArena arena;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(DependencyDag(circuit, mode));
+    const ArenaScope scope(arena);
+    benchmark::DoNotOptimize(RouteIR::build(circuit, mode, arena).num_edges());
   }
   state.SetLabel(state.range(0) == 0 ? "sequential" : "commutation");
 }

@@ -7,7 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
-#include "ir/dag.hpp"
+#include "route/route_ir.hpp"
 
 namespace {
 
@@ -24,9 +24,11 @@ void print_figure() {
   section("Structural facts");
   const CircuitMetrics metrics = compute_metrics(example);
   std::cout << "metrics: " << metrics.to_string() << "\n";
-  const DependencyDag dag(example);
-  std::cout << "dependency-DAG depth: " << dag.depth()
-            << ", initial front layer size: " << dag.ready().size() << "\n";
+  RouteArena arena;
+  const RouteIR dag = RouteIR::build(example, DagMode::Sequential, arena);
+  const FrontLayer front(dag, arena);
+  std::cout << "dependency-DAG depth: " << metrics.depth
+            << ", initial front layer size: " << front.ready_size() << "\n";
   const Gate first_cnot = workloads::fig1_skeleton().gate(0);
   std::cout << "first CNOT: " << first_cnot.to_string()
             << "  (paper notation: control q3, target q4)\n";
@@ -57,14 +59,16 @@ void BM_Fig1Metrics(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig1Metrics);
 
-void BM_Fig1DependencyDag(benchmark::State& state) {
+void BM_Fig1DependencyGraph(benchmark::State& state) {
   const Circuit example = workloads::fig1_example();
+  RouteArena arena;
   for (auto _ : state) {
-    const DependencyDag dag(example);
-    benchmark::DoNotOptimize(dag.depth());
+    const ArenaScope scope(arena);
+    benchmark::DoNotOptimize(
+        RouteIR::build(example, DagMode::Sequential, arena).num_edges());
   }
 }
-BENCHMARK(BM_Fig1DependencyDag);
+BENCHMARK(BM_Fig1DependencyGraph);
 
 }  // namespace
 

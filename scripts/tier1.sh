@@ -64,9 +64,9 @@ echo "== tier 1: bridge router + token-swap finisher leg =="
 echo "== tier 1: route_ir label =="
 # The data-oriented routing core suite (tests/test_route_ir.cpp): the
 # byte-parity matrix pinning every RouteIR-backed router against golden
-# pre-refactor fingerprints across devices and seeds, CSR structural
-# properties vs DependencyDag, arena rewind semantics, and the
-# 1/2/8-thread fingerprint pin.
+# pre-refactor fingerprints across devices and seeds, the reliability and
+# shuttle pins, the CSR and FrontLayer checked against a naive pairwise
+# DAG, arena rewind semantics, and the 1/2/8-thread fingerprint pin.
 (cd build && ctest --output-on-failure -L route_ir)
 
 echo "== tier 1: stream label =="
@@ -136,14 +136,20 @@ cmake --build build-tsan -j "${JOBS}" --target test_stream
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_stream \
     --gtest_filter='StreamThreads.*'
 
-echo "== tier 1: test_route_ir under ASan+UBSan =="
+echo "== tier 1: arena-backed suites under ASan+UBSan =="
 # The arena hands out raw pointers with manual lifetime (marker rewind,
 # block reuse); ASan+UBSan over the full RouteIR suite — parity matrix
 # included — catches out-of-bounds SoA/CSR indexing, use-after-rewind,
-# and misaligned loads that plain tests cannot see.
+# and misaligned loads that plain tests cannot see. The constrained
+# scheduler (test_schedule), the execution snapshot (test_core) and the
+# reliability (test_noise) and shuttle (test_shuttle) routers run on
+# RouteIR arena memory too.
 cmake -B build-asan -S . -DQMAP_SANITIZE=address
-cmake --build build-asan -j "${JOBS}" --target test_route_ir
-ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
-    ./build-asan/tests/test_route_ir
+cmake --build build-asan -j "${JOBS}" --target test_route_ir test_schedule \
+    test_core test_noise test_shuttle
+for suite in test_route_ir test_schedule test_core test_noise test_shuttle; do
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+      "./build-asan/tests/${suite}"
+done
 
 echo "tier 1 OK"

@@ -17,25 +17,25 @@ ExecutionSnapshot::ExecutionSnapshot(Circuit circuit, const Device& device,
     throw MappingError(
         "execution snapshot expects a routed circuit on physical qubits");
   }
-  dag_ = std::make_unique<DependencyDag>(circuit_);
+  ir_ = RouteIR::build(circuit_, DagMode::Sequential, arena_);
+  front_.init(ir_, arena_);
   constraints_ = constraints_for_device(device);
-  priority_.assign(dag_->num_nodes(), 0.0);
-  for (std::size_t i = dag_->num_nodes(); i-- > 0;) {
+  priority_.assign(ir_.num_gates, 0.0);
+  for (std::size_t i = ir_.num_gates; i-- > 0;) {
     double downstream = 0.0;
-    for (const int succ : dag_->successors(static_cast<int>(i))) {
-      downstream =
-          std::max(downstream, priority_[static_cast<std::size_t>(succ)]);
+    for (std::uint32_t e = ir_.succ_offsets[i]; e < ir_.succ_offsets[i + 1];
+         ++e) {
+      downstream = std::max(downstream, priority_[ir_.succ[e]]);
     }
     priority_[i] = downstream + device.cycles_for(circuit_.gate(i));
   }
-  end_cycle_.assign(dag_->num_nodes(), 0);
   qubit_busy_.assign(static_cast<std::size_t>(circuit_.num_qubits()), 0);
 }
 
 bool ExecutionSnapshot::step() {
-  if (dag_->all_scheduled()) return false;
+  if (front_.all_scheduled()) return false;
   // Highest-priority ready gate.
-  std::vector<int> ready = dag_->ready();
+  std::vector<int> ready(front_.ready(), front_.ready() + front_.ready_size());
   if (ready.empty()) {
     throw MappingError("execution snapshot: no ready gate (cyclic DAG?)");
   }
@@ -47,10 +47,9 @@ bool ExecutionSnapshot::step() {
   const Gate& gate = circuit_.gate(static_cast<std::size_t>(node));
   const int duration = device_->cycles_for(gate);
 
+  // Every predecessor is the last scheduled gate on one of the operands,
+  // so operand availability is also dependency completion.
   int earliest = 0;
-  for (const int pred : dag_->predecessors(node)) {
-    earliest = std::max(earliest, end_cycle_[static_cast<std::size_t>(pred)]);
-  }
   for (const int q : gate.qubits) {
     earliest = std::max(earliest, qubit_busy_[static_cast<std::size_t>(q)]);
   }
@@ -75,14 +74,13 @@ bool ExecutionSnapshot::step() {
   }
 
   schedule_.add(ScheduledGate{gate, start, duration});
-  end_cycle_[static_cast<std::size_t>(node)] = start + duration;
   for (const int q : gate.qubits) {
     qubit_busy_[static_cast<std::size_t>(q)] = start + duration;
   }
   if (gate.kind == GateKind::SWAP) {
     current_.apply_swap(gate.qubits[0], gate.qubits[1]);
   }
-  dag_->mark_scheduled(node);
+  front_.mark_scheduled(static_cast<std::uint32_t>(node));
   return true;
 }
 
@@ -110,14 +108,12 @@ ExecutionSnapshot::control_settings() const {
 
 std::string ExecutionSnapshot::to_string() const {
   std::string out = "ExecutionSnapshot: " +
-                    std::to_string(dag_->num_scheduled()) + "/" +
-                    std::to_string(dag_->num_nodes()) + " gates scheduled\n";
+                    std::to_string(front_.num_scheduled()) + "/" +
+                    std::to_string(ir_.num_gates) + " gates scheduled\n";
   out += "  ready: {";
-  bool first = true;
-  for (const int node : dag_->ready()) {
-    if (!first) out += ", ";
-    first = false;
-    out += std::to_string(node);
+  for (std::uint32_t k = 0; k < front_.ready_size(); ++k) {
+    if (k > 0) out += ", ";
+    out += std::to_string(front_.ready()[k]);
   }
   out += "}\n";
   out += "  initial placement: " + initial_.to_string() + "\n";

@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "arch/device.hpp"
-#include "ir/dag.hpp"
 #include "layout/placement.hpp"
+#include "route/route_ir.hpp"
 #include "schedule/constraints.hpp"
 #include "schedule/schedule.hpp"
 
@@ -36,13 +36,15 @@ class ExecutionSnapshot {
   /// `circuit` must be on physical qubits (routed); `initial` is the
   /// placement the router started from.
   ExecutionSnapshot(Circuit circuit, const Device& device, Placement initial);
+  // The front layer points into ir_, so the snapshot stays where it is.
+  ExecutionSnapshot(const ExecutionSnapshot&) = delete;
+  ExecutionSnapshot& operator=(const ExecutionSnapshot&) = delete;
 
   // --- Sec. VI-B components ---
 
-  /// Dependency graph with Scheduled / Ready / Pending colours.
-  [[nodiscard]] const DependencyDag& dependency_graph() const {
-    return *dag_;
-  }
+  /// Dependency graph with Scheduled / Ready / Pending colours: scheduled()
+  /// gates, the ready() list, and every other gate pending.
+  [[nodiscard]] const FrontLayer& dependency_graph() const { return front_; }
   [[nodiscard]] const Placement& initial_placement() const {
     return initial_;
   }
@@ -64,20 +66,21 @@ class ExecutionSnapshot {
   bool step();
   /// Steps until completion; returns the final schedule latency in cycles.
   int run_to_completion();
-  [[nodiscard]] bool complete() const { return dag_->all_scheduled(); }
+  [[nodiscard]] bool complete() const { return front_.all_scheduled(); }
 
   [[nodiscard]] std::string to_string() const;
 
  private:
   Circuit circuit_;
   const Device* device_;
-  std::unique_ptr<DependencyDag> dag_;
+  RouteArena arena_;  // holds ir_'s arrays and front_'s worklist
+  RouteIR ir_;
+  FrontLayer front_;
   Placement initial_;
   Placement current_;
   Schedule schedule_;
   std::vector<std::unique_ptr<ResourceConstraint>> constraints_;
   std::vector<double> priority_;
-  std::vector<int> end_cycle_;   // per DAG node
   std::vector<int> qubit_busy_;  // per physical qubit
 };
 

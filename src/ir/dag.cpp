@@ -1,9 +1,5 @@
 #include "ir/dag.hpp"
 
-#include <algorithm>
-
-#include "common/error.hpp"
-
 namespace qmap {
 
 QubitAction qubit_action(const Gate& gate, int qubit) {
@@ -54,136 +50,6 @@ bool gates_commute(const Gate& a, const Gate& b) {
     }
   }
   return true;
-}
-
-DependencyDag::DependencyDag(const Circuit& circuit, DagMode mode)
-    : circuit_(&circuit) {
-  const std::size_t n = circuit.size();
-  preds_.resize(n);
-  succs_.resize(n);
-  const auto add_edge = [this](int from, std::size_t to) {
-    auto& succ = succs_[static_cast<std::size_t>(from)];
-    if (std::find(succ.begin(), succ.end(), static_cast<int>(to)) ==
-        succ.end()) {
-      succ.push_back(static_cast<int>(to));
-      preds_[to].push_back(from);
-    }
-  };
-  if (mode == DagMode::Sequential) {
-    // last_writer[q] = index of the most recent gate acting on qubit q.
-    std::vector<int> last_writer(
-        static_cast<std::size_t>(circuit.num_qubits()), -1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Gate& gate = circuit.gate(i);
-      for (const int q : gate.qubits) {
-        const int prev = last_writer[static_cast<std::size_t>(q)];
-        if (prev >= 0) add_edge(prev, i);
-        last_writer[static_cast<std::size_t>(q)] = static_cast<int>(i);
-      }
-    }
-  } else {
-    // Commutation-aware: gate i depends on every earlier gate sharing a
-    // qubit that it does not provably commute with. Transitively redundant
-    // edges are harmless for the ready-set machinery.
-    std::vector<std::vector<int>> per_qubit(
-        static_cast<std::size_t>(circuit.num_qubits()));
-    for (std::size_t i = 0; i < n; ++i) {
-      const Gate& gate = circuit.gate(i);
-      for (const int q : gate.qubits) {
-        for (const int prev : per_qubit[static_cast<std::size_t>(q)]) {
-          if (!gates_commute(circuit.gate(static_cast<std::size_t>(prev)),
-                             gate)) {
-            add_edge(prev, i);
-          }
-        }
-        per_qubit[static_cast<std::size_t>(q)].push_back(
-            static_cast<int>(i));
-      }
-    }
-    // Keep predecessor lists sorted for deterministic iteration.
-    for (auto& preds : preds_) std::sort(preds.begin(), preds.end());
-  }
-  colors_.assign(n, NodeColor::Pending);
-  unscheduled_pred_count_.resize(n);
-  reset();
-}
-
-void DependencyDag::reset() {
-  num_scheduled_ = 0;
-  ready_.clear();
-  for (std::size_t i = 0; i < num_nodes(); ++i) {
-    unscheduled_pred_count_[i] = static_cast<int>(preds_[i].size());
-    if (unscheduled_pred_count_[i] == 0) {
-      colors_[i] = NodeColor::Ready;
-      ready_.push_back(static_cast<int>(i));
-    } else {
-      colors_[i] = NodeColor::Pending;
-    }
-  }
-}
-
-std::vector<int> DependencyDag::ready_two_qubit() const {
-  std::vector<int> out;
-  for (const int node : ready_) {
-    if (circuit_->gate(static_cast<std::size_t>(node)).is_two_qubit()) {
-      out.push_back(node);
-    }
-  }
-  return out;
-}
-
-void DependencyDag::mark_scheduled(int node) {
-  const auto idx = static_cast<std::size_t>(node);
-  if (idx >= num_nodes() || colors_[idx] != NodeColor::Ready) {
-    throw CircuitError("mark_scheduled: node " + std::to_string(node) +
-                       " is not ready");
-  }
-  colors_[idx] = NodeColor::Scheduled;
-  ++num_scheduled_;
-  ready_.erase(std::find(ready_.begin(), ready_.end(), node));
-  for (const int succ : succs_[idx]) {
-    const auto sidx = static_cast<std::size_t>(succ);
-    if (--unscheduled_pred_count_[sidx] == 0) {
-      colors_[sidx] = NodeColor::Ready;
-      // Keep ready_ sorted for deterministic iteration.
-      ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), succ),
-                    succ);
-    }
-  }
-}
-
-std::vector<int> DependencyDag::topological_order() const {
-  // Program order is topological by construction of the edges.
-  std::vector<int> order(num_nodes());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = static_cast<int>(i);
-  }
-  return order;
-}
-
-double DependencyDag::critical_path(
-    const std::function<double(int)>& weight) const {
-  std::vector<double> finish(num_nodes(), 0.0);
-  double best = 0.0;
-  for (std::size_t i = 0; i < num_nodes(); ++i) {
-    double start = 0.0;
-    for (const int p : preds_[i]) {
-      start = std::max(start, finish[static_cast<std::size_t>(p)]);
-    }
-    finish[i] = start + weight(static_cast<int>(i));
-    best = std::max(best, finish[i]);
-  }
-  return best;
-}
-
-int DependencyDag::depth() const {
-  const double d = critical_path([this](int i) {
-    return circuit_->gate(static_cast<std::size_t>(i)).kind ==
-                   GateKind::Barrier
-               ? 0.0
-               : 1.0;
-  });
-  return static_cast<int>(d + 0.5);
 }
 
 }  // namespace qmap

@@ -1,30 +1,16 @@
-// Dependency DAG of a circuit, with the three-colour scheduling state
-// described in Sec. VI-B of the paper:
-//
-//   "the dependency graph is a directed, acyclic graph with nodes
-//    representing the quantum gates and edges indicating dependencies
-//    [...] Nodes can have one of two colors, differentiating the gates
-//    already scheduled from those that need to be scheduled. An additional
-//    color may mark the gates that can be scheduled next."
-//
-// Nodes are gate indices into the originating circuit. An edge u -> v means
-// gate v depends on gate u (they share a qubit and u precedes v, with no
-// other gate on that qubit in between).
+// Dependency rules of a circuit's gate DAG (Sec. VI-B of the paper:
+// "a directed, acyclic graph with nodes representing the quantum gates and
+// edges indicating dependencies"). Nodes are gate indices; an edge u -> v
+// means gate v depends on gate u. The rules live here; RouteIR::build
+// (route/route_ir.hpp) is the one place that applies them to a whole
+// circuit, and FrontLayer carries the scheduled / ready / pending colours.
+// StreamRouteCore (route/stream_core.hpp) applies the same rules to its
+// sliding window of a streamed circuit.
 #pragma once
-
-#include <cstddef>
-#include <functional>
-#include <vector>
 
 #include "ir/circuit.hpp"
 
 namespace qmap {
-
-enum class NodeColor {
-  Pending,    // has unscheduled predecessors
-  Ready,      // all predecessors scheduled; can be scheduled next
-  Scheduled,  // already scheduled
-};
 
 /// How dependencies are derived from the gate list.
 enum class DagMode {
@@ -54,68 +40,5 @@ enum class QubitAction {
 /// on every shared qubit). Conservative: false negatives allowed, false
 /// positives not.
 [[nodiscard]] bool gates_commute(const Gate& a, const Gate& b);
-
-class DependencyDag {
- public:
-  /// Builds the DAG for `circuit`. The circuit must outlive the DAG.
-  explicit DependencyDag(const Circuit& circuit,
-                         DagMode mode = DagMode::Sequential);
-
-  [[nodiscard]] const Circuit& circuit() const noexcept { return *circuit_; }
-  [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return preds_.size();
-  }
-  [[nodiscard]] const std::vector<int>& predecessors(int node) const {
-    return preds_[static_cast<std::size_t>(node)];
-  }
-  [[nodiscard]] const std::vector<int>& successors(int node) const {
-    return succs_[static_cast<std::size_t>(node)];
-  }
-
-  // --- Scheduling state (mutable part of the execution snapshot) ---
-
-  [[nodiscard]] NodeColor color(int node) const {
-    return colors_[static_cast<std::size_t>(node)];
-  }
-  /// Gate indices currently Ready, in ascending order.
-  [[nodiscard]] const std::vector<int>& ready() const noexcept {
-    return ready_;
-  }
-  /// Subset of ready() that are two-qubit gates — the routing "front layer".
-  [[nodiscard]] std::vector<int> ready_two_qubit() const;
-  /// Marks `node` Scheduled; newly enabled successors become Ready.
-  /// Throws CircuitError unless the node is currently Ready.
-  void mark_scheduled(int node);
-  [[nodiscard]] bool all_scheduled() const noexcept {
-    return num_scheduled_ == num_nodes();
-  }
-  [[nodiscard]] std::size_t num_scheduled() const noexcept {
-    return num_scheduled_;
-  }
-  /// Resets every node to Pending/Ready as after construction.
-  void reset();
-
-  // --- Structural queries ---
-
-  /// Nodes in a topological order (program order is one; this returns it).
-  [[nodiscard]] std::vector<int> topological_order() const;
-
-  /// Length of the weighted critical path. `weight(i)` is the duration of
-  /// gate i; unit weights give the conventional circuit depth.
-  [[nodiscard]] double critical_path(
-      const std::function<double(int)>& weight) const;
-
-  /// Conventional depth (unit gate durations, barriers weightless).
-  [[nodiscard]] int depth() const;
-
- private:
-  const Circuit* circuit_;
-  std::vector<std::vector<int>> preds_;
-  std::vector<std::vector<int>> succs_;
-  std::vector<NodeColor> colors_;
-  std::vector<int> unscheduled_pred_count_;
-  std::vector<int> ready_;
-  std::size_t num_scheduled_ = 0;
-};
 
 }  // namespace qmap

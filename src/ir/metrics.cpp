@@ -1,10 +1,37 @@
 #include "ir/metrics.hpp"
 
 #include <algorithm>
-
-#include "ir/dag.hpp"
+#include <vector>
 
 namespace qmap {
+
+namespace {
+
+// Longest weighted path through the circuit's dependency order, as one
+// per-qubit availability sweep: a gate starts once every operand is free
+// and frees them all at start + weight(gate). This is the critical path of
+// the Sequential dependency DAG, whose predecessors are exactly the last
+// earlier gate on each operand.
+template <typename Weight>
+double critical_path(const Circuit& circuit, const Weight& weight) {
+  std::vector<double> available(
+      static_cast<std::size_t>(circuit.num_qubits()), 0.0);
+  double best = 0.0;
+  for (const Gate& gate : circuit) {
+    double start = 0.0;
+    for (const int q : gate.qubits) {
+      start = std::max(start, available[static_cast<std::size_t>(q)]);
+    }
+    const double finish = start + weight(gate);
+    for (const int q : gate.qubits) {
+      available[static_cast<std::size_t>(q)] = finish;
+    }
+    best = std::max(best, finish);
+  }
+  return best;
+}
+
+}  // namespace
 
 std::string CircuitMetrics::to_string() const {
   std::string out;
@@ -41,13 +68,17 @@ CircuitMetrics compute_metrics(const Circuit& circuit) {
       default: break;
     }
   }
-  const DependencyDag dag(circuit);
-  m.depth = dag.depth();
+  m.depth = static_cast<int>(
+      critical_path(circuit,
+                    [](const Gate& gate) {
+                      return gate.kind == GateKind::Barrier ? 0.0 : 1.0;
+                    }) +
+      0.5);
   m.two_qubit_depth = static_cast<int>(
-      dag.critical_path([&circuit](int i) {
-        return circuit.gate(static_cast<std::size_t>(i)).is_two_qubit() ? 1.0
-                                                                        : 0.0;
-      }) +
+      critical_path(circuit,
+                    [](const Gate& gate) {
+                      return gate.is_two_qubit() ? 1.0 : 0.0;
+                    }) +
       0.5);
   return m;
 }
@@ -63,9 +94,7 @@ std::map<std::string, std::size_t> gate_histogram(const Circuit& circuit) {
 double circuit_latency(
     const Circuit& circuit,
     const std::function<double(const Gate&)>& duration) {
-  const DependencyDag dag(circuit);
-  return dag.critical_path([&](int i) {
-    const Gate& gate = circuit.gate(static_cast<std::size_t>(i));
+  return critical_path(circuit, [&](const Gate& gate) {
     return gate.kind == GateKind::Barrier ? 0.0 : duration(gate);
   });
 }

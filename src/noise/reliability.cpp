@@ -6,9 +6,10 @@
 #include <limits>
 #include <numeric>
 #include <queue>
+#include <span>
 
 #include "common/error.hpp"
-#include "ir/dag.hpp"
+#include "route/route_ir.hpp"
 
 namespace qmap {
 
@@ -118,7 +119,13 @@ RoutingResult ReliabilityRouter::route(const Circuit& circuit,
   check_routable(circuit, device);
   const ReliabilityDistance distance(device);
   const CouplingGraph& coupling = device.coupling();
-  DependencyDag dag(circuit);
+  RouteArena& arena = RouteArena::scratch();
+  const ArenaScope scope(arena);
+  const RouteIR ir = RouteIR::build(circuit, DagMode::Sequential, arena);
+  FrontLayer layer(ir, arena);
+  // Ready-list snapshot (mark_scheduled mutates the list) and front.
+  std::uint32_t* const ready_buf = arena.alloc<std::uint32_t>(ir.num_gates);
+  std::uint32_t* const front_buf = arena.alloc<std::uint32_t>(ir.num_two_qubit);
   RoutingEmitter emitter(device, initial,
                          circuit.name() + "@" + device.name());
 
@@ -141,12 +148,13 @@ RoutingResult ReliabilityRouter::route(const Circuit& circuit,
     bool any = false;
     while (progressed) {
       progressed = false;
-      const std::vector<int> ready = dag.ready();
-      for (const int node : ready) {
-        if (!executable(node)) continue;
-        emitter.emit_program_gate(
-            circuit.gate(static_cast<std::size_t>(node)));
-        dag.mark_scheduled(node);
+      const std::uint32_t count = layer.ready_size();
+      std::copy_n(layer.ready(), count, ready_buf);
+      for (std::uint32_t k = 0; k < count; ++k) {
+        const std::uint32_t node = ready_buf[k];
+        if (!executable(static_cast<int>(node))) continue;
+        emitter.emit_program_gate(circuit.gate(node));
+        layer.mark_scheduled(node);
         progressed = true;
         any = true;
       }
@@ -160,12 +168,13 @@ RoutingResult ReliabilityRouter::route(const Circuit& circuit,
                          placement.phys_of_program(gate.qubits[1]));
   };
 
-  while (!dag.all_scheduled()) {
+  while (!layer.all_scheduled()) {
     if (flush_executable()) {
       swaps_since_progress = 0;
       continue;
     }
-    const std::vector<int> front = dag.ready_two_qubit();
+    const std::span<const std::uint32_t> front(
+        front_buf, layer.ready_two_qubit(front_buf));
     if (front.empty()) {
       throw MappingError("reliability router: stalled");
     }
@@ -175,7 +184,7 @@ RoutingResult ReliabilityRouter::route(const Circuit& circuit,
          extended.size() < static_cast<std::size_t>(options_.extended_window);
          ++i) {
       const int node = static_cast<int>(i);
-      if (dag.color(node) == NodeColor::Scheduled) continue;
+      if (layer.scheduled(static_cast<std::uint32_t>(i))) continue;
       if (std::find(front.begin(), front.end(), node) != front.end()) continue;
       if (circuit.gate(i).is_two_qubit()) extended.push_back(node);
     }

@@ -95,12 +95,12 @@ RouteIR RouteIR::build(const Circuit& circuit, DagMode mode,
     total_operands += count;
   }
 
-  // Edge discovery, replicating DependencyDag (ir/dag.cpp) exactly. Edges
-  // are found grouped by destination in ascending order, so filling the
-  // CSR successor array in discovery order reproduces the DAG's ascending
-  // successor lists. stamp[] dedups (src, dst) pairs in O(1): the original
-  // add_edge's find-in-successors can only ever match an edge added for
-  // the *current* destination, so a per-destination stamp is equivalent.
+  // Edge discovery by the ir/dag.hpp rules. Edges are found grouped by
+  // destination in ascending order, so filling the CSR successor array in
+  // discovery order gives ascending successor lists. stamp[] dedups
+  // (src, dst) pairs in O(1): a duplicate can only repeat an edge already
+  // found for the *current* destination, so a per-destination stamp is
+  // enough.
   const std::uint32_t* edge_src = nullptr;
   const std::uint32_t* edge_dst = nullptr;
   std::size_t num_edges = 0;
@@ -244,8 +244,8 @@ void FrontLayer::mark_scheduled(std::uint32_t node) {
   for (std::uint32_t e = begin; e < finish; ++e) {
     const std::uint32_t succ = ir_->succ[e];
     if (--indegree_[succ] == 0) {
-      // Keep the ready list sorted, like DependencyDag's upper_bound
-      // insert, for deterministic iteration.
+      // Keep the ready list sorted (upper-bound insert) for deterministic
+      // iteration.
       std::uint32_t* const pos =
           std::upper_bound(ready_, ready_ + ready_size_, succ);
       std::memmove(pos + 1, pos,

@@ -2,10 +2,10 @@
 //
 // The heuristic routers (sabre, bridge, qmap, astar_layer) spend their
 // whole budget in tiny inner loops — front-layer scans, per-edge swap
-// scoring, ready-list maintenance — and the pointer-heavy DependencyDag /
-// Placement structures made every iteration chase vector<vector<int>>
-// cells and copy whole placements per candidate SWAP. RouteIR is the flat
-// replacement: one arena allocation per route() call holds
+// scoring, ready-list maintenance — and pointer-heavy vector<vector<int>>
+// graphs and per-candidate Placement copies made every iteration chase
+// heap cells. RouteIR is the flat form: one arena allocation per route()
+// call holds
 //
 //   * SoA gate records: kind / flags / q0 / q1 in parallel arrays,
 //   * the dependency DAG in CSR form (offsets + edges, two flat arrays),
@@ -17,14 +17,17 @@
 // row-major matrix (or a one-off flat copy of the device's warmed cache
 // when no artifacts are attached).
 //
-// Fidelity contract: RouteIR is a *representation* change only. The CSR
-// DAG reproduces DependencyDag's edge discovery (ir/dag.cpp) exactly —
-// same Sequential last-writer rule, same commutation-aware rule, same
-// dedup, same ascending successor order — and FrontLayer reproduces the
-// sorted-ready/upper-bound-insert bookkeeping of mark_scheduled. Routers
-// ported onto RouteIR therefore make byte-identical decisions; parity is
-// pinned by tests/test_route_ir.cpp against pre-refactor golden
-// fingerprints. When changing anything here, keep DESIGN.md §11 in sync.
+// RouteIR is the one whole-circuit dependency DAG: the DAG-driven routers
+// (sabre, bridge, qmap, astar_layer, reliability, shuttle), the
+// constrained scheduler and the execution snapshot run on it, and
+// StreamRouteCore is its windowed form. Fidelity contract: the CSR build
+// applies the rules of ir/dag.hpp — the Sequential last-writer rule and
+// the commutation-aware rule — with one edge per (source, destination)
+// pair and ascending successor lists, and FrontLayer keeps the ready list
+// sorted with an upper-bound insert. Changing either changes router
+// decisions; parity is pinned by tests/test_route_ir.cpp against golden
+// fingerprints and by the stream parity matrix. When changing anything
+// here, keep DESIGN.md §11 in sync.
 #pragma once
 
 #include <cstddef>
@@ -159,16 +162,17 @@ struct RouteIR {
     return succ_offsets[num_gates];
   }
 
-  /// Builds the IR for `circuit` into `arena`, reproducing DependencyDag's
-  /// edge discovery for `mode` (see the fidelity contract above).
+  /// Builds the IR for `circuit` into `arena`, discovering edges by the
+  /// `mode` rule (see the fidelity contract above).
   [[nodiscard]] static RouteIR build(const Circuit& circuit, DagMode mode,
                                      RouteArena& arena);
 };
 
-/// The three-colour scheduling worklist over a RouteIR, semantically equal
-/// to DependencyDag's ready-list: ready() is sorted ascending, newly
-/// enabled successors are inserted at their sorted position, and
-/// mark_scheduled throws CircuitError unless the node is currently ready.
+/// The three-colour scheduling worklist over a RouteIR (Sec. VI-B):
+/// scheduled(), ready() and every other node pending. ready() is sorted
+/// ascending, newly enabled successors are inserted at their sorted
+/// position, and mark_scheduled throws CircuitError unless the node is
+/// currently ready. Holds a pointer to the RouteIR, which must stay put.
 class FrontLayer {
  public:
   FrontLayer() = default;

@@ -241,7 +241,7 @@ void StreamRouteCore::mark_scheduled(std::uint32_t node) {
   }
   const auto unlock = [&](std::uint32_t s) {
     if (--indegree_[idx(s)] == 0) {
-      // Sorted insert, like FrontLayer / DependencyDag.
+      // Sorted insert, like FrontLayer.
       ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), s), s);
     }
   };

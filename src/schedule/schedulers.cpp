@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "ir/dag.hpp"
+#include "route/route_ir.hpp"
 
 namespace qmap {
 
@@ -63,21 +63,27 @@ Schedule schedule_constrained(
     const Circuit& circuit, const Device& device,
     const std::vector<std::unique_ptr<ResourceConstraint>>& constraints,
     obs::Observer* obs) {
-  DependencyDag dag(circuit);
-  const std::size_t num_nodes = dag.num_nodes();
+  RouteArena& arena = RouteArena::scratch();
+  const ArenaScope scope(arena);
+  const RouteIR ir = RouteIR::build(circuit, DagMode::Sequential, arena);
+  FrontLayer front(ir, arena);
+  const std::size_t num_nodes = ir.num_gates;
   Schedule schedule(circuit.num_qubits());
 
   // Priority: downstream critical path (including own duration).
   std::vector<double> priority(num_nodes, 0.0);
   for (std::size_t i = num_nodes; i-- > 0;) {
     double downstream = 0.0;
-    for (const int succ : dag.successors(static_cast<int>(i))) {
-      downstream = std::max(downstream, priority[static_cast<std::size_t>(succ)]);
+    for (std::uint32_t e = ir.succ_offsets[i]; e < ir.succ_offsets[i + 1];
+         ++e) {
+      downstream = std::max(downstream, priority[ir.succ[e]]);
     }
     priority[i] = downstream + device.cycles_for(circuit.gate(i));
   }
 
-  std::vector<int> end_cycle(num_nodes, 0);
+  // Operand availability. Every predecessor of a gate is an admitted gate
+  // on one of its qubits, so an idle operand set also means every
+  // dependency has finished.
   std::vector<int> qubit_busy(static_cast<std::size_t>(circuit.num_qubits()),
                               0);
   // Running window: admitted gates that may still overlap a candidate.
@@ -93,7 +99,7 @@ Schedule schedule_constrained(
   std::uint64_t constraint_deferrals = 0;
   while (scheduled < num_nodes) {
     // Ready nodes, highest priority first (stable on node index).
-    std::vector<int> ready = dag.ready();
+    std::vector<int> ready(front.ready(), front.ready() + front.ready_size());
     std::stable_sort(ready.begin(), ready.end(), [&](int a, int b) {
       return priority[static_cast<std::size_t>(a)] >
              priority[static_cast<std::size_t>(b)];
@@ -102,20 +108,12 @@ Schedule schedule_constrained(
     for (const int node : ready) {
       const Gate& gate = circuit.gate(static_cast<std::size_t>(node));
       const int duration = device.cycles_for(gate);
-      // Dependencies must have finished and operands must be idle.
+      // Operands must be idle.
       bool startable = true;
-      for (const int pred : dag.predecessors(node)) {
-        if (end_cycle[static_cast<std::size_t>(pred)] > cycle) {
+      for (const int q : gate.qubits) {
+        if (qubit_busy[static_cast<std::size_t>(q)] > cycle) {
           startable = false;
           break;
-        }
-      }
-      if (startable) {
-        for (const int q : gate.qubits) {
-          if (qubit_busy[static_cast<std::size_t>(q)] > cycle) {
-            startable = false;
-            break;
-          }
         }
       }
       if (!startable) continue;
@@ -135,13 +133,12 @@ Schedule schedule_constrained(
       running.push_back(candidate);
       window_peak = std::max(window_peak, running.size());
       schedule.add(candidate);
-      end_cycle[static_cast<std::size_t>(node)] = cycle + duration;
       for (const int q : gate.qubits) {
         qubit_busy[static_cast<std::size_t>(q)] =
             std::max(qubit_busy[static_cast<std::size_t>(q)],
                      cycle + duration);
       }
-      dag.mark_scheduled(node);
+      front.mark_scheduled(static_cast<std::uint32_t>(node));
       ++scheduled;
       progressed = true;
     }

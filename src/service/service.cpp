@@ -220,9 +220,10 @@ ServiceResponse CompileService::handle(const ServiceRequest& request) {
 
   response.wall_ms = wall_since(start);
   obs::observe(config_.obs, "service.latency_ms", response.wall_ms);
-  obs::observe(config_.obs,
-               "service.client." + request.client + ".latency_ms",
-               response.wall_ms);
+  if (config_.obs != nullptr) {
+    obs::observe(config_.obs, client_latency_metric(request.client),
+                 response.wall_ms);
+  }
   if (response.status == "ok" || response.status == "pong" ||
       response.status == "stats") {
     obs::add(config_.obs, "service.requests.ok");
@@ -236,6 +237,17 @@ ServiceResponse CompileService::handle(const ServiceRequest& request) {
     obs::add(config_.obs, "service.requests.failed");
   }
   return response;
+}
+
+std::string CompileService::client_latency_metric(const std::string& client) {
+  const std::lock_guard<std::mutex> lock(client_metrics_mutex_);
+  if (client_metric_ids_.size() < kMaxClientLatencyHistograms) {
+    client_metric_ids_.insert(client);
+  }
+  if (!client_metric_ids_.contains(client)) {
+    return "service.client.overflow.latency_ms";
+  }
+  return "service.client." + client + ".latency_ms";
 }
 
 ServiceResponse CompileService::stats_response(const ServiceRequest& request) {

@@ -70,6 +70,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -233,6 +234,11 @@ struct ServiceConfig {
 
 class CompileService {
  public:
+  /// Client ids that get their own service.client.<id>.latency_ms
+  /// histogram; later ids share service.client.overflow.latency_ms, so
+  /// hostile client ids cannot grow the metrics registry without bound.
+  static constexpr std::size_t kMaxClientLatencyHistograms = 256;
+
   explicit CompileService(ServiceConfig config = {});
   /// Drains the queues (outstanding requests are answered), then joins.
   ~CompileService();
@@ -344,6 +350,9 @@ class CompileService {
   void update_brownout_locked();
   /// Folds an observed cold-compile cost into the EMA estimate.
   void record_cost(double wall_ms);
+  /// The latency histogram name for `client` (see
+  /// kMaxClientLatencyHistograms).
+  [[nodiscard]] std::string client_latency_metric(const std::string& client);
 
   ServiceConfig config_;
   ResultCache cache_;
@@ -367,6 +376,11 @@ class CompileService {
   // In-flight interest: client -> flights it is waiting on.
   std::mutex flights_mutex_;
   std::multimap<std::string, std::weak_ptr<ResultCache::Flight>> flights_;
+
+  // Client ids holding their own latency histogram, at most
+  // kMaxClientLatencyHistograms.
+  std::mutex client_metrics_mutex_;
+  std::set<std::string> client_metric_ids_;
 
   // Outstanding = queued + executing; serve()/wait_idle() block on zero.
   mutable std::mutex outstanding_mutex_;

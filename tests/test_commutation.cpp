@@ -9,6 +9,7 @@
 #include "decompose/decomposer.hpp"
 #include "ir/dag.hpp"
 #include "layout/placers.hpp"
+#include "route/route_ir.hpp"
 #include "route/sabre.hpp"
 #include "sim/equivalence.hpp"
 #include "sim/statevector.hpp"
@@ -101,26 +102,39 @@ TEST(Commutation, NoFalsePositivesOnRandomPairs) {
   EXPECT_GT(checked_positive, 30);  // the sweep must actually exercise it
 }
 
+std::uint32_t ready_two_qubit_count(const FrontLayer& front,
+                                    const RouteIR& ir) {
+  std::vector<std::uint32_t> two(ir.num_two_qubit);
+  return front.ready_two_qubit(two.data());
+}
+
 TEST(CommutationDag, QftFrontLayerWidens) {
   // After the leading H, the whole controlled-phase ladder on qubit 0
   // commutes pairwise and becomes ready at once under the relaxed DAG.
   const Circuit qft = workloads::qft(5, /*with_swaps=*/false);
-  DependencyDag sequential(qft, DagMode::Sequential);
-  DependencyDag relaxed(qft, DagMode::Commutation);
-  ASSERT_EQ(sequential.ready(), relaxed.ready());  // both start at {h q0}
-  sequential.mark_scheduled(sequential.ready().front());
-  relaxed.mark_scheduled(relaxed.ready().front());
-  EXPECT_EQ(sequential.ready_two_qubit().size(), 1u);
-  EXPECT_EQ(relaxed.ready_two_qubit().size(), 4u);  // cp(q1..q4, q0)
+  RouteArena arena;
+  const RouteIR strict_ir = RouteIR::build(qft, DagMode::Sequential, arena);
+  const RouteIR relaxed_ir = RouteIR::build(qft, DagMode::Commutation, arena);
+  FrontLayer sequential(strict_ir, arena);
+  FrontLayer relaxed(relaxed_ir, arena);
+  // Both start at {h q0}.
+  ASSERT_EQ(sequential.ready_size(), 1u);
+  ASSERT_EQ(relaxed.ready_size(), 1u);
+  ASSERT_EQ(sequential.ready()[0], relaxed.ready()[0]);
+  sequential.mark_scheduled(sequential.ready()[0]);
+  relaxed.mark_scheduled(relaxed.ready()[0]);
+  EXPECT_EQ(ready_two_qubit_count(sequential, strict_ir), 1u);
+  EXPECT_EQ(ready_two_qubit_count(relaxed, relaxed_ir), 4u);  // cp(q1..q4, q0)
 }
 
 TEST(CommutationDag, SharedControlCnotsAllReady) {
   Circuit c(4);
   c.cx(0, 1).cx(0, 2).cx(0, 3);
-  const DependencyDag dag(c, DagMode::Commutation);
-  EXPECT_EQ(dag.ready().size(), 3u);
-  const DependencyDag strict(c, DagMode::Sequential);
-  EXPECT_EQ(strict.ready().size(), 1u);
+  RouteArena arena;
+  const RouteIR relaxed_ir = RouteIR::build(c, DagMode::Commutation, arena);
+  EXPECT_EQ(FrontLayer(relaxed_ir, arena).ready_size(), 3u);
+  const RouteIR strict_ir = RouteIR::build(c, DagMode::Sequential, arena);
+  EXPECT_EQ(FrontLayer(strict_ir, arena).ready_size(), 1u);
 }
 
 TEST(CommutationDag, SchedulingAnyReadyOrderPreservesSemantics) {
@@ -129,14 +143,15 @@ TEST(CommutationDag, SchedulingAnyReadyOrderPreservesSemantics) {
   Rng rng(7);
   for (int trial = 0; trial < 10; ++trial) {
     const Circuit circuit = workloads::random_circuit(4, 30, rng, 0.5);
-    DependencyDag dag(circuit, DagMode::Commutation);
+    RouteArena arena;
+    const RouteIR ir = RouteIR::build(circuit, DagMode::Commutation, arena);
+    FrontLayer front(ir, arena);
     Circuit reordered(circuit.num_qubits(), "reordered");
-    while (!dag.all_scheduled()) {
-      const std::vector<int>& ready = dag.ready();
+    while (!front.all_scheduled()) {
       // Pick the LAST ready node to maximally scramble the order.
-      const int node = ready.back();
-      reordered.add(circuit.gate(static_cast<std::size_t>(node)));
-      dag.mark_scheduled(node);
+      const std::uint32_t node = front.ready()[front.ready_size() - 1];
+      reordered.add(circuit.gate(node));
+      front.mark_scheduled(node);
     }
     EXPECT_TRUE(circuits_equivalent_exact(circuit, reordered, 1e-7))
         << "trial " << trial;

@@ -1,12 +1,15 @@
-// Circuit-IR tests: gate model, circuit invariants, dependency DAG with
-// scheduling colours (Sec. VI-B), metrics, ASCII rendering.
+// Circuit-IR tests: gate model, circuit invariants, the dependency DAG
+// (RouteIR) with scheduling colours (Sec. VI-B), metrics, ASCII rendering.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
 #include "ir/ascii.hpp"
 #include "ir/circuit.hpp"
-#include "ir/dag.hpp"
 #include "ir/metrics.hpp"
+#include "route/route_ir.hpp"
 #include "workloads/workloads.hpp"
 
 namespace qmap {
@@ -113,66 +116,87 @@ TEST(Circuit, BarrierDefaultsToAllQubits) {
   EXPECT_EQ(c.gate(0).qubits.size(), 3u);
 }
 
+// The dependency DAG is RouteIR's CSR; these pin its edges and the
+// FrontLayer colours on hand-checked circuits.
+
+std::vector<std::uint32_t> successors(const RouteIR& ir, std::uint32_t node) {
+  return {ir.succ + ir.succ_offsets[node], ir.succ + ir.succ_offsets[node + 1]};
+}
+
+std::vector<std::uint32_t> ready_list(const FrontLayer& front) {
+  return {front.ready(), front.ready() + front.ready_size()};
+}
+
 TEST(Dag, EdgesFollowQubitOrder) {
   Circuit c(3);
   c.h(0);          // 0
   c.cx(0, 1);      // 1 depends on 0
   c.h(2);          // 2 independent
   c.cx(1, 2);      // 3 depends on 1 and 2
-  const DependencyDag dag(c);
-  EXPECT_TRUE(dag.predecessors(0).empty());
-  EXPECT_EQ(dag.predecessors(1), (std::vector<int>{0}));
-  EXPECT_TRUE(dag.predecessors(2).empty());
-  EXPECT_EQ(dag.predecessors(3), (std::vector<int>{1, 2}));
-  EXPECT_EQ(dag.successors(0), (std::vector<int>{1}));
+  RouteArena arena;
+  const RouteIR ir = RouteIR::build(c, DagMode::Sequential, arena);
+  EXPECT_EQ(ir.pred_count[0], 0u);
+  EXPECT_EQ(ir.pred_count[1], 1u);
+  EXPECT_EQ(ir.pred_count[2], 0u);
+  EXPECT_EQ(ir.pred_count[3], 2u);
+  EXPECT_EQ(successors(ir, 0), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(successors(ir, 1), (std::vector<std::uint32_t>{3}));
+  EXPECT_EQ(successors(ir, 2), (std::vector<std::uint32_t>{3}));
+  EXPECT_TRUE(successors(ir, 3).empty());
 }
 
 TEST(Dag, NoDuplicateEdgeForSharedQubits) {
   Circuit c(2);
   c.cx(0, 1).cx(0, 1);
-  const DependencyDag dag(c);
-  EXPECT_EQ(dag.predecessors(1).size(), 1u);
+  RouteArena arena;
+  const RouteIR ir = RouteIR::build(c, DagMode::Sequential, arena);
+  EXPECT_EQ(ir.pred_count[1], 1u);
+  EXPECT_EQ(ir.num_edges(), 1u);
 }
 
 TEST(Dag, ColoursFollowSchedulingProtocol) {
   Circuit c(2);
   c.h(0).cx(0, 1).h(1);
-  DependencyDag dag(c);
-  EXPECT_EQ(dag.color(0), NodeColor::Ready);
-  EXPECT_EQ(dag.color(1), NodeColor::Pending);
-  EXPECT_EQ(dag.ready(), (std::vector<int>{0}));
-  dag.mark_scheduled(0);
-  EXPECT_EQ(dag.color(0), NodeColor::Scheduled);
-  EXPECT_EQ(dag.color(1), NodeColor::Ready);
-  EXPECT_THROW(dag.mark_scheduled(2), CircuitError);  // still pending
-  dag.mark_scheduled(1);
-  dag.mark_scheduled(2);
-  EXPECT_TRUE(dag.all_scheduled());
-  dag.reset();
-  EXPECT_EQ(dag.num_scheduled(), 0u);
-  EXPECT_EQ(dag.color(0), NodeColor::Ready);
+  RouteArena arena;
+  const RouteIR ir = RouteIR::build(c, DagMode::Sequential, arena);
+  FrontLayer front(ir, arena);
+  EXPECT_EQ(ready_list(front), (std::vector<std::uint32_t>{0}));  // 1, 2 pending
+  front.mark_scheduled(0);
+  EXPECT_TRUE(front.scheduled(0));
+  EXPECT_EQ(ready_list(front), (std::vector<std::uint32_t>{1}));
+  EXPECT_THROW(front.mark_scheduled(2), CircuitError);  // still pending
+  front.mark_scheduled(1);
+  front.mark_scheduled(2);
+  EXPECT_TRUE(front.all_scheduled());
+  front.reset();
+  EXPECT_EQ(front.num_scheduled(), 0u);
+  EXPECT_FALSE(front.scheduled(0));
+  EXPECT_EQ(ready_list(front), (std::vector<std::uint32_t>{0}));
 }
 
 TEST(Dag, ReadyTwoQubitIsTheFrontLayer) {
   Circuit c(4);
   c.cx(0, 1).cx(2, 3).cx(1, 2);
-  DependencyDag dag(c);
-  EXPECT_EQ(dag.ready_two_qubit(), (std::vector<int>{0, 1}));
+  RouteArena arena;
+  const RouteIR ir = RouteIR::build(c, DagMode::Sequential, arena);
+  const FrontLayer front(ir, arena);
+  std::vector<std::uint32_t> two(ir.num_two_qubit);
+  two.resize(front.ready_two_qubit(two.data()));
+  EXPECT_EQ(two, (std::vector<std::uint32_t>{0, 1}));
 }
 
 TEST(Dag, DepthMatchesHandComputation) {
   Circuit c(3);
   c.h(0).h(1).cx(0, 1).cx(1, 2).h(2);
-  const DependencyDag dag(c);
-  EXPECT_EQ(dag.depth(), 4);  // h -> cx -> cx -> h on the critical path
+  // h -> cx -> cx -> h on the critical path
+  EXPECT_EQ(compute_metrics(c).depth, 4);
 }
 
 TEST(Dag, WeightedCriticalPath) {
   Circuit c(2);
   c.h(0).cx(0, 1);
-  const DependencyDag dag(c);
-  const double latency = dag.critical_path([&c](int i) {
-    return c.gate(static_cast<std::size_t>(i)).is_two_qubit() ? 2.0 : 1.0;
+  const double latency = circuit_latency(c, [](const Gate& gate) {
+    return gate.is_two_qubit() ? 2.0 : 1.0;
   });
   EXPECT_DOUBLE_EQ(latency, 3.0);
 }

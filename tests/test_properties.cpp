@@ -3,11 +3,15 @@
 // just hand-picked examples.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/builtin.hpp"
 #include "core/compiler.hpp"
 #include "decompose/decomposer.hpp"
-#include "ir/dag.hpp"
+#include "ir/metrics.hpp"
+#include "naive_dag.hpp"
 #include "qasm/openqasm.hpp"
+#include "route/route_ir.hpp"
 #include "schedule/schedulers.hpp"
 #include "sim/equivalence.hpp"
 #include "sim/statevector.hpp"
@@ -53,37 +57,94 @@ TEST_P(SeedSweep, DagEdgesRespectProgramOrder) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 300);
   const Circuit circuit = workloads::random_circuit(5, 40, rng, 0.5);
   for (const DagMode mode : {DagMode::Sequential, DagMode::Commutation}) {
-    const DependencyDag dag(circuit, mode);
-    for (std::size_t i = 0; i < dag.num_nodes(); ++i) {
-      for (const int pred : dag.predecessors(static_cast<int>(i))) {
-        EXPECT_LT(pred, static_cast<int>(i));
-      }
-      for (const int succ : dag.successors(static_cast<int>(i))) {
-        EXPECT_GT(succ, static_cast<int>(i));
+    RouteArena arena;
+    const RouteIR ir = RouteIR::build(circuit, mode, arena);
+    for (std::uint32_t node = 0; node < ir.num_gates; ++node) {
+      for (std::uint32_t e = ir.succ_offsets[node];
+           e < ir.succ_offsets[node + 1]; ++e) {
+        EXPECT_GT(ir.succ[e], node);
       }
     }
   }
 }
 
 TEST_P(SeedSweep, CommutationDagIsSubgraphOfSequential) {
-  // Relaxation only removes constraints, never adds them.
+  // Relaxation only removes constraints, never adds them. Relaxed may
+  // contain transitively redundant edges, so compare the *reachability*
+  // instead: every strict-ready node must be relaxed-ready.
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 400);
   const Circuit circuit = workloads::random_circuit(4, 30, rng, 0.5);
-  const DependencyDag strict(circuit, DagMode::Sequential);
-  const DependencyDag relaxed(circuit, DagMode::Commutation);
-  std::size_t strict_edges = 0;
-  std::size_t relaxed_edges = 0;
-  for (std::size_t i = 0; i < strict.num_nodes(); ++i) {
-    strict_edges += strict.predecessors(static_cast<int>(i)).size();
-    relaxed_edges += relaxed.predecessors(static_cast<int>(i)).size();
+  RouteArena arena;
+  const RouteIR strict_ir = RouteIR::build(circuit, DagMode::Sequential, arena);
+  const RouteIR relaxed_ir =
+      RouteIR::build(circuit, DagMode::Commutation, arena);
+  const FrontLayer strict(strict_ir, arena);
+  const FrontLayer relaxed(relaxed_ir, arena);
+  const std::uint32_t* const relaxed_end =
+      relaxed.ready() + relaxed.ready_size();
+  for (std::uint32_t k = 0; k < strict.ready_size(); ++k) {
+    const std::uint32_t node = strict.ready()[k];
+    EXPECT_NE(std::find(relaxed.ready(), relaxed_end, node), relaxed_end)
+        << node;
   }
-  // Relaxed may contain transitively redundant edges, so compare the
-  // *reachability* instead: every strict-ready node must be relaxed-ready.
-  for (const int node : strict.ready()) {
-    EXPECT_EQ(relaxed.color(node), NodeColor::Ready) << node;
+}
+
+// Random circuit with measurements and barriers over one qubit, two
+// qubits and the full width mixed into the gates.
+Circuit depth_circuit(Rng& rng, int num_qubits, int num_gates) {
+  const Circuit base =
+      workloads::random_circuit(num_qubits, num_gates, rng, 0.5);
+  Circuit circuit(num_qubits);
+  for (const Gate& gate : base) {
+    circuit.add(gate);
+    const std::size_t roll = rng.index(12);
+    const int a = static_cast<int>(rng.index(static_cast<std::size_t>(num_qubits)));
+    const int b = (a + 1 + static_cast<int>(rng.index(
+                               static_cast<std::size_t>(num_qubits - 1)))) %
+                  num_qubits;
+    if (roll == 0) circuit.measure(a, a);
+    if (roll == 1) circuit.barrier({a});
+    if (roll == 2) circuit.barrier({a, b});
+    if (roll == 3) circuit.barrier();
   }
-  (void)strict_edges;
-  (void)relaxed_edges;
+  return circuit;
+}
+
+TEST_P(SeedSweep, GraphFreeDepthMatchesNaiveLongestPath) {
+  // compute_metrics and circuit_latency sweep per-qubit availability
+  // instead of walking a graph; they must equal the longest path over the
+  // naive pairwise DAG.
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 700);
+  const Device s17 = devices::surface17();
+  for (int trial = 0; trial < 4; ++trial) {
+    const Circuit circuit = depth_circuit(rng, 2 + trial, 60);
+    const NaiveDag dag = naive_dag(circuit, DagMode::Sequential);
+    const auto unit = [](const Gate& gate) {
+      return gate.kind == GateKind::Barrier ? 0.0 : 1.0;
+    };
+    const auto two_qubit = [](const Gate& gate) {
+      return gate.is_two_qubit() ? 1.0 : 0.0;
+    };
+    const auto device_cycles = [&s17](const Gate& gate) {
+      return gate.kind == GateKind::Barrier
+                 ? 0.0
+                 : static_cast<double>(s17.cycles_for(gate));
+    };
+    const CircuitMetrics metrics = compute_metrics(circuit);
+    EXPECT_EQ(metrics.depth,
+              static_cast<int>(naive_longest_path(circuit, dag, unit) + 0.5));
+    EXPECT_EQ(metrics.two_qubit_depth,
+              static_cast<int>(
+                  naive_longest_path(circuit, dag, two_qubit) + 0.5));
+    EXPECT_EQ(circuit_latency(circuit, [](const Gate&) { return 1.0; }),
+              naive_longest_path(circuit, dag, unit));
+    EXPECT_EQ(circuit_latency(circuit,
+                              [&s17](const Gate& gate) {
+                                return static_cast<double>(
+                                    s17.cycles_for(gate));
+                              }),
+              naive_longest_path(circuit, dag, device_cycles));
+  }
 }
 
 TEST_P(SeedSweep, SchedulesAreConsistentAndOrdered) {

@@ -22,11 +22,13 @@
 #include <thread>
 #include <vector>
 
+#include "arch/builtin.hpp"
+#include "arch/noise.hpp"
 #include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
-#include "ir/dag.hpp"
+#include "naive_dag.hpp"
 #include "route/route_ir.hpp"
 #include "verify/reproducer.hpp"
 #include "workloads/workloads.hpp"
@@ -57,7 +59,7 @@ std::string parity_case_id(const std::string& router,
   return id;
 }
 
-std::string parity_digest(const std::string& router, const std::string& device,
+std::string parity_digest(const std::string& router, const Device& device,
                           std::uint64_t seed) {
   CompilerOptions options;
   // The annealing placer consumes the seed, so each seed exercises the
@@ -66,22 +68,38 @@ std::string parity_digest(const std::string& router, const std::string& device,
   options.router = router;
   options.seed = seed;
   const Circuit circuit = parity_circuit(seed);
-  const CompilationResult result =
-      Compiler(verify::device_by_name(device), options).compile(circuit);
+  const CompilationResult result = Compiler(device, options).compile(circuit);
   return content_digest(result.fingerprint());
 }
 
-std::string golden_fingerprint_path() {
-  return std::string(QMAP_GOLDEN_DIR) + "/route_ir_fingerprints.txt";
-}
+// Compares `actual` with tests/golden/<file> row for row, or rewrites the
+// file when QMAP_REGEN_GOLDEN is set.
+void expect_golden_fingerprints(
+    const std::string& file, const std::map<std::string, std::string>& actual) {
+  const std::string path = std::string(QMAP_GOLDEN_DIR) + "/" + file;
+  const char* regen = std::getenv("QMAP_REGEN_GOLDEN");
+  if (regen != nullptr && *regen != '\0') {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    for (const auto& [id, digest] : actual) out << id << ' ' << digest << '\n';
+    GTEST_SKIP() << "regenerated " << path;
+  }
 
-std::map<std::string, std::string> load_golden_fingerprints() {
-  std::map<std::string, std::string> out;
-  std::ifstream in(golden_fingerprint_path());
+  std::map<std::string, std::string> golden;
+  std::ifstream in(path);
   std::string id;
   std::string digest;
-  while (in >> id >> digest) out[id] = digest;
-  return out;
+  while (in >> id >> digest) golden[id] = digest;
+  ASSERT_FALSE(golden.empty())
+      << "no golden fingerprints at " << path
+      << " (QMAP_REGEN_GOLDEN=1 generates them)";
+  ASSERT_EQ(actual.size(), golden.size());
+  for (const auto& [case_id, value] : actual) {
+    const auto it = golden.find(case_id);
+    ASSERT_NE(it, golden.end()) << "missing golden for " << case_id;
+    EXPECT_EQ(value, it->second)
+        << case_id << ": router output drifted from the golden fingerprint";
+  }
 }
 
 TEST(RouteIrParity, MatchesPreRefactorGoldenFingerprints) {
@@ -90,34 +108,44 @@ TEST(RouteIrParity, MatchesPreRefactorGoldenFingerprints) {
     for (const char* device : kParityDevices) {
       for (const std::uint64_t seed : kParitySeeds) {
         actual[parity_case_id(router, device, seed)] =
-            parity_digest(router, device, seed);
+            parity_digest(router, verify::device_by_name(device), seed);
       }
     }
   }
-
-  const char* regen = std::getenv("QMAP_REGEN_GOLDEN");
-  if (regen != nullptr && *regen != '\0') {
-    std::ofstream out(golden_fingerprint_path(), std::ios::binary);
-    ASSERT_TRUE(out) << "cannot write " << golden_fingerprint_path();
-    for (const auto& [id, digest] : actual) out << id << ' ' << digest << '\n';
-    GTEST_SKIP() << "regenerated " << golden_fingerprint_path();
-  }
-
-  const std::map<std::string, std::string> golden = load_golden_fingerprints();
-  ASSERT_FALSE(golden.empty())
-      << "no golden fingerprints at " << golden_fingerprint_path()
-      << " (QMAP_REGEN_GOLDEN=1 generates them)";
-  ASSERT_EQ(actual.size(), golden.size());
-  for (const auto& [id, digest] : actual) {
-    const auto it = golden.find(id);
-    ASSERT_NE(it, golden.end()) << "missing golden for " << id;
-    EXPECT_EQ(digest, it->second)
-        << id << ": RouteIR-backed router output drifted from the "
-        << "pre-refactor fingerprint";
-  }
+  expect_golden_fingerprints("route_ir_fingerprints.txt", actual);
 }
 
-// --- CSR property tests: RouteIR vs DependencyDag on random circuits ---
+// --- Reliability and shuttle pins: router x device x seed -> digest ---
+//
+// The two routers outside the parity matrix above, each on the device
+// family it needs: `reliability` on Surface-17 with a seeded randomized
+// noise model (as tests/test_noise.cpp builds one), `shuttle` on a 3x3
+// quantum-dot grid with free sites to move into. Captured before the two
+// routers moved onto FrontLayer; their own file, so the 45 rows above
+// stay untouched.
+
+Device noisy_surface17() {
+  Rng rng(21);
+  Device device = devices::surface17();
+  device.set_noise(NoiseModel::randomized(device.coupling(), rng, 1e-3, 1e-2,
+                                          2e-2));
+  return device;
+}
+
+TEST(RouteIrParity, ReliabilityAndShuttleMatchGoldenFingerprints) {
+  const Device noisy = noisy_surface17();
+  const Device dots = devices::quantum_dot_array(3, 3);
+  std::map<std::string, std::string> actual;
+  for (const std::uint64_t seed : kParitySeeds) {
+    actual[parity_case_id("reliability", "noisy_surface17", seed)] =
+        parity_digest("reliability", noisy, seed);
+    actual[parity_case_id("shuttle", "qdot3x3", seed)] =
+        parity_digest("shuttle", dots, seed);
+  }
+  expect_golden_fingerprints("route_ir_ported_fingerprints.txt", actual);
+}
+
+// --- CSR property tests: RouteIR vs the naive pairwise DAG ---
 
 Circuit property_circuit(std::uint64_t seed, int num_qubits = 6,
                          int num_gates = 80) {
@@ -129,12 +157,12 @@ void expect_csr_matches_dag(const Circuit& circuit, DagMode mode) {
   RouteArena arena;
   const ArenaScope scope(arena);
   const RouteIR ir = RouteIR::build(circuit, mode, arena);
-  const DependencyDag dag(circuit, mode);
-  ASSERT_EQ(ir.num_gates, dag.num_nodes());
+  const NaiveDag dag = naive_dag(circuit, mode);
+  ASSERT_EQ(ir.num_gates, dag.preds.size());
 
   std::size_t total_edges = 0;
   for (std::uint32_t node = 0; node < ir.num_gates; ++node) {
-    const std::vector<int>& succs = dag.successors(static_cast<int>(node));
+    const std::vector<int>& succs = dag.succs[node];
     const std::uint32_t begin = ir.succ_offsets[node];
     const std::uint32_t end = ir.succ_offsets[node + 1];
     ASSERT_EQ(end - begin, succs.size()) << "successor count of " << node;
@@ -142,8 +170,7 @@ void expect_csr_matches_dag(const Circuit& circuit, DagMode mode) {
       EXPECT_EQ(ir.succ[begin + k], static_cast<std::uint32_t>(succs[k]))
           << "successor " << k << " of node " << node;
     }
-    EXPECT_EQ(ir.pred_count[node],
-              dag.predecessors(static_cast<int>(node)).size())
+    EXPECT_EQ(ir.pred_count[node], dag.preds[node].size())
         << "in-degree of " << node;
     total_edges += succs.size();
   }
@@ -173,22 +200,24 @@ void expect_csr_matches_dag(const Circuit& circuit, DagMode mode) {
     EXPECT_LT(ir.two_qubit[k - 1], ir.two_qubit[k]);
   }
 
-  // Front layer == the in-degree-0 set, ascending, exactly dag.ready().
+  // Front layer == the in-degree-0 set, ascending.
   FrontLayer front(ir, arena);
-  ASSERT_EQ(front.ready_size(), dag.ready().size());
+  const std::vector<int> ready =
+      naive_ready(dag, std::vector<bool>(ir.num_gates, false));
+  ASSERT_EQ(front.ready_size(), ready.size());
   for (std::uint32_t k = 0; k < front.ready_size(); ++k) {
-    EXPECT_EQ(front.ready()[k], static_cast<std::uint32_t>(dag.ready()[k]));
+    EXPECT_EQ(front.ready()[k], static_cast<std::uint32_t>(ready[k]));
     EXPECT_EQ(ir.pred_count[front.ready()[k]], 0u);
   }
 }
 
-TEST(RouteIrCsr, MatchesDependencyDagSequential) {
+TEST(RouteIrCsr, MatchesNaiveDagSequential) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     expect_csr_matches_dag(property_circuit(seed), DagMode::Sequential);
   }
 }
 
-TEST(RouteIrCsr, MatchesDependencyDagCommutation) {
+TEST(RouteIrCsr, MatchesNaiveDagCommutation) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     expect_csr_matches_dag(property_circuit(seed), DagMode::Commutation);
   }
@@ -212,50 +241,56 @@ TEST(RouteIrCsr, HandlesEmptyAndSingleGateCircuits) {
   EXPECT_EQ(front.ready_size(), 1u);
 }
 
-// The scheduling walk: drive DependencyDag and FrontLayer through the same
-// random schedule and demand identical ready lists at every step, in both
-// dependency modes.
+// The scheduling walk: drive FrontLayer through a random schedule and
+// demand, at every step, the naive ready set (unscheduled gates whose
+// predecessors are all scheduled, ascending), in both dependency modes.
 void expect_schedule_parity(const Circuit& circuit, DagMode mode,
                             std::uint64_t seed) {
   RouteArena arena;
   const ArenaScope scope(arena);
   const RouteIR ir = RouteIR::build(circuit, mode, arena);
   FrontLayer front(ir, arena);
-  DependencyDag dag(circuit, mode);
+  const NaiveDag dag = naive_dag(circuit, mode);
+  std::vector<bool> scheduled(ir.num_gates, false);
+  std::vector<int> ready;
   Rng rng(Rng::derive_stream(0xF207, seed));
 
   const auto expect_ready_equal = [&] {
-    ASSERT_EQ(front.ready_size(), dag.ready().size());
+    ready = naive_ready(dag, scheduled);
+    ASSERT_EQ(front.ready_size(), ready.size());
+    std::vector<std::uint32_t> two_expected;
     for (std::uint32_t k = 0; k < front.ready_size(); ++k) {
-      ASSERT_EQ(front.ready()[k], static_cast<std::uint32_t>(dag.ready()[k]));
+      ASSERT_EQ(front.ready()[k], static_cast<std::uint32_t>(ready[k]));
+      ASSERT_FALSE(front.scheduled(front.ready()[k]));
+      if (circuit.gate(static_cast<std::size_t>(ready[k])).is_two_qubit()) {
+        two_expected.push_back(static_cast<std::uint32_t>(ready[k]));
+      }
     }
     std::vector<std::uint32_t> two(ir.num_two_qubit);
-    const std::uint32_t count = front.ready_two_qubit(two.data());
-    const std::vector<int> dag_two = dag.ready_two_qubit();
-    ASSERT_EQ(count, dag_two.size());
-    for (std::uint32_t k = 0; k < count; ++k) {
-      ASSERT_EQ(two[k], static_cast<std::uint32_t>(dag_two[k]));
-    }
+    two.resize(front.ready_two_qubit(two.data()));
+    ASSERT_EQ(two, two_expected);
   };
 
   expect_ready_equal();
-  while (!dag.all_scheduled()) {
-    const std::size_t pick = rng.index(dag.ready().size());
-    const int node = dag.ready()[pick];
-    dag.mark_scheduled(node);
+  std::uint32_t count = 0;
+  while (!front.all_scheduled()) {
+    const int node = ready[rng.index(ready.size())];
     front.mark_scheduled(static_cast<std::uint32_t>(node));
+    scheduled[static_cast<std::size_t>(node)] = true;
+    ++count;
     expect_ready_equal();
-    ASSERT_EQ(front.num_scheduled(), dag.num_scheduled());
+    ASSERT_EQ(front.num_scheduled(), count);
   }
-  EXPECT_TRUE(front.all_scheduled());
+  EXPECT_EQ(count, ir.num_gates);
 
   // reset() restores the post-construction state.
   front.reset();
-  dag.reset();
+  std::fill(scheduled.begin(), scheduled.end(), false);
   expect_ready_equal();
+  EXPECT_EQ(front.num_scheduled(), 0u);
 }
 
-TEST(RouteIrFront, TracksDependencyDagThroughRandomSchedules) {
+TEST(RouteIrFront, TracksNaiveReadySetThroughRandomSchedules) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     expect_schedule_parity(property_circuit(seed), DagMode::Sequential, seed);
     expect_schedule_parity(property_circuit(seed), DagMode::Commutation, seed);
@@ -355,7 +390,7 @@ std::vector<std::string> thread_pool_digests(int num_threads) {
     threads.emplace_back([t, num_threads, &routers, &digests] {
       for (int task = t; task < kTasks; task += num_threads) {
         digests[static_cast<std::size_t>(task)] = parity_digest(
-            routers[task % 5], "ibm_qx5",
+            routers[task % 5], verify::device_by_name("ibm_qx5"),
             static_cast<std::uint64_t>(task % 3) + 1);
       }
     });

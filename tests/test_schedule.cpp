@@ -7,7 +7,7 @@
 
 #include "arch/builtin.hpp"
 #include "decompose/decomposer.hpp"
-#include "ir/dag.hpp"
+#include "naive_dag.hpp"
 #include "obs/obs.hpp"
 #include "schedule/constraints.hpp"
 #include "schedule/schedulers.hpp"
@@ -37,18 +37,19 @@ bool satisfies_constraints(
 }
 
 /// The constrained scheduler as it was before the running window: every
-/// candidate is checked against every gate admitted so far, O(n^2). Kept
-/// only as the parity reference for schedule_constrained.
+/// candidate is checked against every gate admitted so far, O(n^2), and
+/// against the finish cycle of every predecessor in the naive pairwise
+/// DAG. Kept only as the parity reference for schedule_constrained.
 Schedule reference_schedule_constrained(
     const Circuit& circuit, const Device& device,
     const std::vector<std::unique_ptr<ResourceConstraint>>& constraints) {
-  DependencyDag dag(circuit);
-  const std::size_t num_nodes = dag.num_nodes();
+  const NaiveDag dag = naive_dag(circuit, DagMode::Sequential);
+  const std::size_t num_nodes = circuit.size();
   Schedule schedule(circuit.num_qubits());
   std::vector<double> priority(num_nodes, 0.0);
   for (std::size_t i = num_nodes; i-- > 0;) {
     double downstream = 0.0;
-    for (const int succ : dag.successors(static_cast<int>(i))) {
+    for (const int succ : dag.succs[i]) {
       downstream = std::max(downstream, priority[static_cast<std::size_t>(succ)]);
     }
     priority[i] = downstream + device.cycles_for(circuit.gate(i));
@@ -57,10 +58,11 @@ Schedule reference_schedule_constrained(
   std::vector<int> qubit_busy(static_cast<std::size_t>(circuit.num_qubits()),
                               0);
   std::vector<ScheduledGate> admitted;
+  std::vector<bool> done(num_nodes, false);
   int cycle = 0;
   std::size_t scheduled = 0;
   while (scheduled < num_nodes) {
-    std::vector<int> ready = dag.ready();
+    std::vector<int> ready = naive_ready(dag, done);
     std::stable_sort(ready.begin(), ready.end(), [&](int a, int b) {
       return priority[static_cast<std::size_t>(a)] >
              priority[static_cast<std::size_t>(b)];
@@ -70,7 +72,7 @@ Schedule reference_schedule_constrained(
       const Gate& gate = circuit.gate(static_cast<std::size_t>(node));
       const int duration = device.cycles_for(gate);
       bool startable = true;
-      for (const int pred : dag.predecessors(node)) {
+      for (const int pred : dag.preds[static_cast<std::size_t>(node)]) {
         if (end_cycle[static_cast<std::size_t>(pred)] > cycle) {
           startable = false;
           break;
@@ -102,7 +104,7 @@ Schedule reference_schedule_constrained(
             std::max(qubit_busy[static_cast<std::size_t>(q)],
                      cycle + duration);
       }
-      dag.mark_scheduled(node);
+      done[static_cast<std::size_t>(node)] = true;
       ++scheduled;
       progressed = true;
     }

@@ -16,6 +16,8 @@
 #include "arch/builtin.hpp"
 #include "common/digest.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "obs/obs.hpp"
 #include "qasm/openqasm.hpp"
 #include "resilience/resilience.hpp"
 #include "service/cache.hpp"
@@ -353,6 +355,36 @@ TEST(CanonicalKey, SeedAndDeviceAndPipelineSplitCache) {
 }
 
 // ----------------------------------------------------------- semantics --
+
+TEST(CompileService, PerClientLatencyHistogramsAreCapped) {
+  // Hostile client ids must not grow the metrics registry without bound:
+  // past the cap every id shares the overflow histogram.
+  obs::Observer observer;
+  ServiceConfig config;
+  config.obs = &observer;
+  CompileService service(std::move(config));
+  Rng rng(99);
+  for (int i = 0; i < 10000; ++i) {
+    ServiceRequest request;
+    request.op = "ping";
+    request.id = "p" + std::to_string(i);
+    request.client =
+        std::to_string(rng.index(1u << 30)) + "-" + std::to_string(i);
+    EXPECT_EQ(service.handle(request).status, "pong");
+  }
+  std::size_t client_metrics = 0;
+  const Json metrics = observer.metrics().to_json();
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    for (const auto& [name, value] : metrics.as_object().at(section).as_object()) {
+      if (name.rfind("service.client.", 0) == 0) ++client_metrics;
+    }
+  }
+  EXPECT_LE(client_metrics, CompileService::kMaxClientLatencyHistograms + 1);
+  EXPECT_EQ(observer.metrics()
+                .histogram("service.client.overflow.latency_ms")
+                .count,
+            10000 - CompileService::kMaxClientLatencyHistograms);
+}
 
 TEST(CompileService, HitReplaysColdFingerprintByteIdentically) {
   CompileService service;
