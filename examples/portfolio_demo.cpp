@@ -1,16 +1,18 @@
 // Portfolio engine walkthrough: compile one workload-suite circuit on
 // Surface-17 with the full default strategy portfolio, print the
 // per-strategy telemetry table, the observability span tree of the race,
-// and the JSON blob a service would log, then show the BatchCompiler
-// throughput path over several circuits. Exits non-zero if any result
-// fails simulation-based verification.
+// and the JSON blob a service would log, then compile several circuits
+// with ResilientCompiler::compile_batch, which races the same portfolio
+// per circuit on one shared pool. Exits non-zero if any result fails
+// simulation-based verification.
 #include <iostream>
 
 #include "arch/builtin.hpp"
-#include "engine/batch.hpp"
+#include "core/report.hpp"
 #include "engine/portfolio.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
+#include "resilience/resilience.hpp"
 #include "workloads/workloads.hpp"
 
 int main() {
@@ -47,22 +49,27 @@ int main() {
   std::cout << "telemetry JSON (winner + per-strategy records):\n"
             << result.to_json().dump(2) << "\n\n";
 
-  // --- Many circuits, one pool (throughput mode) --------------------------
-  std::vector<Circuit> batch_circuits = {
+  // --- Many circuits, one pool (batch mode) -------------------------------
+  const std::vector<Circuit> batch_circuits = {
       workloads::ghz(6), workloads::qft(4), workloads::fig1_example(),
       workloads::cuccaro_adder(2)};
-  BatchOptions batch_options;
-  batch_options.use_portfolio = true;
-  const BatchCompiler batch(device, batch_options);
-  const BatchResult batch_result = batch.compile_all(batch_circuits);
-  std::cout << batch_result.report();
-
-  for (const BatchItem& item : batch_result.items) {
-    if (!item.ok || !Compiler::verify(item.result)) {
-      std::cerr << "batch item failed\n";
+  const resilience::ResilientCompiler supervisor(device);
+  const std::vector<resilience::CompileOutcome> outcomes =
+      supervisor.compile_batch(batch_circuits);
+  TextTable table({"#", "circuit", "strategy", "2q gates", "cycles",
+                   "wall ms"});
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const resilience::CompileOutcome& outcome = outcomes[i];
+    if (!outcome.ok || !Compiler::verify(outcome.result)) {
+      std::cerr << "batch item " << i << " failed: " << outcome.error << "\n";
       return 1;
     }
+    table.add_row({TextTable::num(i), outcome.result.original.name(),
+                   outcome.winner_label,
+                   TextTable::num(outcome.result.final_metrics.two_qubit_gates),
+                   TextTable::num(outcome.result.scheduled_cycles),
+                   TextTable::num(outcome.wall_ms, 2)});
   }
-  std::cout << "all batch results verified\n";
+  std::cout << table.str() << "all batch results verified\n";
   return 0;
 }

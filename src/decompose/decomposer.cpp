@@ -154,6 +154,18 @@ void lower_single_gate(const Gate& gate, const Device& device, bool has_u,
   if (std::abs(angles.phi) > kAngleTolerance) out.ry(angles.phi, q);
 }
 
+/// The native single-qubit basis of a device with a restricted set: true
+/// for U (ZYZ), false for {Rx, Ry} (YXY). Any other set is unsupported.
+bool native_basis_is_u(const Device& device) {
+  if (device.is_native_kind(GateKind::U)) return true;
+  if (device.is_native_kind(GateKind::Rx) &&
+      device.is_native_kind(GateKind::Ry)) {
+    return false;
+  }
+  throw MappingError(
+      "device native single-qubit set must include u or {rx, ry}");
+}
+
 /// Empties a scratch circuit, keeping its gate-list capacity.
 void clear_gates(Circuit& circuit) {
   std::vector<Gate> gates = circuit.take_gates();
@@ -218,16 +230,8 @@ Circuit fuse_single_qubit(const Circuit& circuit) {
 }
 
 Circuit lower_single_qubit(const Circuit& circuit, const Device& device) {
-  const auto& natives = device.native_single_qubit();
-  if (natives.empty()) return circuit;  // unrestricted device
-  const bool has_u =
-      device.is_native_kind(GateKind::U);
-  const bool has_rx = device.is_native_kind(GateKind::Rx);
-  const bool has_ry = device.is_native_kind(GateKind::Ry);
-  if (!has_u && !(has_rx && has_ry)) {
-    throw MappingError(
-        "device native single-qubit set must include u or {rx, ry}");
-  }
+  if (device.native_single_qubit().empty()) return circuit;  // unrestricted
+  const bool has_u = native_basis_is_u(device);
   Circuit out(circuit.num_qubits(), circuit.name());
   for (const Gate& gate : circuit) {
     lower_single_gate(gate, device, has_u, out);
@@ -248,15 +252,7 @@ StreamingLowerer::StreamingLowerer(const Device& device, int num_qubits,
   if (target_ != GateKind::CX && target_ != GateKind::CZ) {
     throw MappingError("two-qubit lowering target must be CX or CZ");
   }
-  if (lower_single_) {
-    has_u_ = device.is_native_kind(GateKind::U);
-    const bool has_rx = device.is_native_kind(GateKind::Rx);
-    const bool has_ry = device.is_native_kind(GateKind::Ry);
-    if (!has_u_ && !(has_rx && has_ry)) {
-      throw MappingError(
-          "device native single-qubit set must include u or {rx, ry}");
-    }
-  }
+  if (lower_single_) has_u_ = native_basis_is_u(device);
 }
 
 void StreamingLowerer::lower_fused(Circuit& fused, Circuit& out) {
@@ -290,10 +286,11 @@ void StreamingLowerer::finish(Circuit& out) {
 
 Circuit lower_to_device(const Circuit& circuit, const Device& device,
                         bool keep_swaps) {
-  Circuit lowered =
-      lower_two_qubit(circuit, device.native_two_qubit(), keep_swaps);
-  lowered = fuse_single_qubit(lowered);
-  return lower_single_qubit(lowered, device);
+  StreamingLowerer lowerer(device, circuit.num_qubits(), keep_swaps);
+  Circuit out(circuit.num_qubits(), circuit.name());
+  lowerer.lower_chunk(circuit.gates(), out);
+  lowerer.finish(out);
+  return out;
 }
 
 Circuit fix_cx_directions(const Circuit& circuit, const Device& device) {

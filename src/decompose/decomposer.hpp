@@ -54,13 +54,14 @@ class SingleQubitFuser {
   std::vector<std::optional<Matrix>> pending_;
 };
 
-/// Chunk-wise lower_to_device: the placement-independent lowering
-/// (two-qubit target + single-qubit fusion + native single-qubit basis)
-/// as a stateful object fed a bounded chunk at a time. The per-gate stages
-/// are stateless, and cross-chunk fusion state lives in a SingleQubitFuser,
-/// so concatenating the chunks appended by lower_chunk()/finish() yields
-/// byte-for-byte the circuit lower_to_device would produce from the
-/// materialized whole. Peak memory is O(chunk), not O(circuit).
+/// The placement-independent lowering (two-qubit target + single-qubit
+/// fusion + native single-qubit basis) as a stateful object fed a bounded
+/// chunk at a time. The per-gate stages are stateless, and cross-chunk
+/// fusion state lives in a SingleQubitFuser, so the concatenated output of
+/// lower_chunk()/finish() does not depend on the chunking: it is
+/// byte-for-byte lower_two_qubit -> fuse_single_qubit -> lower_single_qubit
+/// of the whole circuit. lower_to_device is this object fed one chunk.
+/// Peak memory is O(chunk), not O(circuit).
 class StreamingLowerer {
  public:
   /// Throws MappingError for unsupported native sets, like the batch
@@ -100,7 +101,8 @@ class StreamingLowerer {
                                          const Device& device);
 
 /// Full placement-independent lowering: lower_two_qubit to the device's
-/// native two-qubit gate, fuse, then lower_single_qubit.
+/// native two-qubit gate, fuse, then lower_single_qubit, run as one
+/// StreamingLowerer pass over the whole circuit.
 [[nodiscard]] Circuit lower_to_device(const Circuit& circuit,
                                       const Device& device,
                                       bool keep_swaps = false);

@@ -177,8 +177,8 @@ class PortfolioCompiler {
 
   /// Races the portfolio on an internally owned pool.
   [[nodiscard]] PortfolioResult compile(const Circuit& circuit) const;
-  /// Races the portfolio on a caller-owned pool (lets BatchCompiler share
-  /// one pool across many circuits).
+  /// Races the portfolio on a caller-owned pool, so many circuits can share
+  /// one pool (ResilientCompiler::compile_batch does, via try_compile).
   [[nodiscard]] PortfolioResult compile(const Circuit& circuit,
                                         ThreadPool& pool) const;
 

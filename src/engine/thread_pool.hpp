@@ -1,4 +1,5 @@
-// Fixed-size thread pool used by the portfolio and batch compilers.
+// Fixed-size thread pool used by the portfolio race and the resilience
+// supervisor that drives it.
 //
 // Deliberately work-stealing-free: a single mutex-protected FIFO queue
 // feeds all workers, so tasks start in exactly the order they were

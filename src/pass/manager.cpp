@@ -20,27 +20,34 @@ void PassManager::run(CompileContext& ctx) const {
     if (!router_label_.empty()) compile_span.arg("router", router_label_);
   }
   obs::add(obs, "compile.runs");
-  // Per-stage spans auto-parent under compile_span (same thread). End the
-  // previous stage before opening the next — otherwise the new span would
-  // nest under the still-open old one instead of under compile_span.
+  // Per-stage spans auto-parent under compile_span (same thread).
   obs::Span stage_span;
   for (const std::unique_ptr<Pass>& pass : passes_) {
-    const std::string name = pass->name();
-    if (pass->is_stage_boundary()) {
-      ctx.checkpoint();
-      if (ctx.runtime().stage_hook) ctx.runtime().stage_hook(name.c_str());
-      stage_span.end();
-      stage_span = obs::Span(obs, name, "stage");
-    }
-    const auto start = std::chrono::steady_clock::now();
-    pass->run(ctx);
-    const auto elapsed = std::chrono::duration<double, std::milli>(
-        std::chrono::steady_clock::now() - start);
-    ctx.timings.push_back({name, elapsed.count()});
+    run_stage(ctx, stage_span, pass->name(), pass->is_stage_boundary(),
+              [&] { pass->run(ctx); });
   }
   stage_span.end();
   obs::observe(obs, "compile.final_two_qubit_gates",
                static_cast<double>(ctx.result.final_metrics.two_qubit_gates));
+}
+
+void PassManager::run_stage(CompileContext& ctx, obs::Span& stage_span,
+                            const std::string& name, bool stage_boundary,
+                            const std::function<void()>& work) {
+  if (stage_boundary) {
+    ctx.checkpoint();
+    if (ctx.runtime().stage_hook) ctx.runtime().stage_hook(name.c_str());
+    // End the previous stage before opening the next — otherwise the new
+    // span would nest under the still-open old one instead of under the
+    // compile span.
+    stage_span.end();
+    stage_span = obs::Span(ctx.obs(), name, "stage");
+  }
+  const auto start = std::chrono::steady_clock::now();
+  work();
+  const auto elapsed = std::chrono::duration<double, std::milli>(
+      std::chrono::steady_clock::now() - start);
+  ctx.timings.push_back({name, elapsed.count()});
 }
 
 CompilationResult PassManager::run(const Circuit& circuit,

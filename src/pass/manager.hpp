@@ -8,6 +8,7 @@
 // from multiple threads (each run gets its own CompileContext).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,14 +39,22 @@ class PassManager {
   /// Streaming execution mode (pass/streaming.hpp): pulls program gates
   /// from `source`, pushes the pipeline's product to `sink`. Window-capable
   /// passes run chunk-by-chunk; the rest transparently materialize. Stage
-  /// hooks, cancellation checkpoints, and per-pass timings behave as in
-  /// run(). Implemented in streaming.cpp.
+  /// hooks, cancellation checkpoints, and per-pass timings go through the
+  /// same run_stage() as run(). Implemented in streaming.cpp.
   [[nodiscard]] StreamReport run_stream(
       GateSource& source, const Device& device, GateSink& sink,
       const PipelineRuntime& runtime,
       const StreamPipelineOptions& options = {}) const;
 
  private:
+  /// The ceremony run() gives every pass, shared with run_stream's streamed
+  /// stages: at a stage boundary a cancellation checkpoint, the stage hook,
+  /// and a fresh obs span in `stage_span` (ending the previous one); then
+  /// `work`, timed into ctx.timings under `name`.
+  static void run_stage(CompileContext& ctx, obs::Span& stage_span,
+                        const std::string& name, bool stage_boundary,
+                        const std::function<void()>& work);
+
   PipelineSpec spec_;
   std::vector<std::unique_ptr<Pass>> passes_;
   // Cached for the compile span's args; empty when the stage is absent.

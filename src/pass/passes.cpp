@@ -11,18 +11,55 @@
 
 namespace qmap {
 
+DecomposeStage::DecomposeStage(const Device& device, int num_qubits,
+                               bool lower_to_native)
+    : device_(&device), baseline_(num_qubits, "baseline"), sweep_(num_qubits) {
+  if (lower_to_native) {
+    // SWAPs stay as routing placeholders in the routed copy.
+    lowerer_.emplace(device, num_qubits, /*keep_swaps=*/true);
+    baseline_lowerer_.emplace(device, num_qubits, /*keep_swaps=*/false);
+  }
+}
+
+void DecomposeStage::feed(const std::vector<Gate>& gates, Circuit& out) {
+  if (!lowerer_) {
+    for (const Gate& gate : gates) {
+      sweep_.push(gate, device_->cycles_for(gate));
+      out.add_unchecked(gate);
+    }
+    return;
+  }
+  lowerer_->lower_chunk(gates, out);
+  baseline_lowerer_->lower_chunk(gates, baseline_);
+  sweep_baseline();
+}
+
+void DecomposeStage::finish(Circuit& out) {
+  if (!lowerer_) return;
+  lowerer_->finish(out);
+  baseline_lowerer_->finish(baseline_);
+  sweep_baseline();
+}
+
+void DecomposeStage::sweep_baseline() {
+  for (const Gate& gate : baseline_) {
+    sweep_.push(gate, device_->cycles_for(gate));
+  }
+  std::vector<Gate> drained = baseline_.take_gates();
+  drained.clear();
+  baseline_.set_gates(std::move(drained));
+}
+
 void DecomposePass::run(CompileContext& ctx) {
   const Circuit& circuit = ctx.input();
-  const Device& device = ctx.device();
-  // SWAPs stay as routing placeholders in the working copy.
-  ctx.result.lowered =
-      lower_to_native_ ? lower_to_device(circuit, device, /*keep_swaps=*/true)
-                       : circuit;
-  // Baseline latency: decomposed, dependency-only schedule (Sec. V).
-  const Circuit baseline =
-      lower_to_native_ ? lower_to_device(circuit, device, /*keep_swaps=*/false)
-                       : circuit;
-  ctx.result.baseline_cycles = schedule_asap(baseline, device).total_cycles();
+  DecomposeStage decompose = stage(ctx.device(), circuit.num_qubits());
+  Circuit lowered(circuit.num_qubits(), circuit.name());
+  // The pass-through keeps the input's declared classical register.
+  if (!lower_to_native_) lowered.declare_cbits(circuit.num_cbits());
+  decompose.feed(circuit.gates(), lowered);
+  decompose.finish(lowered);
+  ctx.result.lowered = std::move(lowered);
+  ctx.result.baseline_cycles = decompose.baseline_cycles();
 }
 
 PlacePass::PlacePass(std::string algorithm)

@@ -6,15 +6,53 @@
 // message naming the missing stage instead of crashing downstream.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "arch/device.hpp"
+#include "decompose/decomposer.hpp"
 #include "pass/pass.hpp"
+#include "schedule/schedulers.hpp"
 
 namespace qmap {
 
+/// The decompose stage's work as a chunk-fed object: the keep-SWAPs
+/// lowering that feeds routing, the keep_swaps=false lowering whose ASAP
+/// latency is the paper's "before mapping" baseline (Sec. V), and the
+/// lower_to_native=false pass-through (gates verbatim, baseline of the
+/// input itself). DecomposePass feeds it the whole input as one chunk;
+/// run_stream feeds it the source chunk by chunk. Either way the output
+/// and the baseline are the same bytes.
+class DecomposeStage {
+ public:
+  DecomposeStage(const Device& device, int num_qubits, bool lower_to_native);
+
+  /// Appends the lowering of `gates` to `out` (a copy of them when not
+  /// lowering) and advances the baseline sweep. Trailing single-qubit runs
+  /// stay buffered until a later chunk or finish() closes them.
+  void feed(const std::vector<Gate>& gates, Circuit& out);
+  /// End of input: flushes the open single-qubit runs into `out`.
+  void finish(Circuit& out);
+
+  /// Valid after finish().
+  [[nodiscard]] int baseline_cycles() const noexcept {
+    return sweep_.total_cycles();
+  }
+
+ private:
+  void sweep_baseline();
+
+  const Device* device_;
+  std::optional<StreamingLowerer> lowerer_;
+  std::optional<StreamingLowerer> baseline_lowerer_;
+  Circuit baseline_;  // per-chunk baseline lowering, recycled
+  AsapSweep sweep_;
+};
+
 /// Gate decomposition: lowers the input to the device's native set with
 /// SWAPs kept as routing placeholders, and records the paper's "before
-/// mapping" baseline latency (dependency-only ASAP schedule of the fully
+/// mapping" baseline latency (dependency-only ASAP latency of the fully
 /// lowered circuit). With `lower_to_native == false` the input passes
 /// through verbatim but the baseline is still recorded. Not a stage
 /// boundary: the facade never hooked/spanned decomposition, and keeping it
@@ -26,6 +64,13 @@ class DecomposePass final : public Pass {
   [[nodiscard]] std::string name() const override { return "decompose"; }
   [[nodiscard]] bool is_stage_boundary() const override { return false; }
   void run(CompileContext& ctx) override;
+
+  /// This pass's stage, for a caller that feeds the input itself (the
+  /// streamed pipeline).
+  [[nodiscard]] DecomposeStage stage(const Device& device,
+                                     int num_qubits) const {
+    return DecomposeStage(device, num_qubits, lower_to_native_);
+  }
 
  private:
   bool lower_to_native_;

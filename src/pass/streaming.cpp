@@ -1,29 +1,30 @@
 // PassManager::run_stream: the streaming execution mode declared in
 // pass/streaming.hpp.
 //
-// The window-capable chain is assembled as a source→sink pipeline:
+// When the head can stream, the window-capable chain is assembled as a
+// source→sink pipeline:
 //
-//   GateSource → [LoweringSource: chunk-wise decompose]
+//   GateSource → [LoweringSource: DecomposePass's stage, fed chunk-wise]
 //              → route_stream (bounded window)
 //              → [TokenSwapFinisherSink: cleanup at end-of-stream]
 //              → sink (or a CircuitSink when a materialized tail follows)
 //
-// Stages that cannot stream run exactly as PassManager::run would run them
-// (same Pass objects, same stage hooks/spans/timings), on a circuit
-// materialized at the latest possible point. Parity contract: whatever the
-// mix of streamed and materialized stages, the gates that reach the sink
-// are byte-identical to the materialized pipeline's product (pinned by the
-// `stream` test suite against the golden fingerprint matrix).
+// The placer, router and token-swap stages go through run_stage(), the
+// ceremony PassManager::run gives each pass (stage hooks, spans, timings);
+// the postroute/schedule tail runs the same Pass objects on the collected
+// circuit. Any other pipeline is PassManager::run on the materialized
+// source. Parity contract: the gates
+// that reach the sink are byte-identical to the materialized pipeline's
+// product (pinned by the `stream` test suite against the golden
+// fingerprint matrix).
 #include "pass/manager.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "common/error.hpp"
-#include "decompose/decomposer.hpp"
+#include "pass/passes.hpp"
 #include "pass/registry.hpp"
 #include "route/token_swap.hpp"
 
@@ -32,7 +33,7 @@ namespace {
 
 /// Slot index of each standard stage in the spec, or -1. `standard` is
 /// false when a pass repeats or appears out of the canonical order — such
-/// pipelines take the full materialized fallback.
+/// pipelines run materialized.
 struct StageLayout {
   int decompose = -1;
   int placer = -1;
@@ -110,56 +111,17 @@ std::size_t push_circuit(const Circuit& circuit, GateSink& sink,
   return circuit.size();
 }
 
-/// Incremental dependency-only ASAP latency — what
-/// schedule_asap(...).total_cycles() reports, without materializing the
-/// schedule: per-qubit availability plus a running maximum.
-class AsapLatencyTracker {
- public:
-  AsapLatencyTracker(const Device& device, int num_qubits)
-      : device_(&device),
-        available_(static_cast<std::size_t>(num_qubits), 0) {}
-
-  void push(const Gate& gate) {
-    const int duration = device_->cycles_for(gate);
-    int start = 0;
-    for (const int q : gate.qubits) {
-      start = std::max(start, available_[static_cast<std::size_t>(q)]);
-    }
-    for (const int q : gate.qubits) {
-      available_[static_cast<std::size_t>(q)] = start + duration;
-    }
-    total_ = std::max(total_, start + duration);
-  }
-
-  [[nodiscard]] int total_cycles() const noexcept { return total_; }
-
- private:
-  const Device* device_;
-  std::vector<int> available_;
-  int total_ = 0;
-};
-
-/// GateSource adapter running the decompose stage chunk-by-chunk: lowers
-/// upstream gates through a StreamingLowerer (byte-identical to
-/// lower_to_device on the whole circuit) and maintains the baseline
-/// latency DecomposePass records (ASAP cycles of the keep_swaps=false
-/// lowering — tracked by a second lowerer so SWAP expansion matches the
-/// materialized pass exactly).
+/// GateSource adapter running the decompose stage chunk-by-chunk: each
+/// refill pulls one upstream chunk through the DecomposeStage, which also
+/// keeps the baseline latency DecomposePass records.
 class LoweringSource final : public GateSource {
  public:
-  LoweringSource(GateSource& inner, const Device& device, bool lower_to_native,
+  LoweringSource(GateSource& inner, DecomposeStage stage,
                  std::size_t chunk_gates)
       : inner_(&inner),
+        stage_(std::move(stage)),
         chunk_gates_(std::max<std::size_t>(chunk_gates, 1)),
-        scratch_(inner.num_qubits(), inner.name()),
-        baseline_scratch_(inner.num_qubits(), inner.name()),
-        tracker_(device, inner.num_qubits()) {
-    if (lower_to_native) {
-      lowerer_.emplace(device, inner.num_qubits(), /*keep_swaps=*/true);
-      baseline_lowerer_.emplace(device, inner.num_qubits(),
-                                /*keep_swaps=*/false);
-    }
-  }
+        scratch_(inner.num_qubits(), inner.name()) {}
 
   [[nodiscard]] int num_qubits() const override {
     return inner_->num_qubits();
@@ -185,7 +147,7 @@ class LoweringSource final : public GateSource {
   [[nodiscard]] std::size_t raw_gates_in() const noexcept { return raw_in_; }
   /// Valid once the stream is drained.
   [[nodiscard]] int baseline_cycles() const noexcept {
-    return tracker_.total_cycles();
+    return stage_.baseline_cycles();
   }
 
  private:
@@ -196,45 +158,20 @@ class LoweringSource final : public GateSource {
     scratch_.set_gates(std::move(pending_));
     raw_.clear();
     const std::size_t pulled = inner_->pull(raw_, chunk_gates_);
+    raw_in_ += pulled;
     if (pulled == 0) {
       done_ = true;
-      if (lowerer_) {
-        lowerer_->finish(scratch_);
-        baseline_lowerer_->finish(baseline_scratch_);
-        track_baseline_scratch();
-      }
-      pending_ = scratch_.take_gates();
-      return;
+      stage_.finish(scratch_);
+    } else {
+      stage_.feed(raw_, scratch_);
     }
-    raw_in_ += pulled;
-    if (!lowerer_) {
-      // lower_to_native=false: gates pass through verbatim; the baseline
-      // is the ASAP latency of the raw stream (DecomposePass semantics).
-      for (const Gate& gate : raw_) tracker_.push(gate);
-      pending_ = std::move(raw_);
-      raw_.clear();
-      return;
-    }
-    lowerer_->lower_chunk(raw_, scratch_);
-    baseline_lowerer_->lower_chunk(raw_, baseline_scratch_);
-    track_baseline_scratch();
     pending_ = scratch_.take_gates();
   }
 
-  void track_baseline_scratch() {
-    for (const Gate& gate : baseline_scratch_) tracker_.push(gate);
-    std::vector<Gate> drained = baseline_scratch_.take_gates();
-    drained.clear();
-    baseline_scratch_.set_gates(std::move(drained));
-  }
-
   GateSource* inner_;
+  DecomposeStage stage_;
   std::size_t chunk_gates_;
-  std::optional<StreamingLowerer> lowerer_;
-  std::optional<StreamingLowerer> baseline_lowerer_;
   Circuit scratch_;
-  Circuit baseline_scratch_;
-  AsapLatencyTracker tracker_;
   std::vector<Gate> raw_;
   std::vector<Gate> pending_;
   std::size_t pos_ = 0;
@@ -311,19 +248,6 @@ class TokenSwapFinisherSink final : public GateSink {
   std::size_t forwarded_ = 0;
 };
 
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-bool decompose_lowers_to_native(const PipelineSpec& spec, int index) {
-  const Json& options = spec.passes()[static_cast<std::size_t>(index)].options;
-  if (options.is_null()) return true;
-  const Json* value = options.find("lower_to_native");
-  return value ? value->as_bool() : true;
-}
-
 }  // namespace
 
 StreamReport PassManager::run_stream(GateSource& source, const Device& device,
@@ -333,16 +257,10 @@ StreamReport PassManager::run_stream(GateSource& source, const Device& device,
   StreamReport report;
   StreamStats& stats = report.stream;
   const StageLayout layout = analyze(spec_);
-
-  bool router_streams = false;
-  std::string router_alg;
-  if (layout.standard && layout.router >= 0) {
-    router_alg = spec_.router_name();
-    router_streams = make_router(router_alg)->supports_streaming();
-  }
-  const bool full_fallback = !router_streams;
   const bool stream_head =
-      !full_fallback && layout.placer >= 0 && spec_.placer_name() == "identity";
+      layout.standard && layout.placer >= 0 && layout.router >= 0 &&
+      placer_label_ == "identity" &&
+      make_router(router_label_)->supports_streaming();
 
   obs::Observer* obs = runtime.obs;
   obs::Span compile_span(obs, "compile_stream", "core",
@@ -351,22 +269,14 @@ StreamReport PassManager::run_stream(GateSource& source, const Device& device,
     compile_span.arg("circuit", source.name());
     if (!placer_label_.empty()) compile_span.arg("placer", placer_label_);
     if (!router_label_.empty()) compile_span.arg("router", router_label_);
-    compile_span.arg("mode", full_fallback  ? "materialized"
-                             : stream_head ? "streamed"
-                                           : "streamed-route");
+    compile_span.arg("mode", stream_head ? "streamed" : "materialized");
   }
   obs::add(obs, "compile.stream_runs");
 
-  // --- Input: materialize unless the whole head streams. ---
-  Circuit input = stream_head ? Circuit(source.num_qubits(), source.name())
-                              : materialize_source(source, options.chunk_gates);
   if (!stream_head) {
-    stats.materialized_input = true;
+    const Circuit input = materialize_source(source, options.chunk_gates);
     stats.gates_in = input.size();
-  }
-  CompileContext ctx(input, device, runtime);
-
-  if (full_fallback) {
+    CompileContext ctx(input, device, runtime);
     for (const std::unique_ptr<Pass>& pass : passes_) {
       stats.materialized_passes.push_back(pass->name());
     }
@@ -379,67 +289,29 @@ StreamReport PassManager::run_stream(GateSource& source, const Device& device,
     return report;
   }
 
-  if (layout.placer < 0) {
-    throw MappingError(
-        "pass 'router' needs an initial placement: add a 'placer' pass "
-        "earlier in the pipeline");
-  }
-
-  // Ceremony identical to run() for every pass executed materialized.
+  const Circuit input(source.num_qubits(), source.name());
+  CompileContext ctx(input, device, runtime);
   obs::Span stage_span;
-  const auto run_materialized = [&](int index) {
-    Pass& pass = *passes_[static_cast<std::size_t>(index)];
-    const std::string name = pass.name();
-    if (pass.is_stage_boundary()) {
-      ctx.checkpoint();
-      if (ctx.runtime().stage_hook) ctx.runtime().stage_hook(name.c_str());
-      stage_span.end();
-      stage_span = obs::Span(obs, name, "stage");
-    }
-    const auto start = std::chrono::steady_clock::now();
-    pass.run(ctx);
-    ctx.timings.push_back({name, ms_since(start)});
-    stats.materialized_passes.push_back(name);
-  };
-  const auto streamed_stage_boundary = [&](const char* name) {
-    ctx.checkpoint();
-    if (ctx.runtime().stage_hook) ctx.runtime().stage_hook(name);
-    stage_span.end();
-    stage_span = obs::Span(obs, name, "stage");
-  };
 
-  // --- Head: decompose + placer, streamed or materialized. ---
+  // --- Head: decompose inside the route's source, identity placement. ---
   std::optional<LoweringSource> lowering;
-  std::optional<CircuitSource> lowered_source;
   GateSource* route_source = &source;
-  if (stream_head) {
-    if (layout.decompose >= 0) {
-      lowering.emplace(source, device,
-                       decompose_lowers_to_native(spec_, layout.decompose),
-                       options.chunk_gates);
-      route_source = &*lowering;
-    }
-    streamed_stage_boundary("placer");
+  if (layout.decompose >= 0) {
+    // analyze() matched the name, and the registry builds "decompose" as a
+    // DecomposePass.
+    const auto& decompose = static_cast<const DecomposePass&>(
+        *passes_[static_cast<std::size_t>(layout.decompose)]);
+    lowering.emplace(source, decompose.stage(device, source.num_qubits()),
+                     options.chunk_gates);
+    route_source = &*lowering;
+  }
+  run_stage(ctx, stage_span, "placer", true, [&] {
     ctx.placement =
         Placement::identity(source.num_qubits(), device.num_qubits());
     ctx.placed = true;
-  } else {
-    if (layout.decompose >= 0) run_materialized(layout.decompose);
-    run_materialized(layout.placer);
-    lowered_source.emplace(ctx.result.lowered);
-    route_source = &*lowered_source;
-  }
+  });
 
-  // --- Route: always through the bounded window. ---
-  streamed_stage_boundary("router");
-  std::unique_ptr<Router> router = make_router(router_alg);
-  router->set_cancel_token(ctx.cancel());
-  router->set_observer(obs);
-  router->set_artifacts(&ctx.artifacts());
-  StreamRouteOptions route_options;
-  route_options.chunk_gates = options.chunk_gates;
-  route_options.spill_gates = options.spill_gates;
-
+  // --- Route: through the bounded window. ---
   const bool tail_materializes =
       layout.postroute >= 0 || layout.schedule >= 0;
   std::optional<CircuitSink> collect;
@@ -454,29 +326,32 @@ StreamReport PassManager::run_stream(GateSource& source, const Device& device,
     token_swap_sink.emplace(*route_dest);
     route_dest = &*token_swap_sink;
   }
-
-  const auto route_start = std::chrono::steady_clock::now();
-  StreamRouteStats route_stats = router->route_stream(
-      *route_source, device, ctx.placement, *route_dest, route_options);
-  ctx.timings.push_back({"router", ms_since(route_start)});
+  StreamRouteStats route_stats;
+  run_stage(ctx, stage_span, "router", true, [&] {
+    std::unique_ptr<Router> router = make_router(router_label_);
+    router->set_cancel_token(ctx.cancel());
+    router->set_observer(obs);
+    router->set_artifacts(&ctx.artifacts());
+    StreamRouteOptions route_options;
+    route_options.chunk_gates = options.chunk_gates;
+    route_stats = router->route_stream(*route_source, device, ctx.placement,
+                                       *route_dest, route_options);
+  });
   stats.streamed_route = true;
   stats.window_peak_gates = route_stats.window_peak_gates;
-  if (stream_head) {
-    stats.gates_in =
-        lowering ? lowering->raw_gates_in() : route_stats.gates_in;
-    if (lowering) ctx.result.baseline_cycles = lowering->baseline_cycles();
-  }
+  stats.gates_in = lowering ? lowering->raw_gates_in() : route_stats.gates_in;
+  if (lowering) ctx.result.baseline_cycles = lowering->baseline_cycles();
 
   if (token_swap_sink) {
-    streamed_stage_boundary("token_swap_finisher");
-    const auto start = std::chrono::steady_clock::now();
-    token_swap_sink->finish(route_stats.final, route_stats.initial, device,
-                            &ctx.artifacts());
-    obs::add(obs, "router.bridge.token_swap_rounds",
-             token_swap_sink->rounds());
-    obs::add(obs, "router.bridge.token_swap_swaps", token_swap_sink->swaps());
-    route_stats.added_swaps += token_swap_sink->swaps();
-    ctx.timings.push_back({"token_swap_finisher", ms_since(start)});
+    run_stage(ctx, stage_span, "token_swap_finisher", true, [&] {
+      token_swap_sink->finish(route_stats.final, route_stats.initial, device,
+                              &ctx.artifacts());
+      obs::add(obs, "router.bridge.token_swap_rounds",
+               token_swap_sink->rounds());
+      obs::add(obs, "router.bridge.token_swap_swaps",
+               token_swap_sink->swaps());
+      route_stats.added_swaps += token_swap_sink->swaps();
+    });
   }
 
   RoutingResult& routing = ctx.result.routing;
@@ -491,8 +366,13 @@ StreamReport PassManager::run_stream(GateSource& source, const Device& device,
   ctx.routed = true;
 
   // --- Tail: postroute/schedule on the collected circuit. ---
-  if (layout.postroute >= 0) run_materialized(layout.postroute);
-  if (layout.schedule >= 0) run_materialized(layout.schedule);
+  for (const int index : {layout.postroute, layout.schedule}) {
+    if (index < 0) continue;
+    Pass& pass = *passes_[static_cast<std::size_t>(index)];
+    run_stage(ctx, stage_span, pass.name(), pass.is_stage_boundary(),
+              [&] { pass.run(ctx); });
+    stats.materialized_passes.push_back(pass.name());
+  }
   stage_span.end();
   obs::observe(obs, "compile.final_two_qubit_gates",
                static_cast<double>(ctx.result.final_metrics.two_qubit_gates));

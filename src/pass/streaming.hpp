@@ -2,24 +2,25 @@
 // compilation).
 //
 // PassManager::run_stream threads a GateSource through the pipeline into a
-// GateSink. The window-capable chain — decompose, route, and the token-swap
-// finisher — runs chunk-by-chunk with peak memory proportional to the
-// routing window, so million-gate circuits compile without ever being
-// resident. Everything else falls back transparently:
+// GateSink, in one of two shapes:
 //
-//   * a placer other than "identity" needs the whole interaction graph, so
-//     the source is materialized and the pre-route stages run normally;
-//     routing still streams (byte-identical to the materialized route);
-//   * postroute/schedule passes are whole-circuit analyses, so the routed
-//     stream is collected back into memory before they run;
-//   * a non-streamable router (or a non-standard pipeline shape) runs the
-//     entire materialized pipeline and forwards its product to the sink.
+//   * streamed head: when the pipeline has the standard shape, the
+//     "identity" placer, and a router that can stream, decompose, route,
+//     and the token-swap finisher run chunk-by-chunk with peak memory
+//     proportional to the routing window, so million-gate circuits compile
+//     without ever being resident. Postroute/schedule are whole-circuit
+//     analyses: the routed stream is collected back into memory before
+//     they run;
+//   * materialized: any other pipeline (another placer needs the whole
+//     interaction graph; a non-streamable router or a non-standard shape)
+//     drains the source into a circuit, runs PassManager::run on it, and
+//     forwards the product to the sink.
 //
-// In every mode the sink receives the pipeline's product — the final
+// In both shapes the sink receives the pipeline's product — the final
 // circuit when a postroute pass is present, the routed (plus token-swap
 // cleanup) stream otherwise — followed by one flush(). StreamStats records
-// which passes fell back, so callers can assert a pipeline really ran
-// out-of-core.
+// which passes ran materialized, so callers can assert a pipeline really
+// ran out-of-core.
 #pragma once
 
 #include <cstddef>
@@ -32,22 +33,18 @@ namespace qmap {
 
 /// Knobs of a streaming pipeline run.
 struct StreamPipelineOptions {
-  /// Pull granularity from the source (and the router's window-extension
-  /// chunk size).
+  /// Pull granularity from the source, the router's window-extension chunk
+  /// size, and the routed-output batch the emitter pushes downstream.
   std::size_t chunk_gates = 4096;
-  /// Routed-output gates buffered in the emitter before being pushed
-  /// downstream.
-  std::size_t spill_gates = 4096;
 };
 
-/// What actually streamed. A fully out-of-core run has streamed_route true,
-/// materialized_input false, and materialized_passes empty.
+/// What actually streamed. A fully out-of-core run has streamed_route true
+/// and materialized_passes empty.
 struct StreamStats {
-  /// True when routing ran through the bounded window (route_stream).
+  /// True when the head streamed: routing ran through the bounded window
+  /// (route_stream). False when the source was drained into an in-memory
+  /// circuit and the whole pipeline ran materialized.
   bool streamed_route = false;
-  /// True when the source was drained into an in-memory circuit before the
-  /// pipeline ran (non-streamable placer or full fallback).
-  bool materialized_input = false;
   /// Names of the passes that ran on a materialized circuit.
   std::vector<std::string> materialized_passes;
   /// Program gates pulled from the source.

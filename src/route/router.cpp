@@ -156,7 +156,7 @@ void RoutingEmitter::emit_physical_cx(int phys_control, int phys_target) {
 }
 
 void RoutingEmitter::spill_if_needed() {
-  if (sink_ == nullptr || circuit_.size() < spill_gates_) return;
+  if (sink_ == nullptr || circuit_.size() < spill_threshold_) return;
   spill_all();
 }
 

@@ -40,11 +40,10 @@ struct RoutingResult {
 struct StreamRouteOptions {
   /// Pull granularity from the GateSource: how many gates each window
   /// extension requests at once. A value >= the circuit size degenerates
-  /// to the materialized window (useful for parity testing).
+  /// to the materialized window (useful for parity testing). Also the
+  /// emitter-to-sink spill threshold: routed output gates buffered before
+  /// being pushed downstream.
   std::size_t chunk_gates = 4096;
-  /// Emitter-to-sink spill threshold: routed output gates buffered
-  /// before being pushed downstream.
-  std::size_t spill_gates = 4096;
 };
 
 /// Result of a streaming route: the RoutingResult counters without the
@@ -190,12 +189,12 @@ class RoutingEmitter {
 
   /// Streaming mode: attaches a downstream sink. Once set, accumulated
   /// output gates are moved to the sink whenever spill_if_needed() sees
-  /// `spill_gates` or more of them (and unconditionally by spill_all()),
+  /// `spill_threshold` or more of them (and unconditionally by spill_all()),
   /// keeping the emitter's resident state O(spill threshold). finish()
   /// then returns an empty circuit — the gates went downstream.
-  void set_sink(GateSink* sink, std::size_t spill_gates) noexcept {
+  void set_sink(GateSink* sink, std::size_t spill_threshold) noexcept {
     sink_ = sink;
-    spill_gates_ = spill_gates;
+    spill_threshold_ = spill_threshold;
   }
   void spill_if_needed();
   /// Pushes any remaining buffered gates to the sink (no sink.flush() —
@@ -231,7 +230,7 @@ class RoutingEmitter {
   Placement placement_;
   Circuit circuit_;
   GateSink* sink_ = nullptr;
-  std::size_t spill_gates_ = 0;
+  std::size_t spill_threshold_ = 0;
   std::size_t spilled_gates_ = 0;
   std::vector<Gate> spill_buf_;  // recycled between spills
   std::size_t added_swaps_ = 0;

@@ -352,7 +352,7 @@ StreamRouteStats run_sabre_stream(GateSource& source, const Device& device,
   StreamRouteCore core(source, device, artifacts, initial,
                        options.chunk_gates, extended_window,
                        params.enable_bridge);
-  const std::size_t spill = std::max<std::size_t>(options.spill_gates, 1);
+  const std::size_t spill = std::max<std::size_t>(options.chunk_gates, 1);
   RoutingEmitter emitter(device, initial,
                          source.name() + "@" + device.name());
   // The emitter's resident buffer tops out around the spill threshold

@@ -11,48 +11,28 @@ namespace qmap {
 
 Schedule schedule_asap(const Circuit& circuit, const Device& device) {
   Schedule schedule(circuit.num_qubits());
-  std::vector<int> available(static_cast<std::size_t>(circuit.num_qubits()),
-                             0);
+  AsapSweep sweep(circuit.num_qubits());
   for (const Gate& gate : circuit) {
     const int duration = device.cycles_for(gate);
-    int start = 0;
-    for (const int q : gate.qubits) {
-      start = std::max(start, available[static_cast<std::size_t>(q)]);
-    }
-    for (const int q : gate.qubits) {
-      available[static_cast<std::size_t>(q)] = start + duration;
-    }
-    schedule.add(ScheduledGate{gate, start, duration});
+    schedule.add(ScheduledGate{gate, sweep.push(gate, duration), duration});
   }
   return schedule;
 }
 
 Schedule schedule_alap(const Circuit& circuit, const Device& device) {
   // ALAP = mirrored ASAP of the reversed gate list.
-  std::vector<int> deadline(static_cast<std::size_t>(circuit.num_qubits()),
-                            0);
+  AsapSweep sweep(circuit.num_qubits());
   std::vector<ScheduledGate> reversed;
   reversed.reserve(circuit.size());
   for (auto it = circuit.gates().rbegin(); it != circuit.gates().rend();
        ++it) {
-    const Gate& gate = *it;
-    const int duration = device.cycles_for(gate);
-    int start = 0;
-    for (const int q : gate.qubits) {
-      start = std::max(start, deadline[static_cast<std::size_t>(q)]);
-    }
-    for (const int q : gate.qubits) {
-      deadline[static_cast<std::size_t>(q)] = start + duration;
-    }
-    reversed.push_back(ScheduledGate{gate, start, duration});
+    const int duration = device.cycles_for(*it);
+    reversed.push_back(ScheduledGate{*it, sweep.push(*it, duration), duration});
   }
-  int total = 0;
-  for (const ScheduledGate& op : reversed) {
-    total = std::max(total, op.end_cycle());
-  }
+  const int total = sweep.total_cycles();
   Schedule schedule(circuit.num_qubits());
   for (auto it = reversed.rbegin(); it != reversed.rend(); ++it) {
-    ScheduledGate op = *it;
+    ScheduledGate op = std::move(*it);
     op.start_cycle = total - op.end_cycle();
     schedule.add(std::move(op));
   }

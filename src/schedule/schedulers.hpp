@@ -7,6 +7,7 @@
 // control sharing inflates the latency (~2x on the running example).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -17,6 +18,38 @@
 #include "schedule/schedule.hpp"
 
 namespace qmap {
+
+/// The dependency-only ASAP sweep: per-qubit availability plus a running
+/// maximum. Gates pushed in program order start as soon as all their qubits
+/// are free. schedule_asap and schedule_alap record every start; the
+/// decompose stage reads only total_cycles(), so its baseline latency
+/// needs no Schedule.
+class AsapSweep {
+ public:
+  explicit AsapSweep(int num_qubits)
+      : available_(static_cast<std::size_t>(num_qubits), 0) {}
+
+  /// Places `gate` for `duration` cycles; returns its start cycle.
+  int push(const Gate& gate, int duration) {
+    int start = 0;
+    for (const int q : gate.qubits) {
+      start = std::max(start, available_[static_cast<std::size_t>(q)]);
+    }
+    for (const int q : gate.qubits) {
+      available_[static_cast<std::size_t>(q)] = start + duration;
+    }
+    total_ = std::max(total_, start + duration);
+    return start;
+  }
+
+  /// Latest end cycle so far: schedule_asap(...).total_cycles() of the
+  /// gates pushed.
+  [[nodiscard]] int total_cycles() const noexcept { return total_; }
+
+ private:
+  std::vector<int> available_;
+  int total_ = 0;
+};
 
 /// As-soon-as-possible list schedule (dependencies + durations only).
 [[nodiscard]] Schedule schedule_asap(const Circuit& circuit,

@@ -1,13 +1,21 @@
 // Gate-decomposition tests: every lowering pass must be unitarily
-// equivalent to its input, and the Euler decompositions must reconstruct
-// arbitrary single-qubit unitaries.
+// equivalent to its input, the Euler decompositions must reconstruct
+// arbitrary single-qubit unitaries, and the decompose stage must equal the
+// plain composition of the lowering passes.
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "arch/builtin.hpp"
+#include "common/rng.hpp"
 #include "decompose/decomposer.hpp"
 #include "decompose/euler.hpp"
+#include "ir/gate_stream.hpp"
+#include "pass/manager.hpp"
+#include "qasm/openqasm.hpp"
+#include "route/sabre.hpp"
+#include "schedule/schedulers.hpp"
 #include "sim/equivalence.hpp"
 #include "sim/statevector.hpp"
 #include "workloads/workloads.hpp"
@@ -294,6 +302,144 @@ TEST(ExpandSwaps, CzDeviceMatchesFig6Shape) {
 TEST(SwapCost, ThreeTwoQubitGatesOnBothFamilies) {
   EXPECT_EQ(swap_two_qubit_cost(devices::ibm_qx4()), 3);
   EXPECT_EQ(swap_two_qubit_cost(devices::surface17()), 3);
+}
+
+// --- The decompose stage against an independent reference ---
+//
+// Whatever DecomposePass and the streamed pipeline's lowering stage do
+// internally, `lowered` must equal the plain three-pass composition below
+// and `baseline_cycles` the ASAP latency of the keep_swaps=false lowering
+// (the input itself when lower_to_native is off), materialized and
+// streamed at every chunk size.
+
+Circuit reference_lowering(const Circuit& circuit, const Device& device,
+                           bool keep_swaps) {
+  const Circuit two_qubit =
+      lower_two_qubit(circuit, device.native_two_qubit(), keep_swaps);
+  return lower_single_qubit(fuse_single_qubit(two_qubit), device);
+}
+
+/// Random circuit over the decomposer's whole input zoo: single-qubit
+/// gates, CX, CZ, SWAP, iSWAP, CPhase, mid-circuit measurements and
+/// barriers, plus CRz, CCX and CSWAP when `wide`. Routers reject 3-qubit
+/// gates and cannot flip a directional non-CX gate on a directed coupling,
+/// so the unlowered streamed runs use the narrow mix.
+Circuit reference_circuit(std::uint64_t seed, int num_qubits, int num_gates,
+                          bool wide) {
+  Rng rng(Rng::derive_stream(0xDEC0, seed));
+  Circuit circuit(num_qubits, "decompose_ref" + std::to_string(seed));
+  int cbit = 0;
+  for (int i = 0; i < num_gates; ++i) {
+    // Three distinct operands; each gate uses the first one, two or three.
+    std::vector<int> q;
+    while (q.size() < 3) {
+      const int candidate = rng.integer(0, num_qubits - 1);
+      if (std::find(q.begin(), q.end(), candidate) == q.end()) {
+        q.push_back(candidate);
+      }
+    }
+    const double angle = rng.uniform(-kPi, kPi);
+    switch (rng.integer(0, wide ? 15 : 12)) {
+      case 0: circuit.h(q[0]); break;
+      case 1: circuit.t(q[0]); break;
+      case 2: circuit.rz(angle, q[0]); break;
+      case 3: circuit.rx(angle, q[0]); break;
+      case 4: circuit.sx(q[0]); break;
+      case 5: circuit.cx(q[0], q[1]); break;
+      case 6: circuit.cz(q[0], q[1]); break;
+      case 7: circuit.swap(q[0], q[1]); break;
+      case 8: circuit.iswap(q[0], q[1]); break;
+      case 9: circuit.cp(angle, q[0], q[1]); break;
+      case 10: circuit.measure(q[0], cbit++); break;
+      case 11: circuit.barrier({q[0], q[1]}); break;
+      case 12: circuit.barrier(); break;
+      case 13: circuit.crz(angle, q[0], q[1]); break;
+      case 14: circuit.ccx(q[0], q[1], q[2]); break;
+      default: circuit.cswap(q[0], q[1], q[2]); break;
+    }
+  }
+  // No closing measurements: the circuit ends inside open single-qubit
+  // runs, which only the lowerers' finish() emits.
+  return circuit;
+}
+
+PipelineSpec decompose_spec(bool lower_to_native, bool route) {
+  PipelineSpec spec;
+  Json options;
+  options["lower_to_native"] = Json(lower_to_native);
+  spec.append("decompose", std::move(options));
+  if (route) {
+    Json placer;
+    placer["algorithm"] = Json(std::string("identity"));
+    spec.append("placer", std::move(placer));
+    Json router;
+    router["algorithm"] = Json(std::string("sabre"));
+    spec.append("router", std::move(router));
+  }
+  return spec;
+}
+
+TEST(DecomposeReference, MaterializedAndStreamedMatchTheComposition) {
+  const std::vector<Device> devices_under_test = {
+      devices::ibm_qx5(), devices::surface17(), devices::trapped_ion(7)};
+  for (const Device& device : devices_under_test) {
+    for (const bool lower : {true, false}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const std::string label = device.name() + " lower_to_native=" +
+                                  std::to_string(lower) + " seed=" +
+                                  std::to_string(seed);
+        const PipelineRuntime runtime;
+
+        // Materialized: DecomposePass on the full zoo.
+        const Circuit wide = reference_circuit(seed, 7, 90, true);
+        const Circuit expect_lowered =
+            lower ? reference_lowering(wide, device, true) : wide;
+        const int expect_baseline =
+            schedule_asap(lower ? reference_lowering(wide, device, false)
+                                : wide,
+                          device)
+                .total_cycles();
+        const CompilationResult materialized =
+            PassManager(decompose_spec(lower, false))
+                .run(wide, device, runtime);
+        EXPECT_EQ(to_openqasm(materialized.lowered),
+                  to_openqasm(expect_lowered))
+            << label;
+        EXPECT_EQ(materialized.baseline_cycles, expect_baseline) << label;
+
+        // Streamed: decompose -> identity -> sabre through run_stream; the
+        // sink must see the reference lowering routed by sabre.
+        const Circuit circuit =
+            lower ? wide : reference_circuit(seed, 7, 90, false);
+        const Circuit lowered = lower ? expect_lowered : circuit;
+        const int baseline =
+            lower ? expect_baseline
+                  : schedule_asap(circuit, device).total_cycles();
+        const Circuit routed =
+            SabreRouter()
+                .route(lowered, device,
+                       Placement::identity(circuit.num_qubits(),
+                                           device.num_qubits()))
+                .circuit;
+        const PassManager manager(decompose_spec(lower, true));
+        for (const std::size_t chunk :
+             {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+          CircuitSource source(circuit);
+          CircuitSink sink(device.num_qubits(), "streamed");
+          StreamPipelineOptions options;
+          options.chunk_gates = chunk;
+          const StreamReport report =
+              manager.run_stream(source, device, sink, runtime, options);
+          EXPECT_TRUE(report.stream.streamed_route) << label;
+          EXPECT_EQ(report.stream.gates_in, circuit.size()) << label;
+          EXPECT_EQ(to_openqasm(std::move(sink).take()), to_openqasm(routed))
+              << label << " chunk=" << chunk;
+          EXPECT_EQ(report.result.baseline_cycles, baseline)
+              << label << " chunk=" << chunk;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Parallel portfolio engine: thread pool, cancellation, determinism
-// across thread counts, winner optimality vs. serial strategies, batch
-// throughput mode, and the factory enumerations the engine builds on.
+// across thread counts, winner optimality vs. serial strategies, and the
+// factory enumerations the engine builds on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 
 #include "arch/builtin.hpp"
 #include "common/rng.hpp"
-#include "engine/batch.hpp"
 #include "engine/cancel.hpp"
 #include "engine/portfolio.hpp"
 #include "engine/thread_pool.hpp"
@@ -353,105 +352,6 @@ TEST(CompilerCancellation, RouterLoopHonoursDeadline) {
   const Circuit circuit = workloads::random_circuit(8, 60, rng, 0.5);
   const Compiler compiler(devices::surface17(), options);
   EXPECT_THROW((void)compiler.compile(circuit), CancelledError);
-}
-
-// --- BatchCompiler ---------------------------------------------------------
-
-TEST(Batch, CompilesManyCircuitsAndKeepsOrder) {
-  const Device device = devices::surface17();
-  std::vector<Circuit> circuits = {
-      workloads::ghz(4), workloads::qft(4), workloads::fig1_example(),
-      workloads::bernstein_vazirani({1, 0, 1}).unitary_part()};
-  BatchOptions options;
-  options.num_threads = 4;
-  const BatchCompiler batch(device, options);
-  const BatchResult result = batch.compile_all(circuits);
-
-  ASSERT_EQ(result.items.size(), circuits.size());
-  EXPECT_EQ(result.ok_count(), circuits.size());
-  for (std::size_t i = 0; i < circuits.size(); ++i) {
-    ASSERT_TRUE(result.items[i].ok) << result.items[i].error;
-    // Submission order is preserved no matter which worker finished first.
-    EXPECT_EQ(result.items[i].result.original.name(), circuits[i].name());
-    EXPECT_TRUE(Compiler::verify(result.items[i].result));
-  }
-  EXPECT_NO_THROW((void)Json::parse(result.to_json().dump()));
-}
-
-TEST(Batch, RecordsPerCircuitFailuresWithoutThrowing) {
-  const Device device = devices::ibm_qx4();  // 5 qubits
-  std::vector<Circuit> circuits = {workloads::ghz(4),
-                                   workloads::ghz(9)};  // too wide
-  const BatchCompiler batch(device, BatchOptions{});
-  const BatchResult result = batch.compile_all(circuits);
-  ASSERT_EQ(result.items.size(), 2u);
-  EXPECT_TRUE(result.items[0].ok);
-  EXPECT_FALSE(result.items[1].ok);
-  EXPECT_FALSE(result.items[1].error.empty());
-  EXPECT_EQ(result.ok_count(), 1u);
-}
-
-TEST(Batch, MatchesSerialCompilationBitForBit) {
-  const Device device = devices::surface17();
-  std::vector<Circuit> circuits = {workloads::ghz(5), workloads::qft(4)};
-  BatchOptions options;
-  options.num_threads = 2;
-  options.compiler.placer = "annealing";  // stochastic: exercises seeding
-  const BatchCompiler batch(device, options);
-  const BatchResult parallel = batch.compile_all(circuits);
-
-  for (std::size_t i = 0; i < circuits.size(); ++i) {
-    CompilerOptions serial_options = options.compiler;
-    serial_options.seed = Rng::derive_stream(options.base_seed, i);
-    const CompilationResult serial =
-        Compiler(device, serial_options).compile(circuits[i]);
-    ASSERT_TRUE(parallel.items[i].ok);
-    EXPECT_EQ(to_openqasm(parallel.items[i].result.final_circuit),
-              to_openqasm(serial.final_circuit));
-  }
-}
-
-TEST(Batch, NonQmapExceptionFromStageHookIsIsolatedPerItem) {
-  // Regression: a stage hook throwing a foreign exception type (not
-  // derived from qmap::Error) used to escape the per-item boundary. The
-  // hook fires for every circuit here, so without isolation the whole
-  // batch would sink instead of recording three failures.
-  const Device device = devices::ibm_qx4();
-  std::vector<Circuit> circuits = {workloads::ghz(3), workloads::ghz(4),
-                                   workloads::fig1_example()};
-  BatchOptions options;
-  options.compiler.stage_hook = [](const char* stage) {
-    if (std::string(stage) == "router") {
-      throw std::runtime_error("planted foreign fault");
-    }
-  };
-  const BatchCompiler batch(device, options);
-  BatchResult result;
-  EXPECT_NO_THROW(result = batch.compile_all(circuits));
-  ASSERT_EQ(result.items.size(), 3u);
-  for (const BatchItem& item : result.items) {
-    EXPECT_FALSE(item.ok);
-    EXPECT_NE(item.error.find("planted foreign fault"), std::string::npos);
-    EXPECT_EQ(item.error_class, ErrorClass::Permanent);
-  }
-  // JSON report survives the failure classes.
-  EXPECT_NO_THROW((void)Json::parse(result.to_json().dump()));
-}
-
-TEST(Batch, PortfolioModeReturnsWinnersPerCircuit) {
-  const Device device = devices::ibm_qx4();
-  std::vector<Circuit> circuits = {workloads::fig1_example(),
-                                   workloads::ghz(4)};
-  BatchOptions options;
-  options.num_threads = 2;
-  options.use_portfolio = true;
-  const BatchCompiler batch(device, options);
-  const BatchResult result = batch.compile_all(circuits);
-  ASSERT_EQ(result.ok_count(), circuits.size());
-  for (const BatchItem& item : result.items) {
-    EXPECT_FALSE(item.winner_label.empty());
-    EXPECT_TRUE(Compiler::verify(item.result));
-  }
 }
 
 }  // namespace

@@ -10,11 +10,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "arch/builtin.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "engine/cancel.hpp"
 #include "layout/placers.hpp"
 #include "resilience/admission.hpp"
@@ -461,6 +463,81 @@ TEST(ResilienceBatch, PoisonedItemsNeverSinkSiblings) {
   EXPECT_FALSE(outcomes[1].ok);
   EXPECT_NE(outcomes[1].error.find("admission"), std::string::npos);
   EXPECT_TRUE(outcomes[2].ok);
+}
+
+TEST(ResilienceBatch, OutcomesKeepSubmissionOrder) {
+  // Two racing strategies, so every item names the winner of its own race.
+  Policy policy = small_policy();
+  StrategySpec bridge;
+  bridge.placer = "identity";
+  bridge.router = "bridge";
+  policy.portfolio.push_back(bridge);
+  const std::vector<Circuit> circuits = {
+      workloads::ghz(4), workloads::qft(4), workloads::fig1_example(),
+      workloads::bernstein_vazirani({1, 0, 1}).unitary_part()};
+  const std::vector<CompileOutcome> outcomes =
+      ResilientCompiler(devices::surface17(), policy).compile_batch(circuits);
+  ASSERT_EQ(outcomes.size(), circuits.size());
+  for (std::size_t i = 0; i < circuits.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+    EXPECT_EQ(outcomes[i].result.original.name(), circuits[i].name());
+    EXPECT_EQ(outcomes[i].rung, 0);
+    EXPECT_FALSE(outcomes[i].winner_label.empty());
+    EXPECT_TRUE(outcomes[i].validated);
+    EXPECT_TRUE(Compiler::verify(outcomes[i].result));
+  }
+}
+
+TEST(ResilienceBatch, ForeignExceptionFromStageHookIsContainedPerItem) {
+  // A stage hook throwing a type not derived from qmap::Error fails every
+  // item's portfolio race; each item records the failure in its own
+  // telemetry and recovers on rung 1 (which never runs caller hooks), and
+  // the batch itself never throws.
+  Policy policy = small_policy();
+  policy.base.stage_hook = [](const char* stage) {
+    if (std::string(stage) == "router") {
+      throw std::runtime_error("planted foreign fault");
+    }
+  };
+  const std::vector<Circuit> circuits = {workloads::ghz(3), workloads::ghz(4),
+                                         workloads::fig1_example()};
+  std::vector<CompileOutcome> outcomes;
+  EXPECT_NO_THROW(outcomes = ResilientCompiler(devices::ibm_qx4(), policy)
+                                 .compile_batch(circuits));
+  ASSERT_EQ(outcomes.size(), circuits.size());
+  for (const CompileOutcome& outcome : outcomes) {
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(outcome.rung, 1);
+    ASSERT_FALSE(outcome.rungs.empty());
+    EXPECT_FALSE(outcome.rungs[0].ok);
+    ASSERT_EQ(outcome.rungs[0].strategies.size(), 1u);
+    const StrategyTelemetry& race = outcome.rungs[0].strategies[0];
+    EXPECT_NE(race.error.find("planted foreign fault"), std::string::npos);
+    EXPECT_EQ(race.error_class, ErrorClass::Permanent);
+  }
+}
+
+TEST(ResilienceBatch, MatchesSerialCompileUnderDerivedSeed) {
+  // Item k of a batch is the serial compile under the seed derived from
+  // (policy.seed, k), bit for bit. The annealing placer is stochastic, so
+  // a wrong seed shows in the output.
+  Policy policy = small_policy();
+  policy.portfolio[0].placer = "annealing";
+  policy.seed = 99;
+  const Device device = devices::surface17();
+  const std::vector<Circuit> circuits = {workloads::ghz(5),
+                                         workloads::qft(4)};
+  const std::vector<CompileOutcome> batch =
+      ResilientCompiler(device, policy).compile_batch(circuits);
+  ASSERT_EQ(batch.size(), circuits.size());
+  for (std::size_t k = 0; k < circuits.size(); ++k) {
+    Policy serial_policy = policy;
+    serial_policy.seed = Rng::derive_stream(policy.seed, k);
+    const CompileOutcome serial =
+        ResilientCompiler(device, serial_policy).compile(circuits[k]);
+    ASSERT_TRUE(batch[k].ok) << batch[k].error;
+    EXPECT_EQ(batch[k].fingerprint(), serial.fingerprint()) << "item " << k;
+  }
 }
 
 TEST(ResilienceBatch, DerivedSeedsKeepItemsIndependent) {

@@ -62,8 +62,18 @@ void* operator new(std::size_t size) {
   g_allocation_count.fetch_add(1, std::memory_order_relaxed);
   return p;
 }
+// The nothrow form (std::stable_sort's temporary buffer) is replaced too:
+// its memory comes back through the operator delete below, and under
+// AddressSanitizer a sanitizer-allocated block freed here is reported as
+// an alloc-dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p != nullptr) g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  return p;
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace qmap {
 namespace {
@@ -248,8 +258,7 @@ std::unique_ptr<Router> make_router(const std::string& name) {
 StreamedRoute route_streamed(const std::string& router_name,
                              const Circuit& circuit, const Device& device,
                              const Placement& placement,
-                             std::size_t chunk_gates,
-                             std::size_t spill_gates) {
+                             std::size_t chunk_gates) {
   const std::unique_ptr<Router> router = make_router(router_name);
   EXPECT_TRUE(router->supports_streaming());
   CircuitSource source(circuit);
@@ -257,7 +266,6 @@ StreamedRoute route_streamed(const std::string& router_name,
                    circuit.name() + "@" + device.name());
   StreamRouteOptions options;
   options.chunk_gates = chunk_gates;
-  options.spill_gates = spill_gates;
   StreamRouteStats stats =
       router->route_stream(source, device, placement, sink, options);
   return StreamedRoute{std::move(sink).take(), stats};
@@ -265,8 +273,7 @@ StreamedRoute route_streamed(const std::string& router_name,
 
 void expect_stream_parity(const std::string& router_name,
                           const std::string& device_name,
-                          std::uint64_t seed, std::size_t chunk_gates,
-                          std::size_t spill_gates) {
+                          std::uint64_t seed, std::size_t chunk_gates) {
   const std::string label = router_name + "@" + device_name + "#" +
                             std::to_string(seed) + " chunk=" +
                             std::to_string(chunk_gates);
@@ -279,7 +286,7 @@ void expect_stream_parity(const std::string& router_name,
   const RoutingResult materialized =
       make_router(router_name)->route(circuit, device, placement);
   const StreamedRoute streamed = route_streamed(
-      router_name, circuit, device, placement, chunk_gates, spill_gates);
+      router_name, circuit, device, placement, chunk_gates);
 
   EXPECT_EQ(to_openqasm(streamed.circuit), to_openqasm(materialized.circuit))
       << label;
@@ -300,15 +307,16 @@ void expect_stream_parity(const std::string& router_name,
 TEST(StreamRouteParity, MatrixMatchesMaterializedRoute) {
   // chunk=1 forces the smallest legal window at every step (the invariant
   // is exercised gate by gate); chunk=3 staggers chunk and statement
-  // boundaries; chunk=4096 >= the circuit degenerates to materialized.
-  const std::size_t chunks[] = {1, 3, 4096};
+  // boundaries; chunk=16 spills the routed output mid-circuit in batches;
+  // chunk=4096 >= the circuit degenerates to materialized.
+  const std::size_t chunks[] = {1, 3, 16, 4096};
   const char* const routers[] = {"sabre", "bridge"};
   const char* const devices[] = {"ibm_qx4", "ibm_qx5", "surface17"};
   for (const char* router : routers) {
     for (const char* device : devices) {
       for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         for (const std::size_t chunk : chunks) {
-          expect_stream_parity(router, device, seed, chunk, 16);
+          expect_stream_parity(router, device, seed, chunk);
         }
       }
     }
@@ -332,7 +340,7 @@ TEST(StreamRouteParity, WideCircuitWithBarriersAndMeasures) {
   const RoutingResult materialized =
       SabreRouter().route(circuit, device, placement);
   const StreamedRoute streamed =
-      route_streamed("sabre", circuit, device, placement, 2, 8);
+      route_streamed("sabre", circuit, device, placement, 2);
   EXPECT_EQ(to_openqasm(streamed.circuit), to_openqasm(materialized.circuit));
 }
 
@@ -353,7 +361,6 @@ TEST(StreamRouteParity, QasmSourceEndToEnd) {
   CircuitSink sink(device.num_qubits(), "streamed");
   StreamRouteOptions options;
   options.chunk_gates = 5;
-  options.spill_gates = 32;
   SabreRouter router;
   (void)router.route_stream(source, device, placement, sink, options);
   EXPECT_EQ(to_openqasm(sink.circuit()), to_openqasm(materialized.circuit));
@@ -411,7 +418,6 @@ TEST(StreamRoute, WindowPeakStaysBoundedOnLongCircuits) {
   const Device device = verify::device_by_name("ibm_qx5");
   StreamRouteOptions options;
   options.chunk_gates = 64;
-  options.spill_gates = 256;
   std::size_t peak_short = 0;
   std::size_t peak_long = 0;
   for (const int repeats : {50, 1000}) {
@@ -483,7 +489,6 @@ TEST(StreamThreads, PipedRouteMatchesMaterialized) {
   CircuitSink sink(device.num_qubits(), "piped");
   StreamRouteOptions options;
   options.chunk_gates = 16;
-  options.spill_gates = 64;
   SabreRouter router;
   (void)router.route_stream(pipe.source(), device, placement, sink, options);
   producer.join();
@@ -510,7 +515,6 @@ std::vector<std::string> stream_route_digests(int num_threads) {
         CircuitSink sink(device.num_qubits(), "out");
         StreamRouteOptions options;
         options.chunk_gates = 8;
-        options.spill_gates = 32;
         const StreamRouteStats stats =
             make_router(routers[task % 2])
                 ->route_stream(source, device, placement, sink, options);
@@ -603,10 +607,8 @@ TEST(StreamPass, FullyStreamedMatchesMaterialized) {
                          circuit.name() + "@" + device.name());
         StreamPipelineOptions options;
         options.chunk_gates = chunk;
-        options.spill_gates = chunk;
         const StreamReport report =
             manager.run_stream(source, device, sink, runtime, options);
-        EXPECT_FALSE(report.stream.materialized_input) << label;
         EXPECT_TRUE(report.stream.streamed_route) << label;
         EXPECT_TRUE(report.stream.materialized_passes.empty()) << label;
         EXPECT_EQ(report.stream.gates_in, circuit.size()) << label;
@@ -645,7 +647,6 @@ TEST(StreamPass, PostrouteTailMatchesMaterialized) {
   CircuitSink sink(device.num_qubits(), circuit.name() + "@" + device.name());
   const StreamReport report =
       manager.run_stream(source, device, sink, runtime);
-  EXPECT_FALSE(report.stream.materialized_input);
   EXPECT_TRUE(report.stream.streamed_route);
   EXPECT_EQ(report.stream.materialized_passes,
             (std::vector<std::string>{"postroute", "schedule"}));
@@ -658,11 +659,10 @@ TEST(StreamPass, PostrouteTailMatchesMaterialized) {
 }
 
 // The golden fingerprint matrix (tests/golden/route_ir_fingerprints.txt)
-// pins run_stream against the pre-refactor Compiler byte-for-byte: with a
-// materialized head (annealing placer) the streamed route + materialized
-// tail must reproduce the exact CompilationResult fingerprint. Routers
-// that cannot stream ("sabre+commute") take the full fallback and must
-// also match.
+// pins run_stream against the pre-refactor Compiler byte-for-byte. The
+// annealing placer needs the whole circuit, so every row runs the
+// materialized shape (drain the source, PassManager::run, push the
+// product) and must reproduce the exact CompilationResult fingerprint.
 std::map<std::string, std::string> load_stream_golden() {
   std::map<std::string, std::string> out;
   std::ifstream in(std::string(QMAP_GOLDEN_DIR) + "/route_ir_fingerprints.txt");
@@ -702,17 +702,16 @@ TEST(StreamPass, FingerprintMatchesGoldenMatrix) {
         ASSERT_NE(it, golden.end()) << id;
         EXPECT_EQ(content_digest(report.result.fingerprint()), it->second)
             << id << ": run_stream drifted from the materialized pipeline";
-        EXPECT_TRUE(report.stream.materialized_input) << id;
-        const bool streams = std::string(router) != "sabre+commute";
-        EXPECT_EQ(report.stream.streamed_route, streams) << id;
+        EXPECT_FALSE(report.stream.streamed_route) << id;
+        EXPECT_EQ(report.stream.gates_in, circuit.size()) << id;
         EXPECT_EQ(sink.total_gates(), report.stream.gates_out) << id;
       }
     }
   }
 }
 
-// Non-standard pipeline shapes (here: a repeated pass) take the full
-// materialized fallback and still deliver the product to the sink.
+// Non-standard pipeline shapes (here: a repeated pass) run materialized
+// and still deliver the product to the sink.
 TEST(StreamPass, NonStandardShapeFallsBackToMaterialized) {
   const Device device = verify::device_by_name("ibm_qx5");
   PipelineSpec spec;
@@ -728,7 +727,6 @@ TEST(StreamPass, NonStandardShapeFallsBackToMaterialized) {
   CircuitSink sink(device.num_qubits(), circuit.name() + "@" + device.name());
   const StreamReport report =
       manager.run_stream(source, device, sink, runtime);
-  EXPECT_TRUE(report.stream.materialized_input);
   EXPECT_FALSE(report.stream.streamed_route);
   EXPECT_EQ(report.stream.materialized_passes,
             (std::vector<std::string>{"decompose", "placer", "placer",
@@ -771,11 +769,9 @@ TEST(StreamPass, RepeatedBlockWorkloadStreamsOutOfCore) {
   CountingSink sink;
   StreamPipelineOptions options;
   options.chunk_gates = 512;
-  options.spill_gates = 512;
   const StreamReport report =
       manager.run_stream(source, device, sink, runtime, options);
   EXPECT_EQ(report.stream.gates_in, total);
-  EXPECT_FALSE(report.stream.materialized_input);
   EXPECT_TRUE(report.stream.streamed_route);
   EXPECT_TRUE(report.stream.materialized_passes.empty());
   EXPECT_EQ(report.stream.gates_out, sink.total_gates());
