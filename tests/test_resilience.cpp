@@ -465,27 +465,55 @@ TEST(ResilienceBatch, PoisonedItemsNeverSinkSiblings) {
   EXPECT_TRUE(outcomes[2].ok);
 }
 
-TEST(ResilienceBatch, OutcomesKeepSubmissionOrder) {
+TEST(Batch, CompilesManyCircuitsAndKeepsOrder) {
+  const std::vector<Circuit> circuits = {
+      workloads::ghz(4), workloads::qft(4), workloads::fig1_example(),
+      workloads::bernstein_vazirani({1, 0, 1}).unitary_part()};
+  const std::vector<CompileOutcome> outcomes =
+      ResilientCompiler(devices::surface17(), small_policy())
+          .compile_batch(circuits);
+  ASSERT_EQ(outcomes.size(), circuits.size());
+  for (std::size_t i = 0; i < circuits.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+    // Submission order is preserved no matter which worker finished first.
+    EXPECT_EQ(outcomes[i].result.original.name(), circuits[i].name());
+    EXPECT_EQ(outcomes[i].rung, 0);
+    EXPECT_TRUE(outcomes[i].validated);
+    EXPECT_TRUE(Compiler::verify(outcomes[i].result));
+  }
+}
+
+TEST(Batch, PortfolioModeReturnsWinnersPerCircuit) {
   // Two racing strategies, so every item names the winner of its own race.
   Policy policy = small_policy();
   StrategySpec bridge;
   bridge.placer = "identity";
   bridge.router = "bridge";
   policy.portfolio.push_back(bridge);
-  const std::vector<Circuit> circuits = {
-      workloads::ghz(4), workloads::qft(4), workloads::fig1_example(),
-      workloads::bernstein_vazirani({1, 0, 1}).unitary_part()};
+  const std::vector<Circuit> circuits = {workloads::fig1_example(),
+                                         workloads::ghz(4)};
   const std::vector<CompileOutcome> outcomes =
-      ResilientCompiler(devices::surface17(), policy).compile_batch(circuits);
+      ResilientCompiler(devices::ibm_qx4(), policy).compile_batch(circuits);
   ASSERT_EQ(outcomes.size(), circuits.size());
-  for (std::size_t i = 0; i < circuits.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
-    EXPECT_EQ(outcomes[i].result.original.name(), circuits[i].name());
-    EXPECT_EQ(outcomes[i].rung, 0);
-    EXPECT_FALSE(outcomes[i].winner_label.empty());
-    EXPECT_TRUE(outcomes[i].validated);
-    EXPECT_TRUE(Compiler::verify(outcomes[i].result));
+  for (const CompileOutcome& outcome : outcomes) {
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(outcome.rung, 0);
+    EXPECT_FALSE(outcome.winner_label.empty());
+    EXPECT_TRUE(Compiler::verify(outcome.result));
   }
+}
+
+TEST(Batch, RecordsPerCircuitFailuresWithoutThrowing) {
+  const std::vector<Circuit> circuits = {workloads::ghz(4),
+                                         workloads::ghz(9)};  // too wide
+  std::vector<CompileOutcome> outcomes;
+  EXPECT_NO_THROW(outcomes =
+                      ResilientCompiler(devices::ibm_qx4(), small_policy())
+                          .compile_batch(circuits));
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+  EXPECT_FALSE(outcomes[1].ok);
+  EXPECT_FALSE(outcomes[1].error.empty());
 }
 
 TEST(ResilienceBatch, ForeignExceptionFromStageHookIsContainedPerItem) {
