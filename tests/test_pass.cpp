@@ -7,20 +7,32 @@
 //   - PipelineSpec JSON round-trips, aliases, and descriptive errors;
 //   - custom pipelines (dropped/reordered stages), hook order, cancellation;
 //   - concurrent reads of one shared artifacts bundle and the lazy
-//     distance-matrix race the eager Device precompute is meant to close.
+//     distance-matrix race the eager Device precompute is meant to close;
+//   - the postroute pins: PostRoutePass output, params hashed bitwise,
+//     against tests/golden/postroute_fingerprints.txt.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "arch/builtin.hpp"
+#include "common/digest.hpp"
 #include "core/compiler.hpp"
+#include "decompose/decomposer.hpp"
 #include "engine/cancel.hpp"
 #include "engine/portfolio.hpp"
+#include "layout/placers.hpp"
 #include "pass/manager.hpp"
+#include "pass/passes.hpp"
+#include "route/router.hpp"
 #include "workloads/workloads.hpp"
 
 namespace qmap {
@@ -540,6 +552,192 @@ TEST(CouplingGraph, LazyDistanceCacheIsSafeUnderConcurrentFirstUse) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+}  // namespace
+}  // namespace qmap
+
+namespace qmap {
+namespace {
+
+// --- Postroute pins --------------------------------------------------------
+//
+// PostRoutePass (measurement relocation, peephole, SWAP expansion, CNOT
+// direction repair, single-qubit fusion and native lowering) pinned byte for
+// byte against tests/golden/postroute_fingerprints.txt, across devices with
+// directed CX (QX4, QX5), CZ + {Rx, Ry} (Surface-17), an unrestricted
+// single-qubit set (trapped ion) and a measurable mask (relocation SWAPs),
+// and all four peephole x lower_to_native combinations. Regenerate only
+// after an intentional output change:
+//   QMAP_REGEN_GOLDEN=1 ./build/tests/test_pass --gtest_filter='PostRoutePins.*'
+
+std::string postroute_fingerprint(const CompileContext& ctx) {
+  const Circuit& out = ctx.result.final_circuit;
+  std::string text = out.name() + "|" + std::to_string(out.num_qubits()) +
+                     "|" + std::to_string(out.num_cbits()) + "\n";
+  for (const Gate& gate : out) {
+    text += gate_info(gate.kind).name;
+    for (const int q : gate.qubits) text += " " + std::to_string(q);
+    for (const double param : gate.params) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &param, sizeof bits);
+      text += " #" + std::to_string(bits);
+    }
+    text += " ->" + std::to_string(gate.cbit) + "\n";
+  }
+  for (const int phys : ctx.result.routing.final.wire_to_phys()) {
+    text += std::to_string(phys) + ",";
+  }
+  return content_digest(text);
+}
+
+/// A coupled path a - b - c with CX(a, b) and CX(b, c) allowed.
+struct PinPath {
+  int a = 0;
+  int b = 0;
+  int c = 0;
+};
+
+PinPath pin_path(const Device& device) {
+  const CouplingGraph& coupling = device.coupling();
+  for (int b = 0; b < device.num_qubits(); ++b) {
+    const std::vector<int>& around = coupling.neighbors(b);
+    for (const int a : around) {
+      for (const int c : around) {
+        if (a != c && coupling.orientation_allowed(a, b) &&
+            coupling.orientation_allowed(b, c)) {
+          return {a, b, c};
+        }
+      }
+    }
+  }
+  throw std::runtime_error("no pin path on " + device.name());
+}
+
+/// A hand-built routed circuit on physical qubits with every pattern the
+/// postroute chain rewrites: SWAP next to CX on the same pair (only the
+/// second peephole sees the cancelling pair), a CX . Rz(x) . Rz(-x) . CX
+/// cascade, three-way rotation sums, Phase/CPhase at 2pi, CRz at 4pi (and
+/// a lone CRz at 2pi, which must stay), barriers, and mid-circuit plus
+/// terminal measurements.
+Circuit pin_patterns(const Device& device) {
+  const PinPath path = pin_path(device);
+  const int a = path.a;
+  const int b = path.b;
+  const int c = path.c;
+  const double pi = 3.14159265358979323846;
+  const GateKind native = device.native_two_qubit();
+  const auto two = [&](Circuit& circuit, int x, int y) {
+    circuit.add(make_gate(native, {x, y}));
+  };
+  Circuit circuit(device.num_qubits(), "patterns");
+  circuit.h(a).t(b);
+  two(circuit, a, b);
+  circuit.swap(a, b);
+  two(circuit, a, b);
+  circuit.swap(b, c);
+  two(circuit, b, c);
+  circuit.x(c);
+  two(circuit, a, b);
+  circuit.rz(0.3, b).rz(-0.3, b);
+  two(circuit, a, b);
+  circuit.rz(0.1, a).rz(0.2, a).rz(0.3, a);
+  circuit.rx(0.7, c).rx(-0.2, c).rx(1.1, c);
+  circuit.ry(0.25, b).ry(0.5, b).ry(-1.5, b);
+  circuit.p(pi, a).p(pi, a);
+  circuit.cp(pi, a, b).cp(pi, a, b);
+  circuit.crz(2.0 * pi, a, b).crz(2.0 * pi, a, b);
+  circuit.crz(2.0 * pi, b, c);
+  circuit.cp(0.4, b, c).cp(0.5, c, b);
+  circuit.barrier({a, b});
+  circuit.sx(a).s(b).tdg(c).y(a).sdg(b).sxdg(c);
+  circuit.u(0.3, 0.2, 0.1, a).z(a);
+  circuit.measure(device.measurable(b) ? b : a, 4);
+  circuit.h(device.measurable(b) ? b : a);
+  two(circuit, a, b);
+  circuit.barrier();
+  circuit.rz(0.5, c).h(c).h(c).rz(-0.5, c);
+  circuit.measure(a, 0).measure(b, 1).measure(c, 2);
+  return circuit;
+}
+
+/// A logical workload routed onto `device` the way the default pipeline
+/// does it: native lowering with SWAP placeholders, greedy placement, SABRE.
+RoutingResult pin_route(const Circuit& circuit, const Device& device) {
+  const Circuit lowered = lower_to_device(circuit, device, /*keep_swaps=*/true);
+  const Placement initial = GreedyPlacer().place(lowered, device);
+  return make_router("sabre")->route(lowered, device, initial);
+}
+
+std::map<std::string, std::string> postroute_pins() {
+  Device masked = devices::ibm_qx5();
+  std::vector<bool> mask(static_cast<std::size_t>(masked.num_qubits()));
+  for (std::size_t q = 0; q < mask.size(); ++q) mask[q] = q % 2 == 0;
+  masked.set_measurable(std::move(mask));
+  const std::vector<std::pair<std::string, Device>> targets = {
+      {"qx4", devices::ibm_qx4()},
+      {"qx5", devices::ibm_qx5()},
+      {"s17", devices::surface17()},
+      {"ion5", devices::trapped_ion(5)},
+      {"qx5mask", masked},
+  };
+  std::map<std::string, std::string> pins;
+  for (const auto& [device_name, device] : targets) {
+    const int m = device.num_qubits();
+    std::vector<std::pair<std::string, RoutingResult>> routed;
+    RoutingResult patterns;
+    patterns.circuit = pin_patterns(device);
+    patterns.initial = Placement::identity(m, m);
+    patterns.final = patterns.initial;
+    routed.emplace_back("patterns", std::move(patterns));
+    Circuit qft = workloads::qft(5);
+    qft.measure_all();
+    routed.emplace_back("qft5", pin_route(qft, device));
+    Rng rng(0x9057);
+    Circuit random = workloads::random_circuit(5, 80, rng, 0.5);
+    random.measure(0, 0).measure(3, 1);
+    routed.emplace_back("random5", pin_route(random, device));
+    for (const auto& [circuit_name, routing] : routed) {
+      for (const bool peephole : {false, true}) {
+        for (const bool lower : {false, true}) {
+          const Circuit input(m, circuit_name);
+          CompileContext ctx(input, device, PipelineRuntime{});
+          ctx.placed = true;
+          ctx.routed = true;
+          ctx.result.routing = routing;
+          PostRoutePass(peephole, lower).run(ctx);
+          const std::string id = device_name + "/" + circuit_name + "/p" +
+                                 std::to_string(peephole) + "l" +
+                                 std::to_string(lower);
+          pins[id] = postroute_fingerprint(ctx);
+        }
+      }
+    }
+  }
+  return pins;
+}
+
+TEST(PostRoutePins, MatchGoldenFingerprints) {
+  const std::map<std::string, std::string> actual = postroute_pins();
+  const std::string path =
+      std::string(QMAP_GOLDEN_DIR) + "/postroute_fingerprints.txt";
+  const char* regen = std::getenv("QMAP_REGEN_GOLDEN");
+  if (regen != nullptr && *regen != '\0') {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    for (const auto& [id, digest] : actual) out << id << ' ' << digest << '\n';
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::map<std::string, std::string> golden;
+  std::ifstream in(path);
+  std::string id;
+  std::string digest;
+  while (in >> id >> digest) golden[id] = digest;
+  ASSERT_EQ(golden.size(), actual.size()) << "golden rows at " << path;
+  for (const auto& [case_id, value] : actual) {
+    EXPECT_EQ(value, golden[case_id])
+        << case_id << ": postroute output drifted from the golden pin";
+  }
 }
 
 }  // namespace
