@@ -47,10 +47,7 @@ inline MappedOutcome map_and_verify(const Circuit& circuit,
   MappedOutcome outcome;
   const Circuit lowered = lower_to_device(circuit, device, /*keep_swaps=*/true);
   outcome.routing = make_router(router)->route(lowered, device, initial);
-  Circuit final_circuit = expand_swaps(outcome.routing.circuit, device);
-  final_circuit = fix_cx_directions(final_circuit, device);
-  final_circuit = lower_single_qubit(fuse_single_qubit(final_circuit), device);
-  outcome.final_circuit = std::move(final_circuit);
+  outcome.final_circuit = finalize_routed(outcome.routing.circuit, device);
   outcome.metrics = compute_metrics(outcome.final_circuit);
   Rng rng(0xBE7C);
   if (!mapping_equivalent(circuit, outcome.final_circuit,

@@ -47,10 +47,7 @@ int main() {
         }
         const RoutingResult routed =
             make_router(router_name)->route(lowered, device, initial);
-        Circuit final_circuit = expand_swaps(routed.circuit, device);
-        final_circuit = fix_cx_directions(final_circuit, device);
-        final_circuit = lower_single_qubit(
-            fuse_single_qubit(final_circuit), device);
+        const Circuit final_circuit = finalize_routed(routed.circuit, device);
         const CircuitMetrics metrics = compute_metrics(final_circuit);
         Rng verify_rng(7);
         const bool ok = mapping_equivalent(

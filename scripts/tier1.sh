@@ -75,8 +75,8 @@ echo "== tier 1: stream label =="
 # chunk-size matrix, and run_stream's two shapes — the streamed head
 # (identity placer, streamable router) against the materialized pipeline,
 # and the materialized shape (any other pipeline) against the golden
-# fingerprint matrix — plus the allocation audit of the token-swap
-# finisher splice.
+# fingerprint matrix — plus the allocation audits of the token-swap
+# finisher splice and of one postroute run.
 (cd build && ctest --output-on-failure -L stream)
 
 echo "== tier 1: schedule label =="
@@ -147,12 +147,16 @@ echo "== tier 1: arena-backed suites under ASan+UBSan =="
 # reliability (test_noise) and shuttle (test_shuttle) routers run on
 # RouteIR arena memory too. The decompose stage (test_decompose,
 # test_stream) recycles gate buffers through take_gates/set_gates between
-# chunks, where a use-after-move would go unnoticed without ASan.
+# chunks, where a use-after-move would go unnoticed without ASan. The
+# postroute chain (test_peephole, and test_pass with its postroute pins)
+# compacts its gate buffer in place, moving gates out of slots the
+# peephole's live indices still name while a pass marks.
 cmake -B build-asan -S . -DQMAP_SANITIZE=address
 cmake --build build-asan -j "${JOBS}" --target test_route_ir test_schedule \
-    test_core test_noise test_shuttle test_stream test_decompose
+    test_core test_noise test_shuttle test_stream test_decompose \
+    test_peephole test_pass
 for suite in test_route_ir test_schedule test_core test_noise test_shuttle \
-    test_stream test_decompose; do
+    test_stream test_decompose test_peephole test_pass; do
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/tests/${suite}"
 done

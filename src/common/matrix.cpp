@@ -136,4 +136,60 @@ std::string Matrix::to_string(int precision) const {
   return out;
 }
 
+Mat2 Mat2::operator*(const Mat2& rhs) const {
+  Mat2 out;
+  for (std::size_t i = 0; i < 2; ++i) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      const Complex a = at(i, k);
+      if (a == Complex{0.0, 0.0}) continue;
+      for (std::size_t j = 0; j < 2; ++j) out.at(i, j) += a * rhs.at(k, j);
+    }
+  }
+  return out;
+}
+
+Mat2 Mat2::dagger() const {
+  return {{std::conj(data[0]), std::conj(data[2]), std::conj(data[1]),
+           std::conj(data[3])}};
+}
+
+bool Mat2::is_unitary(double tolerance) const {
+  const Mat2 product = *this * dagger();
+  const Mat2 id = identity();
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (std::abs(product.data[i] - id.data[i]) > tolerance) return false;
+  }
+  return true;
+}
+
+bool Mat2::equal_up_to_global_phase(const Mat2& other,
+                                    double tolerance) const {
+  std::size_t best = 0;
+  double best_mag = 0.0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const double mag = std::abs(data[i]);
+    if (mag > best_mag) {
+      best_mag = mag;
+      best = i;
+    }
+  }
+  if (best_mag < tolerance) {
+    for (const Complex& v : other.data) {
+      if (std::abs(v) > tolerance) return false;
+    }
+    return true;
+  }
+  if (std::abs(other.data[best]) < tolerance) return false;
+  const Complex phase = other.data[best] / data[best];
+  if (std::abs(std::abs(phase) - 1.0) > tolerance) return false;
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (std::abs(data[i] * phase - other.data[i]) > tolerance) return false;
+  }
+  return true;
+}
+
+Matrix Mat2::to_matrix() const {
+  return Matrix(2, {data[0], data[1], data[2], data[3]});
+}
+
 }  // namespace qmap

@@ -3,8 +3,11 @@
 // Sizes stay tiny (2x2, 4x4, 8x8) on the gate-decomposition path and reach
 // 2^n x 2^n only in the unitary-builder used for small-circuit verification,
 // so a straightforward row-major std::vector representation is appropriate.
+// The single-qubit fuse/lower path runs on Mat2, a fixed-size 2x2 that
+// repeats Matrix's float operations exactly without touching the heap.
 #pragma once
 
+#include <array>
 #include <complex>
 #include <cstddef>
 #include <initializer_list>
@@ -65,6 +68,33 @@ class Matrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<Complex> data_;
+};
+
+/// Row-major 2x2 complex matrix by value. Every operation repeats the
+/// float operations of its Matrix counterpart in the same order
+/// (operator*'s skip-zero, +=-from-zero accumulation; the largest-entry
+/// pivot of equal_up_to_global_phase), so results are bit-identical.
+struct Mat2 {
+  std::array<Complex, 4> data{};
+
+  [[nodiscard]] static Mat2 identity() {
+    return {{Complex{1.0, 0.0}, Complex{0.0, 0.0}, Complex{0.0, 0.0},
+             Complex{1.0, 0.0}}};
+  }
+
+  [[nodiscard]] Complex& at(std::size_t r, std::size_t c) {
+    return data[r * 2 + c];
+  }
+  [[nodiscard]] const Complex& at(std::size_t r, std::size_t c) const {
+    return data[r * 2 + c];
+  }
+
+  [[nodiscard]] Mat2 operator*(const Mat2& rhs) const;
+  [[nodiscard]] Mat2 dagger() const;
+  [[nodiscard]] bool is_unitary(double tolerance = 1e-9) const;
+  [[nodiscard]] bool equal_up_to_global_phase(const Mat2& other,
+                                              double tolerance = 1e-9) const;
+  [[nodiscard]] Matrix to_matrix() const;
 };
 
 }  // namespace qmap

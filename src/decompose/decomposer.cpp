@@ -1,10 +1,11 @@
 #include "decompose/decomposer.hpp"
 
 #include <cmath>
-#include <optional>
+#include <string>
 
 #include "common/error.hpp"
 #include "decompose/euler.hpp"
+#include "decompose/peephole.hpp"
 
 namespace qmap {
 namespace {
@@ -85,52 +86,132 @@ class StageA {
   Circuit& out_;
 };
 
-void emit_two_qubit(Circuit& out, GateKind kind, GateKind target, int a,
-                    int b) {
+// Gate sinks of the per-gate stages: a Circuit validates each gate on
+// add(), a gate buffer takes it as is.
+void put(Circuit& out, Gate gate) { out.add(std::move(gate)); }
+void put(std::vector<Gate>& out, Gate gate) { out.push_back(std::move(gate)); }
+
+template <typename Out>
+void emit_two_qubit(Out& out, GateKind kind, GateKind target, int a, int b) {
   if (kind == target) {
-    out.add(make_gate(kind, {a, b}));
+    put(out, make_gate(kind, {a, b}));
     return;
   }
   // CX <-> CZ via Hadamards on the target qubit: CX(a,b) = H_b CZ(a,b) H_b.
-  if (kind == GateKind::CX && target == GateKind::CZ) {
-    out.h(b).cz(a, b).h(b);
-    return;
-  }
-  if (kind == GateKind::CZ && target == GateKind::CX) {
-    out.h(b).cx(a, b).h(b);
+  if ((kind == GateKind::CX && target == GateKind::CZ) ||
+      (kind == GateKind::CZ && target == GateKind::CX)) {
+    put(out, make_gate(GateKind::H, {b}));
+    put(out, make_gate(target, {a, b}));
+    put(out, make_gate(GateKind::H, {b}));
     return;
   }
   throw MappingError("unsupported two-qubit lowering target");
 }
 
-bool is_identity_up_to_phase(const Matrix& m) {
-  return m.equal_up_to_global_phase(Matrix::identity(2), 1e-10);
+/// SWAP(a,b) = CX(a,b) CX(b,a) CX(a,b), each in the target's native form.
+template <typename Out>
+void emit_swap(Out& out, GateKind target, int a, int b) {
+  emit_two_qubit(out, GateKind::CX, target, a, b);
+  emit_two_qubit(out, GateKind::CX, target, b, a);
+  emit_two_qubit(out, GateKind::CX, target, a, b);
 }
 
 /// Stage B, one gate: convert CX/CZ/SWAP to the target two-qubit kind.
 /// Shared by the batch pass and the streaming lowerer so the rewrite has a
 /// single source of truth.
-void lower_intermediate_gate(const Gate& gate, GateKind target,
-                             bool keep_swaps, Circuit& out) {
+template <typename Out>
+void lower_intermediate_gate(Gate gate, GateKind target, bool keep_swaps,
+                             Out& out) {
   switch (gate.kind) {
     case GateKind::CX:
     case GateKind::CZ:
       emit_two_qubit(out, gate.kind, target, gate.qubits[0], gate.qubits[1]);
       break;
-    case GateKind::SWAP: {
+    case GateKind::SWAP:
       if (keep_swaps) {
-        out.add(gate);
-        break;
+        put(out, std::move(gate));
+      } else {
+        emit_swap(out, target, gate.qubits[0], gate.qubits[1]);
       }
-      const int a = gate.qubits[0];
-      const int b = gate.qubits[1];
-      emit_two_qubit(out, GateKind::CX, target, a, b);
-      emit_two_qubit(out, GateKind::CX, target, b, a);
-      emit_two_qubit(out, GateKind::CX, target, a, b);
       break;
-    }
     default:
-      out.add(gate);
+      put(out, std::move(gate));
+  }
+}
+
+/// expand_swaps, one gate.
+template <typename Out>
+void expand_swap_gate(Gate gate, GateKind target, Out& out) {
+  if (gate.kind == GateKind::SWAP) {
+    emit_swap(out, target, gate.qubits[0], gate.qubits[1]);
+  } else {
+    put(out, std::move(gate));
+  }
+}
+
+/// fix_cx_directions, one gate.
+template <typename Out>
+void fix_direction_gate(Gate gate, const CouplingGraph& coupling, Out& out) {
+  if (!gate.is_two_qubit()) {
+    put(out, std::move(gate));
+    return;
+  }
+  const int a = gate.qubits[0];
+  const int b = gate.qubits[1];
+  if (!coupling.connected(a, b)) {
+    throw MappingError("two-qubit gate on unconnected qubits Q" +
+                       std::to_string(a) + ", Q" + std::to_string(b) +
+                       " — route the circuit first");
+  }
+  if (!gate.is_directional() || coupling.orientation_allowed(a, b)) {
+    put(out, std::move(gate));
+    return;
+  }
+  if (gate.kind != GateKind::CX) {
+    throw MappingError("cannot fix direction of non-CX directional gate");
+  }
+  // Sec. IV: "H gates are employed to flip the direction of the control
+  // and target qubits": CX(a,b) = (H x H) CX(b,a) (H x H).
+  put(out, make_gate(GateKind::H, {a}));
+  put(out, make_gate(GateKind::H, {b}));
+  put(out, make_gate(GateKind::CX, {b, a}));
+  put(out, make_gate(GateKind::H, {a}));
+  put(out, make_gate(GateKind::H, {b}));
+}
+
+/// Sink that repairs CX directions on the way into a gate buffer: the
+/// expand stage writes into it, so expansion and repair are one pass.
+struct DirectionFixer {
+  const CouplingGraph* coupling;
+  std::vector<Gate>* out;
+};
+void put(DirectionFixer& fixer, Gate gate) {
+  fix_direction_gate(std::move(gate), *fixer.coupling, *fixer.out);
+}
+
+/// Sink that feeds a SingleQubitFuser: the streamed decompose's stage B
+/// writes into it.
+struct FuserInput {
+  SingleQubitFuser* fuser;
+  std::vector<Gate>* out;
+};
+void put(FuserInput& input, Gate gate) {
+  input.fuser->push(std::move(gate), *input.out);
+}
+
+/// The {Rx, Ry} rewrite of one single-qubit unitary: Ry Rx Ry by YXY, with
+/// zero-angle rotations skipped.
+template <typename Out>
+void emit_yxy(const Mat2& u, int q, Out& out) {
+  const EulerAngles angles = yxy_decompose(u);
+  if (std::abs(angles.lambda) > kAngleTolerance) {
+    put(out, make_gate(GateKind::Ry, {q}, {angles.lambda}));
+  }
+  if (std::abs(angles.theta) > kAngleTolerance) {
+    put(out, make_gate(GateKind::Rx, {q}, {angles.theta}));
+  }
+  if (std::abs(angles.phi) > kAngleTolerance) {
+    put(out, make_gate(GateKind::Ry, {q}, {angles.phi}));
   }
 }
 
@@ -144,14 +225,11 @@ void lower_single_gate(const Gate& gate, const Device& device, bool has_u,
   }
   const int q = gate.qubits[0];
   if (has_u) {
-    const EulerAngles angles = zyz_decompose(gate.matrix());
+    const EulerAngles angles = zyz_decompose(gate.matrix2());
     out.u(angles.theta, angles.phi, angles.lambda, q);
     return;
   }
-  const EulerAngles angles = yxy_decompose(gate.matrix());
-  if (std::abs(angles.lambda) > kAngleTolerance) out.ry(angles.lambda, q);
-  if (std::abs(angles.theta) > kAngleTolerance) out.rx(angles.theta, q);
-  if (std::abs(angles.phi) > kAngleTolerance) out.ry(angles.phi, q);
+  emit_yxy(gate.matrix2(), q, out);
 }
 
 /// The native single-qubit basis of a device with a restricted set: true
@@ -166,11 +244,13 @@ bool native_basis_is_u(const Device& device) {
       "device native single-qubit set must include u or {rx, ry}");
 }
 
-/// Empties a scratch circuit, keeping its gate-list capacity.
-void clear_gates(Circuit& circuit) {
-  std::vector<Gate> gates = circuit.take_gates();
-  gates.clear();
-  circuit.set_gates(std::move(gates));
+/// A circuit holding `gates`, each validated by Circuit::add.
+Circuit circuit_of(std::vector<Gate>& gates, int num_qubits,
+                   const std::string& name) {
+  Circuit out(num_qubits, name);
+  out.reserve(gates.size());
+  for (Gate& gate : gates) out.add(std::move(gate));
+  return out;
 }
 
 }  // namespace
@@ -187,46 +267,56 @@ Circuit lower_two_qubit(const Circuit& circuit, GateKind target,
 
   // Stage B: convert the two-qubit kinds to the target.
   Circuit out(circuit.num_qubits(), circuit.name());
-  for (const Gate& gate : intermediate) {
-    lower_intermediate_gate(gate, target, keep_swaps, out);
+  for (Gate& gate : intermediate.take_gates()) {
+    lower_intermediate_gate(std::move(gate), target, keep_swaps, out);
   }
   return out;
 }
 
-SingleQubitFuser::SingleQubitFuser(int num_qubits)
-    : pending_(static_cast<std::size_t>(num_qubits)) {}
+SingleQubitFuser::SingleQubitFuser(int num_qubits, const Device* device)
+    : pending_(static_cast<std::size_t>(num_qubits)),
+      open_(static_cast<std::size_t>(num_qubits), 0),
+      rotations_(device != nullptr &&
+                 !device->native_single_qubit().empty() &&
+                 !native_basis_is_u(*device)) {}
 
-void SingleQubitFuser::flush(int qubit, Circuit& out) {
-  auto& entry = pending_[static_cast<std::size_t>(qubit)];
-  if (!entry.has_value()) return;
-  if (!is_identity_up_to_phase(*entry)) {
-    const EulerAngles angles = zyz_decompose(*entry);
-    out.u(angles.theta, angles.phi, angles.lambda, qubit);
+void SingleQubitFuser::flush(int qubit, std::vector<Gate>& out) {
+  const auto index = static_cast<std::size_t>(qubit);
+  if (!open_[index]) return;
+  open_[index] = 0;
+  const Mat2& run = pending_[index];
+  if (run.equal_up_to_global_phase(Mat2::identity(), 1e-10)) return;
+  const EulerAngles angles = zyz_decompose(run);
+  if (rotations_) {
+    emit_yxy(u_matrix(angles.theta, angles.phi, angles.lambda), qubit, out);
+  } else {
+    out.push_back(make_gate(GateKind::U, {qubit},
+                            {angles.theta, angles.phi, angles.lambda}));
   }
-  entry.reset();
 }
 
-void SingleQubitFuser::push(const Gate& gate, Circuit& out) {
+void SingleQubitFuser::push(Gate gate, std::vector<Gate>& out) {
   if (gate.is_unitary() && gate_info(gate.kind).arity == 1) {
-    auto& entry = pending_[static_cast<std::size_t>(gate.qubits[0])];
-    const Matrix m = gate.matrix();
-    entry = entry.has_value() ? m * *entry : m;
+    const auto index = static_cast<std::size_t>(gate.qubits[0]);
+    const Mat2 m = gate.matrix2();
+    pending_[index] = open_[index] ? m * pending_[index] : m;
+    open_[index] = 1;
     return;
   }
   for (const int q : gate.qubits) flush(q, out);
-  out.add(gate);
+  out.push_back(std::move(gate));
 }
 
-void SingleQubitFuser::finish(Circuit& out) {
+void SingleQubitFuser::finish(std::vector<Gate>& out) {
   for (int q = 0; q < static_cast<int>(pending_.size()); ++q) flush(q, out);
 }
 
 Circuit fuse_single_qubit(const Circuit& circuit) {
-  Circuit out(circuit.num_qubits(), circuit.name());
+  std::vector<Gate> fused;
   SingleQubitFuser fuser(circuit.num_qubits());
-  for (const Gate& gate : circuit) fuser.push(gate, out);
-  fuser.finish(out);
-  return out;
+  for (const Gate& gate : circuit) fuser.push(gate, fused);
+  fuser.finish(fused);
+  return circuit_of(fused, circuit.num_qubits(), circuit.name());
 }
 
 Circuit lower_single_qubit(const Circuit& circuit, const Device& device) {
@@ -241,47 +331,39 @@ Circuit lower_single_qubit(const Circuit& circuit, const Device& device) {
 
 StreamingLowerer::StreamingLowerer(const Device& device, int num_qubits,
                                    bool keep_swaps)
-    : device_(&device),
-      target_(device.native_two_qubit()),
+    : target_(device.native_two_qubit()),
       keep_swaps_(keep_swaps),
-      lower_single_(!device.native_single_qubit().empty()),
-      fuser_(num_qubits),
-      stage_a_(num_qubits, "chunk"),
-      stage_b_(num_qubits, "chunk"),
-      fused_(num_qubits, "chunk") {
+      fuser_(num_qubits, &device),
+      stage_a_(num_qubits, "chunk") {
   if (target_ != GateKind::CX && target_ != GateKind::CZ) {
     throw MappingError("two-qubit lowering target must be CX or CZ");
   }
-  if (lower_single_) has_u_ = native_basis_is_u(device);
 }
 
-void StreamingLowerer::lower_fused(Circuit& fused, Circuit& out) {
-  if (!lower_single_) {
-    for (Gate& gate : fused.take_gates()) out.add(std::move(gate));
-    return;
-  }
-  for (const Gate& gate : fused) {
-    lower_single_gate(gate, *device_, has_u_, out);
-  }
-  clear_gates(fused);
+void StreamingLowerer::drain(Circuit& out) {
+  for (Gate& gate : lowered_) out.add(std::move(gate));
+  lowered_.clear();
 }
 
 void StreamingLowerer::lower_chunk(const std::vector<Gate>& gates,
                                    Circuit& out) {
   StageA stage_a(stage_a_);
   for (const Gate& gate : gates) stage_a.gate(gate);
-  for (const Gate& gate : stage_a_) {
-    lower_intermediate_gate(gate, target_, keep_swaps_, stage_b_);
+  // Stage B writes straight into the fuser; the taken gate list goes back
+  // empty so its capacity is recycled by the next chunk.
+  std::vector<Gate> intermediate = stage_a_.take_gates();
+  FuserInput fuse{&fuser_, &lowered_};
+  for (Gate& gate : intermediate) {
+    lower_intermediate_gate(std::move(gate), target_, keep_swaps_, fuse);
   }
-  clear_gates(stage_a_);
-  for (const Gate& gate : stage_b_) fuser_.push(gate, fused_);
-  clear_gates(stage_b_);
-  lower_fused(fused_, out);
+  intermediate.clear();
+  stage_a_.set_gates(std::move(intermediate));
+  drain(out);
 }
 
 void StreamingLowerer::finish(Circuit& out) {
-  fuser_.finish(fused_);
-  lower_fused(fused_, out);
+  fuser_.finish(lowered_);
+  drain(out);
 }
 
 Circuit lower_to_device(const Circuit& circuit, const Device& device,
@@ -294,49 +376,53 @@ Circuit lower_to_device(const Circuit& circuit, const Device& device,
 }
 
 Circuit fix_cx_directions(const Circuit& circuit, const Device& device) {
-  const CouplingGraph& coupling = device.coupling();
   Circuit out(circuit.num_qubits(), circuit.name());
   for (const Gate& gate : circuit) {
-    if (!gate.is_two_qubit()) {
-      out.add(gate);
-      continue;
-    }
-    const int a = gate.qubits[0];
-    const int b = gate.qubits[1];
-    if (!coupling.connected(a, b)) {
-      throw MappingError("two-qubit gate on unconnected qubits Q" +
-                         std::to_string(a) + ", Q" + std::to_string(b) +
-                         " — route the circuit first");
-    }
-    if (!gate.is_directional() || coupling.orientation_allowed(a, b)) {
-      out.add(gate);
-      continue;
-    }
-    if (gate.kind != GateKind::CX) {
-      throw MappingError("cannot fix direction of non-CX directional gate");
-    }
-    // Sec. IV: "H gates are employed to flip the direction of the control
-    // and target qubits": CX(a,b) = (H x H) CX(b,a) (H x H).
-    out.h(a).h(b).cx(b, a).h(a).h(b);
+    fix_direction_gate(gate, device.coupling(), out);
   }
   return out;
 }
 
 Circuit expand_swaps(const Circuit& circuit, const Device& device) {
-  const GateKind target = device.native_two_qubit();
   Circuit out(circuit.num_qubits(), circuit.name());
   for (const Gate& gate : circuit) {
-    if (gate.kind != GateKind::SWAP) {
-      out.add(gate);
-      continue;
-    }
-    const int a = gate.qubits[0];
-    const int b = gate.qubits[1];
-    emit_two_qubit(out, GateKind::CX, target, a, b);
-    emit_two_qubit(out, GateKind::CX, target, b, a);
-    emit_two_qubit(out, GateKind::CX, target, a, b);
+    expand_swap_gate(gate, device.native_two_qubit(), out);
   }
   return out;
+}
+
+void finalize_routed(std::vector<Gate>& gates, int num_qubits,
+                     const Device& device, bool peephole,
+                     bool lower_to_native) {
+  const GateKind target = device.native_two_qubit();
+  // expand_swaps finishes before fix_cx_directions starts, so a SWAP the
+  // target cannot express fails before any direction error.
+  if (target != GateKind::CX && target != GateKind::CZ) {
+    for (const Gate& gate : gates) {
+      if (gate.kind == GateKind::SWAP) {
+        throw MappingError("unsupported two-qubit lowering target");
+      }
+    }
+  }
+  std::vector<Gate> expanded;
+  expanded.reserve(gates.size() + gates.size() / 2);
+  DirectionFixer fixer{&device.coupling(), &expanded};
+  for (Gate& gate : gates) expand_swap_gate(std::move(gate), target, fixer);
+  if (peephole) peephole_optimize(expanded, num_qubits);
+  if (!lower_to_native) {
+    gates = std::move(expanded);
+    return;
+  }
+  gates.clear();
+  SingleQubitFuser fuser(num_qubits, &device);
+  for (Gate& gate : expanded) fuser.push(std::move(gate), gates);
+  fuser.finish(gates);
+}
+
+Circuit finalize_routed(const Circuit& routed, const Device& device) {
+  std::vector<Gate> gates = routed.gates();
+  finalize_routed(gates, routed.num_qubits(), device);
+  return circuit_of(gates, routed.num_qubits(), routed.name());
 }
 
 int swap_two_qubit_cost(const Device& device) {

@@ -8,7 +8,6 @@
 // the placement is known.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "arch/device.hpp"
@@ -28,30 +27,35 @@ namespace qmap {
 /// single U(theta, phi, lambda) gate; exact identities are dropped.
 [[nodiscard]] Circuit fuse_single_qubit(const Circuit& circuit);
 
-/// The stateful core of fuse_single_qubit, exposed so the streaming
-/// pipeline can fuse across chunk boundaries: a run of single-qubit gates
-/// is held as an accumulated 2x2 unitary per qubit and emitted (as one U,
-/// identities dropped) only when a multi-qubit/non-unitary gate closes the
-/// run — or at finish(), which flushes every open run in qubit order.
-/// Feeding a circuit gate-by-gate through push() + one finish() produces
-/// exactly fuse_single_qubit's output, regardless of how the gate sequence
-/// was chunked; fuse_single_qubit itself is implemented on this class.
+/// Single-qubit fusion and native lowering as one per-gate stage, shared by
+/// the streamed decompose (StreamingLowerer) and postroute
+/// (finalize_routed). A run of single-qubit gates is held as an accumulated
+/// 2x2 unitary per qubit and emitted, identities dropped, only when a
+/// multi-qubit or non-unitary gate closes the run, or at finish(), which
+/// flushes every open run in qubit order. Without a device a run leaves as
+/// one U(theta, phi, lambda): fuse_single_qubit. With a device it leaves in
+/// the native basis, exactly as lower_single_qubit rewrites that U. The
+/// output does not depend on how the gate sequence was chunked.
 class SingleQubitFuser {
  public:
-  explicit SingleQubitFuser(int num_qubits);
+  /// Throws MappingError for unsupported native sets, like
+  /// lower_single_qubit would.
+  explicit SingleQubitFuser(int num_qubits, const Device* device = nullptr);
 
   /// Consumes one gate; appends any closed runs (and pass-through gates)
   /// to `out`.
-  void push(const Gate& gate, Circuit& out);
+  void push(Gate gate, std::vector<Gate>& out);
 
   /// End of stream: flushes the open run of every qubit, lowest index
-  /// first (matching fuse_single_qubit's end-of-circuit flush).
-  void finish(Circuit& out);
+  /// first.
+  void finish(std::vector<Gate>& out);
 
  private:
-  void flush(int qubit, Circuit& out);
+  void flush(int qubit, std::vector<Gate>& out);
 
-  std::vector<std::optional<Matrix>> pending_;
+  std::vector<Mat2> pending_;
+  std::vector<char> open_;
+  bool rotations_ = false;  // runs leave as Ry Rx Ry (YXY), not as one U
 };
 
 /// The placement-independent lowering (two-qubit target + single-qubit
@@ -74,22 +78,17 @@ class StreamingLowerer {
   /// finish()) closes them.
   void lower_chunk(const std::vector<Gate>& gates, Circuit& out);
 
-  /// End of stream: flushes the fuser's open runs through the native-basis
-  /// stage into `out`.
+  /// End of stream: flushes the fuser's open runs into `out`.
   void finish(Circuit& out);
 
  private:
-  void lower_fused(Circuit& fused, Circuit& out);
+  void drain(Circuit& out);
 
-  const Device* device_;
   GateKind target_;
   bool keep_swaps_;
-  bool lower_single_;  // false when the device's native 1q set is empty
-  bool has_u_ = false;
   SingleQubitFuser fuser_;
-  Circuit stage_a_;  // recycled per-chunk scratch
-  Circuit stage_b_;
-  Circuit fused_;
+  Circuit stage_a_;             // recycled per-chunk scratch
+  std::vector<Gate> lowered_;
 };
 
 /// Re-expresses every single-qubit gate in the device's native basis:
@@ -118,6 +117,22 @@ class StreamingLowerer {
 /// or 3 (H-wrapped) CZ (CZ devices, Fig. 6). Other gates pass through.
 [[nodiscard]] Circuit expand_swaps(const Circuit& circuit,
                                    const Device& device);
+
+/// Postroute's native tail over one gate buffer, rewritten in place:
+/// SWAP expansion and CX direction repair as one per-gate stage, then (with
+/// `peephole`) the exact peephole fixpoint, then (with `lower_to_native`)
+/// single-qubit fusion and native lowering as one per-gate stage. The
+/// result is byte-identical to expand_swaps -> fix_cx_directions ->
+/// [peephole_optimize] -> [fuse_single_qubit -> lower_single_qubit], and
+/// it throws what they throw.
+void finalize_routed(std::vector<Gate>& gates, int num_qubits,
+                     const Device& device, bool peephole = false,
+                     bool lower_to_native = true);
+
+/// The same chain, without peephole, on a routed circuit; the result keeps
+/// the routed circuit's name.
+[[nodiscard]] Circuit finalize_routed(const Circuit& routed,
+                                      const Device& device);
 
 /// Number of native two-qubit gates one routing SWAP costs on this device.
 [[nodiscard]] int swap_two_qubit_cost(const Device& device);

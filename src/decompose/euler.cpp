@@ -1,51 +1,51 @@
 #include "decompose/euler.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
+#include "ir/gate.hpp"
 
 namespace qmap {
 namespace {
 
 constexpr double kTolerance = 1e-10;
 
-Matrix rz(double angle) {
-  const Complex e = std::polar(1.0, angle / 2.0);
-  return Matrix(2, {std::conj(e), Complex{0, 0}, Complex{0, 0}, e});
+Mat2 rotation(GateKind kind, double angle) {
+  return make_gate(kind, {0}, {angle}).matrix2();
 }
 
-Matrix ry(double angle) {
-  const double c = std::cos(angle / 2.0);
-  const double s = std::sin(angle / 2.0);
-  return Matrix(2, {Complex{c, 0}, Complex{-s, 0}, Complex{s, 0},
-                    Complex{c, 0}});
+/// Checks the shape of a Matrix argument and narrows it to a Mat2.
+Mat2 as_mat2(const Matrix& u, const char* caller) {
+  if (u.rows() != 2 || u.cols() != 2) {
+    throw Error(std::string(caller) + ": expected 2x2 matrix");
+  }
+  return {{u.at(0, 0), u.at(0, 1), u.at(1, 0), u.at(1, 1)}};
 }
 
-Matrix rx(double angle) {
-  const double c = std::cos(angle / 2.0);
-  const double s = std::sin(angle / 2.0);
-  const Complex mis{0.0, -s};
-  return Matrix(2, {Complex{c, 0}, mis, mis, Complex{c, 0}});
+/// e^{i phase} m as a Matrix.
+Matrix with_phase(const Mat2& m, double phase_angle) {
+  const Complex phase = std::polar(1.0, phase_angle);
+  Mat2 out;
+  for (std::size_t i = 0; i < 4; ++i) out.data[i] = phase * m.data[i];
+  return out.to_matrix();
 }
 
 /// The Bloch-sphere rotation by -120 degrees about (1,1,1)/sqrt(3):
 /// conjugation by this unitary maps Rz -> Ry and Ry -> Rx, which turns a
 /// ZYZ decomposition of the conjugated matrix into a YXY decomposition of
 /// the original.
-Matrix axis_cycle() {
+Mat2 axis_cycle() {
   // T = (I + i(X + Y + Z)) / 2.
   const Complex i{0.0, 1.0};
   const Complex half{0.5, 0.0};
-  return Matrix(2, {half * (Complex{1, 0} + i), half * (i + Complex{1, 0}),
-                    half * (i - Complex{1, 0}), half * (Complex{1, 0} - i)});
+  return {{half * (Complex{1, 0} + i), half * (i + Complex{1, 0}),
+           half * (i - Complex{1, 0}), half * (Complex{1, 0} - i)}};
 }
 
 }  // namespace
 
-EulerAngles zyz_decompose(const Matrix& u) {
-  if (u.rows() != 2 || u.cols() != 2) {
-    throw Error("zyz_decompose: expected 2x2 matrix");
-  }
+EulerAngles zyz_decompose(const Mat2& u) {
   if (!u.is_unitary(1e-8)) {
     throw Error("zyz_decompose: matrix is not unitary");
   }
@@ -73,30 +73,31 @@ EulerAngles zyz_decompose(const Matrix& u) {
   return out;
 }
 
+EulerAngles yxy_decompose(const Mat2& u) {
+  const Mat2 t = axis_cycle();
+  return zyz_decompose(t.dagger() * u * t);
+}
+
+EulerAngles zyz_decompose(const Matrix& u) {
+  return zyz_decompose(as_mat2(u, "zyz_decompose"));
+}
+
 EulerAngles yxy_decompose(const Matrix& u) {
-  const Matrix t = axis_cycle();
-  const Matrix conjugated = t.dagger() * u * t;
-  return zyz_decompose(conjugated);
+  return yxy_decompose(as_mat2(u, "yxy_decompose"));
 }
 
 Matrix matrix_from_zyz(const EulerAngles& angles) {
-  Matrix m = rz(angles.phi) * ry(angles.theta) * rz(angles.lambda);
-  const Complex phase = std::polar(1.0, angles.phase);
-  Matrix out(2, 2);
-  for (std::size_t r = 0; r < 2; ++r) {
-    for (std::size_t c = 0; c < 2; ++c) out.at(r, c) = phase * m.at(r, c);
-  }
-  return out;
+  return with_phase(rotation(GateKind::Rz, angles.phi) *
+                        rotation(GateKind::Ry, angles.theta) *
+                        rotation(GateKind::Rz, angles.lambda),
+                    angles.phase);
 }
 
 Matrix matrix_from_yxy(const EulerAngles& angles) {
-  Matrix m = ry(angles.phi) * rx(angles.theta) * ry(angles.lambda);
-  const Complex phase = std::polar(1.0, angles.phase);
-  Matrix out(2, 2);
-  for (std::size_t r = 0; r < 2; ++r) {
-    for (std::size_t c = 0; c < 2; ++c) out.at(r, c) = phase * m.at(r, c);
-  }
-  return out;
+  return with_phase(rotation(GateKind::Ry, angles.phi) *
+                        rotation(GateKind::Rx, angles.theta) *
+                        rotation(GateKind::Ry, angles.lambda),
+                    angles.phase);
 }
 
 }  // namespace qmap

@@ -19,10 +19,15 @@ struct EulerAngles {
   /// Reconstruction helper for tests: e^{i phase} A(phi) B(theta) A(lambda).
 };
 
-/// U = e^{i phase} Rz(phi) Ry(theta) Rz(lambda). `u` must be 2x2 unitary.
-[[nodiscard]] EulerAngles zyz_decompose(const Matrix& u);
+/// U = e^{i phase} Rz(phi) Ry(theta) Rz(lambda). Throws Error unless `u`
+/// is unitary within 1e-8.
+[[nodiscard]] EulerAngles zyz_decompose(const Mat2& u);
 
 /// U = e^{i phase} Ry(phi) Rx(theta) Ry(lambda).
+[[nodiscard]] EulerAngles yxy_decompose(const Mat2& u);
+
+/// Matrix forms of the two decompositions; `u` must be 2x2.
+[[nodiscard]] EulerAngles zyz_decompose(const Matrix& u);
 [[nodiscard]] EulerAngles yxy_decompose(const Matrix& u);
 
 /// Rebuilds the matrix from ZYZ angles (test helper).

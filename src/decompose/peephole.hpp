@@ -11,6 +11,8 @@
 // unitary level).
 #pragma once
 
+#include <vector>
+
 #include "ir/circuit.hpp"
 
 namespace qmap {
@@ -20,15 +22,25 @@ namespace qmap {
 /// "Adjacent" means no other gate touches either qubit in between.
 [[nodiscard]] Circuit cancel_two_qubit_pairs(const Circuit& circuit);
 
-/// Merges runs of same-axis rotations on one qubit: Rz(a) Rz(b) ->
-/// Rz(a+b); drops rotations with angle ~ 0 (mod 4*pi). Also merges
-/// CPhase/CRz pairs on identical operand pairs.
+/// Merges runs of same-axis rotations on one qubit (or one operand pair):
+/// Rz(a) Rz(b) -> Rz(a+b), angles summed left to right into the earlier
+/// gate. Drops rotations whose angle is ~ 0 modulo the kind's period: 4*pi
+/// for Rx/Ry/Rz/CRz (2*pi is a global phase -1 there, observable once
+/// controlled), 2*pi for Phase/CPhase.
 [[nodiscard]] Circuit merge_rotations(const Circuit& circuit);
 
-/// Runs the peephole stack to a fixed point (bounded iterations):
-/// cancel_two_qubit_pairs + merge_rotations, interleaved with single-qubit
-/// fusion on native-unrestricted circuits is left to the caller.
+/// Runs cancel_two_qubit_pairs then merge_rotations, repeated until an
+/// iteration leaves the gate count unchanged or `max_iterations` ran.
+/// Single-qubit fusion is a separate pass (fuse_single_qubit).
 [[nodiscard]] Circuit peephole_optimize(const Circuit& circuit,
                                         int max_iterations = 8);
+
+/// In-place forms over a gate buffer on `num_qubits` qubits: each pass
+/// marks the gates it removes and compacts the buffer once, so the result
+/// is exactly the Circuit form's.
+void cancel_two_qubit_pairs(std::vector<Gate>& gates, int num_qubits);
+void merge_rotations(std::vector<Gate>& gates, int num_qubits);
+void peephole_optimize(std::vector<Gate>& gates, int num_qubits,
+                       int max_iterations = 8);
 
 }  // namespace qmap

@@ -42,11 +42,13 @@ constexpr std::array<GateInfo, 27> kGateInfos{{
     {"barrier", 0, 0, false, true, false},   // Barrier (variadic arity)
 }};
 
-Matrix one_qubit(Complex a, Complex b, Complex c, Complex d) {
-  return Matrix(2, {a, b, c, d});
+Mat2 one_qubit(Complex a, Complex b, Complex c, Complex d) {
+  return {{a, b, c, d}};
 }
 
-Matrix u_matrix(double theta, double phi, double lambda) {
+}  // namespace
+
+Mat2 u_matrix(double theta, double phi, double lambda) {
   // U(theta, phi, lambda) = Rz(phi) Ry(theta) Rz(lambda), the IBM Euler
   // parameterization from Sec. IV, written in its standard matrix form.
   const double c = std::cos(theta / 2.0);
@@ -55,8 +57,6 @@ Matrix u_matrix(double theta, double phi, double lambda) {
   const Complex eilam = std::polar(1.0, lambda);
   return one_qubit(Complex{c, 0.0}, -eilam * s, eiphi * s, eiphi * eilam * c);
 }
-
-}  // namespace
 
 const GateInfo& gate_info(GateKind kind) {
   return kGateInfos[static_cast<std::size_t>(kind)];
@@ -95,12 +95,12 @@ std::string Gate::to_string() const {
   return out;
 }
 
-Matrix Gate::matrix() const {
+Mat2 Gate::matrix2() const {
   const Complex i{0.0, 1.0};
   const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
   switch (kind) {
     case GateKind::I:
-      return Matrix::identity(2);
+      return Mat2::identity();
     case GateKind::X:
       return one_qubit(0, 1, 1, 0);
     case GateKind::Y:
@@ -141,6 +141,18 @@ Matrix Gate::matrix() const {
       return one_qubit(1, 0, 0, std::polar(1.0, params[0]));
     case GateKind::U:
       return u_matrix(params[0], params[1], params[2]);
+    default:
+      throw CircuitError("matrix2() called on a gate that is not a "
+                         "single-qubit unitary");
+  }
+}
+
+Matrix Gate::matrix() const {
+  if (is_unitary() && gate_info(kind).arity == 1) {
+    return matrix2().to_matrix();
+  }
+  const Complex i{0.0, 1.0};
+  switch (kind) {
     case GateKind::CX:
       return Matrix(4, {1, 0, 0, 0,  //
                         0, 1, 0, 0,  //
@@ -192,6 +204,8 @@ Matrix Gate::matrix() const {
     case GateKind::Measure:
     case GateKind::Barrier:
       throw CircuitError("matrix() called on non-unitary gate");
+    default:
+      break;
   }
   throw CircuitError("matrix(): unhandled gate kind");
 }

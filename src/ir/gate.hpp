@@ -81,8 +81,16 @@ struct Gate {
   /// kinds. Uses the qubit-ordering convention documented above.
   [[nodiscard]] Matrix matrix() const;
 
+  /// The same matrix for single-qubit unitary kinds, by value (no heap).
+  /// matrix() of those kinds is built from it. Throws CircuitError for
+  /// every other kind.
+  [[nodiscard]] Mat2 matrix2() const;
+
   friend bool operator==(const Gate& a, const Gate& b) = default;
 };
+
+/// U(theta, phi, lambda)'s matrix: what matrix2() returns for a U gate.
+[[nodiscard]] Mat2 u_matrix(double theta, double phi, double lambda);
 
 /// Convenience constructors.
 [[nodiscard]] Gate make_gate(GateKind kind, std::vector<int> qubits,

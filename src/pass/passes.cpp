@@ -146,19 +146,20 @@ void PostRoutePass::run(CompileContext& ctx) {
         "pass 'postroute' needs a routing result: add a 'router' pass "
         "earlier in the pipeline");
   }
+  // One chain over one gate buffer: relocation makes the single working
+  // copy of the routed circuit (which stays in the result), and every
+  // later stage rewrites that buffer.
   const Device& device = ctx.device();
-  Circuit relocated =
+  const int num_qubits = device.num_qubits();
+  std::vector<Gate> gates =
       relocate_measurements(ctx.result.routing.circuit, device,
-                            ctx.result.routing.final, &ctx.artifacts());
-  if (peephole_) relocated = peephole_optimize(relocated);
-  Circuit final_circuit = expand_swaps(relocated, device);
-  final_circuit = fix_cx_directions(final_circuit, device);
-  if (peephole_) final_circuit = peephole_optimize(final_circuit);
-  if (lower_to_native_) {
-    final_circuit = fuse_single_qubit(final_circuit);
-    final_circuit = lower_single_qubit(final_circuit, device);
-  }
-  final_circuit.set_name(ctx.input().name() + "@" + device.name());
+                            ctx.result.routing.final, &ctx.artifacts())
+          .take_gates();
+  if (peephole_) peephole_optimize(gates, num_qubits);
+  finalize_routed(gates, num_qubits, device, peephole_, lower_to_native_);
+  Circuit final_circuit(num_qubits, ctx.input().name() + "@" + device.name());
+  final_circuit.reserve(gates.size());
+  for (Gate& gate : gates) final_circuit.add(std::move(gate));
   ctx.result.final_circuit = std::move(final_circuit);
   ctx.result.final_metrics = compute_metrics(ctx.result.final_circuit);
   ctx.postrouted = true;

@@ -124,9 +124,11 @@ class TokenSwapFinisherPass final : public Pass {
   void run(CompileContext& ctx) override;
 };
 
-/// Post-routing clean-up: measurement relocation (Sec. VI-A), optional
-/// peephole, SWAP expansion, CX direction repair, final native lowering,
-/// and the final metrics. Requires a routing result.
+/// Post-routing clean-up: measurement relocation (Sec. VI-A), which makes
+/// the one working copy of the routed circuit, then optional peephole and
+/// finalize_routed (SWAP expansion, CX direction repair, optional peephole,
+/// final native lowering) over that gate buffer, and the final metrics.
+/// Requires a routing result.
 class PostRoutePass final : public Pass {
  public:
   PostRoutePass(bool peephole = true, bool lower_to_native = true)

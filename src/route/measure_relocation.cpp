@@ -35,14 +35,6 @@ Circuit relocate_measurements(const Circuit& circuit, const Device& device,
       qubit_used_later[static_cast<std::size_t>(q)] = true;
     }
   }
-  Circuit reordered(m, circuit.name());
-  for (std::size_t i = 0; i < circuit.size(); ++i) {
-    if (!deferred[i]) reordered.add(circuit.gate(i));
-  }
-  for (std::size_t i = 0; i < circuit.size(); ++i) {
-    if (deferred[i]) reordered.add(circuit.gate(i));
-  }
-
   // cur[p] = current physical location of the wire the input circuit
   // addresses as p (identity until relocation SWAPs are inserted).
   std::vector<int> cur(static_cast<std::size_t>(m));
@@ -61,6 +53,7 @@ Circuit relocate_measurements(const Circuit& circuit, const Device& device,
       artifacts == nullptr ? &device.coupling().distance_rows() : nullptr;
 
   Circuit out(m, circuit.name());
+  out.reserve(circuit.size());
   bool relocated = false;
   const auto emit_swap = [&](int a, int b) {
     out.swap(a, b);
@@ -73,7 +66,7 @@ Circuit relocate_measurements(const Circuit& circuit, const Device& device,
               cur_inverse[static_cast<std::size_t>(b)]);
   };
 
-  for (const Gate& gate : reordered) {
+  const auto relocate = [&](const Gate& gate) {
     Gate remapped = gate;
     for (int& q : remapped.qubits) q = cur[static_cast<std::size_t>(q)];
     if (remapped.kind != GateKind::Measure) {
@@ -83,14 +76,14 @@ Circuit relocate_measurements(const Circuit& circuit, const Device& device,
             "measurement — relocation supports terminal measurements only");
       }
       out.add(std::move(remapped));
-      continue;
+      return;
     }
     const int location = remapped.qubits[0];
     if (device.measurable(location) &&
         !used[static_cast<std::size_t>(location)]) {
       used[static_cast<std::size_t>(location)] = true;
       out.add(std::move(remapped));
-      continue;
+      return;
     }
     // Find the nearest free measurable qubit.
     int best = -1;
@@ -125,6 +118,14 @@ Circuit relocate_measurements(const Circuit& circuit, const Device& device,
     relocated = true;
     used[static_cast<std::size_t>(best)] = true;
     out.measure(best, remapped.cbit);
+  };
+  // The reordered program: every non-deferred gate, then the deferred
+  // measurements, each in its original order.
+  for (std::size_t i = 0; i < circuit.size(); ++i) {
+    if (!deferred[i]) relocate(circuit.gate(i));
+  }
+  for (std::size_t i = 0; i < circuit.size(); ++i) {
+    if (deferred[i]) relocate(circuit.gate(i));
   }
   return out;
 }

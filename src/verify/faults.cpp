@@ -38,11 +38,8 @@ bool inject_fault(CompilationResult& result, const Device& device,
       }
     }
     if (last_swap == routed.size()) return false;  // no SWAP to drop
-    Circuit sabotaged = remove_gates(routed, {last_swap});
-    sabotaged = expand_swaps(sabotaged, device);
-    sabotaged = fix_cx_directions(sabotaged, device);
-    sabotaged = fuse_single_qubit(sabotaged);
-    sabotaged = lower_single_qubit(sabotaged, device);
+    Circuit sabotaged =
+        finalize_routed(remove_gates(routed, {last_swap}), device);
     sabotaged.set_name(result.final_circuit.name());
     result.final_circuit = std::move(sabotaged);
   } else if (fault == FaultInjection::FlipLastCx) {

@@ -39,13 +39,15 @@
 #include "workloads/stream_workloads.hpp"
 #include "workloads/workloads.hpp"
 
-// --- Counting global allocator (satellite: emit-path allocation audit) ---
+// --- Counting global allocator (allocation audits) ---
 //
-// Replacing the global operator new lets the token-swap-finisher audit
-// assert that its allocation count is independent of the routed prefix
-// length: the pre-splice pass rebuilt the circuit gate-by-gate, costing
-// two allocations per prefix gate (each Gate owns its qubit/param
-// vectors). Relaxed atomics keep the threaded tests clean under TSan.
+// Replacing the global operator new lets the allocation audits pin heap
+// traffic. The postroute audit bounds one PostRoutePass run. The
+// token-swap-finisher audit asserts that its allocation count is
+// independent of the routed prefix length: the pre-splice pass rebuilt
+// the circuit gate-by-gate, costing two allocations per prefix gate (each
+// Gate owns its qubit/param vectors). Relaxed atomics keep the threaded
+// tests clean under TSan.
 namespace {
 std::atomic<std::size_t> g_allocation_count{0};
 }  // namespace
@@ -816,6 +818,39 @@ TEST(StreamAlloc, TokenSwapFinisherAllocationsIndependentOfPrefix) {
   // The pre-splice pass copied the prefix gate-by-gate (>= 2 allocations
   // per gate); the spliced pass costs O(cleanup swaps + suffix).
   EXPECT_LE(large, small + 16);
+}
+
+// --- Allocation audit: one postroute run over one gate buffer ---
+
+std::size_t postroute_allocations(const Device& device) {
+  const Circuit lowered =
+      lower_to_device(workloads::qft(16), device, /*keep_swaps=*/true);
+  const Placement initial = GreedyPlacer().place(lowered, device);
+  const Circuit input(device.num_qubits(), "postroute-alloc");
+  CompileContext ctx(input, device, PipelineRuntime{});
+  ctx.placed = true;
+  ctx.routed = true;
+  ctx.result.routing = make_router("sabre")->route(lowered, device, initial);
+  PostRoutePass pass;
+  const std::size_t before =
+      g_allocation_count.load(std::memory_order_relaxed);
+  pass.run(ctx);
+  return g_allocation_count.load(std::memory_order_relaxed) - before;
+}
+
+TEST(StreamAlloc, PostrouteAllocationsStayBelowAThirdOfTheCopyChain) {
+  // Counts of the seven-copy chain the one-buffer pass replaced (peephole
+  // fixpoints rebuilt an optional<Gate> vector per iteration, and every
+  // fused or lowered single-qubit gate built several heap matrices). The
+  // one-buffer chain measured 7,579 and 5,153.
+  constexpr std::size_t kCopyChainSurface17 = 58119;
+  constexpr std::size_t kCopyChainQx5 = 42315;
+  const std::size_t surface17 =
+      postroute_allocations(verify::device_by_name("surface17"));
+  const std::size_t qx5 =
+      postroute_allocations(verify::device_by_name("ibm_qx5"));
+  EXPECT_LE(surface17, kCopyChainSurface17 / 3);
+  EXPECT_LE(qx5, kCopyChainQx5 / 3);
 }
 
 }  // namespace
