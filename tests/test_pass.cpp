@@ -619,7 +619,9 @@ PinPath pin_path(const Device& device) {
 /// second peephole sees the cancelling pair), a CX . Rz(x) . Rz(-x) . CX
 /// cascade, three-way rotation sums, Phase/CPhase at 2pi, CRz at 4pi (and
 /// a lone CRz at 2pi, which must stay), barriers, and mid-circuit plus
-/// terminal measurements.
+/// terminal measurements. A 20-level cascade outlasts both peepholes'
+/// 8-iteration caps, so the cap and the cancel-before-merge order show
+/// in the output.
 Circuit pin_patterns(const Device& device) {
   const PinPath path = pin_path(device);
   const int a = path.a;
@@ -641,6 +643,14 @@ Circuit pin_patterns(const Device& device) {
   two(circuit, a, b);
   circuit.rz(0.3, b).rz(-0.3, b);
   two(circuit, a, b);
+  for (int level = 1; level <= 20; ++level) {
+    two(circuit, a, b);
+    circuit.rz(0.05 * level, b);
+  }
+  for (int level = 20; level >= 1; --level) {
+    circuit.rz(-0.05 * level, b);
+    two(circuit, a, b);
+  }
   circuit.rz(0.1, a).rz(0.2, a).rz(0.3, a);
   circuit.rx(0.7, c).rx(-0.2, c).rx(1.1, c);
   circuit.ry(0.25, b).ry(0.5, b).ry(-1.5, b);
