@@ -88,7 +88,7 @@ void print_figure() {
     const MappedOutcome outcome =
         map_and_verify(qft8, device, "sabre", initial);
     topo_table.add_row({device.name(),
-                        TextTable::num(device.coupling().diameter()),
+                        TextTable::num(device.artifacts()->diameter()),
                         TextTable::num(outcome.routing.added_swaps),
                         TextTable::num(outcome.metrics.total_gates),
                         TextTable::num(outcome.metrics.depth)});

@@ -81,11 +81,12 @@ void print_figure() {
 
 void BM_DistanceQueries(benchmark::State& state) {
   const Device s17 = devices::surface17();
+  const ArchArtifacts& artifacts = *s17.artifacts();
   int sink = 0;
   for (auto _ : state) {
     for (int a = 0; a < 17; ++a) {
       for (int b = 0; b < 17; ++b) {
-        sink += s17.coupling().distance(a, b);
+        sink += artifacts.distance(a, b);
       }
     }
     benchmark::DoNotOptimize(sink);
@@ -106,7 +107,7 @@ BENCHMARK(BM_ParkingSets);
 void BM_ShortestPath(benchmark::State& state) {
   const Device s17 = devices::surface17();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(s17.coupling().shortest_path(4, 12));
+    benchmark::DoNotOptimize(s17.artifacts()->shortest_path(4, 12));
   }
 }
 BENCHMARK(BM_ShortestPath);

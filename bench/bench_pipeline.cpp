@@ -1,14 +1,14 @@
-// Pass-pipeline setup economics: what the shared immutable ArchArtifacts
+// Pass-pipeline setup economics: what sharing one immutable ArchArtifacts
 // bundle buys the portfolio engine.
 //
-// Before the pass layer, every racing strategy copied the Device (and with
-// it the all-pairs distance matrix) into its worker; per-strategy setup
-// therefore scaled linearly with the strategy count. Now the
-// PortfolioCompiler builds one ArchArtifacts bundle at construction and
-// every PipelineRuntime carries a shared_ptr to it, so setup is one BFS
-// sweep total regardless of how many strategies race. The figure prints
-// both curves; the bench exits non-zero if the shared-setup curve grows
-// with the strategy count (the regression this file exists to catch).
+// A Device builds its distance tables (ArchArtifacts) once, in its
+// constructor, and every copy of it shares them; the PortfolioCompiler
+// runs every racing strategy against its one Device. Handing a strategy
+// its tables is therefore a shared_ptr copy of device.artifacts(), not a
+// rebuild, regardless of how many strategies race. The figure prints that
+// shared curve next to a rebuild-per-strategy curve; the bench exits
+// non-zero if the shared-setup curve grows with the strategy count (the
+// regression this file exists to catch).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -47,21 +47,21 @@ std::vector<StrategySpec> sixteen_strategies() {
 }
 
 // Setup cost only: what it takes to hand `count` strategies their device
-// artifacts, old way vs new way. Compile time is excluded on purpose.
+// artifacts, rebuilt per strategy vs shared from the Device. Compile
+// time is excluded on purpose.
 double setup_per_strategy_ms(const Device& device, int count) {
   const auto start = Clock::now();
   for (int i = 0; i < count; ++i) {
-    benchmark::DoNotOptimize(ArchArtifacts::build(device));
+    benchmark::DoNotOptimize(ArchArtifacts::build(device.coupling()));
   }
   return ms_since(start);
 }
 
 double setup_shared_ms(const Device& device, int count) {
   const auto start = Clock::now();
-  const auto artifacts = ArchArtifacts::shared(device);
   for (int i = 0; i < count; ++i) {
     PipelineRuntime runtime;
-    runtime.artifacts = artifacts;
+    runtime.artifacts = device.artifacts();
     benchmark::DoNotOptimize(runtime);
   }
   return ms_since(start);
@@ -69,10 +69,9 @@ double setup_shared_ms(const Device& device, int count) {
 
 void print_figure() {
   paper_note(
-      "The pass layer's CompileContext reads one immutable ArchArtifacts "
-      "bundle (all-pairs distances, BFS next-hops, sorted neighbor lists, "
-      "native-gate lookup) computed once per device — racing strategies "
-      "share it instead of each rebuilding device caches.");
+      "Routing reads one immutable ArchArtifacts bundle (all-pairs "
+      "distances and BFS shortest paths) that each Device builds once — "
+      "racing strategies share it instead of each rebuilding it.");
 
   const Device device = devices::surface17();
 
@@ -129,9 +128,9 @@ void print_figure() {
 void BM_ArtifactsBuild(benchmark::State& state) {
   const Device device = devices::surface17();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ArchArtifacts::build(device));
+    benchmark::DoNotOptimize(ArchArtifacts::build(device.coupling()));
   }
-  state.SetLabel("surface17 all-pairs BFS + lookups");
+  state.SetLabel("surface17 all-pairs BFS");
 }
 BENCHMARK(BM_ArtifactsBuild);
 
@@ -140,7 +139,7 @@ void BM_SetupPerStrategyArtifacts(benchmark::State& state) {
   const int count = static_cast<int>(state.range(0));
   for (auto _ : state) {
     for (int i = 0; i < count; ++i) {
-      benchmark::DoNotOptimize(ArchArtifacts::build(device));
+      benchmark::DoNotOptimize(ArchArtifacts::build(device.coupling()));
     }
   }
   state.SetLabel(std::to_string(count) + " strategies, rebuild each");
@@ -151,10 +150,9 @@ void BM_SetupSharedArtifacts(benchmark::State& state) {
   const Device device = devices::surface17();
   const int count = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    const auto artifacts = ArchArtifacts::shared(device);
     for (int i = 0; i < count; ++i) {
       PipelineRuntime runtime;
-      runtime.artifacts = artifacts;
+      runtime.artifacts = device.artifacts();
       benchmark::DoNotOptimize(runtime);
     }
   }

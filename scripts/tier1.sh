@@ -32,8 +32,9 @@ echo "== tier 1: observability label =="
 
 echo "== tier 1: pass-pipeline label =="
 # The pass suite (tests/test_pass.cpp) pins facade-vs-PassManager byte
-# parity and ArchArtifacts equivalence; a drift here means Compiler no
-# longer compiles what its declared pipeline says it does.
+# parity and the Device-owned ArchArtifacts contract (shared by copies and
+# compilers, another device's bundle refused); a drift here means Compiler
+# no longer compiles what its declared pipeline says it does.
 (cd build && ctest --output-on-failure -L pass)
 
 echo "== tier 1: compile-service label =="
@@ -108,11 +109,12 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_engine
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_verify
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_resilience
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_obs
-# test_pass adds the shared-ArchArtifacts concurrent reads and the lazy
-# CouplingGraph distance-cache first-use race.
+# test_pass adds concurrent compiles on copies of one Device, all reading
+# the ArchArtifacts tables its constructor built. No lock guards them:
+# they are immutable before any thread can see the Device.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_pass
 # The bridge/token-swap property tests re-run under TSan: BridgeRouter
-# reads the shared ArchArtifacts distance tables from portfolio threads.
+# reads the device's shared ArchArtifacts tables from portfolio threads.
 cmake --build build-tsan -j "${JOBS}" --target test_route
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_route \
     --gtest_filter='BridgeRouter.*:TokenSwap.*:RoutingEmitter.Bridge*:RouterProperty*'
@@ -126,7 +128,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_service
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_chaos
 # The RouteIR thread tests re-run under TSan: per-route thread_local
 # arena reuse across portfolio-style worker threads, all routers sharing
-# one warmed distance cache — a race here would corrupt routing state
+# one device's distance tables — a race here would corrupt routing state
 # silently (the fingerprint pin only catches it after the fact).
 cmake --build build-tsan -j "${JOBS}" --target test_route_ir
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_route_ir \
@@ -150,13 +152,17 @@ echo "== tier 1: arena-backed suites under ASan+UBSan =="
 # chunks, where a use-after-move would go unnoticed without ASan. The
 # postroute chain (test_peephole, and test_pass with its postroute pins)
 # compacts its gate buffer in place, moving gates out of slots the
-# peephole's live indices still name while a pass marks.
+# peephole's live indices still name while a pass marks. Every router
+# (test_route) and the distance tables themselves (test_arch, including a
+# disconnected graph) index the device-owned ArchArtifacts matrices
+# directly, with no bounds check on the hot path.
 cmake -B build-asan -S . -DQMAP_SANITIZE=address
 cmake --build build-asan -j "${JOBS}" --target test_route_ir test_schedule \
     test_core test_noise test_shuttle test_stream test_decompose \
-    test_peephole test_pass
+    test_peephole test_pass test_arch test_route
 for suite in test_route_ir test_schedule test_core test_noise test_shuttle \
-    test_stream test_decompose test_peephole test_pass; do
+    test_stream test_decompose test_peephole test_pass test_arch \
+    test_route; do
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/tests/${suite}"
 done

@@ -15,23 +15,16 @@ void ArchArtifacts::check_qubit(int q) const {
   }
 }
 
-ArchArtifacts ArchArtifacts::build(const Device& device) {
+ArchArtifacts ArchArtifacts::build(const CouplingGraph& coupling) {
   ArchArtifacts artifacts;
-  const CouplingGraph& coupling = device.coupling();
   const int n = coupling.num_qubits();
   const auto size = static_cast<std::size_t>(n);
   artifacts.num_qubits_ = n;
   artifacts.dist_.assign(size * size, -1);
   artifacts.parent_.assign(size * size, -1);
-  artifacts.neighbors_.resize(size);
-  for (int q = 0; q < n; ++q) {
-    artifacts.neighbors_[static_cast<std::size_t>(q)] = coupling.neighbors(q);
-  }
 
-  // One BFS per source fills both the distance row and the parent row.
-  // Neighbour lists are ascending and parents are assigned on first
-  // discovery — exactly CouplingGraph::shortest_path's BFS, so the
-  // reconstructed paths match it byte for byte.
+  // One BFS per source fills both the distance row and the parent row:
+  // ascending neighbour lists, parent assigned on first discovery.
   for (int source = 0; source < n; ++source) {
     const std::size_t row = static_cast<std::size_t>(source) * size;
     artifacts.dist_[row + static_cast<std::size_t>(source)] = 0;
@@ -40,7 +33,7 @@ ArchArtifacts ArchArtifacts::build(const Device& device) {
     while (!queue.empty()) {
       const int u = queue.front();
       queue.pop_front();
-      for (const int v : artifacts.neighbors_[static_cast<std::size_t>(u)]) {
+      for (const int v : coupling.neighbors(u)) {
         if (artifacts.dist_[row + static_cast<std::size_t>(v)] < 0) {
           artifacts.dist_[row + static_cast<std::size_t>(v)] =
               artifacts.dist_[row + static_cast<std::size_t>(u)] + 1;
@@ -73,20 +66,7 @@ ArchArtifacts ArchArtifacts::build(const Device& device) {
         row_connected ? sum : -1;
   }
   artifacts.diameter_ = connected ? diameter : -1;
-
-  const auto num_kinds = static_cast<std::size_t>(GateKind::Barrier) + 1;
-  artifacts.native_kind_.assign(num_kinds, false);
-  for (std::size_t k = 0; k < num_kinds; ++k) {
-    artifacts.native_kind_[k] =
-        device.is_native_kind(static_cast<GateKind>(k));
-  }
-  artifacts.native_two_qubit_ = device.native_two_qubit();
   return artifacts;
-}
-
-std::shared_ptr<const ArchArtifacts> ArchArtifacts::shared(
-    const Device& device) {
-  return std::make_shared<const ArchArtifacts>(build(device));
 }
 
 int ArchArtifacts::distance(int a, int b) const {
@@ -100,14 +80,6 @@ int ArchArtifacts::distance(int a, int b) const {
 long ArchArtifacts::total_distance_from(int q) const {
   check_qubit(q);
   return total_distance_[static_cast<std::size_t>(q)];
-}
-
-int ArchArtifacts::parent(int source, int v) const {
-  check_qubit(source);
-  check_qubit(v);
-  return parent_[static_cast<std::size_t>(source) *
-                     static_cast<std::size_t>(num_qubits_) +
-                 static_cast<std::size_t>(v)];
 }
 
 std::vector<int> ArchArtifacts::shortest_path(int a, int b) const {
@@ -124,17 +96,6 @@ std::vector<int> ArchArtifacts::shortest_path(int a, int b) const {
   path.push_back(a);
   std::reverse(path.begin(), path.end());
   return path;
-}
-
-const std::vector<int>& ArchArtifacts::neighbors(int q) const {
-  check_qubit(q);
-  return neighbors_[static_cast<std::size_t>(q)];
-}
-
-bool ArchArtifacts::is_native_kind(GateKind kind) const {
-  const auto index = static_cast<std::size_t>(kind);
-  if (index >= native_kind_.size()) return false;
-  return native_kind_[index];
 }
 
 }  // namespace qmap

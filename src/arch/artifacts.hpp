@@ -1,49 +1,45 @@
-// Immutable per-device derived data, computed once and shared read-only.
+// Immutable distance tables derived from a coupling graph.
 //
-// Every mapping stage keeps re-deriving the same facts about a device: the
-// routers ask for all-pairs hop distances, the naive router re-runs a BFS
-// per gate for a shortest path, placement heuristics scan neighbour lists,
-// and the decomposer probes the native gate set kind-by-kind. When the
-// portfolio engine races N strategies, each used to copy the whole Device
-// (distance matrix included) just to get a private warm cache. ArchArtifacts
-// hoists all of it into one immutable bundle built once per Device and
-// handed to every pipeline (and every portfolio worker) as a
-// shared_ptr<const ArchArtifacts> — concurrent reads, zero recomputation.
+// Routing (Sec. III-A, task 3 of the paper) only ever reads two facts
+// about a device: the hop distance between two physical qubits and one
+// shortest path between them. ArchArtifacts holds both as flat
+// num_qubits x num_qubits tables built by one BFS per source. Each Device
+// builds its bundle once, in its constructor, and every copy of the Device
+// shares it (Device::artifacts()); all readers — routers, placers, the
+// measurement relocator, the token-swap finisher, portfolio workers on
+// other threads — see the same immutable tables without locking.
 //
-// Fidelity contract: shortest_path() reconstructs *byte-identical* paths to
-// CouplingGraph::shortest_path for every pair, because the parent table is
-// filled by the same ascending-adjacency BFS with the same first-discovery
-// parent rule. Parity is pinned by tests/test_pass.cpp.
+// Path contract: every BFS walks neighbours in ascending order and keeps
+// the first parent it finds, so shortest_path(a, b) is the path an
+// early-exit BFS from a would reconstruct. Routers pick bridge and rescue
+// paths from it, so routed output depends on this order
+// (tests/test_arch.cpp checks it against a reference BFS).
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "arch/device.hpp"
+#include "arch/topology.hpp"
 
 namespace qmap {
 
 class ArchArtifacts {
  public:
-  /// Derives the full bundle from `device`. O(V * (V + E)) BFS sweeps.
-  [[nodiscard]] static ArchArtifacts build(const Device& device);
-
-  /// build(), boxed for sharing across threads/pipelines.
-  [[nodiscard]] static std::shared_ptr<const ArchArtifacts> shared(
-      const Device& device);
+  /// Derives the tables from `coupling`. O(V * (V + E)) BFS sweeps.
+  [[nodiscard]] static ArchArtifacts build(const CouplingGraph& coupling);
 
   [[nodiscard]] int num_qubits() const noexcept { return num_qubits_; }
-
-  // --- All-pairs distances (flat row-major matrix) ---
 
   /// Hop distance over the undirected coupling graph; -1 when disconnected.
   [[nodiscard]] int distance(int a, int b) const;
 
   /// Raw row-major matrix behind distance(): data[a * num_qubits + b].
-  /// RouteIR-backed router inner loops index this directly.
+  /// Router inner loops index this directly.
   [[nodiscard]] const int* distance_data() const noexcept {
     return dist_.data();
   }
+
+  /// True when every qubit reaches every other (vacuously for 0 qubits).
+  [[nodiscard]] bool connected() const noexcept { return diameter_ >= 0; }
 
   /// Max pairwise distance; -1 when the graph is disconnected.
   [[nodiscard]] int diameter() const noexcept { return diameter_; }
@@ -52,32 +48,9 @@ class ArchArtifacts {
   /// (Placement heuristics use this to find the graph center.)
   [[nodiscard]] long total_distance_from(int q) const;
 
-  // --- Shortest paths (per-source BFS parent forest) ---
-
-  /// Predecessor of `v` on the BFS tree rooted at `source` (-1 when
-  /// unreachable; `source` is its own parent). next_hop(source, v) is the
-  /// first step of the v -> source walk along that tree.
-  [[nodiscard]] int parent(int source, int v) const;
-
   /// One shortest path from a to b, endpoints inclusive; empty when
-  /// disconnected. Identical to CouplingGraph::shortest_path(a, b).
+  /// disconnected.
   [[nodiscard]] std::vector<int> shortest_path(int a, int b) const;
-
-  // --- Adjacency ---
-
-  /// Neighbours of q in ascending order (same storage layout the
-  /// CouplingGraph keeps; copied so the artifacts outlive the device).
-  [[nodiscard]] const std::vector<int>& neighbors(int q) const;
-
-  // --- Native gate set ---
-
-  /// O(1) lookup table over all GateKind values; equals
-  /// Device::is_native_kind for the source device.
-  [[nodiscard]] bool is_native_kind(GateKind kind) const;
-
-  [[nodiscard]] GateKind native_two_qubit() const noexcept {
-    return native_two_qubit_;
-  }
 
  private:
   ArchArtifacts() = default;
@@ -86,10 +59,7 @@ class ArchArtifacts {
   int num_qubits_ = 0;
   std::vector<int> dist_;    // num_qubits_^2, row-major: dist_[a * n + b]
   std::vector<int> parent_;  // num_qubits_^2: parent_[source * n + v]
-  std::vector<std::vector<int>> neighbors_;
   std::vector<long> total_distance_;
-  std::vector<bool> native_kind_;  // indexed by GateKind value
-  GateKind native_two_qubit_ = GateKind::CZ;
   int diameter_ = 0;
 };
 

@@ -6,13 +6,20 @@
 
 namespace qmap {
 
-Device::Device(std::string name, CouplingGraph coupling)
-    : name_(std::move(name)), coupling_(std::move(coupling)) {
-  // Warm the all-pairs distance matrix eagerly: every constructed device
-  // hands pool workers a pure-read coupling().distance() with no lazy
-  // first-call fill to contend on.
-  coupling_.precompute_distances();
+Device::Device() {
+  // Every default-constructed Device has the same empty graph, so they
+  // share one empty bundle.
+  static const std::shared_ptr<const ArchArtifacts> empty =
+      std::make_shared<const ArchArtifacts>(
+          ArchArtifacts::build(CouplingGraph{}));
+  artifacts_ = empty;
 }
+
+Device::Device(std::string name, CouplingGraph coupling)
+    : name_(std::move(name)),
+      coupling_(std::move(coupling)),
+      artifacts_(std::make_shared<const ArchArtifacts>(
+          ArchArtifacts::build(coupling_))) {}
 
 void Device::set_native_two_qubit(GateKind kind) {
   if (gate_info(kind).arity != 2) {

@@ -9,12 +9,18 @@
 //   * the classical-control resources of Sec. V: microwave frequency groups
 //     (qubits sharing an AWG), measurement feedlines, and the CZ "parking"
 //     rule for frequency-adjacent neighbours.
+//
+// The constructor also derives the distance tables routing reads
+// (arch/artifacts.hpp). The coupling graph cannot change afterwards, so
+// the tables never go stale; copies of a Device share them.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "arch/artifacts.hpp"
 #include "arch/noise.hpp"
 #include "arch/topology.hpp"
 #include "ir/gate.hpp"
@@ -32,7 +38,7 @@ struct Durations {
 
 class Device {
  public:
-  Device() = default;
+  Device();
   Device(std::string name, CouplingGraph coupling);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -41,6 +47,13 @@ class Device {
   }
   [[nodiscard]] int num_qubits() const noexcept {
     return coupling_.num_qubits();
+  }
+
+  /// Hop distances and shortest paths over the coupling graph, built once
+  /// by the constructor and shared by every copy. Never null.
+  [[nodiscard]] const std::shared_ptr<const ArchArtifacts>& artifacts()
+      const noexcept {
+    return artifacts_;
   }
 
   // --- Native gate set ---
@@ -187,6 +200,7 @@ class Device {
  private:
   std::string name_ = "device";
   CouplingGraph coupling_;
+  std::shared_ptr<const ArchArtifacts> artifacts_;
   GateKind native_two_qubit_ = GateKind::CZ;
   std::vector<GateKind> native_single_qubit_;
   bool supports_shuttling_ = false;

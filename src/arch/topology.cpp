@@ -1,7 +1,6 @@
 #include "arch/topology.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/error.hpp"
 
@@ -13,39 +12,6 @@ CouplingGraph::CouplingGraph(int num_qubits) : num_qubits_(num_qubits) {
   link_.assign(static_cast<std::size_t>(num_qubits) *
                    static_cast<std::size_t>(num_qubits),
                0);
-}
-
-CouplingGraph::CouplingGraph(const CouplingGraph& other) { *this = other; }
-
-CouplingGraph::CouplingGraph(CouplingGraph&& other) noexcept {
-  *this = std::move(other);
-}
-
-CouplingGraph& CouplingGraph::operator=(const CouplingGraph& other) {
-  if (this == &other) return *this;
-  const std::lock_guard<std::mutex> lock(other.distance_mutex_);
-  num_qubits_ = other.num_qubits_;
-  adjacency_ = other.adjacency_;
-  edges_ = other.edges_;
-  link_ = other.link_;
-  distances_ = other.distances_;
-  distances_valid_.store(other.distances_valid_.load(std::memory_order_acquire),
-                         std::memory_order_release);
-  return *this;
-}
-
-CouplingGraph& CouplingGraph::operator=(CouplingGraph&& other) noexcept {
-  if (this == &other) return *this;
-  const std::lock_guard<std::mutex> lock(other.distance_mutex_);
-  num_qubits_ = other.num_qubits_;
-  adjacency_ = std::move(other.adjacency_);
-  edges_ = std::move(other.edges_);
-  link_ = std::move(other.link_);
-  distances_ = std::move(other.distances_);
-  distances_valid_.store(other.distances_valid_.load(std::memory_order_acquire),
-                         std::memory_order_release);
-  other.distances_valid_.store(false, std::memory_order_release);
-  return *this;
 }
 
 void CouplingGraph::check_qubit(int q) const {
@@ -98,7 +64,6 @@ void CouplingGraph::add_edge(int a, int b, bool directed) {
             adjacency_[static_cast<std::size_t>(lo)].end());
   std::sort(adjacency_[static_cast<std::size_t>(hi)].begin(),
             adjacency_[static_cast<std::size_t>(hi)].end());
-  distances_valid_.store(false, std::memory_order_release);
 }
 
 bool CouplingGraph::connected(int a, int b) const {
@@ -122,101 +87,6 @@ bool CouplingGraph::orientation_allowed(int control, int target) const {
 const std::vector<int>& CouplingGraph::neighbors(int q) const {
   check_qubit(q);
   return adjacency_[static_cast<std::size_t>(q)];
-}
-
-void CouplingGraph::compute_distances() const {
-  const auto n = static_cast<std::size_t>(num_qubits_);
-  distances_.assign(n, std::vector<int>(n, -1));
-  for (std::size_t source = 0; source < n; ++source) {
-    auto& dist = distances_[source];
-    dist[source] = 0;
-    std::deque<int> queue{static_cast<int>(source)};
-    while (!queue.empty()) {
-      const int u = queue.front();
-      queue.pop_front();
-      for (const int v : adjacency_[static_cast<std::size_t>(u)]) {
-        if (dist[static_cast<std::size_t>(v)] < 0) {
-          dist[static_cast<std::size_t>(v)] =
-              dist[static_cast<std::size_t>(u)] + 1;
-          queue.push_back(v);
-        }
-      }
-    }
-  }
-  distances_valid_.store(true, std::memory_order_release);
-}
-
-void CouplingGraph::ensure_distances() const {
-  if (distances_valid_.load(std::memory_order_acquire)) return;
-  const std::lock_guard<std::mutex> lock(distance_mutex_);
-  if (!distances_valid_.load(std::memory_order_relaxed)) compute_distances();
-}
-
-void CouplingGraph::precompute_distances() const { ensure_distances(); }
-
-int CouplingGraph::distance(int a, int b) const {
-  check_qubit(a);
-  check_qubit(b);
-  ensure_distances();
-  return distances_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)];
-}
-
-std::vector<int> CouplingGraph::shortest_path(int a, int b) const {
-  check_qubit(a);
-  check_qubit(b);
-  if (a == b) return {a};
-  std::vector<int> parent(static_cast<std::size_t>(num_qubits_), -1);
-  parent[static_cast<std::size_t>(a)] = a;
-  std::deque<int> queue{a};
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop_front();
-    if (u == b) break;
-    for (const int v : adjacency_[static_cast<std::size_t>(u)]) {
-      if (parent[static_cast<std::size_t>(v)] < 0) {
-        parent[static_cast<std::size_t>(v)] = u;
-        queue.push_back(v);
-      }
-    }
-  }
-  if (parent[static_cast<std::size_t>(b)] < 0) return {};
-  std::vector<int> path;
-  for (int v = b; v != a; v = parent[static_cast<std::size_t>(v)]) {
-    path.push_back(v);
-  }
-  path.push_back(a);
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-bool CouplingGraph::is_connected() const {
-  if (num_qubits_ == 0) return true;
-  for (int q = 1; q < num_qubits_; ++q) {
-    if (distance(0, q) < 0) return false;
-  }
-  return true;
-}
-
-int CouplingGraph::diameter() const {
-  int best = 0;
-  for (int a = 0; a < num_qubits_; ++a) {
-    for (int b = a + 1; b < num_qubits_; ++b) {
-      const int d = distance(a, b);
-      if (d < 0) return -1;
-      best = std::max(best, d);
-    }
-  }
-  return best;
-}
-
-long CouplingGraph::total_distance_from(int q) const {
-  long sum = 0;
-  for (int other = 0; other < num_qubits_; ++other) {
-    const int d = distance(q, other);
-    if (d < 0) return -1;
-    sum += d;
-  }
-  return sum;
 }
 
 }  // namespace qmap

@@ -6,11 +6,13 @@
 // may run on any connected pair in either orientation. Both are captured
 // here: connectivity is stored undirected, and each undirected edge records
 // which orientations are permitted.
+//
+// The graph holds structure only. Hop distances and shortest paths are
+// derived tables (arch/artifacts.hpp) that each Device builds once from
+// its graph.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,15 +23,6 @@ class CouplingGraph {
  public:
   CouplingGraph() = default;
   explicit CouplingGraph(int num_qubits);
-
-  // The mutex guarding the lazy distance cache is not copyable, so copies
-  // are spelled out: they take the source's lock and carry the cache over,
-  // making "copy a warmed Device" keep the warmed matrix.
-  CouplingGraph(const CouplingGraph& other);
-  CouplingGraph(CouplingGraph&& other) noexcept;
-  CouplingGraph& operator=(const CouplingGraph& other);
-  CouplingGraph& operator=(CouplingGraph&& other) noexcept;
-  ~CouplingGraph() = default;
 
   [[nodiscard]] int num_qubits() const noexcept { return num_qubits_; }
   [[nodiscard]] std::size_t num_edges() const noexcept { return edges_.size(); }
@@ -46,6 +39,7 @@ class CouplingGraph {
   /// target `target` is allowed as-is (without inserting direction fixes).
   [[nodiscard]] bool orientation_allowed(int control, int target) const;
 
+  /// Neighbours of q, ascending.
   [[nodiscard]] const std::vector<int>& neighbors(int q) const;
 
   /// Undirected edge list, each pair with a < b plus orientation flags.
@@ -59,41 +53,8 @@ class CouplingGraph {
     return edges_;
   }
 
-  /// Hop distance over the undirected graph; -1 when disconnected.
-  [[nodiscard]] int distance(int a, int b) const;
-
-  /// Fills the lazy all-pairs distance matrix now. The first distance()
-  /// call otherwise computes it on demand under a mutex (double-checked
-  /// against an atomic flag), so concurrent first calls are safe; warming
-  /// the cache up front merely keeps the lock off hot paths. `Device`
-  /// construction precomputes eagerly, so device users never pay lazily.
-  void precompute_distances() const;
-
-  /// The full all-pairs matrix behind distance(), row per source qubit,
-  /// warmed on first use. Routers without attached ArchArtifacts flatten
-  /// this once per route instead of paying the per-pair accessor.
-  [[nodiscard]] const std::vector<std::vector<int>>& distance_rows() const {
-    ensure_distances();
-    return distances_;
-  }
-
-  /// One shortest undirected path from a to b (inclusive of endpoints).
-  /// Empty when disconnected.
-  [[nodiscard]] std::vector<int> shortest_path(int a, int b) const;
-
-  [[nodiscard]] bool is_connected() const;
-  [[nodiscard]] int diameter() const;
-
-  /// Sum of distances from q to all other qubits (used by placement
-  /// heuristics to find the graph center).
-  [[nodiscard]] long total_distance_from(int q) const;
-
  private:
   void check_qubit(int q) const;
-  // Call with distance_mutex_ held; publishes distances_valid_ last.
-  void compute_distances() const;
-  // Double-checked fill of the cache; cheap acquire-load once warm.
-  void ensure_distances() const;
 
   // Flat num_qubits x num_qubits link matrix behind the O(1) queries:
   // bit 0 = connected in some orientation, bit 1 = (row=control,
@@ -107,12 +68,6 @@ class CouplingGraph {
   int num_qubits_ = 0;
   std::vector<std::vector<int>> adjacency_;
   std::vector<Edge> edges_;
-  // Distance matrix, computed lazily and invalidated by add_edge. Writes
-  // happen under distance_mutex_; readers check the atomic flag first, so
-  // a shared graph can take concurrent first distance() calls safely.
-  mutable std::mutex distance_mutex_;
-  mutable std::vector<std::vector<int>> distances_;
-  mutable std::atomic<bool> distances_valid_{false};
 };
 
 }  // namespace qmap

@@ -8,10 +8,7 @@
 namespace qmap {
 
 Compiler::Compiler(Device device, CompilerOptions options)
-    : device_(std::move(device)), options_(std::move(options)) {
-  artifacts_ = options_.artifacts ? options_.artifacts
-                                  : ArchArtifacts::shared(device_);
-}
+    : device_(std::move(device)), options_(std::move(options)) {}
 
 PipelineSpec Compiler::pipeline() const {
   return PipelineSpec::standard(options_.placer, options_.router,
@@ -33,7 +30,6 @@ CompilationResult Compiler::compile(const Circuit& circuit,
   runtime.stage_hook = options_.stage_hook;
   runtime.obs = options_.obs;
   runtime.obs_parent_span = options_.obs_parent_span;
-  runtime.artifacts = artifacts_;
   return manager.run(circuit, device_, runtime);
 }
 

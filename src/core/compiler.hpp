@@ -77,10 +77,6 @@ struct CompilerOptions {
   /// pool worker but belongs under a span opened on another thread (the
   /// portfolio race root). 0 = the calling thread's innermost open span.
   std::uint64_t obs_parent_span = 0;
-  /// Immutable shared device artifacts (arch/artifacts.hpp). Null = the
-  /// Compiler derives its own copy at construction; the portfolio/batch
-  /// engines pass one bundle so N strategies share a single matrix.
-  std::shared_ptr<const ArchArtifacts> artifacts;
 };
 
 class Compiler {
@@ -91,10 +87,10 @@ class Compiler {
   [[nodiscard]] const CompilerOptions& options() const noexcept {
     return options_;
   }
-  /// The device artifacts this compiler shares with every compile() run.
+  /// The device's distance tables (Device::artifacts()).
   [[nodiscard]] const std::shared_ptr<const ArchArtifacts>& artifacts()
       const noexcept {
-    return artifacts_;
+    return device_.artifacts();
   }
 
   /// The options expanded into pipeline-as-data (decompose, placer,
@@ -120,7 +116,6 @@ class Compiler {
  private:
   Device device_;
   CompilerOptions options_;
-  std::shared_ptr<const ArchArtifacts> artifacts_;
 };
 
 }  // namespace qmap

@@ -197,12 +197,6 @@ PortfolioCompiler::PortfolioCompiler(Device device, PortfolioOptions options)
     (void)make_placer(spec.placer);
     (void)make_router(spec.router);
   }
-  // One immutable artifacts bundle (distances, shortest-path forest,
-  // neighbour lists, native-gate lookup) shared read-only by every racing
-  // strategy — the per-strategy Device copies (and their per-copy matrix
-  // recomputation) are gone.
-  artifacts_ = options_.artifacts ? options_.artifacts
-                                  : ArchArtifacts::shared(device_);
 }
 
 std::vector<StrategySpec> PortfolioCompiler::default_portfolio(
@@ -334,14 +328,13 @@ PortfolioResult PortfolioCompiler::try_compile(const Circuit& circuit,
       if (options_.cancel != nullptr) token.link_parent(options_.cancel);
 
       // The strategy as data: the standard pipeline with this spec's
-      // placer/router, executed directly against the shared device and the
-      // shared immutable artifacts — no per-strategy Device copy.
+      // placer/router, executed directly against the shared device (and
+      // so its immutable distance tables) — no per-strategy Device copy.
       PipelineRuntime runtime;
       runtime.seed = Rng::derive_stream(options_.base_seed, i);
       runtime.cancel = &token;
       runtime.obs = obs;
       runtime.obs_parent_span = strategy_span.seq();
-      runtime.artifacts = artifacts_;
       if (options_.stage_hook) {
         runtime.stage_hook = [this, i](const char* stage) {
           options_.stage_hook(stage, static_cast<int>(i));

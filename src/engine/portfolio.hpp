@@ -121,11 +121,6 @@ struct PortfolioOptions {
   /// cancels the whole race at the next router checkpoint. Must outlive
   /// the compile call.
   const CancelToken* cancel = nullptr;
-  /// Immutable shared device artifacts. Null = the PortfolioCompiler
-  /// builds one bundle at construction; either way every racing strategy
-  /// reads the same matrix instead of copying the device per worker, so
-  /// setup work no longer scales with strategy count (bench_pipeline).
-  std::shared_ptr<const ArchArtifacts> artifacts;
 };
 
 /// Outcome of a portfolio run: the winning compilation plus per-strategy
@@ -160,19 +155,18 @@ struct PortfolioResult {
 class PortfolioCompiler {
  public:
   /// Validates every strategy name eagerly (throws MappingError listing
-  /// the valid names otherwise) and builds the shared ArchArtifacts bundle
-  /// (unless options.artifacts supplies one) so workers only ever read
-  /// immutable shared state.
+  /// the valid names otherwise). Every racing strategy compiles against
+  /// this one Device, so all of them read its distance tables.
   explicit PortfolioCompiler(Device device, PortfolioOptions options = {});
 
   [[nodiscard]] const Device& device() const noexcept { return device_; }
   [[nodiscard]] const std::vector<StrategySpec>& strategies() const noexcept {
     return options_.strategies;
   }
-  /// The immutable artifacts bundle every strategy run shares.
+  /// The device's distance tables (Device::artifacts()).
   [[nodiscard]] const std::shared_ptr<const ArchArtifacts>& artifacts()
       const noexcept {
-    return artifacts_;
+    return device_.artifacts();
   }
 
   /// Races the portfolio on an internally owned pool.
@@ -202,7 +196,6 @@ class PortfolioCompiler {
  private:
   Device device_;
   PortfolioOptions options_;
-  std::shared_ptr<const ArchArtifacts> artifacts_;
 };
 
 }  // namespace qmap

@@ -52,8 +52,8 @@ long placement_cost(const InteractionGraph& interactions,
                     const Placement& placement, const Device& device) {
   long cost = 0;
   for (const auto& [a, b] : interactions.edges()) {
-    const int d = device.coupling().distance(placement.phys_of_program(a),
-                                             placement.phys_of_program(b));
+    const int d = device.artifacts()->distance(placement.phys_of_program(a),
+                                               placement.phys_of_program(b));
     if (d < 0) return std::numeric_limits<long>::max();
     cost += static_cast<long>(interactions.weight(a, b)) * (d - 1);
   }
@@ -107,7 +107,7 @@ Placement GreedyPlacer::place(const Circuit& circuit, const Device& device) {
           continue;
         }
         any_partner = true;
-        const int d = device.coupling().distance(
+        const int d = device.artifacts()->distance(
             phys, program_to_phys[static_cast<std::size_t>(other)]);
         if (d < 0) {
           score = std::numeric_limits<long>::max() / 2;
@@ -117,7 +117,7 @@ Placement GreedyPlacer::place(const Circuit& circuit, const Device& device) {
       }
       if (!any_partner) {
         // First qubit (or isolated one): prefer the graph center.
-        score = device.coupling().total_distance_from(phys);
+        score = device.artifacts()->total_distance_from(phys);
       }
       if (score < best_score) {
         best_score = score;
@@ -174,7 +174,7 @@ Placement ExhaustivePlacer::place(const Circuit& circuit,
       for (int other = 0; other < k; ++other) {
         const int w = interactions.weight(k, other);
         if (w == 0) continue;
-        const int d = device.coupling().distance(
+        const int d = device.artifacts()->distance(
             phys, program_to_phys[static_cast<std::size_t>(other)]);
         if (d < 0) {
           feasible = false;

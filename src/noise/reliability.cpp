@@ -240,7 +240,7 @@ RoutingResult ReliabilityRouter::route(const Circuit& circuit,
       const Gate& gate = circuit.gate(static_cast<std::size_t>(front.front()));
       const int pa = emitter.placement().phys_of_program(gate.qubits[0]);
       const int pb = emitter.placement().phys_of_program(gate.qubits[1]);
-      const std::vector<int> path = phys_shortest_path(device, pa, pb);
+      const std::vector<int> path = device.artifacts()->shortest_path(pa, pb);
       for (std::size_t i = 0; i + 2 < path.size(); ++i) {
         emitter.emit_swap(path[i], path[i + 1]);
       }

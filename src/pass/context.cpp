@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/error.hpp"
 #include "engine/cancel.hpp"
 
 namespace qmap {
@@ -9,8 +10,9 @@ namespace qmap {
 CompileContext::CompileContext(const Circuit& circuit, const Device& device,
                                PipelineRuntime runtime)
     : input_(&circuit), device_(&device), runtime_(std::move(runtime)) {
-  if (!runtime_.artifacts) {
-    runtime_.artifacts = ArchArtifacts::shared(device);
+  if (runtime_.artifacts && runtime_.artifacts != device.artifacts()) {
+    throw MappingError("runtime artifacts do not belong to device '" +
+                       device.name() + "'");
   }
   result.original = circuit;
   result.original_metrics = compute_metrics(circuit);

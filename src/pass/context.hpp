@@ -1,5 +1,4 @@
-// CompileContext: the state a pipeline of passes evolves, plus the
-// immutable per-device artifacts every pass reads.
+// CompileContext: the state a pipeline of passes evolves.
 //
 // Also home of CompilationResult — the pipeline's product — which predates
 // the pass layer (it used to live in core/compiler.hpp; core re-exports it,
@@ -12,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "arch/artifacts.hpp"
 #include "arch/device.hpp"
 #include "common/json.hpp"
 #include "ir/circuit.hpp"
@@ -60,7 +58,7 @@ struct CompilationResult {
 };
 
 /// Everything a pipeline run needs besides the circuit and device: seed,
-/// cancellation, hooks, observability, and the shared device artifacts.
+/// cancellation, hooks, and observability.
 /// Plain data; copy one per run.
 struct PipelineRuntime {
   /// Seed for stochastic passes (annealing placer). The portfolio engine
@@ -84,9 +82,10 @@ struct PipelineRuntime {
   /// a pool worker but belongs under a span opened on another thread (the
   /// portfolio race root). 0 = the calling thread's innermost open span.
   std::uint64_t obs_parent_span = 0;
-  /// Immutable shared device artifacts. Null = CompileContext builds a
-  /// private copy on construction; pass ArchArtifacts::shared(device) to
-  /// amortize across runs (the portfolio engine builds it once per race).
+  /// The device's own distance tables, for callers that pass
+  /// Compiler::artifacts() along. Null or device.artifacts() only: any
+  /// other bundle makes CompileContext throw MappingError, since routers
+  /// would index its tables with the device's qubit numbers.
   std::shared_ptr<const ArchArtifacts> artifacts;
 };
 
@@ -98,6 +97,8 @@ class CompileContext {
   /// Binds the run to `circuit` and `device` (neither owned; both must
   /// outlive the context) and seeds result.original/lowered so a pipeline
   /// without a decompose pass still has a well-defined lowered circuit.
+  /// Throws MappingError when runtime.artifacts is set to anything but
+  /// device.artifacts().
   CompileContext(const Circuit& circuit, const Device& device,
                  PipelineRuntime runtime);
 
@@ -105,13 +106,6 @@ class CompileContext {
   [[nodiscard]] const Device& device() const noexcept { return *device_; }
   [[nodiscard]] const PipelineRuntime& runtime() const noexcept {
     return runtime_;
-  }
-  [[nodiscard]] const ArchArtifacts& artifacts() const noexcept {
-    return *runtime_.artifacts;
-  }
-  [[nodiscard]] const std::shared_ptr<const ArchArtifacts>& artifacts_ptr()
-      const noexcept {
-    return runtime_.artifacts;
   }
   [[nodiscard]] std::uint64_t seed() const noexcept { return runtime_.seed; }
   [[nodiscard]] obs::Observer* obs() const noexcept { return runtime_.obs; }

@@ -90,7 +90,6 @@ void RoutePass::run(CompileContext& ctx) {
   std::unique_ptr<Router> router = make_router(algorithm_);
   router->set_cancel_token(ctx.cancel());
   router->set_observer(ctx.obs());
-  router->set_artifacts(&ctx.artifacts());
   ctx.result.routing =
       router->route(ctx.result.lowered, ctx.device(), ctx.placement);
   ctx.routed = true;
@@ -108,8 +107,8 @@ void TokenSwapFinisherPass::run(CompileContext& ctx) {
         "SWAPs are placeholders the postroute pass expands");
   }
   RoutingResult& routing = ctx.result.routing;
-  TokenSwapCleanup cleanup = plan_token_swap_cleanup(
-      routing.final, routing.initial, ctx.device(), &ctx.artifacts());
+  TokenSwapCleanup cleanup =
+      plan_token_swap_cleanup(routing.final, routing.initial, ctx.device());
   obs::add(ctx.obs(), "router.bridge.token_swap_rounds", cleanup.rounds);
   obs::add(ctx.obs(), "router.bridge.token_swap_swaps",
            cleanup.total_swaps());
@@ -153,7 +152,7 @@ void PostRoutePass::run(CompileContext& ctx) {
   const int num_qubits = device.num_qubits();
   std::vector<Gate> gates =
       relocate_measurements(ctx.result.routing.circuit, device,
-                            ctx.result.routing.final, &ctx.artifacts())
+                            ctx.result.routing.final)
           .take_gates();
   if (peephole_) peephole_optimize(gates, num_qubits);
   finalize_routed(gates, num_qubits, device, peephole_, lower_to_native_);

@@ -93,9 +93,7 @@ class PlacePass final : public Pass {
 };
 
 /// Routing (SWAP insertion). `algorithm` is any known_routers() name.
-/// Requires a placement from an earlier placer pass. The router receives
-/// the context's shared ArchArtifacts so distance/shortest-path queries
-/// never touch the device's lazy cache.
+/// Requires a placement from an earlier placer pass.
 class RoutePass final : public Pass {
  public:
   explicit RoutePass(std::string algorithm = "sabre");

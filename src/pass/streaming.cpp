@@ -210,9 +210,9 @@ class TokenSwapFinisherSink final : public GateSink {
   /// placement (mutating it, like the materialized pass), emits SWAPs +
   /// remapped suffix, and flushes downstream.
   void finish(Placement& final_placement, const Placement& initial,
-              const Device& device, const ArchArtifacts* artifacts) {
+              const Device& device) {
     TokenSwapCleanup cleanup =
-        plan_token_swap_cleanup(final_placement, initial, device, artifacts);
+        plan_token_swap_cleanup(final_placement, initial, device);
     rounds_ = cleanup.rounds;
     swaps_ = cleanup.total_swaps();
     if (!cleanup.swaps.empty()) {
@@ -331,7 +331,6 @@ StreamReport PassManager::run_stream(GateSource& source, const Device& device,
     std::unique_ptr<Router> router = make_router(router_label_);
     router->set_cancel_token(ctx.cancel());
     router->set_observer(obs);
-    router->set_artifacts(&ctx.artifacts());
     StreamRouteOptions route_options;
     route_options.chunk_gates = options.chunk_gates;
     route_stats = router->route_stream(*route_source, device, ctx.placement,
@@ -344,8 +343,7 @@ StreamReport PassManager::run_stream(GateSource& source, const Device& device,
 
   if (token_swap_sink) {
     run_stage(ctx, stage_span, "token_swap_finisher", true, [&] {
-      token_swap_sink->finish(route_stats.final, route_stats.initial, device,
-                              &ctx.artifacts());
+      token_swap_sink->finish(route_stats.final, route_stats.initial, device);
       obs::add(obs, "router.bridge.token_swap_rounds",
                token_swap_sink->rounds());
       obs::add(obs, "router.bridge.token_swap_swaps",

@@ -48,7 +48,7 @@ AdmissionReport AdmissionGuard::assess(const Circuit& circuit,
   // Coarse peak-working-set model of one strategy run: the pipeline holds
   // ~6 circuit incarnations (original, lowered, routed, expanded, fused,
   // final) at ~80 bytes/gate, a schedule at ~48 bytes/op, and the shared
-  // all-pairs distance cache at 8 bytes/entry. An order-of-magnitude guard,
+  // all-pairs distance tables at 8 bytes/entry. An order-of-magnitude guard,
   // not an accountant — budgets should carry 2x headroom anyway.
   report.estimated_strategy_bytes =
       gates * (6 * 80 + 48) +

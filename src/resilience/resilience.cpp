@@ -201,7 +201,6 @@ ResilientCompiler::ResilientCompiler(Device device, Policy policy)
   if (policy_.first_rung < 0 || policy_.first_rung > 2) {
     throw MappingError("resilience policy: first_rung must be 0, 1, or 2");
   }
-  artifacts_ = ArchArtifacts::shared(device_);
 }
 
 AdmissionReport ResilientCompiler::assess(const Circuit& circuit) const {
@@ -389,7 +388,6 @@ CompileOutcome ResilientCompiler::compile_(const Circuit& circuit,
           popt.base = policy_.base;
           popt.obs = obs;
           popt.cancel = client_cancel;
-          popt.artifacts = artifacts_;
           if (has_deadline) {
             popt.portfolio_deadline_ms =
                 std::min(policy_.deadline_ms * policy_.rung0_deadline_fraction,
@@ -466,7 +464,6 @@ CompileOutcome ResilientCompiler::compile_(const Circuit& circuit,
               inj->at_stage(stage, rung, 0, attempt);
             };
           }
-          copt.artifacts = artifacts_;
           // The rung is pipeline data: an explicit policy override or the
           // standard preset derived from copt's placer/router/toggles.
           // Either way the compile path below is the same PassManager run.

@@ -41,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -191,6 +192,11 @@ class ResilientCompiler {
 
   [[nodiscard]] const Device& device() const noexcept { return device_; }
   [[nodiscard]] const Policy& policy() const noexcept { return policy_; }
+  /// The device's distance tables, shared by every rung and attempt.
+  [[nodiscard]] const std::shared_ptr<const ArchArtifacts>& artifacts()
+      const noexcept {
+    return device_.artifacts();
+  }
 
   /// The one admission path every entry point shares — compile(),
   /// compile_batch(), and the compile service's pre-queue check all call
@@ -227,9 +233,6 @@ class ResilientCompiler {
   std::size_t num_strategies_ = 1;
   /// One guard per supervisor, shared by every entry point (see assess()).
   AdmissionGuard guard_;
-  /// One immutable artifacts bundle shared by every rung, attempt, and
-  /// portfolio strategy of every compile this supervisor runs.
-  std::shared_ptr<const ArchArtifacts> artifacts_;
 };
 
 /// Front door: one call, one hardened answer.

@@ -92,8 +92,7 @@ RoutingResult AStarLayerRouter::route(const Circuit& circuit,
   // RouteCore supplies the SoA gate records (layer pair extraction), the
   // flat distance matrix, and the program->physical mirror; the CSR DAG is
   // unused here (layers are the schedule).
-  RouteCore core(circuit, device, artifacts(), DagMode::Sequential, initial,
-                 arena);
+  RouteCore core(circuit, device, DagMode::Sequential, initial, arena);
   RoutingEmitter emitter(device, initial,
                          circuit.name() + "@" + device.name());
   // Output bound: every program gate plus room for SWAPs and direction

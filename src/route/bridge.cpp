@@ -17,8 +17,7 @@ RoutingResult BridgeRouter::route(const Circuit& circuit, const Device& device,
   const CouplingGraph& coupling = device.coupling();
   RouteArena& arena = RouteArena::scratch();
   const ArenaScope scope(arena);
-  RouteCore core(circuit, device, artifacts(), DagMode::Sequential, initial,
-                 arena);
+  RouteCore core(circuit, device, DagMode::Sequential, initial, arena);
   RoutingEmitter emitter(device, initial,
                          circuit.name() + "@" + device.name());
   // Output bound: every program gate plus room for SWAPs and direction
@@ -82,7 +81,7 @@ StreamRouteStats BridgeRouter::route_stream(
   params.label = "bridge";
   SabreLoopStats loop_stats;
   const StreamRouteStats stats = run_sabre_stream(
-      source, device, artifacts(), initial, sink, options,
+      source, device, initial, sink, options,
       static_cast<std::size_t>(std::max(options_.extended_window, 0)), params,
       [this] { check_cancelled(); }, &loop_stats);
   obs::add(observer(), "router.bridge.routes");

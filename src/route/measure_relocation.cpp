@@ -7,8 +7,7 @@
 namespace qmap {
 
 Circuit relocate_measurements(const Circuit& circuit, const Device& device,
-                              Placement& placement_io,
-                              const ArchArtifacts* artifacts) {
+                              Placement& placement_io) {
   const int m = device.num_qubits();
   if (circuit.num_qubits() != m) {
     throw MappingError(
@@ -45,12 +44,7 @@ Circuit relocate_measurements(const Circuit& circuit, const Device& device,
   }
   std::vector<bool> used(static_cast<std::size_t>(m), false);
 
-  // Distance reads in the candidate scan below go through a flat row
-  // pointer — the attached artifacts matrix when present, else the
-  // device's warmed cache — instead of the per-call accessor (which pays
-  // an atomic check plus nested-vector indexing per candidate).
-  const std::vector<std::vector<int>>* fallback_rows =
-      artifacts == nullptr ? &device.coupling().distance_rows() : nullptr;
+  const ArchArtifacts& artifacts = *device.artifacts();
 
   Circuit out(m, circuit.name());
   out.reserve(circuit.size());
@@ -89,10 +83,8 @@ Circuit relocate_measurements(const Circuit& circuit, const Device& device,
     int best = -1;
     int best_distance = std::numeric_limits<int>::max();
     const int* distance_row =
-        artifacts != nullptr
-            ? artifacts->distance_data() + static_cast<std::size_t>(location) *
-                                               static_cast<std::size_t>(m)
-            : (*fallback_rows)[static_cast<std::size_t>(location)].data();
+        artifacts.distance_data() +
+        static_cast<std::size_t>(location) * static_cast<std::size_t>(m);
     for (int candidate = 0; candidate < m; ++candidate) {
       if (!device.measurable(candidate) ||
           used[static_cast<std::size_t>(candidate)]) {
@@ -109,9 +101,7 @@ Circuit relocate_measurements(const Circuit& circuit, const Device& device,
           "relocate_measurements: no reachable free measurable qubit for Q" +
           std::to_string(location));
     }
-    const std::vector<int> path =
-        artifacts != nullptr ? artifacts->shortest_path(location, best)
-                             : device.coupling().shortest_path(location, best);
+    const std::vector<int> path = artifacts.shortest_path(location, best);
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       emit_swap(path[i], path[i + 1]);
     }

@@ -14,7 +14,6 @@
 // measurable qubit is always fine.
 #pragma once
 
-#include "arch/artifacts.hpp"
 #include "arch/device.hpp"
 #include "ir/circuit.hpp"
 #include "layout/placement.hpp"
@@ -24,11 +23,9 @@ namespace qmap {
 /// Returns the rewritten circuit; `placement_io` (the routing's final
 /// placement) is advanced over the inserted SWAPs. Throws MappingError for
 /// unsupported shapes (unitary gates after a relocated measurement, or no
-/// free measurable qubit reachable). `artifacts` (optional) answers the
-/// distance/shortest-path queries from the shared immutable bundle instead
-/// of the device's lazy cache; results are identical either way.
-[[nodiscard]] Circuit relocate_measurements(
-    const Circuit& circuit, const Device& device, Placement& placement_io,
-    const ArchArtifacts* artifacts = nullptr);
+/// free measurable qubit reachable).
+[[nodiscard]] Circuit relocate_measurements(const Circuit& circuit,
+                                            const Device& device,
+                                            Placement& placement_io);
 
 }  // namespace qmap

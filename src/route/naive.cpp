@@ -17,7 +17,7 @@ RoutingResult NaiveRouter::route(const Circuit& circuit, const Device& device,
       const int pa = emitter.placement().phys_of_program(gate.qubits[0]);
       const int pb = emitter.placement().phys_of_program(gate.qubits[1]);
       if (!device.coupling().connected(pa, pb)) {
-        const std::vector<int> path = phys_shortest_path(device, pa, pb);
+        const std::vector<int> path = device.artifacts()->shortest_path(pa, pb);
         if (path.empty()) {
           throw MappingError("no path between Q" + std::to_string(pa) +
                              " and Q" + std::to_string(pb));

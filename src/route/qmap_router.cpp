@@ -17,8 +17,7 @@ RoutingResult QmapRouter::route(const Circuit& circuit, const Device& device,
   const CouplingGraph& coupling = device.coupling();
   RouteArena& arena = RouteArena::scratch();
   const ArenaScope scope(arena);
-  RouteCore core(circuit, device, artifacts(), DagMode::Sequential, initial,
-                 arena);
+  RouteCore core(circuit, device, DagMode::Sequential, initial, arena);
   RoutingEmitter emitter(device, initial,
                          circuit.name() + "@" + device.name());
   // Output bound: every program gate plus room for SWAPs and direction

@@ -269,30 +269,14 @@ std::uint32_t FrontLayer::ready_two_qubit(std::uint32_t* out) const {
 // --- RouteCore ---
 
 RouteCore::RouteCore(const Circuit& circuit, const Device& device,
-                     const ArchArtifacts* artifacts, DagMode mode,
-                     const Placement& initial, RouteArena& arena)
+                     DagMode mode, const Placement& initial,
+                     RouteArena& arena)
     : circuit_(&circuit),
-      device_(&device),
-      artifacts_(artifacts),
-      arena_(&arena),
+      artifacts_(device.artifacts().get()),
+      dist_(artifacts_->distance_data()),
       num_phys_(device.num_qubits()) {
   ir = RouteIR::build(circuit, mode, arena);
   front.init(ir, arena);
-  if (artifacts_ != nullptr) {
-    dist_ = artifacts_->distance_data();
-  } else {
-    // No artifacts attached: flatten the device's (eagerly warmed)
-    // distance cache once, so the inner loops still index a contiguous
-    // matrix instead of calling through the lazy per-pair accessor.
-    const std::size_t n = static_cast<std::size_t>(num_phys_);
-    int* flat = arena.alloc<int>(n * n);
-    const std::vector<std::vector<int>>& rows =
-        device.coupling().distance_rows();
-    for (std::size_t r = 0; r < n; ++r) {
-      std::memcpy(flat + r * n, rows[r].data(), n * sizeof(int));
-    }
-    dist_ = flat;
-  }
   phys_of_ = arena.alloc<std::uint32_t>(ir.num_program_qubits);
   prog_at_ = arena.alloc<std::int32_t>(num_phys_);
   for (std::uint32_t k = 0; k < ir.num_program_qubits; ++k) {
@@ -305,16 +289,6 @@ RouteCore::RouteCore(const Circuit& circuit, const Device& device,
   ready_snapshot_ = arena.alloc<std::uint32_t>(ir.num_gates);
   front_buf_ = arena.alloc<std::uint32_t>(ir.num_two_qubit);
   front_gates = front_buf_;
-  if (artifacts_ == nullptr) {
-    // Parent rows for shortest_path reconstruction, filled per source on
-    // first use. Allocated here — not lazily — so the pointers never
-    // outlive a nested scope (astar's per-layer rewind).
-    const auto n = static_cast<std::size_t>(num_phys_);
-    path_parent_ = arena.alloc<std::int32_t>(n * n);
-    path_row_valid_ = arena.alloc<std::uint8_t>(n);
-    std::memset(path_row_valid_, 0, n);
-    path_queue_ = arena.alloc<std::int32_t>(n);
-  }
 }
 
 std::uint32_t RouteCore::collect_extended(std::size_t window,
@@ -346,47 +320,6 @@ void RouteCore::mark_relevant(std::uint8_t* relevant) const {
     relevant[phys_of_[ir.q0[node]]] = 1;
     relevant[phys_of_[ir.q1[node]]] = 1;
   }
-}
-
-void RouteCore::ensure_path_row(int a) const {
-  if (path_row_valid_[a]) return;
-  const auto n = static_cast<std::size_t>(num_phys_);
-  std::int32_t* row = path_parent_ + static_cast<std::size_t>(a) * n;
-  std::fill(row, row + n, -1);
-  row[a] = a;
-  // Full BFS in ascending-neighbor order: the same discovery — and so the
-  // same parents along every shortest path — as CouplingGraph's
-  // early-exit BFS, which finalizes a target's parent chain before
-  // popping the target.
-  std::size_t head = 0;
-  std::size_t tail = 0;
-  path_queue_[tail++] = a;
-  const CouplingGraph& coupling = device_->coupling();
-  while (head < tail) {
-    const int u = path_queue_[head++];
-    for (const int v : coupling.neighbors(u)) {
-      if (row[v] < 0) {
-        row[v] = u;
-        path_queue_[tail++] = v;
-      }
-    }
-  }
-  path_row_valid_[a] = 1;
-}
-
-std::vector<int> RouteCore::shortest_path(int a, int b) const {
-  if (artifacts_ != nullptr) return artifacts_->shortest_path(a, b);
-  if (a == b) return {a};
-  ensure_path_row(a);
-  const std::int32_t* row =
-      path_parent_ + static_cast<std::size_t>(a) *
-                         static_cast<std::size_t>(num_phys_);
-  if (row[b] < 0) return {};
-  std::vector<int> path;
-  for (int v = b; v != a; v = row[v]) path.push_back(v);
-  path.push_back(a);
-  std::reverse(path.begin(), path.end());
-  return path;
 }
 
 }  // namespace qmap

@@ -13,9 +13,8 @@
 //   * a flat program->physical mirror kept in lockstep with the
 //     RoutingEmitter's Placement,
 //
-// and distance queries read straight out of the shared ArchArtifacts
-// row-major matrix (or a one-off flat copy of the device's warmed cache
-// when no artifacts are attached).
+// and distance queries read straight out of the device's ArchArtifacts
+// row-major matrix.
 //
 // RouteIR is the one whole-circuit dependency DAG: the DAG-driven routers
 // (sabre, bridge, qmap, astar_layer, reliability, shuttle), the
@@ -220,8 +219,7 @@ class FrontLayer {
 /// caller brackets the core's lifetime with an ArenaScope.
 class RouteCore {
  public:
-  RouteCore(const Circuit& circuit, const Device& device,
-            const ArchArtifacts* artifacts, DagMode mode,
+  RouteCore(const Circuit& circuit, const Device& device, DagMode mode,
             const Placement& initial, RouteArena& arena);
 
   RouteIR ir;
@@ -338,34 +336,22 @@ class RouteCore {
   /// holding an operand of a front gate.
   void mark_relevant(std::uint8_t* relevant) const;
 
-  /// Shortest physical path, same backend selection as
-  /// Router::phys_shortest_path (artifacts when attached, else coupling).
-  [[nodiscard]] std::vector<int> shortest_path(int a, int b) const;
+  /// Shortest physical path from the device's ArchArtifacts.
+  [[nodiscard]] std::vector<int> shortest_path(int a, int b) const {
+    return artifacts_->shortest_path(a, b);
+  }
 
   [[nodiscard]] int num_phys() const noexcept { return num_phys_; }
 
  private:
-  // Lazily BFS-fills the parent row for source `a` (no-artifacts path
-  // reconstruction; identical parents to CouplingGraph::shortest_path).
-  void ensure_path_row(int a) const;
-
   const Circuit* circuit_ = nullptr;
-  const Device* device_ = nullptr;
-  const ArchArtifacts* artifacts_ = nullptr;  // maybe null
-  RouteArena* arena_ = nullptr;
+  const ArchArtifacts* artifacts_ = nullptr;  // the device's, never null
   const int* dist_ = nullptr;                 // num_phys^2 row-major
   int num_phys_ = 0;
   std::uint32_t* phys_of_ = nullptr;   // program qubit -> physical
   std::int32_t* prog_at_ = nullptr;    // physical -> program (-1 = free)
   std::uint32_t* ready_snapshot_ = nullptr;
   std::uint32_t* front_buf_ = nullptr;
-  // Per-source BFS parent rows for shortest_path without artifacts:
-  // storage allocated in the ctor (a nested scope must not own it), rows
-  // filled on demand (bridges and stall rescues are rare relative to
-  // swap decisions, but cluster on the same few sources).
-  mutable std::int32_t* path_parent_ = nullptr;  // num_phys^2
-  mutable std::uint8_t* path_row_valid_ = nullptr;
-  mutable std::int32_t* path_queue_ = nullptr;  // BFS scratch, num_phys
   std::uint32_t ext_cursor_ = 0;  // first maybe-unscheduled index into
                                   // ir.two_qubit (monotonic skip)
 };

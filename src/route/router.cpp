@@ -214,7 +214,7 @@ void check_routable(const Circuit& circuit, const Device& device) {
           "before routing");
     }
   }
-  if (!device.coupling().is_connected()) {
+  if (!device.artifacts()->connected()) {
     throw MappingError("device coupling graph is disconnected");
   }
 }

@@ -11,7 +11,6 @@
 #include <memory>
 #include <string>
 
-#include "arch/artifacts.hpp"
 #include "arch/device.hpp"
 #include "engine/cancel.hpp"
 #include "ir/circuit.hpp"
@@ -94,15 +93,6 @@ class Router {
   /// Not owned; null (the default) detaches and makes recording free.
   void set_observer(obs::Observer* observer) noexcept { observer_ = observer; }
 
-  /// Attaches precomputed device artifacts (arch/artifacts.hpp). Not
-  /// owned; null (the default) falls back to the device's own distance
-  /// cache. The pass layer always attaches the run's shared bundle, so
-  /// distance/shortest-path queries are pure reads into an immutable
-  /// matrix regardless of how many threads route concurrently.
-  void set_artifacts(const ArchArtifacts* artifacts) noexcept {
-    artifacts_ = artifacts;
-  }
-
  protected:
   /// Cancellation checkpoint for router main loops; cheap enough to call
   /// once per routing decision. Throws CancelledError when the token fired.
@@ -113,30 +103,9 @@ class Router {
   /// Maybe-null observability sink for implementations.
   [[nodiscard]] obs::Observer* observer() const noexcept { return observer_; }
 
-  /// Maybe-null precomputed artifacts for implementations.
-  [[nodiscard]] const ArchArtifacts* artifacts() const noexcept {
-    return artifacts_;
-  }
-
-  /// Hop distance between physical qubits: the attached artifacts when
-  /// present (immutable, shared), else the device's coupling cache.
-  [[nodiscard]] int phys_distance(const Device& device, int a, int b) const {
-    return artifacts_ != nullptr ? artifacts_->distance(a, b)
-                                 : device.coupling().distance(a, b);
-  }
-
-  /// One shortest path (endpoints inclusive), same source preference as
-  /// CouplingGraph::shortest_path whichever backend answers.
-  [[nodiscard]] std::vector<int> phys_shortest_path(const Device& device,
-                                                    int a, int b) const {
-    return artifacts_ != nullptr ? artifacts_->shortest_path(a, b)
-                                 : device.coupling().shortest_path(a, b);
-  }
-
  private:
   const CancelToken* cancel_ = nullptr;
   obs::Observer* observer_ = nullptr;
-  const ArchArtifacts* artifacts_ = nullptr;
 };
 
 /// Helper used by all router implementations: appends gates to the output

@@ -17,7 +17,7 @@ RoutingResult SabreRouter::route(const Circuit& circuit, const Device& device,
   const CouplingGraph& coupling = device.coupling();
   RouteArena& arena = RouteArena::scratch();
   const ArenaScope scope(arena);
-  RouteCore core(circuit, device, artifacts(),
+  RouteCore core(circuit, device,
                  options_.use_commutation ? DagMode::Commutation
                                           : DagMode::Sequential,
                  initial, arena);
@@ -90,7 +90,7 @@ StreamRouteStats SabreRouter::route_stream(GateSource& source,
   params.label = "sabre";
   SabreLoopStats loop_stats;
   const StreamRouteStats stats = run_sabre_stream(
-      source, device, artifacts(), initial, sink, options,
+      source, device, initial, sink, options,
       static_cast<std::size_t>(std::max(options_.extended_window, 0)), params,
       [this] { check_cancelled(); }, &loop_stats);
   obs::add(observer(), "sabre.routes");

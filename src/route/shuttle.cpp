@@ -65,8 +65,9 @@ RoutingResult ShuttleRouter::route(const Circuit& circuit,
 
   const auto gate_distance = [&](int node, const Placement& placement) {
     const Gate& gate = circuit.gate(static_cast<std::size_t>(node));
-    return phys_distance(device, placement.phys_of_program(gate.qubits[0]),
-                         placement.phys_of_program(gate.qubits[1]));
+    return device.artifacts()->distance(
+        placement.phys_of_program(gate.qubits[0]),
+        placement.phys_of_program(gate.qubits[1]));
   };
 
   while (!layer.all_scheduled()) {
@@ -158,7 +159,7 @@ RoutingResult ShuttleRouter::route(const Circuit& circuit,
       const Gate& gate = circuit.gate(static_cast<std::size_t>(front.front()));
       const int pa = emitter.placement().phys_of_program(gate.qubits[0]);
       const int pb = emitter.placement().phys_of_program(gate.qubits[1]);
-      const std::vector<int> path = phys_shortest_path(device, pa, pb);
+      const std::vector<int> path = device.artifacts()->shortest_path(pa, pb);
       for (std::size_t i = 0; i + 2 < path.size(); ++i) {
         // Prefer moves along the forced path too.
         if (emitter.placement().program_at_phys(path[i + 1]) == -1) {

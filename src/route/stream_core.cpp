@@ -8,14 +8,12 @@
 namespace qmap {
 
 StreamRouteCore::StreamRouteCore(GateSource& source, const Device& device,
-                                 const ArchArtifacts* artifacts,
                                  const Placement& initial,
                                  std::size_t chunk_gates,
                                  std::size_t extended_window,
                                  bool enable_bridge)
     : source_(&source),
       device_(&device),
-      artifacts_(artifacts),
       chunk_gates_(std::max<std::size_t>(chunk_gates, 1)),
       extended_window_(extended_window),
       enable_bridge_(enable_bridge),
@@ -28,21 +26,10 @@ StreamRouteCore::StreamRouteCore(GateSource& source, const Device& device,
                        " qubits; device '" + device.name() + "' has " +
                        std::to_string(num_phys_));
   }
-  if (!device.coupling().is_connected()) {
+  if (!device.artifacts()->connected()) {
     throw MappingError("device coupling graph is disconnected");
   }
-  if (artifacts_ != nullptr) {
-    dist_ = artifacts_->distance_data();
-  } else {
-    const auto n = static_cast<std::size_t>(num_phys_);
-    dist_store_.resize(n * n);
-    const std::vector<std::vector<int>>& rows =
-        device.coupling().distance_rows();
-    for (std::size_t r = 0; r < n; ++r) {
-      std::copy(rows[r].begin(), rows[r].end(), dist_store_.begin() + r * n);
-    }
-    dist_ = dist_store_.data();
-  }
+  dist_ = device.artifacts()->distance_data();
   phys_of_.resize(static_cast<std::size_t>(num_program_qubits_));
   for (int k = 0; k < num_program_qubits_; ++k) {
     phys_of_[static_cast<std::size_t>(k)] =
@@ -341,7 +328,6 @@ void StreamRouteCore::mark_relevant(std::uint8_t* relevant) const {
 }
 
 StreamRouteStats run_sabre_stream(GateSource& source, const Device& device,
-                                  const ArchArtifacts* artifacts,
                                   const Placement& initial, GateSink& sink,
                                   const StreamRouteOptions& options,
                                   std::size_t extended_window,
@@ -349,9 +335,8 @@ StreamRouteStats run_sabre_stream(GateSource& source, const Device& device,
                                   const std::function<void()>& check_cancelled,
                                   SabreLoopStats* loop_stats) {
   const auto start_time = std::chrono::steady_clock::now();
-  StreamRouteCore core(source, device, artifacts, initial,
-                       options.chunk_gates, extended_window,
-                       params.enable_bridge);
+  StreamRouteCore core(source, device, initial, options.chunk_gates,
+                       extended_window, params.enable_bridge);
   const std::size_t spill = std::max<std::size_t>(options.chunk_gates, 1);
   RoutingEmitter emitter(device, initial,
                          source.name() + "@" + device.name());

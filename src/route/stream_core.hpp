@@ -46,7 +46,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "arch/artifacts.hpp"
 #include "arch/device.hpp"
 #include "ir/gate_stream.hpp"
 #include "layout/placement.hpp"
@@ -61,9 +60,8 @@ class StreamRouteCore {
   static constexpr std::uint8_t kFlagTwoQubit = 1u;
 
   StreamRouteCore(GateSource& source, const Device& device,
-                  const ArchArtifacts* artifacts, const Placement& initial,
-                  std::size_t chunk_gates, std::size_t extended_window,
-                  bool enable_bridge);
+                  const Placement& initial, std::size_t chunk_gates,
+                  std::size_t extended_window, bool enable_bridge);
 
   // --- the run_sabre_loop Core concept (see sabre_loop.hpp) ---
 
@@ -123,8 +121,7 @@ class StreamRouteCore {
     return static_cast<int>(phys_of_[q1_[idx(node)]]);
   }
   [[nodiscard]] std::vector<int> shortest_path(int a, int b) const {
-    return artifacts_ != nullptr ? artifacts_->shortest_path(a, b)
-                                 : device_->coupling().shortest_path(a, b);
+    return device_->artifacts()->shortest_path(a, b);
   }
   void emit_swap(RoutingEmitter& emitter, int phys_a, int phys_b) {
     emitter.emit_swap(phys_a, phys_b);
@@ -174,17 +171,14 @@ class StreamRouteCore {
 
   GateSource* source_;
   const Device* device_;
-  const ArchArtifacts* artifacts_;  // maybe null
   std::size_t chunk_gates_;
   std::size_t extended_window_;
   bool enable_bridge_;
   int num_phys_ = 0;
   int num_program_qubits_ = 0;
 
-  // Distance matrix: artifacts' shared row-major matrix, or a one-off
-  // flat copy of the device's warmed cache.
+  // The device's shared row-major distance matrix.
   const int* dist_ = nullptr;
-  std::vector<int> dist_store_;
 
   // Placement mirror (kept in lockstep with the emitter's Placement).
   std::vector<std::uint32_t> phys_of_;  // program qubit -> physical
@@ -249,7 +243,6 @@ class StreamRouteCore {
 /// flush included) and assembles the stats. `loop_stats` (optional)
 /// receives the loop counters for observability.
 StreamRouteStats run_sabre_stream(GateSource& source, const Device& device,
-                                  const ArchArtifacts* artifacts,
                                   const Placement& initial, GateSink& sink,
                                   const StreamRouteOptions& options,
                                   std::size_t extended_window,

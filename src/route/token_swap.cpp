@@ -15,18 +15,6 @@ std::size_t TokenSwapPlan::total_swaps() const {
 
 namespace {
 
-int hop_distance(const Device& device, const ArchArtifacts* artifacts, int a,
-                 int b) {
-  return artifacts != nullptr ? artifacts->distance(a, b)
-                              : device.coupling().distance(a, b);
-}
-
-std::vector<int> hop_path(const Device& device, const ArchArtifacts* artifacts,
-                          int a, int b) {
-  return artifacts != nullptr ? artifacts->shortest_path(a, b)
-                              : device.coupling().shortest_path(a, b);
-}
-
 std::pair<int, int> ordered(int a, int b) {
   return {std::min(a, b), std::max(a, b)};
 }
@@ -35,7 +23,6 @@ std::pair<int, int> ordered(int a, int b) {
 
 TokenSwapPlan plan_token_swaps(const Placement& current,
                                const Placement& target, const Device& device,
-                               const ArchArtifacts* artifacts,
                                int escape_budget) {
   const int n = device.num_qubits();
   if (current.num_physical_qubits() != n ||
@@ -44,7 +31,8 @@ TokenSwapPlan plan_token_swaps(const Placement& current,
     throw MappingError(
         "token swap: current/target placements disagree with the device");
   }
-  if (!device.coupling().is_connected()) {
+  const ArchArtifacts& artifacts = *device.artifacts();
+  if (!artifacts.connected()) {
     throw MappingError("token swap: device coupling graph is disconnected");
   }
 
@@ -70,12 +58,10 @@ TokenSwapPlan plan_token_swaps(const Placement& current,
     const int goal_b = goal_of(b);
     int gain = 0;
     if (goal_a >= 0) {
-      gain += hop_distance(device, artifacts, a, goal_a) -
-              hop_distance(device, artifacts, b, goal_a);
+      gain += artifacts.distance(a, goal_a) - artifacts.distance(b, goal_a);
     }
     if (goal_b >= 0) {
-      gain += hop_distance(device, artifacts, b, goal_b) -
-              hop_distance(device, artifacts, a, goal_b);
+      gain += artifacts.distance(b, goal_b) - artifacts.distance(a, goal_b);
     }
     return gain;
   };
@@ -118,8 +104,7 @@ TokenSwapPlan plan_token_swaps(const Placement& current,
     }
     if (++consecutive_escapes > escape_budget) break;
     const int stuck = first_misplaced();
-    const std::vector<int> path =
-        hop_path(device, artifacts, stuck, goal_of(stuck));
+    const std::vector<int> path = artifacts.shortest_path(stuck, goal_of(stuck));
     // stuck is misplaced, so the path has at least two vertices. The hop
     // has gain exactly 0: our token gets 1 closer, and a positive net gain
     // would have been taken by the greedy sweep above.
@@ -198,10 +183,8 @@ TokenSwapPlan plan_token_swaps(const Placement& current,
 
 TokenSwapCleanup plan_token_swap_cleanup(Placement& current,
                                          const Placement& target,
-                                         const Device& device,
-                                         const ArchArtifacts* artifacts) {
-  const TokenSwapPlan plan =
-      plan_token_swaps(current, target, device, artifacts);
+                                         const Device& device) {
+  const TokenSwapPlan plan = plan_token_swaps(current, target, device);
   TokenSwapCleanup cleanup;
   cleanup.rounds = plan.rounds.size();
   cleanup.swaps.reserve(plan.total_swaps());

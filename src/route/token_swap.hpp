@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "arch/artifacts.hpp"
 #include "arch/device.hpp"
 #include "ir/gate.hpp"
 #include "layout/placement.hpp"
@@ -42,14 +41,12 @@ struct TokenSwapPlan {
 /// Plans SWAPs that, applied to `current`, bring every *program* wire to
 /// the physical qubit `target` assigns it (free wires are don't-care and
 /// may land anywhere). Throws MappingError when the placements disagree
-/// with the device or the coupling graph is disconnected. `artifacts` is
-/// optional; when present, distance/path queries read its immutable tables.
-/// `escape_budget` caps consecutive zero-gain escapes before the fallback
+/// with the device or the coupling graph is disconnected. Distances and
+/// paths come from the device's ArchArtifacts. `escape_budget` caps consecutive zero-gain escapes before the fallback
 /// engages; -1 selects the default (2n+4), 0 forces the fallback (tests).
 [[nodiscard]] TokenSwapPlan plan_token_swaps(const Placement& current,
                                              const Placement& target,
                                              const Device& device,
-                                             const ArchArtifacts* artifacts,
                                              int escape_budget = -1);
 
 /// A token-swap plan flattened into circuit form: the SWAPs as gates in
@@ -72,7 +69,6 @@ struct TokenSwapCleanup {
 /// resulting SWAPs to `current` (mirroring what emitting them does to the
 /// routing state).
 [[nodiscard]] TokenSwapCleanup plan_token_swap_cleanup(
-    Placement& current, const Placement& target, const Device& device,
-    const ArchArtifacts* artifacts);
+    Placement& current, const Placement& target, const Device& device);
 
 }  // namespace qmap

@@ -116,11 +116,9 @@ DifferentialFuzzer::DifferentialFuzzer(std::vector<Device> devices,
     throw MappingError("DifferentialFuzzer: need at least one device");
   }
   // Fail fast on misspelled strategy names (the factory error lists the
-  // valid ones) and warm every device's distance cache so worker threads
-  // only ever read shared state.
+  // valid ones).
   for (const std::string& placer : options_.placers) (void)make_placer(placer);
   for (const std::string& router : options_.routers) (void)make_router(router);
-  for (Device& device : devices_) device.coupling().precompute_distances();
 }
 
 std::vector<FuzzStrategy> DifferentialFuzzer::strategies_for(

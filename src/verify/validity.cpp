@@ -63,11 +63,7 @@ void ValidityReport::merge(ValidityReport other) {
 }
 
 ValidityChecker::ValidityChecker(Device device, CheckOptions options)
-    : device_(std::move(device)), options_(options) {
-  // The audit reads distances never, but warming keeps the checker safe to
-  // share across fuzzer worker threads alongside the routers.
-  device_.coupling().precompute_distances();
-}
+    : device_(std::move(device)), options_(options) {}
 
 bool ValidityChecker::full_(const ValidityReport& report) const {
   return options_.max_violations != 0 &&

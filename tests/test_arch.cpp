@@ -1,15 +1,20 @@
-// Device-model tests: coupling graphs, the built-in devices (with the
-// concrete facts the paper states about QX4 and Surface-17), and the JSON
-// device-config loader.
+// Device-model tests: coupling graphs, the distance tables every Device
+// derives from its graph (checked pair by pair against a reference BFS),
+// the built-in devices (with the concrete facts the paper states about QX4
+// and Surface-17), and the JSON device-config loader.
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "arch/artifacts.hpp"
 #include "arch/builtin.hpp"
 #include "arch/config.hpp"
 #include "arch/draw.hpp"
 #include "arch/topology.hpp"
 #include "common/error.hpp"
+#include "reference_bfs.hpp"
 
 namespace qmap {
 namespace {
@@ -48,29 +53,114 @@ TEST(CouplingGraph, RejectsBadEdges) {
 TEST(CouplingGraph, DistancesAndPaths) {
   CouplingGraph g(5);  // line
   for (int q = 0; q + 1 < 5; ++q) g.add_edge(q, q + 1);
-  EXPECT_EQ(g.distance(0, 4), 4);
-  EXPECT_EQ(g.distance(2, 2), 0);
-  const auto path = g.shortest_path(0, 3);
+  const ArchArtifacts artifacts = ArchArtifacts::build(g);
+  EXPECT_EQ(artifacts.distance(0, 4), 4);
+  EXPECT_EQ(artifacts.distance(2, 2), 0);
+  const auto path = artifacts.shortest_path(0, 3);
   EXPECT_EQ(path, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_TRUE(g.is_connected());
-  EXPECT_EQ(g.diameter(), 4);
+  EXPECT_TRUE(artifacts.connected());
+  EXPECT_EQ(artifacts.diameter(), 4);
 }
 
 TEST(CouplingGraph, DisconnectedGraphs) {
   CouplingGraph g(4);
   g.add_edge(0, 1);
-  EXPECT_EQ(g.distance(0, 3), -1);
-  EXPECT_TRUE(g.shortest_path(0, 3).empty());
-  EXPECT_FALSE(g.is_connected());
-  EXPECT_EQ(g.total_distance_from(0), -1);
+  const ArchArtifacts artifacts = ArchArtifacts::build(g);
+  EXPECT_EQ(artifacts.distance(0, 3), -1);
+  EXPECT_TRUE(artifacts.shortest_path(0, 3).empty());
+  EXPECT_FALSE(artifacts.connected());
+  EXPECT_EQ(artifacts.diameter(), -1);
+  EXPECT_EQ(artifacts.total_distance_from(0), -1);
 }
 
 TEST(CouplingGraph, DistanceCacheInvalidatedByNewEdges) {
+  // The tables are a snapshot of the graph they were built from: an edge
+  // added later shows up in a new build and leaves the old one as it was.
   CouplingGraph g(3);
   g.add_edge(0, 1);
-  EXPECT_EQ(g.distance(0, 2), -1);
+  const ArchArtifacts before = ArchArtifacts::build(g);
   g.add_edge(1, 2);
-  EXPECT_EQ(g.distance(0, 2), 2);
+  EXPECT_EQ(ArchArtifacts::build(g).distance(0, 2), 2);
+  EXPECT_EQ(before.distance(0, 2), -1);
+}
+
+// --- ArchArtifacts against the early-exit reference BFS ---------------------
+
+Device reference_device(const std::string& name) {
+  if (name == "qx4") return devices::ibm_qx4();
+  if (name == "qx5") return devices::ibm_qx5();
+  if (name == "s17") return devices::surface17();
+  if (name == "s7") return devices::surface7();
+  if (name == "linear6") return devices::linear(6);
+  if (name == "grid3x4") return devices::grid(3, 4);
+  if (name == "all5") return devices::all_to_all(5);
+  if (name == "ion5") return devices::trapped_ion(5);
+  if (name == "dots3x3") return devices::quantum_dot_array(3, 3);
+  if (name == "disconnected") {
+    // Two components — a directed triangle and a path — plus an isolated
+    // qubit, with edges added out of order.
+    CouplingGraph g(8);
+    g.add_edge(2, 0, /*directed=*/true);
+    g.add_edge(1, 2);
+    g.add_edge(0, 1);
+    g.add_edge(6, 5);
+    g.add_edge(3, 4);
+    g.add_edge(5, 4);
+    return Device(name, std::move(g));
+  }
+  throw std::runtime_error("unknown device " + name);
+}
+
+class ArtifactsReference : public testing::TestWithParam<std::string> {};
+
+TEST_P(ArtifactsReference, MatchesEarlyExitBfs) {
+  const Device device = reference_device(GetParam());
+  const ArchArtifacts& artifacts = *device.artifacts();
+  const CouplingGraph& graph = device.coupling();
+  const int n = device.num_qubits();
+  ASSERT_EQ(artifacts.num_qubits(), n);
+
+  bool connected = true;
+  int diameter = 0;
+  for (int a = 0; a < n; ++a) {
+    long total = 0;
+    bool row_connected = true;
+    for (int b = 0; b < n; ++b) {
+      // The same path, not merely an equally long one: routers take
+      // bridge and rescue paths from it.
+      EXPECT_EQ(artifacts.shortest_path(a, b),
+                reference_shortest_path(graph, a, b))
+          << a << " -> " << b;
+      const int d = reference_distance(graph, a, b);
+      EXPECT_EQ(artifacts.distance(a, b), d) << a << " -> " << b;
+      EXPECT_EQ(artifacts.distance_data()[a * n + b], d) << a << " -> " << b;
+      if (d < 0) {
+        row_connected = false;
+        connected = false;
+      } else {
+        total += d;
+        diameter = std::max(diameter, d);
+      }
+    }
+    EXPECT_EQ(artifacts.total_distance_from(a), row_connected ? total : -1)
+        << "from " << a;
+  }
+  EXPECT_EQ(artifacts.connected(), connected);
+  EXPECT_EQ(artifacts.diameter(), connected ? diameter : -1);
+  EXPECT_EQ(connected, GetParam() != "disconnected");
+}
+
+INSTANTIATE_TEST_SUITE_P(Devices, ArtifactsReference,
+                         testing::Values("qx4", "qx5", "s17", "s7", "linear6",
+                                         "grid3x4", "all5", "ion5", "dots3x3",
+                                         "disconnected"));
+
+TEST(ArchArtifacts, DefaultDeviceHasEmptyTables) {
+  const Device device;
+  ASSERT_NE(device.artifacts(), nullptr);
+  EXPECT_EQ(device.artifacts()->num_qubits(), 0);
+  EXPECT_TRUE(device.artifacts()->connected());
+  EXPECT_EQ(device.artifacts()->diameter(), 0);
 }
 
 TEST(IbmQx4, MatchesFig3aCouplingGraph) {
@@ -98,7 +188,7 @@ TEST(IbmQx4, MatchesFig3aCouplingGraph) {
 TEST(IbmQx5, SixteenQubitLadder) {
   const Device qx5 = devices::ibm_qx5();
   EXPECT_EQ(qx5.num_qubits(), 16);
-  EXPECT_TRUE(qx5.coupling().is_connected());
+  EXPECT_TRUE(qx5.artifacts()->connected());
   EXPECT_EQ(qx5.coupling().num_edges(), 22u);
 }
 
@@ -130,7 +220,7 @@ TEST(Surface17, MatchesThePaperFacts) {
 TEST(Surface17, LatticeIsTriangleFreeAndConnected) {
   const Device s17 = devices::surface17();
   const CouplingGraph& g = s17.coupling();
-  EXPECT_TRUE(g.is_connected());
+  EXPECT_TRUE(s17.artifacts()->connected());
   // Bipartite data/ancilla lattice: no triangles (this is why a 3-clique of
   // program interactions always costs at least one SWAP on Surface-17).
   int triangles = 0;
@@ -193,7 +283,7 @@ TEST(Surface17, ParkingRuleMatchesModel) {
 }
 
 TEST(Surface17, DurationsMatchSec5) {
-  const Durations& d = devices::surface17().durations();
+  const Durations d = devices::surface17().durations();
   EXPECT_DOUBLE_EQ(d.cycle_ns, 20.0);  // "26 cycles (20 ns per cycle)"
   EXPECT_EQ(d.single_qubit_cycles, 1);
   EXPECT_EQ(d.two_qubit_cycles, 2);
@@ -212,13 +302,13 @@ TEST(Surface7, SevenQubitTwoThreeTwo) {
 TEST(Generators, LinearGridAllToAll) {
   const Device line = devices::linear(6);
   EXPECT_EQ(line.coupling().num_edges(), 5u);
-  EXPECT_EQ(line.coupling().diameter(), 5);
+  EXPECT_EQ(line.artifacts()->diameter(), 5);
   const Device grid = devices::grid(3, 4);
   EXPECT_EQ(grid.num_qubits(), 12);
   EXPECT_EQ(grid.coupling().num_edges(), 17u);  // 3*3 + 2*4
   const Device full = devices::all_to_all(5);
   EXPECT_EQ(full.coupling().num_edges(), 10u);
-  EXPECT_EQ(full.coupling().diameter(), 1);
+  EXPECT_EQ(full.artifacts()->diameter(), 1);
 }
 
 TEST(DeviceGates, CyclesForGateFamilies) {

@@ -16,7 +16,7 @@ namespace {
 
 TEST(TrappedIon, DeviceShape) {
   const Device ion = devices::trapped_ion(7);
-  EXPECT_EQ(ion.coupling().diameter(), 1);  // all-to-all
+  EXPECT_EQ(ion.artifacts()->diameter(), 1);  // all-to-all
   EXPECT_EQ(ion.max_parallel_two_qubit(), 1);
   EXPECT_TRUE(ion.has_control_constraints());
   EXPECT_EQ(ion.durations().two_qubit_cycles, 10);

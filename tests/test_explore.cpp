@@ -13,7 +13,7 @@ TEST(ArchitectureSearch, SpanningTreeBudgetYieldsConnectedDevice) {
   ArchitectureSearchOptions options;
   const ArchitectureSearchResult result =
       search_architecture(5, workloads, options);
-  EXPECT_TRUE(result.device.coupling().is_connected());
+  EXPECT_TRUE(result.device.artifacts()->connected());
   EXPECT_EQ(result.device.coupling().num_edges(), 4u);  // n - 1
 }
 

@@ -3,11 +3,11 @@
 //     (CompilationResult::fingerprint) to running the same PipelineSpec —
 //     round-tripped through JSON text — directly on a PassManager, across
 //     every placer x router pairing, three devices, and three seeds;
-//   - ArchArtifacts equivalence with the lazy CouplingGraph caches;
+//   - the Device-owned ArchArtifacts: shared by copies and by every
+//     compiler built from the Device, and another device's bundle refused;
 //   - PipelineSpec JSON round-trips, aliases, and descriptive errors;
 //   - custom pipelines (dropped/reordered stages), hook order, cancellation;
-//   - concurrent reads of one shared artifacts bundle and the lazy
-//     distance-matrix race the eager Device precompute is meant to close;
+//   - concurrent compiles reading one Device's shared artifacts bundle;
 //   - the postroute pins: PostRoutePass output, params hashed bitwise,
 //     against tests/golden/postroute_fingerprints.txt.
 #include <gtest/gtest.h>
@@ -32,6 +32,7 @@
 #include "layout/placers.hpp"
 #include "pass/manager.hpp"
 #include "pass/passes.hpp"
+#include "resilience/resilience.hpp"
 #include "route/router.hpp"
 #include "workloads/workloads.hpp"
 
@@ -142,54 +143,11 @@ TEST_P(FacadeSpecParity, FingerprintsAreByteIdentical) {
 INSTANTIATE_TEST_SUITE_P(Matrix, FacadeSpecParity,
                          testing::ValuesIn(parity_cases()), parity_name);
 
-// --- ArchArtifacts equivalence ---------------------------------------------
-
-class ArtifactsEquivalence : public testing::TestWithParam<std::string> {};
-
-TEST_P(ArtifactsEquivalence, MatchesCouplingGraphCaches) {
-  const Device device = parity_device(GetParam());
-  const ArchArtifacts artifacts = ArchArtifacts::build(device);
-  const CouplingGraph& coupling = device.coupling();
-  const int n = device.num_qubits();
-  ASSERT_EQ(artifacts.num_qubits(), n);
-
-  int max_distance = 0;
-  for (int a = 0; a < n; ++a) {
-    for (int b = 0; b < n; ++b) {
-      EXPECT_EQ(artifacts.distance(a, b), coupling.distance(a, b))
-          << a << " -> " << b;
-      // Byte-identical paths, not merely equally long ones: routers pick
-      // rescue paths from these, so parity depends on it.
-      EXPECT_EQ(artifacts.shortest_path(a, b), coupling.shortest_path(a, b))
-          << a << " -> " << b;
-      max_distance = std::max(max_distance, artifacts.distance(a, b));
-    }
-  }
-  EXPECT_EQ(artifacts.diameter(), max_distance);
-
-  for (int q = 0; q < n; ++q) {
-    std::vector<int> expected = coupling.neighbors(q);
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(artifacts.neighbors(q), expected);
-  }
-}
-
-TEST_P(ArtifactsEquivalence, NativeGateLookupMatchesDevice) {
-  const Device device = parity_device(GetParam());
-  const ArchArtifacts artifacts = ArchArtifacts::build(device);
-  for (int k = 0; k <= static_cast<int>(GateKind::Barrier); ++k) {
-    const auto kind = static_cast<GateKind>(k);
-    EXPECT_EQ(artifacts.is_native_kind(kind), device.is_native_kind(kind))
-        << "kind " << k;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Devices, ArtifactsEquivalence,
-                         testing::Values("qx4", "qx5", "s17"));
+// --- Device-owned distance tables ------------------------------------------
 
 TEST(ArchArtifacts, ShortestPathsAreValidWalks) {
   const Device device = devices::surface17();
-  const auto artifacts = ArchArtifacts::shared(device);
+  const auto& artifacts = device.artifacts();
   for (int a = 0; a < device.num_qubits(); ++a) {
     for (int b = 0; b < device.num_qubits(); ++b) {
       const std::vector<int> path = artifacts->shortest_path(a, b);
@@ -206,10 +164,49 @@ TEST(ArchArtifacts, ShortestPathsAreValidWalks) {
 
 TEST(ArchArtifacts, RejectsOutOfRangeQubits) {
   const Device device = devices::ibm_qx4();
-  const ArchArtifacts artifacts = ArchArtifacts::build(device);
+  const ArchArtifacts& artifacts = *device.artifacts();
   EXPECT_THROW((void)artifacts.distance(-1, 0), DeviceError);
   EXPECT_THROW((void)artifacts.distance(0, device.num_qubits()), DeviceError);
   EXPECT_THROW((void)artifacts.shortest_path(0, 99), DeviceError);
+}
+
+TEST(ArchArtifacts, CopiesAndCompilersShareTheDeviceBundle) {
+  const Device device = devices::surface17();
+  const ArchArtifacts* bundle = device.artifacts().get();
+  ASSERT_NE(bundle, nullptr);
+  const Device copy = device;
+  EXPECT_EQ(copy.artifacts().get(), bundle);
+  Device assigned = devices::ibm_qx4();
+  assigned = device;
+  EXPECT_EQ(assigned.artifacts().get(), bundle);
+  EXPECT_EQ(Compiler(device).artifacts().get(), bundle);
+  EXPECT_EQ(PortfolioCompiler(device).artifacts().get(), bundle);
+  EXPECT_EQ(resilience::ResilientCompiler(device).artifacts().get(), bundle);
+  // A second device of the same shape builds its own tables.
+  EXPECT_NE(devices::surface17().artifacts().get(), bundle);
+}
+
+TEST(ArchArtifacts, AnotherDevicesBundleIsRejectedBeforeAnyPass) {
+  // A 16-qubit QX5 bundle read with Surface-17's 17 qubit numbers would
+  // index past its tables; the context refuses it up front.
+  const Device s17 = devices::surface17();
+  const Circuit circuit = workloads::qft(8);
+  const PassManager manager(PipelineSpec::standard());
+  int stages = 0;
+  PipelineRuntime runtime;
+  runtime.stage_hook = [&stages](const char*) { ++stages; };
+  runtime.artifacts = devices::ibm_qx5().artifacts();
+  EXPECT_THROW((void)manager.run(circuit, s17, runtime), MappingError);
+  // Equal tables from another Device object are not this device's bundle.
+  runtime.artifacts = devices::surface17().artifacts();
+  EXPECT_THROW((void)manager.run(circuit, s17, runtime), MappingError);
+  EXPECT_EQ(stages, 0);
+
+  // The device's own bundle, or none, compiles the same bytes.
+  runtime.artifacts = s17.artifacts();
+  const std::string with_own = manager.run(circuit, s17, runtime).fingerprint();
+  runtime.artifacts = nullptr;
+  EXPECT_EQ(manager.run(circuit, s17, runtime).fingerprint(), with_own);
 }
 
 // --- PipelineSpec as data ---------------------------------------------------
@@ -375,15 +372,14 @@ TEST(Compiler, ExplicitSpecOverloadMatchesTheFacadePreset) {
 // --- Shared-artifact concurrency (the TSan targets) -------------------------
 
 TEST(ArchArtifacts, ConcurrentRunsSharingOneBundleMatchSerial) {
+  // Every thread compiles against its own copy of one Device; the copies
+  // share the tables the original built, which the threads then only read.
   const Device device = devices::surface17();
-  const auto artifacts = ArchArtifacts::shared(device);
   const Circuit circuit = workloads::qft(4);
   const PassManager manager(PipelineSpec::standard());
 
-  PipelineRuntime serial_runtime;
-  serial_runtime.artifacts = artifacts;
   const std::string expected =
-      manager.run(circuit, device, serial_runtime).fingerprint();
+      manager.run(circuit, device, PipelineRuntime{}).fingerprint();
 
   constexpr int kThreads = 8;
   std::vector<std::string> fingerprints(kThreads);
@@ -394,10 +390,12 @@ TEST(ArchArtifacts, ConcurrentRunsSharingOneBundleMatchSerial) {
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         try {
+          const Device copy = device;
+          if (copy.artifacts() != device.artifacts()) failures.fetch_add(1);
           PipelineRuntime runtime;
-          runtime.artifacts = artifacts;
+          runtime.artifacts = device.artifacts();
           fingerprints[static_cast<std::size_t>(t)] =
-              manager.run(circuit, device, runtime).fingerprint();
+              manager.run(circuit, copy, runtime).fingerprint();
         } catch (...) {
           failures.fetch_add(1);
         }
@@ -512,46 +510,6 @@ TEST(TokenSwapFinisher, RejectsUnknownOptions) {
                    R"([{"pass": "token_swap_finisher",
                         "options": {"rounds": 3}}])"),
                MappingError);
-}
-
-TEST(CouplingGraph, LazyDistanceCacheIsSafeUnderConcurrentFirstUse) {
-  // A bare CouplingGraph (not yet wrapped in a Device, which precomputes
-  // eagerly) still fills its cache lazily; hammer the first use from many
-  // threads so TSan can see the double-checked publish.
-  CouplingGraph coupling(17);
-  const Device reference_device = devices::surface17();
-  const CouplingGraph& reference = reference_device.coupling();
-  for (const auto& edge : reference.edges()) {
-    if (edge.a_to_b && edge.b_to_a) {
-      coupling.add_edge(edge.a, edge.b, /*directed=*/false);
-    } else if (edge.a_to_b) {
-      coupling.add_edge(edge.a, edge.b, /*directed=*/true);
-    } else {
-      coupling.add_edge(edge.b, edge.a, /*directed=*/true);
-    }
-  }
-
-  constexpr int kThreads = 8;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int a = 0; a < coupling.num_qubits(); ++a) {
-        for (int b = 0; b < coupling.num_qubits(); ++b) {
-          if (coupling.distance(a, b) != reference.distance(a, b)) {
-            mismatches.fetch_add(1);
-          }
-          if (coupling.shortest_path((a + t) % coupling.num_qubits(), b) !=
-              reference.shortest_path((a + t) % coupling.num_qubits(), b)) {
-            mismatches.fetch_add(1);
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

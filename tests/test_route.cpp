@@ -362,12 +362,12 @@ TEST(RoutingEmitter, BridgeIsLegalAndEquivalentOnEveryDistance2Pair) {
   for (const Device& device :
        {devices::ibm_qx4(), devices::ibm_qx5(), devices::surface17()}) {
     const int n = device.num_qubits();
-    const CouplingGraph& coupling = device.coupling();
+    const ArchArtifacts& artifacts = *device.artifacts();
     std::size_t pairs = 0;
     for (int c = 0; c < n; ++c) {
       for (int t = 0; t < n; ++t) {
-        if (c == t || coupling.distance(c, t) != 2) continue;
-        const std::vector<int> path = coupling.shortest_path(c, t);
+        if (c == t || artifacts.distance(c, t) != 2) continue;
+        const std::vector<int> path = artifacts.shortest_path(c, t);
         ASSERT_EQ(path.size(), 3u);
         const Placement identity = Placement::identity(n, n);
         RoutingEmitter emitter(device, identity, "bridge");
@@ -461,8 +461,7 @@ TEST(TokenSwap, RestoresRandomPermutationsOnEveryDevice) {
       };
       const Placement current = scramble();
       const Placement target = scramble();
-      const TokenSwapPlan plan =
-          plan_token_swaps(current, target, device, nullptr);
+      const TokenSwapPlan plan = plan_token_swaps(current, target, device);
       const Placement reached = apply_plan(plan, current, device);
       expect_program_wires_home(reached, target);
     }
@@ -477,7 +476,7 @@ TEST(TokenSwap, ParallelRoundsBeatTheSequentialChainOnDisjointCycles) {
   current.apply_swap(0, 1);
   current.apply_swap(2, 3);
   const Placement target = Placement::identity(4, 4);
-  const TokenSwapPlan plan = plan_token_swaps(current, target, line, nullptr);
+  const TokenSwapPlan plan = plan_token_swaps(current, target, line);
   ASSERT_EQ(plan.rounds.size(), 1u);
   EXPECT_EQ(plan.rounds[0].size(), 2u);
   expect_program_wires_home(apply_plan(plan, current, line), target);
@@ -492,7 +491,7 @@ TEST(TokenSwap, EscapesTheDistance2TranspositionStall) {
   current.apply_swap(1, 2);
   current.apply_swap(0, 1);  // net effect: wires 0 and 2 exchanged
   const Placement target = Placement::identity(3, 3);
-  const TokenSwapPlan plan = plan_token_swaps(current, target, line, nullptr);
+  const TokenSwapPlan plan = plan_token_swaps(current, target, line);
   EXPECT_GE(plan.escape_swaps, 1u);
   expect_program_wires_home(apply_plan(plan, current, line), target);
 }
@@ -507,7 +506,7 @@ TEST(TokenSwap, SpanningTreeFallbackAlwaysTerminates) {
   current.apply_swap(0, 1);
   const Placement target = Placement::identity(3, 3);
   const TokenSwapPlan plan =
-      plan_token_swaps(current, target, line, nullptr, /*escape_budget=*/0);
+      plan_token_swaps(current, target, line, /*escape_budget=*/0);
   EXPECT_GE(plan.fallback_swaps, 1u);
   expect_program_wires_home(apply_plan(plan, current, line), target);
 }
@@ -515,8 +514,7 @@ TEST(TokenSwap, SpanningTreeFallbackAlwaysTerminates) {
 TEST(TokenSwap, IdenticalPlacementsNeedNoSwaps) {
   const Device qx4 = devices::ibm_qx4();
   const Placement identity = Placement::identity(4, 5);
-  const TokenSwapPlan plan =
-      plan_token_swaps(identity, identity, qx4, nullptr);
+  const TokenSwapPlan plan = plan_token_swaps(identity, identity, qx4);
   EXPECT_TRUE(plan.rounds.empty());
   EXPECT_EQ(plan.total_swaps(), 0u);
 }
@@ -529,7 +527,7 @@ TEST(TokenSwap, FreeWiresAreDontCares) {
   current.apply_swap(0, 1);
   current.apply_swap(1, 2);  // program wire 0 now at phys 2
   const Placement target = Placement::identity(1, 3);
-  const TokenSwapPlan plan = plan_token_swaps(current, target, line, nullptr);
+  const TokenSwapPlan plan = plan_token_swaps(current, target, line);
   EXPECT_EQ(plan.total_swaps(), 2u);  // straight walk home, nothing extra
   expect_program_wires_home(apply_plan(plan, current, line), target);
 }
@@ -537,8 +535,7 @@ TEST(TokenSwap, FreeWiresAreDontCares) {
 TEST(TokenSwap, RejectsMismatchedPlacements) {
   const Device qx4 = devices::ibm_qx4();
   EXPECT_THROW((void)plan_token_swaps(Placement::identity(3, 5),
-                                      Placement::identity(3, 7), qx4,
-                                      nullptr),
+                                      Placement::identity(3, 7), qx4),
                MappingError);
 }
 
