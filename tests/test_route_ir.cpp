@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "arch/builtin.hpp"
+#include "arch/config.hpp"
 #include "arch/noise.hpp"
 #include "common/digest.hpp"
 #include "common/error.hpp"
@@ -123,24 +124,74 @@ TEST(RouteIrParity, MatchesPreRefactorGoldenFingerprints) {
 // quantum-dot grid with free sites to move into. Captured before the two
 // routers moved onto FrontLayer; their own file, so the 45 rows above
 // stay untouched.
+//
+// The extended rows widen both pins before the two routers move onto
+// RouteCore and the shared loop: `reliability` on noisy QX5 (directed
+// couplings, so direction repair follows every SWAP choice) and noisy
+// Surface-7, `shuttle` on a 4x4 dot grid (many free sites, so Moves
+// dominate) and on the 2x5 grid of configs/qdot2x5.json. Each crosses two
+// placers (the seeded annealing placer and a deterministic one: the
+// `reliability` placer for noisy devices, `greedy` for dot grids) with
+// two circuits (a seeded random circuit and qft5).
 
-Device noisy_surface17() {
-  Rng rng(21);
-  Device device = devices::surface17();
+Device noisy(Device device, std::uint64_t noise_seed) {
+  Rng rng(noise_seed);
   device.set_noise(NoiseModel::randomized(device.coupling(), rng, 1e-3, 1e-2,
                                           2e-2));
   return device;
 }
 
+std::string pin_digest(const std::string& router, const Device& device,
+                       const std::string& placer, const Circuit& circuit,
+                       std::uint64_t seed) {
+  CompilerOptions options;
+  options.placer = placer;
+  options.router = router;
+  options.seed = seed;
+  return content_digest(
+      Compiler(device, options).compile(circuit).fingerprint());
+}
+
 TEST(RouteIrParity, ReliabilityAndShuttleMatchGoldenFingerprints) {
-  const Device noisy = noisy_surface17();
+  const Device noisy17 = noisy(devices::surface17(), 21);
   const Device dots = devices::quantum_dot_array(3, 3);
   std::map<std::string, std::string> actual;
   for (const std::uint64_t seed : kParitySeeds) {
     actual[parity_case_id("reliability", "noisy_surface17", seed)] =
-        parity_digest("reliability", noisy, seed);
+        parity_digest("reliability", noisy17, seed);
     actual[parity_case_id("shuttle", "qdot3x3", seed)] =
         parity_digest("shuttle", dots, seed);
+  }
+
+  struct PinDevice {
+    const char* router;
+    const char* label;
+    Device device;
+    const char* deterministic_placer;
+  };
+  const PinDevice extended[] = {
+      {"reliability", "noisy_qx5", noisy(devices::ibm_qx5(), 22),
+       "reliability"},
+      {"reliability", "noisy_surface7", noisy(devices::surface7(), 23),
+       "reliability"},
+      {"shuttle", "qdot4x4", devices::quantum_dot_array(4, 4), "greedy"},
+      {"shuttle", "qdot2x5",
+       load_device(std::string(QMAP_CONFIG_DIR) + "/qdot2x5.json"), "greedy"},
+  };
+  for (const PinDevice& pin : extended) {
+    for (const char* placer : {"annealing", pin.deterministic_placer}) {
+      for (const std::uint64_t seed : kParitySeeds) {
+        const std::string suffix = std::string("/") + placer + "/";
+        actual[std::string(pin.router) + "@" + pin.label + suffix + "random#" +
+               std::to_string(seed)] =
+            pin_digest(pin.router, pin.device, placer, parity_circuit(seed),
+                       seed);
+        actual[std::string(pin.router) + "@" + pin.label + suffix + "qft5#" +
+               std::to_string(seed)] =
+            pin_digest(pin.router, pin.device, placer, workloads::qft(5),
+                       seed);
+      }
+    }
   }
   expect_golden_fingerprints("route_ir_ported_fingerprints.txt", actual);
 }
