@@ -65,9 +65,13 @@ echo "== tier 1: bridge router + token-swap finisher leg =="
 echo "== tier 1: route_ir label =="
 # The data-oriented routing core suite (tests/test_route_ir.cpp): the
 # byte-parity matrix pinning every RouteIR-backed router against golden
-# pre-refactor fingerprints across devices and seeds, the reliability and
-# shuttle pins, the CSR and FrontLayer checked against a naive pairwise
-# DAG, arena rewind semantics, and the 1/2/8-thread fingerprint pin.
+# pre-refactor fingerprints across devices and seeds, the extended
+# reliability and shuttle pins (noisy Surface-17, QX5 and Surface-7; 3x3,
+# 4x4 and qdot2x5 dot grids; two placers; random and qft circuits), the
+# cancellation matrix (every router in known_routers() must throw
+# CancelledError when its token fired before route()), the CSR and
+# FrontLayer checked against a naive pairwise DAG, arena rewind
+# semantics, and the 1/2/8-thread fingerprint pin.
 (cd build && ctest --output-on-failure -L route_ir)
 
 echo "== tier 1: stream label =="
@@ -142,8 +146,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_stream \
 
 echo "== tier 1: arena-backed suites under ASan+UBSan =="
 # The arena hands out raw pointers with manual lifetime (marker rewind,
-# block reuse); ASan+UBSan over the full RouteIR suite — parity matrix
-# included — catches out-of-bounds SoA/CSR indexing, use-after-rewind,
+# block reuse); ASan+UBSan over the full RouteIR suite — parity matrix,
+# extended reliability/shuttle pins and cancellation matrix included —
+# catches out-of-bounds SoA/CSR indexing, use-after-rewind,
 # and misaligned loads that plain tests cannot see. The constrained
 # scheduler (test_schedule), the execution snapshot (test_core) and the
 # reliability (test_noise) and shuttle (test_shuttle) routers run on

@@ -44,27 +44,16 @@ class ReliabilityPlacer final : public Placer {
 };
 
 /// SABRE-style router whose objective is the accumulated log-error cost:
-/// candidate SWAPs pay their own log-error and are scored by the
-/// reliability-weighted distances of the front layer (+ lookahead).
+/// the shared sabre loop (route/sabre_loop.hpp) with ReliabilityDistance
+/// as its distance source, so candidate SWAPs pay their own log-error and
+/// are scored by the reliability-weighted distances of the front layer
+/// (+ lookahead).
 class ReliabilityRouter final : public Router {
  public:
-  struct Options {
-    int extended_window = 20;
-    double extended_weight = 0.5;
-    double decay_increment = 0.1;
-    int decay_reset_interval = 5;
-  };
-
-  ReliabilityRouter() = default;
-  explicit ReliabilityRouter(const Options& options) : options_(options) {}
-
   [[nodiscard]] std::string name() const override { return "reliability"; }
   [[nodiscard]] RoutingResult route(const Circuit& circuit,
                                     const Device& device,
                                     const Placement& initial) override;
-
- private:
-  Options options_;
 };
 
 }  // namespace qmap

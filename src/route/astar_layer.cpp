@@ -13,6 +13,10 @@
 namespace qmap {
 namespace {
 
+// A* node-expansion budget per layer before falling back to shortest-path
+// routing for that layer.
+constexpr std::size_t kMaxExpansions = 200000;
+
 /// ASAP layering: gate -> layer index such that every gate sits one layer
 /// after the latest gate it depends on (barriers force a full cut).
 std::vector<std::vector<int>> build_layers(const Circuit& circuit) {
@@ -101,30 +105,15 @@ RoutingResult AStarLayerRouter::route(const Circuit& circuit,
   const int n = circuit.num_qubits();
   const std::size_t nsize = static_cast<std::size_t>(n);
 
-  // Two-qubit gates of one layer as (program, program) pairs, flat.
+  // Two-qubit gates of the current layer as (program, program) pairs.
   std::vector<std::pair<int, int>> pairs;
-  std::vector<std::pair<int, int>> lookahead_pairs;
-  const auto append_layer_pairs = [&](std::size_t layer_index,
-                                      std::vector<std::pair<int, int>>& out) {
-    if (layer_index >= layers.size()) return;
-    for (const int node : layers[layer_index]) {
-      const auto u = static_cast<std::uint32_t>(node);
-      if (core.ir.is_two_qubit(u)) {
-        out.emplace_back(static_cast<int>(core.ir.q0[u]),
-                         static_cast<int>(core.ir.q1[u]));
-      }
+  const auto pairs_distance_sum = [&](const int* program_to_phys) {
+    int sum = 0;
+    for (const auto& [a, b] : pairs) {
+      sum += core.dist(program_to_phys[a], program_to_phys[b]) - 1;
     }
+    return sum;
   };
-
-  const auto pairs_distance_sum =
-      [&](const std::vector<std::pair<int, int>>& which,
-          const int* program_to_phys) {
-        int sum = 0;
-        for (const auto& [a, b] : which) {
-          sum += core.dist(program_to_phys[a], program_to_phys[b]) - 1;
-        }
-        return sum;
-      };
 
   std::uint64_t total_expansions = 0;
   std::uint64_t fallback_layers = 0;
@@ -132,28 +121,24 @@ RoutingResult AStarLayerRouter::route(const Circuit& circuit,
   for (std::size_t layer_index = 0; layer_index < layers.size();
        ++layer_index) {
     pairs.clear();
-    append_layer_pairs(layer_index, pairs);
+    for (const int node : layers[layer_index]) {
+      const auto u = static_cast<std::uint32_t>(node);
+      if (core.ir.is_two_qubit(u)) {
+        pairs.emplace_back(static_cast<int>(core.ir.q0[u]),
+                           static_cast<int>(core.ir.q1[u]));
+      }
+    }
 
     // Current program -> physical map.
     const ArenaScope layer_scope(arena);
     int* current = arena.alloc<int>(nsize);
     for (int k = 0; k < n; ++k) current[k] = core.phys_of(k);
 
-    if (!pairs.empty() && pairs_distance_sum(pairs, current) > 0) {
+    if (!pairs.empty() && pairs_distance_sum(current) > 0) {
       // A* over placements to make the whole layer executable.
-      lookahead_pairs.clear();
-      for (int ahead = 1; ahead <= options_.lookahead_layers; ++ahead) {
-        append_layer_pairs(layer_index + static_cast<std::size_t>(ahead),
-                           lookahead_pairs);
-      }
       const auto heuristic = [&](const int* program_to_phys) {
-        const int base = pairs_distance_sum(pairs, program_to_phys);
-        double h = std::ceil(static_cast<double>(base) / 2.0);
-        if (options_.lookahead_weight > 0.0 && !lookahead_pairs.empty()) {
-          h += options_.lookahead_weight *
-               pairs_distance_sum(lookahead_pairs, program_to_phys);
-        }
-        return h;
+        const int base = pairs_distance_sum(program_to_phys);
+        return std::ceil(static_cast<double>(base) / 2.0);
       };
 
       std::vector<SearchNode> nodes;
@@ -177,11 +162,11 @@ RoutingResult AStarLayerRouter::route(const Circuit& circuit,
         const SearchNode node = nodes[static_cast<std::size_t>(index)];
         const auto seen = best_g.find(MapKey{node.program_to_phys, nsize});
         if (seen != best_g.end() && seen->second < node.g) continue;
-        if (pairs_distance_sum(pairs, node.program_to_phys) == 0) {
+        if (pairs_distance_sum(node.program_to_phys) == 0) {
           goal = index;
           break;
         }
-        if (++expansions > options_.max_expansions) break;
+        if (++expansions > kMaxExpansions) break;
         ++total_expansions;
         for (const auto& edge : coupling.edges()) {
           std::memcpy(staged, node.program_to_phys, nsize * sizeof(int));

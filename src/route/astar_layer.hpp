@@ -8,8 +8,8 @@
 //     h = ceil( sum_g (dist(g) - 1) / 2 )
 // is admissible (one SWAP moves two wires, and layer gates are
 // qubit-disjoint), so each layer is solved with a minimal number of SWAPs.
-// An optional lookahead term biases the search toward placements that also
-// help the following layers (Sec. III-B "look-ahead feature").
+// A layer whose search exceeds its node-expansion budget falls back to
+// shortest-path routing.
 #pragma once
 
 #include "route/router.hpp"
@@ -18,26 +18,10 @@ namespace qmap {
 
 class AStarLayerRouter final : public Router {
  public:
-  struct Options {
-    /// Weight of the next-layers term added to h (0 = per-layer optimal).
-    double lookahead_weight = 0.0;
-    /// Number of subsequent layers included in the lookahead term.
-    int lookahead_layers = 1;
-    /// A* node-expansion budget per layer before falling back to
-    /// shortest-path routing for that layer.
-    std::size_t max_expansions = 200000;
-  };
-
-  AStarLayerRouter() = default;
-  explicit AStarLayerRouter(const Options& options) : options_(options) {}
-
   [[nodiscard]] std::string name() const override { return "astar_layer"; }
   [[nodiscard]] RoutingResult route(const Circuit& circuit,
                                     const Device& device,
                                     const Placement& initial) override;
-
- private:
-  Options options_;
 };
 
 }  // namespace qmap

@@ -19,16 +19,6 @@ namespace qmap {
 
 class BridgeRouter final : public Router {
  public:
-  struct Options {
-    int extended_window = 20;      // lookahead: # future 2q gates scored
-    double extended_weight = 0.5;  // weight of the lookahead term
-    double decay_increment = 0.1;  // per-use decay added to a qubit
-    int decay_reset_interval = 5;  // SWAPs between decay resets
-  };
-
-  BridgeRouter() = default;
-  explicit BridgeRouter(const Options& options) : options_(options) {}
-
   [[nodiscard]] std::string name() const override { return "bridge"; }
   [[nodiscard]] RoutingResult route(const Circuit& circuit,
                                     const Device& device,
@@ -38,9 +28,6 @@ class BridgeRouter final : public Router {
   StreamRouteStats route_stream(GateSource& source, const Device& device,
                                 const Placement& initial, GateSink& sink,
                                 const StreamRouteOptions& options) override;
-
- private:
-  Options options_;
 };
 
 }  // namespace qmap

@@ -10,6 +10,9 @@
 namespace qmap {
 namespace {
 
+constexpr long kCostPerSwap = 1000;       // primary objective
+constexpr long kCostPerDirectionFix = 1;  // tie-breaker (4 H gates per fix)
+
 using ProgramMap = std::vector<int>;        // program qubit -> physical
 using State = std::pair<int, ProgramMap>;   // (next 2q gate index, placement)
 
@@ -92,7 +95,7 @@ RoutingResult ExactRouter::route(const Circuit& circuit, const Device& device,
       const bool needs_fix =
           gate.is_directional() && !coupling.orientation_allowed(pa, pb);
       relax({gate_index + 1, placement},
-            needs_fix ? options_.cost_per_direction_fix : 0,
+            needs_fix ? kCostPerDirectionFix : 0,
             Action{false, -1, -1});
     }
 
@@ -103,7 +106,7 @@ RoutingResult ExactRouter::route(const Circuit& circuit, const Device& device,
         if (phys == edge.a) phys = edge.b;
         else if (phys == edge.b) phys = edge.a;
       }
-      relax({gate_index, std::move(next)}, options_.cost_per_swap,
+      relax({gate_index, std::move(next)}, kCostPerSwap,
             Action{true, edge.a, edge.b});
     }
   }

@@ -3,9 +3,8 @@
 //
 // Runs Dijkstra over the state space
 //     (next two-qubit gate to execute, placement of program qubits)
-// with SWAP transitions weighted `cost_per_swap` and gate executions
-// weighted `cost_per_direction_fix` when the CX orientation must be
-// inverted. With the default weights this minimizes the number of SWAPs
+// with SWAP transitions weighted 1000 and gate executions weighted 1 when
+// the CX orientation must be inverted. This minimizes the number of SWAPs
 // and, among SWAP-minimal solutions, the number of inverted CNOTs — the
 // "minimal number of SWAP and H operations" objective of [57].
 //
@@ -28,8 +27,6 @@ namespace qmap {
 class ExactRouter final : public Router {
  public:
   struct Options {
-    long cost_per_swap = 1000;        // primary objective
-    long cost_per_direction_fix = 1;  // tie-breaker (4 H gates per fix)
     /// Dijkstra state budget; throws MappingError when exceeded.
     std::size_t max_states = 4'000'000;
   };

@@ -9,6 +9,14 @@
 #include "route/route_ir.hpp"
 
 namespace qmap {
+namespace {
+
+// A small lookahead over future two-qubit gates, lightly weighted: the
+// latency look-back, not the lookahead, is this router's signature.
+constexpr std::size_t kExtendedWindow = 10;
+constexpr double kExtendedWeight = 0.3;
+
+}  // namespace
 
 RoutingResult QmapRouter::route(const Circuit& circuit, const Device& device,
                                 const Placement& initial) {
@@ -50,7 +58,7 @@ RoutingResult QmapRouter::route(const Circuit& circuit, const Device& device,
 
   std::uint8_t* relevant = arena.alloc<std::uint8_t>(num_phys);
   const std::size_t ext_cap =
-      std::min(static_cast<std::size_t>(options_.extended_window),
+      std::min(kExtendedWindow,
                static_cast<std::size_t>(core.ir.num_two_qubit));
   std::uint32_t* extended = arena.alloc<std::uint32_t>(ext_cap);
   // Endpoint pairs of the front/extended gates, recollected per swap
@@ -102,8 +110,7 @@ RoutingResult QmapRouter::route(const Circuit& circuit, const Device& device,
         for (std::uint32_t k = 0; k < num_extended; ++k) {
           ext += core.dist_pair_swapped(ext_pa[k], ext_pb[k], edge.a, edge.b);
         }
-        primary +=
-            options_.extended_weight * ext / static_cast<double>(num_extended);
+        primary += kExtendedWeight * ext / static_cast<double>(num_extended);
       }
       const double finish =
           std::max(busy_until[edge.a], busy_until[edge.b]) + swap_cycles;

@@ -13,21 +13,10 @@ namespace qmap {
 
 class QmapRouter final : public Router {
  public:
-  struct Options {
-    int extended_window = 10;      // small lookahead over future 2q gates
-    double extended_weight = 0.3;
-  };
-
-  QmapRouter() = default;
-  explicit QmapRouter(const Options& options) : options_(options) {}
-
   [[nodiscard]] std::string name() const override { return "qmap"; }
   [[nodiscard]] RoutingResult route(const Circuit& circuit,
                                     const Device& device,
                                     const Placement& initial) override;
-
- private:
-  Options options_;
 };
 
 }  // namespace qmap

@@ -1,11 +1,11 @@
 // RouteIR: the data-oriented routing core.
 //
-// The heuristic routers (sabre, bridge, qmap, astar_layer) spend their
-// whole budget in tiny inner loops — front-layer scans, per-edge swap
-// scoring, ready-list maintenance — and pointer-heavy vector<vector<int>>
-// graphs and per-candidate Placement copies made every iteration chase
-// heap cells. RouteIR is the flat form: one arena allocation per route()
-// call holds
+// The heuristic routers (sabre, bridge, reliability, shuttle, qmap,
+// astar_layer) spend their whole budget in tiny inner loops — front-layer
+// scans, per-edge swap scoring, ready-list maintenance — and
+// pointer-heavy vector<vector<int>> graphs and per-candidate Placement
+// copies made every iteration chase heap cells. RouteIR is the flat form:
+// one arena allocation per route() call holds
 //
 //   * SoA gate records: kind / flags / q0 / q1 in parallel arrays,
 //   * the dependency DAG in CSR form (offsets + edges, two flat arrays),
@@ -16,10 +16,10 @@
 // and distance queries read straight out of the device's ArchArtifacts
 // row-major matrix.
 //
-// RouteIR is the one whole-circuit dependency DAG: the DAG-driven routers
-// (sabre, bridge, qmap, astar_layer, reliability, shuttle), the
-// constrained scheduler and the execution snapshot run on it, and
-// StreamRouteCore is its windowed form. Fidelity contract: the CSR build
+// RouteIR is the one whole-circuit dependency DAG: every DAG-driven
+// router (sabre, bridge, reliability, shuttle, qmap, astar_layer) runs on
+// it through RouteCore, as do the constrained scheduler and the execution
+// snapshot, and StreamRouteCore is its windowed form. Fidelity contract: the CSR build
 // applies the rules of ir/dag.hpp — the Sequential last-writer rule and
 // the commutation-aware rule — with one edge per (source, destination)
 // pair and ascending successor lists, and FrontLayer keeps the ready list
@@ -212,11 +212,12 @@ class FrontLayer {
   std::uint32_t num_scheduled_ = 0;
 };
 
-/// Per-route working state shared by the sabre-family routers (sabre,
-/// bridge, qmap): the IR + front layer, a flat distance matrix, a flat
-/// program->physical mirror of the emitter's Placement, and the scratch
-/// buffers the inner loops write into. Everything is arena-allocated; the
-/// caller brackets the core's lifetime with an ArenaScope.
+/// Per-route working state shared by the DAG-driven routers (sabre,
+/// bridge, reliability, shuttle, qmap, astar_layer): the IR + front layer,
+/// a flat distance matrix, a flat program->physical mirror of the
+/// emitter's Placement, and the scratch buffers the inner loops write
+/// into. Everything is arena-allocated; the caller brackets the core's
+/// lifetime with an ArenaScope.
 class RouteCore {
  public:
   RouteCore(const Circuit& circuit, const Device& device, DagMode mode,
@@ -241,18 +242,13 @@ class RouteCore {
   [[nodiscard]] int gate_dist(std::uint32_t node) const {
     return dist(phys_of_[ir.q0[node]], phys_of_[ir.q1[node]]);
   }
-  /// Same, under the placement with physical qubits (ea, eb) swapped —
-  /// the per-candidate Placement copy of the old loops, reduced to two
-  /// endpoint substitutions.
-  [[nodiscard]] int gate_dist_swapped(std::uint32_t node, int ea,
-                                      int eb) const {
-    int pa = phys_of_[ir.q0[node]];
-    int pb = phys_of_[ir.q1[node]];
-    if (pa == ea) pa = eb;
-    else if (pa == eb) pa = ea;
-    if (pb == ea) pb = eb;
-    else if (pb == eb) pb = ea;
-    return dist(pa, pb);
+  /// Where physical qubit `p` lands when the SWAP (ea, eb) is applied —
+  /// the per-candidate Placement copy of the old loops, reduced to one
+  /// endpoint substitution.
+  [[nodiscard]] static int swapped(int p, int ea, int eb) {
+    if (p == ea) return eb;
+    if (p == eb) return ea;
+    return p;
   }
   /// True when `node` can run under the current placement (non-2q gates
   /// always can; 2q gates need adjacent operands).
@@ -273,30 +269,26 @@ class RouteCore {
       pb[k] = phys_of_[ir.q1[nodes[k]]];
     }
   }
-  /// gate_dist for a precollected endpoint pair.
-  [[nodiscard]] int dist_pair(std::int32_t pa, std::int32_t pb) const {
-    return dist(pa, pb);
-  }
-  /// gate_dist_swapped for a precollected endpoint pair.
+  /// Distance of a precollected endpoint pair under the placement with
+  /// physical qubits (ea, eb) swapped.
   [[nodiscard]] int dist_pair_swapped(std::int32_t pa, std::int32_t pb,
                                       int ea, int eb) const {
-    if (pa == ea) pa = eb;
-    else if (pa == eb) pa = ea;
-    if (pb == ea) pb = eb;
-    else if (pb == eb) pb = ea;
-    return dist(pa, pb);
+    return dist(swapped(pa, ea, eb), swapped(pb, ea, eb));
   }
+  /// Program qubit on physical qubit `p`, or -1 when it holds a free wire.
+  [[nodiscard]] std::int32_t program_at(int p) const { return prog_at_[p]; }
 
   /// Emits a SWAP and keeps the flat mirror in lockstep with the
   /// emitter's Placement.
   void emit_swap(RoutingEmitter& emitter, int phys_a, int phys_b) {
     emitter.emit_swap(phys_a, phys_b);
-    const std::int32_t wa = prog_at_[phys_a];
-    const std::int32_t wb = prog_at_[phys_b];
-    prog_at_[phys_a] = wb;
-    prog_at_[phys_b] = wa;
-    if (wa >= 0) phys_of_[wa] = phys_b;
-    if (wb >= 0) phys_of_[wb] = phys_a;
+    exchange(phys_a, phys_b);
+  }
+  /// Emits a shuttle Move of the occupant of `phys_from` into the free
+  /// site `phys_to`, keeping the mirror in lockstep like emit_swap.
+  void emit_move(RoutingEmitter& emitter, int phys_from, int phys_to) {
+    emitter.emit_move(phys_from, phys_to);
+    exchange(phys_from, phys_to);
   }
 
   /// Emits every executable ready gate until fixpoint, calling
@@ -344,6 +336,16 @@ class RouteCore {
   [[nodiscard]] int num_phys() const noexcept { return num_phys_; }
 
  private:
+  // The mirror's half of a SWAP or Move on (phys_a, phys_b).
+  void exchange(int phys_a, int phys_b) {
+    const std::int32_t wa = prog_at_[phys_a];
+    const std::int32_t wb = prog_at_[phys_b];
+    prog_at_[phys_a] = wb;
+    prog_at_[phys_b] = wa;
+    if (wa >= 0) phys_of_[wa] = phys_b;
+    if (wb >= 0) phys_of_[wb] = phys_a;
+  }
+
   const Circuit* circuit_ = nullptr;
   const ArchArtifacts* artifacts_ = nullptr;  // the device's, never null
   const int* dist_ = nullptr;                 // num_phys^2 row-major

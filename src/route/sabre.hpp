@@ -13,10 +13,6 @@ namespace qmap {
 class SabreRouter final : public Router {
  public:
   struct Options {
-    int extended_window = 20;      // lookahead: # future 2q gates scored
-    double extended_weight = 0.5;  // weight of the lookahead term
-    double decay_increment = 0.1;  // per-use decay added to a qubit
-    int decay_reset_interval = 5;  // SWAPs between decay resets
     /// Use the commutation-aware dependency graph ([58]): commuting gates
     /// (e.g. the QFT's controlled-phase ladder) may execute in any order,
     /// widening the front layer the router can satisfy.

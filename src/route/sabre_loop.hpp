@@ -1,17 +1,26 @@
 // The sabre-family main loop, shared by the materialized routers
-// (sabre.cpp, bridge.cpp over RouteCore) and the streaming drivers
-// (stream_core.cpp over StreamRouteCore).
+// (sabre, bridge and reliability over RouteCore, through run_sabre_route)
+// and the streaming drivers (sabre and bridge over StreamRouteCore,
+// through run_sabre_stream). The shuttle router runs its own action
+// choice (a Move or a SWAP per edge) over the same RouteCore primitives.
 //
-// This is a pure extraction: the loop body is the exact decision
-// sequence the two routers previously duplicated — flush-to-fixpoint,
-// front refresh, extended lookahead, per-edge swap scoring with decay,
-// the optional BRIDGE decision, the stall rescue, and the decay-reset
+// The loop body is one decision sequence — flush-to-fixpoint, front
+// refresh, extended lookahead, per-edge swap scoring with decay, the
+// optional BRIDGE decision, the stall rescue, and the decay-reset
 // bookkeeping. Keeping it in one template is what makes the streamed
 // and materialized paths byte-identical by construction: both
 // instantiations run the same statements in the same order, only the
 // Core behind them differs (full CSR DAG vs sliding window). The golden
 // fingerprint matrix (tests/test_route_ir.cpp) pins that neither
 // instantiation drifts.
+//
+// The routers differ only in the distance they minimise: hop count
+// (sabre, bridge) or accumulated SWAP log-error (reliability, Sec. III-B).
+// A candidate SWAP on edge (a, b) scores
+//   decay * (swap_cost(a, b) + front + kSabreExtendedWeight * extended)
+// where swap_cost is the SWAP's own cost under the distance source: 0.0
+// for hop distances (and 0.0 + x == x, so the hop score is unchanged),
+// the SWAP's log-error for reliability.
 //
 // Core concept (duck-typed):
 //   bool all_scheduled();
@@ -24,10 +33,11 @@
 //   void mark_relevant(std::uint8_t* relevant) const;
 //   void collect_endpoints(const std::uint32_t* nodes, std::uint32_t count,
 //                          std::int32_t* pa, std::int32_t* pb) const;
-//   int dist_pair(std::int32_t pa, std::int32_t pb) const;
-//   int dist_pair_swapped(std::int32_t pa, std::int32_t pb, int ea, int eb);
+//   D dist_pair(std::int32_t pa, std::int32_t pb) const;  // D: int/double
+//   D dist_pair_swapped(std::int32_t pa, std::int32_t pb, int ea, int eb);
+//   double swap_cost(int a, int b) const;
 //   GateKind kind_of(std::uint32_t node) const;
-//   int gate_dist(std::uint32_t node) const;
+//   int gate_dist(std::uint32_t node) const;  // hop count
 //   int phys_q0(std::uint32_t node) const;    // phys of first operand
 //   int phys_q1(std::uint32_t node) const;
 //   std::vector<int> shortest_path(int a, int b) const;
@@ -36,9 +46,11 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/topology.hpp"
@@ -48,10 +60,14 @@
 
 namespace qmap {
 
+// The SABRE tuning of Li, Ding and Xie [40], shared by every sabre-style
+// router (sabre, bridge, reliability, shuttle).
+inline constexpr std::size_t kSabreExtendedWindow = 20;  // future 2q gates
+inline constexpr double kSabreExtendedWeight = 0.5;  // lookahead weight
+inline constexpr double kSabreDecayIncrement = 0.1;  // per-use qubit decay
+inline constexpr int kSabreDecayResetInterval = 5;   // SWAPs between resets
+
 struct SabreLoopParams {
-  double extended_weight = 0.5;
-  double decay_increment = 0.1;
-  int decay_reset_interval = 5;
   bool enable_bridge = false;
   const char* label = "sabre";  // error-message prefix
 };
@@ -149,7 +165,8 @@ SabreLoopStats run_sabre_loop(Core& core, RoutingEmitter& emitter,
       const double decay_factor =
           std::max(decay[edge.a], decay[edge.b]);
       const double score =
-          decay_factor * (front_term + params.extended_weight * extended_term);
+          decay_factor * (core.swap_cost(edge.a, edge.b) + front_term +
+                          kSabreExtendedWeight * extended_term);
       if (score < best_score) {
         best_score = score;
         best_a = edge.a;
@@ -182,9 +199,9 @@ SabreLoopStats run_sabre_loop(Core& core, RoutingEmitter& emitter,
               buffers.front_pa[j], buffers.front_pb[j], best_a, best_b);
         }
         for (std::uint32_t j = 0; j < num_extended; ++j) {
-          rest_now += params.extended_weight *
+          rest_now += kSabreExtendedWeight *
                       core.dist_pair(buffers.ext_pa[j], buffers.ext_pb[j]);
-          rest_swapped += params.extended_weight *
+          rest_swapped += kSabreExtendedWeight *
                           core.dist_pair_swapped(buffers.ext_pa[j],
                                                  buffers.ext_pb[j], best_a,
                                                  best_b);
@@ -224,9 +241,9 @@ SabreLoopStats run_sabre_loop(Core& core, RoutingEmitter& emitter,
     }
 
     core.emit_swap(emitter, best_a, best_b);
-    decay[best_a] += params.decay_increment;
-    decay[best_b] += params.decay_increment;
-    if (++swaps_since_reset >= params.decay_reset_interval) {
+    decay[best_a] += kSabreDecayIncrement;
+    decay[best_b] += kSabreDecayIncrement;
+    if (++swaps_since_reset >= kSabreDecayResetInterval) {
       std::fill(decay, decay + num_phys, 1.0);
       swaps_since_reset = 0;
     }
@@ -234,14 +251,60 @@ SabreLoopStats run_sabre_loop(Core& core, RoutingEmitter& emitter,
   return stats;
 }
 
-/// RouteCore adapter for run_sabre_loop: the materialized path. ext_cap
-/// is fixed at min(extended_window, total two-qubit gates) — the whole
-/// circuit is resident, so the quota never changes mid-route.
+/// Flushes one route's loop counters — `<prefix>.routes`, `.iterations`
+/// and `.rescues` — and the `route.swaps_inserted` histogram. One flush
+/// per route() keeps the loop body free of locking.
+inline void record_sabre_loop(obs::Observer* observer, std::string_view prefix,
+                              const SabreLoopStats& stats,
+                              std::size_t added_swaps) {
+  if (observer == nullptr) return;
+  const std::string name(prefix);
+  obs::add(observer, name + ".routes");
+  obs::add(observer, name + ".iterations", stats.iterations);
+  obs::add(observer, name + ".rescues", stats.rescues);
+  obs::observe(observer, "route.swaps_inserted",
+               static_cast<double>(added_swaps));
+}
+
+/// The hop-count distance source (sabre, bridge): the device's distance
+/// matrix, and no cost of its own for a SWAP.
+class HopDistance {
+ public:
+  explicit HopDistance(const Device& device)
+      : dist_(device.artifacts()->distance_data()),
+        num_phys_(static_cast<std::size_t>(device.num_qubits())) {}
+
+  [[nodiscard]] int cost(int a, int b) const {
+    return dist_[static_cast<std::size_t>(a) * num_phys_ +
+                 static_cast<std::size_t>(b)];
+  }
+  [[nodiscard]] static double swap_cost(int /*a*/, int /*b*/) { return 0.0; }
+
+ private:
+  const int* dist_;  // num_phys^2 row-major
+  std::size_t num_phys_;
+};
+
+/// The materialized lookahead quota: min(kSabreExtendedWindow, total
+/// two-qubit gates). The whole circuit is resident, so the quota never
+/// changes mid-route.
+inline std::size_t materialized_ext_cap(const RouteCore& core) {
+  return std::min(kSabreExtendedWindow,
+                  static_cast<std::size_t>(core.ir.num_two_qubit));
+}
+
+/// RouteCore adapter for run_sabre_loop: the materialized path, scoring
+/// with `Distance` (cost(a, b) and swap_cost(a, b): HopDistance, or
+/// ReliabilityDistance).
+template <class Distance>
 class MaterializedLoopCore {
  public:
-  MaterializedLoopCore(RouteCore& core, std::size_t ext_cap,
+  MaterializedLoopCore(RouteCore& core, const Distance& distance,
                        const SabreLoopBuffers& buffers)
-      : core_(&core), ext_cap_(ext_cap), buffers_(buffers) {}
+      : core_(&core),
+        distance_(&distance),
+        ext_cap_(materialized_ext_cap(core)),
+        buffers_(buffers) {}
 
   [[nodiscard]] const SabreLoopBuffers& buffers() const { return buffers_; }
   [[nodiscard]] bool all_scheduled() const {
@@ -266,12 +329,16 @@ class MaterializedLoopCore {
                          std::int32_t* pa, std::int32_t* pb) const {
     core_->collect_endpoints(nodes, count, pa, pb);
   }
-  [[nodiscard]] int dist_pair(std::int32_t pa, std::int32_t pb) const {
-    return core_->dist_pair(pa, pb);
+  [[nodiscard]] auto dist_pair(std::int32_t pa, std::int32_t pb) const {
+    return distance_->cost(pa, pb);
   }
-  [[nodiscard]] int dist_pair_swapped(std::int32_t pa, std::int32_t pb,
-                                      int ea, int eb) const {
-    return core_->dist_pair_swapped(pa, pb, ea, eb);
+  [[nodiscard]] auto dist_pair_swapped(std::int32_t pa, std::int32_t pb,
+                                       int ea, int eb) const {
+    return distance_->cost(RouteCore::swapped(pa, ea, eb),
+                           RouteCore::swapped(pb, ea, eb));
+  }
+  [[nodiscard]] double swap_cost(int a, int b) const {
+    return distance_->swap_cost(a, b);
   }
   [[nodiscard]] GateKind kind_of(std::uint32_t node) const {
     return core_->ir.gate_kind(node);
@@ -297,8 +364,68 @@ class MaterializedLoopCore {
 
  private:
   RouteCore* core_;
+  const Distance* distance_;
   std::size_t ext_cap_;
   SabreLoopBuffers buffers_;
 };
+
+/// Arena-backed loop buffers for a materialized route over `core`:
+/// front-sized buffers hold every two-qubit gate, extended-sized ones the
+/// materialized_ext_cap. `to_bridge` only with bridging.
+inline SabreLoopBuffers alloc_sabre_buffers(RouteArena& arena,
+                                            const RouteCore& core,
+                                            bool enable_bridge) {
+  const std::size_t front_cap = core.ir.num_two_qubit;
+  const std::size_t ext_cap = materialized_ext_cap(core);
+  SabreLoopBuffers buffers;
+  buffers.decay = arena.alloc<double>(core.num_phys());
+  buffers.relevant = arena.alloc<std::uint8_t>(core.num_phys());
+  buffers.extended = arena.alloc<std::uint32_t>(ext_cap);
+  if (enable_bridge) buffers.to_bridge = arena.alloc<std::uint32_t>(front_cap);
+  // Endpoint pairs of the front/extended gates, recollected per swap
+  // decision: invariant across candidate edges and across the bridge
+  // decisions (pure reads, placement untouched).
+  buffers.front_pa = arena.alloc<std::int32_t>(front_cap);
+  buffers.front_pb = arena.alloc<std::int32_t>(front_cap);
+  buffers.ext_pa = arena.alloc<std::int32_t>(ext_cap);
+  buffers.ext_pb = arena.alloc<std::int32_t>(ext_cap);
+  return buffers;
+}
+
+/// One materialized sabre-family route, start to finish — the
+/// materialized twin of run_sabre_stream: checks routability, builds the
+/// `Distance` source from the device, the RouteCore over `mode` and the
+/// arena-backed loop buffers, runs the shared loop and finishes the
+/// emitter. `stats` receives the loop counters for observability.
+template <class Distance, class CheckCancel>
+RoutingResult run_sabre_route(const Circuit& circuit, const Device& device,
+                              const Placement& initial, DagMode mode,
+                              const SabreLoopParams& params,
+                              CheckCancel&& check_cancelled,
+                              SabreLoopStats& stats) {
+  const auto start_time = std::chrono::steady_clock::now();
+  check_routable(circuit, device);
+  const Distance distance(device);
+  RouteArena& arena = RouteArena::scratch();
+  const ArenaScope scope(arena);
+  RouteCore core(circuit, device, mode, initial, arena);
+  RoutingEmitter emitter(device, initial,
+                         circuit.name() + "@" + device.name());
+  // Output bound: every program gate plus room for SWAPs and direction
+  // fixes; generous slack beats mid-route growth reallocations.
+  emitter.reserve(circuit.size() * 3 + 16);
+
+  const SabreLoopBuffers buffers =
+      alloc_sabre_buffers(arena, core, params.enable_bridge);
+  MaterializedLoopCore<Distance> loop_core(core, distance, buffers);
+  stats = run_sabre_loop(loop_core, emitter, device.coupling(),
+                         device.num_qubits(), params, check_cancelled);
+
+  const double runtime_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - start_time)
+          .count();
+  return std::move(emitter).finish(initial, runtime_ms);
+}
 
 }  // namespace qmap

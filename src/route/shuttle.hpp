@@ -12,7 +12,9 @@
 // Moves into empty sites (cost: 1 native operation). When the program uses
 // fewer qubits than the device has dots, most routing traffic rides the
 // cheap moves; with a full register it degrades gracefully to SWAP-only
-// routing.
+// routing. It shares the SABRE tuning and the RouteCore primitives (flush,
+// lookahead, relevant qubits, swapped-endpoint distances) with the
+// sabre loop in route/sabre_loop.hpp and keeps only its action choice.
 #pragma once
 
 #include "route/router.hpp"
@@ -21,32 +23,11 @@ namespace qmap {
 
 class ShuttleRouter final : public Router {
  public:
-  struct Options {
-    int extended_window = 20;
-    double extended_weight = 0.5;
-    /// Relative cost of one SWAP vs one Move in the action score. The
-    /// physical default (3 two-qubit gates vs 1 shuttle) is 3.
-    double swap_cost = 3.0;
-    double move_cost = 1.0;
-    /// Weight of the action cost against the distance terms: distance
-    /// progress dominates (routing quality first); among equally useful
-    /// actions the cheaper one (a Move) wins.
-    double action_cost_weight = 0.1;
-    double decay_increment = 0.1;
-    int decay_reset_interval = 5;
-  };
-
-  ShuttleRouter() = default;
-  explicit ShuttleRouter(const Options& options) : options_(options) {}
-
   [[nodiscard]] std::string name() const override { return "shuttle"; }
   /// Throws MappingError when the device does not support shuttling.
   [[nodiscard]] RoutingResult route(const Circuit& circuit,
                                     const Device& device,
                                     const Placement& initial) override;
-
- private:
-  Options options_;
 };
 
 }  // namespace qmap

@@ -10,12 +10,10 @@ namespace qmap {
 StreamRouteCore::StreamRouteCore(GateSource& source, const Device& device,
                                  const Placement& initial,
                                  std::size_t chunk_gates,
-                                 std::size_t extended_window,
                                  bool enable_bridge)
     : source_(&source),
       device_(&device),
       chunk_gates_(std::max<std::size_t>(chunk_gates, 1)),
-      extended_window_(extended_window),
       enable_bridge_(enable_bridge),
       num_phys_(device.num_qubits()),
       num_program_qubits_(source.num_qubits()) {
@@ -47,9 +45,9 @@ StreamRouteCore::StreamRouteCore(GateSource& source, const Device& device,
 
   decay_.resize(static_cast<std::size_t>(num_phys_));
   relevant_.resize(static_cast<std::size_t>(num_phys_));
-  extended_.resize(extended_window_);
-  ext_pa_.resize(extended_window_);
-  ext_pb_.resize(extended_window_);
+  extended_.resize(kSabreExtendedWindow);
+  ext_pa_.resize(kSabreExtendedWindow);
+  ext_pb_.resize(kSabreExtendedWindow);
   buffers_.decay = decay_.data();
   buffers_.relevant = relevant_.data();
   buffers_.extended = extended_.data();
@@ -67,7 +65,7 @@ void StreamRouteCore::advance_window() {
   // (ready_.size() over-counts the front — the slack only ever widens the
   // window, never changes a decision).
   while (!dry_ && (num_idle_qubits_ > 0 ||
-                   unscheduled_2q_ < extended_window_ + ready_.size())) {
+                   unscheduled_2q_ < kSabreExtendedWindow + ready_.size())) {
     pull_chunk();
   }
 }
@@ -330,13 +328,12 @@ void StreamRouteCore::mark_relevant(std::uint8_t* relevant) const {
 StreamRouteStats run_sabre_stream(GateSource& source, const Device& device,
                                   const Placement& initial, GateSink& sink,
                                   const StreamRouteOptions& options,
-                                  std::size_t extended_window,
                                   const SabreLoopParams& params,
                                   const std::function<void()>& check_cancelled,
                                   SabreLoopStats* loop_stats) {
   const auto start_time = std::chrono::steady_clock::now();
   StreamRouteCore core(source, device, initial, options.chunk_gates,
-                       extended_window, params.enable_bridge);
+                       params.enable_bridge);
   const std::size_t spill = std::max<std::size_t>(options.chunk_gates, 1);
   RoutingEmitter emitter(device, initial,
                          source.name() + "@" + device.name());

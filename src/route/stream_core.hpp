@@ -16,8 +16,8 @@
 // and every swap decision, the window contains
 //
 //   (a) every gate that is ready in the *full* dependency DAG, and
-//   (b) at least extended_window unscheduled non-front two-qubit gates
-//       (or the source is dry).
+//   (b) at least kSabreExtendedWindow unscheduled non-front two-qubit
+//       gates (or the source is dry).
 //
 // For (a) it suffices that every program qubit has an unscheduled
 // in-window gate touching it: consecutive gates on a qubit are chained by
@@ -27,8 +27,8 @@
 // qubit has an unscheduled predecessor and cannot be ready. The core
 // therefore pulls while any qubit is "idle" (no unscheduled toucher).
 // For (b) it pulls while the unscheduled two-qubit count is below
-// extended_window plus the ready-list size (a conservative bound on the
-// front layer). Consequence: the resident window is bounded by the
+// kSabreExtendedWindow plus the ready-list size (a conservative bound on
+// the front layer). Consequence: the resident window is bounded by the
 // circuit's qubit-reuse distance — the largest program-order gap between
 // consecutive gates on one qubit — which is small for circuits that keep
 // all qubits active (QFT, adders, layered random circuits) but degrades
@@ -61,7 +61,7 @@ class StreamRouteCore {
 
   StreamRouteCore(GateSource& source, const Device& device,
                   const Placement& initial, std::size_t chunk_gates,
-                  std::size_t extended_window, bool enable_bridge);
+                  bool enable_bridge);
 
   // --- the run_sabre_loop Core concept (see sabre_loop.hpp) ---
 
@@ -80,12 +80,12 @@ class StreamRouteCore {
   [[nodiscard]] const std::uint32_t* front_gates() const {
     return front_buf_.data();
   }
-  /// min(extended_window, two-qubit gates seen so far). Equal at every
-  /// decision point to the materialized min(extended_window, total): the
-  /// quota invariant (b) guarantees seen >= extended_window while the
-  /// source has gates left, and once dry seen == total.
+  /// min(kSabreExtendedWindow, two-qubit gates seen so far). Equal at
+  /// every decision point to the materialized min(kSabreExtendedWindow,
+  /// total): the quota invariant (b) guarantees seen >= the window while
+  /// the source has gates left, and once dry seen == total.
   [[nodiscard]] std::size_t ext_cap() const {
-    return std::min(extended_window_, seen_two_qubit_);
+    return std::min(kSabreExtendedWindow, seen_two_qubit_);
   }
   std::uint32_t collect_extended(std::size_t window, std::uint32_t* out);
   void mark_relevant(std::uint8_t* relevant) const;
@@ -101,12 +101,11 @@ class StreamRouteCore {
   }
   [[nodiscard]] int dist_pair_swapped(std::int32_t pa, std::int32_t pb,
                                       int ea, int eb) const {
-    if (pa == ea) pa = eb;
-    else if (pa == eb) pa = ea;
-    if (pb == ea) pb = eb;
-    else if (pb == eb) pb = ea;
-    return dist(pa, pb);
+    return dist(RouteCore::swapped(pa, ea, eb),
+                RouteCore::swapped(pb, ea, eb));
   }
+  /// Hop distances: a SWAP has no cost of its own.
+  [[nodiscard]] static double swap_cost(int /*a*/, int /*b*/) { return 0.0; }
   [[nodiscard]] GateKind kind_of(std::uint32_t node) const {
     return static_cast<GateKind>(kind_[idx(node)]);
   }
@@ -172,7 +171,6 @@ class StreamRouteCore {
   GateSource* source_;
   const Device* device_;
   std::size_t chunk_gates_;
-  std::size_t extended_window_;
   bool enable_bridge_;
   int num_phys_ = 0;
   int num_program_qubits_ = 0;
@@ -245,7 +243,6 @@ class StreamRouteCore {
 StreamRouteStats run_sabre_stream(GateSource& source, const Device& device,
                                   const Placement& initial, GateSink& sink,
                                   const StreamRouteOptions& options,
-                                  std::size_t extended_window,
                                   const SabreLoopParams& params,
                                   const std::function<void()>& check_cancelled,
                                   SabreLoopStats* loop_stats = nullptr);

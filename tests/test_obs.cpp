@@ -16,6 +16,9 @@
 #include <vector>
 
 #include "arch/builtin.hpp"
+#include "arch/noise.hpp"
+#include "common/rng.hpp"
+#include "core/compiler.hpp"
 #include "engine/portfolio.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
@@ -327,6 +330,42 @@ TEST(AsciiSpanTree, RendersNestingAndArgs) {
   EXPECT_NE(tree.find("- root [test]"), std::string::npos) << tree;
   EXPECT_NE(tree.find("  - child [test]"), std::string::npos) << tree;
   EXPECT_NE(tree.find("{k=v}"), std::string::npos) << tree;
+}
+
+// ---------------------------------------------------------------------------
+// Router loop counters
+// ---------------------------------------------------------------------------
+
+// Every loop router flushes one set of per-route counters. Reliability and
+// shuttle run on the same core as sabre and bridge, so one observed compile
+// of each must leave `router.<name>.{routes,iterations,rescues}` and the
+// shared `route.swaps_inserted` histogram behind.
+TEST(RouterObs, ReliabilityAndShuttleFlushLoopCounters) {
+  Device noisy = devices::surface17();
+  Rng rng(21);
+  noisy.set_noise(NoiseModel::randomized(noisy.coupling(), rng, 1e-3, 1e-2,
+                                         2e-2));
+  const std::pair<const char*, Device> cases[] = {
+      {"reliability", noisy},
+      {"shuttle", devices::quantum_dot_array(3, 3)},
+  };
+  for (const auto& [router, device] : cases) {
+    obs::Observer observer;
+    CompilerOptions options;
+    options.router = router;
+    options.obs = &observer;
+    (void)Compiler(device, options).compile(workloads::qft(5));
+    const Json counters = observer.metrics().to_json().at("counters");
+    const std::string prefix = std::string("router.") + router;
+    for (const char* counter : {".routes", ".iterations", ".rescues"}) {
+      EXPECT_TRUE(counters.contains(prefix + counter)) << prefix + counter;
+    }
+    EXPECT_EQ(observer.metrics().counter(prefix + ".routes"), 1u) << router;
+    EXPECT_GE(observer.metrics().counter(prefix + ".iterations"), 1u)
+        << router;
+    EXPECT_EQ(observer.metrics().histogram("route.swaps_inserted").count, 1u)
+        << router;
+  }
 }
 
 // ---------------------------------------------------------------------------

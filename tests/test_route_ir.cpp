@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,7 +30,10 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
+#include "decompose/decomposer.hpp"
+#include "engine/cancel.hpp"
 #include "naive_dag.hpp"
+#include "pass/registry.hpp"
 #include "route/route_ir.hpp"
 #include "verify/reproducer.hpp"
 #include "workloads/workloads.hpp"
@@ -195,6 +199,46 @@ TEST(RouteIrParity, ReliabilityAndShuttleMatchGoldenFingerprints) {
   }
   expect_golden_fingerprints("route_ir_ported_fingerprints.txt", actual);
 }
+
+// --- Cancellation: every router polls its token ---
+//
+// The portfolio races routers under a deadline and joins every entrant,
+// so a router that never polls its CancelToken overruns the race. Each
+// router gets a device it supports and a circuit that needs SWAPs; the
+// token fires before the call, so route() must throw CancelledError
+// instead of returning. The exact router polls every 256 pops: its
+// 60-gate circuit on QX4 needs far more than that.
+
+Device cancellation_device(const std::string& router) {
+  if (router == "reliability") return noisy(devices::surface17(), 21);
+  if (router == "shuttle") return devices::quantum_dot_array(3, 3);
+  return devices::ibm_qx4();
+}
+
+class RouterCancellation : public testing::TestWithParam<std::string> {};
+
+TEST_P(RouterCancellation, RouteThrowsWhenTheTokenFiredBeforeTheCall) {
+  const Device device = cancellation_device(GetParam());
+  const Circuit circuit =
+      lower_to_device(parity_circuit(1), device, /*keep_swaps=*/true);
+  const Placement initial =
+      Placement::identity(circuit.num_qubits(), device.num_qubits());
+  const std::unique_ptr<Router> router = make_router(GetParam());
+  CancelToken token;
+  token.cancel();
+  router->set_cancel_token(&token);
+  EXPECT_THROW((void)router->route(circuit, device, initial), CancelledError);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRouter, RouterCancellation, testing::ValuesIn(known_routers()),
+    [](const testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '+') c = 'P';
+      }
+      return name;
+    });
 
 // --- CSR property tests: RouteIR vs the naive pairwise DAG ---
 
