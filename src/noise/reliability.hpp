@@ -26,6 +26,9 @@ class ReliabilityDistance {
   [[nodiscard]] double cost(int a, int b) const;
   /// -log(1 - e) of executing one two-qubit gate on the *edge* (a, b).
   [[nodiscard]] double edge_gate_cost(int a, int b) const;
+  /// Log-error of one SWAP on the edge (a, b). The router adds it to each
+  /// candidate's score, so noisy couplers are used only when the
+  /// downstream gain justifies them.
   [[nodiscard]] double swap_cost(int a, int b) const;
 
  private:
