@@ -10,11 +10,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "arch/builtin.hpp"
+#include "arch/noise.hpp"
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "engine/cancel.hpp"
@@ -903,6 +908,154 @@ TEST(CircuitBreaker, ZeroThresholdDisablesEntirely) {
   }
   EXPECT_EQ(breaker.state(), BreakerState::Closed);
   EXPECT_EQ(breaker.retry_after_ms(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Ladder pins: device x circuit x fault plan x entry rung -> digest.
+//
+// Every row is content_digest(CompileOutcome::fingerprint()) — rung,
+// retries, fired faults, per-attempt classes and the final circuit — or,
+// for the portfolio rows, of PortfolioResult::fingerprint(). The digests in
+// tests/golden/ladder_fingerprints.txt were captured before the rungs moved
+// from per-attempt Compiler objects onto PassManager runs; do not
+// regenerate them unless the ladder's behaviour changes on purpose:
+//   QMAP_REGEN_GOLDEN=1 ./build/tests/test_resilience --gtest_filter='LadderPins.*'
+// No deadlines anywhere: they would make the outcome depend on timing.
+// ---------------------------------------------------------------------------
+
+Device noisy_qx5() {
+  Device device = devices::ibm_qx5();
+  Rng rng(22);
+  device.set_noise(NoiseModel::randomized(device.coupling(), rng, 1e-3, 1e-2,
+                                          2e-2));
+  return device;
+}
+
+struct LadderDevice {
+  const char* name;
+  Device device;
+};
+
+std::vector<LadderDevice> ladder_devices() {
+  return {{"qx4", devices::ibm_qx4()},
+          {"qx5", devices::ibm_qx5()},
+          {"surface7", devices::surface7()},
+          {"noisy_qx5", noisy_qx5()}};
+}
+
+std::vector<Circuit> ladder_circuits() {
+  Rng rng(0x1ADDE5);
+  Circuit random = workloads::random_circuit(4, 30, rng, 0.5);
+  return {workloads::ghz(4), workloads::fig1_example(), std::move(random)};
+}
+
+const char* const kLadderCircuitNames[] = {"ghz4", "fig1", "random4"};
+
+struct LadderPlan {
+  const char* name;
+  std::vector<FaultSpec> faults;
+};
+
+std::vector<LadderPlan> ladder_plans() {
+  const auto fault = [](const char* point, int rung) {
+    FaultSpec spec;
+    spec.point = point;
+    spec.rung = rung;
+    return spec;
+  };
+  FaultSpec drop0 = fault("corrupt-result", 0);
+  drop0.corruption = verify::FaultInjection::DropLastSwap;
+  FaultSpec drop1 = drop0;
+  drop1.rung = 1;
+  return {{"none", {}},
+          {"throw-in-placer@0", {fault("throw-in-placer", 0)}},
+          {"throw-in-router@0", {fault("throw-in-router", 0)}},
+          {"oom-simulate@0", {fault("oom-simulate", 0)}},
+          {"drop-last-swap@0", {drop0}},
+          {"drop-last-swap@1", {drop1}},
+          {"throw-in-placer@-1", {fault("throw-in-placer", -1)}}};
+}
+
+/// The policy for one (device, plan, entry) cell. QX4 races the default
+/// portfolio, whose exact and exhaustive entrants finish in milliseconds
+/// on 4 qubits; the wider devices race the heuristic entrants only.
+Policy ladder_policy(const Device& device, const LadderPlan& plan,
+                     const std::string& entry) {
+  Policy policy;
+  if (device.num_qubits() > 5) {
+    for (const StrategySpec& spec :
+         PortfolioCompiler::default_portfolio(device)) {
+      if (spec.max_qubits == 0) policy.portfolio.push_back(spec);
+    }
+  }
+  policy.num_threads = 2;
+  policy.backoff.base_ms = 0.1;
+  policy.backoff.cap_ms = 1.0;
+  policy.faults = plan.faults;
+  if (entry == "pinned") {
+    policy.rung1_pipeline = PipelineSpec::standard("annealing", "qmap");
+    policy.first_rung = 1;
+  } else if (entry == "rung2") {
+    policy.first_rung = 2;
+  }
+  return policy;
+}
+
+std::map<std::string, std::string> ladder_pins() {
+  const std::vector<Circuit> circuits = ladder_circuits();
+  std::map<std::string, std::string> pins;
+  ThreadPool pool(2);
+  for (const LadderDevice& dev : ladder_devices()) {
+    for (const LadderPlan& plan : ladder_plans()) {
+      for (const std::string entry : {"default", "pinned", "rung2"}) {
+        const ResilientCompiler compiler(
+            dev.device, ladder_policy(dev.device, plan, entry));
+        const std::string cell =
+            std::string(dev.name) + "/" + plan.name + "/" + entry;
+        for (std::size_t k = 0; k < circuits.size(); ++k) {
+          pins["ladder/" + cell + "/" + kLadderCircuitNames[k]] =
+              content_digest(compiler.compile(circuits[k], pool).fingerprint());
+        }
+        const std::vector<CompileOutcome> batch =
+            compiler.compile_batch(circuits);
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+          pins["batch/" + cell + "#" + std::to_string(k)] =
+              content_digest(batch[k].fingerprint());
+        }
+      }
+    }
+  }
+  PortfolioOptions options;
+  options.num_threads = 2;
+  const PortfolioCompiler racer(devices::ibm_qx4(), options);
+  for (std::size_t k = 0; k < circuits.size(); ++k) {
+    pins[std::string("portfolio/qx4/") + kLadderCircuitNames[k]] =
+        content_digest(racer.compile(circuits[k], pool).fingerprint());
+  }
+  return pins;
+}
+
+TEST(LadderPins, MatchGoldenFingerprints) {
+  const std::map<std::string, std::string> actual = ladder_pins();
+  const std::string path =
+      std::string(QMAP_GOLDEN_DIR) + "/ladder_fingerprints.txt";
+  const char* regen = std::getenv("QMAP_REGEN_GOLDEN");
+  if (regen != nullptr && *regen != '\0') {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    for (const auto& [id, digest] : actual) out << id << ' ' << digest << '\n';
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::map<std::string, std::string> golden;
+  std::ifstream in(path);
+  std::string id;
+  std::string digest;
+  while (in >> id >> digest) golden[id] = digest;
+  ASSERT_EQ(golden.size(), actual.size()) << "golden rows at " << path;
+  for (const auto& [case_id, value] : actual) {
+    EXPECT_EQ(value, golden[case_id])
+        << case_id << ": ladder outcome drifted from the golden pin";
+  }
 }
 
 }  // namespace
