@@ -22,7 +22,11 @@ echo "== tier 1: differential fuzz label =="
 echo "== tier 1: resilience label =="
 # The fault-injection matrix (tests/test_resilience.cpp) runs as its own
 # leg with a ctest timeout: a fallback ladder that stops terminating hangs
-# here, attributably, instead of inside the main suite.
+# here, attributably, instead of inside the main suite. The leg includes
+# the ladder pins (LadderPins.*, tests/golden/ladder_fingerprints.txt):
+# outcome digests over QX4, QX5, Surface-7 and noisy QX5, seven fault
+# plans and three entry rungs, compile_batch, and the default QX4
+# portfolio, so a rung that stops producing the same bytes fails here.
 (cd build && ctest --output-on-failure -L resilience)
 
 echo "== tier 1: observability label =="
@@ -160,14 +164,18 @@ echo "== tier 1: arena-backed suites under ASan+UBSan =="
 # peephole's live indices still name while a pass marks. Every router
 # (test_route) and the distance tables themselves (test_arch, including a
 # disconnected graph) index the device-owned ArchArtifacts matrices
-# directly, with no bounds check on the hot path.
+# directly, with no bounds check on the hot path. The fallback ladder
+# (test_resilience) keeps each rung-1 deadline token and PipelineRuntime
+# on the stack across a PassManager run that the token's parent link and
+# the fault hook reach into; Json::as_int (test_common) range-checks a
+# double before casting it, where an out-of-range cast is undefined.
 cmake -B build-asan -S . -DQMAP_SANITIZE=address
 cmake --build build-asan -j "${JOBS}" --target test_route_ir test_schedule \
     test_core test_noise test_shuttle test_stream test_decompose \
-    test_peephole test_pass test_arch test_route
+    test_peephole test_pass test_arch test_route test_resilience test_common
 for suite in test_route_ir test_schedule test_core test_noise test_shuttle \
     test_stream test_decompose test_peephole test_pass test_arch \
-    test_route; do
+    test_route test_resilience test_common; do
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/tests/${suite}"
 done

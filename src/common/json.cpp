@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <limits>
 
 #include "common/strings.hpp"
 
@@ -242,6 +243,11 @@ int Json::as_int() const {
   const double rounded = std::nearbyint(d);
   if (std::abs(d - rounded) > 1e-9) {
     throw ParseError("JSON: value is not an integer");
+  }
+  // Casting a double outside int's range is undefined behaviour.
+  if (rounded < std::numeric_limits<int>::min() ||
+      rounded > std::numeric_limits<int>::max()) {
+    throw ParseError("JSON: integer out of int range");
   }
   return static_cast<int>(rounded);
 }

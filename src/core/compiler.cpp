@@ -27,9 +27,7 @@ CompilationResult Compiler::compile(const Circuit& circuit,
   PipelineRuntime runtime;
   runtime.seed = options_.seed;
   runtime.cancel = options_.cancel;
-  runtime.stage_hook = options_.stage_hook;
   runtime.obs = options_.obs;
-  runtime.obs_parent_span = options_.obs_parent_span;
   return manager.run(circuit, device_, runtime);
 }
 

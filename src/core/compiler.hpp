@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,25 +57,10 @@ struct CompilerOptions {
   /// Cooperative cancellation (engine/cancel.hpp): checked between pipeline
   /// stages and inside the placer/router main loops. Not owned; may be null.
   const CancelToken* cancel = nullptr;
-  /// Instrumentation/fault-injection hook called at pipeline stage
-  /// boundaries with the pass's canonical name — "placer", "router",
-  /// "postroute", "schedule" in that order for the standard pipeline,
-  /// before the named stage runs (Pass::name() is the single source of
-  /// truth; see pass/registry.hpp for the accepted aliases in pipeline
-  /// JSON). An exception thrown from the hook aborts the compile exactly
-  /// like a crash inside the stage would, which is how the resilience
-  /// fault injector (src/resilience/) plants deterministic placer/router
-  /// crashes without patching any pass. Empty by default and never on any
-  /// hot path.
-  std::function<void(const char* stage)> stage_hook;
   /// Observability sink (obs/): a compile span with one child span per
   /// pipeline stage, plus router/scheduler counters. Not owned; null (the
   /// default) disables all recording at the cost of one pointer compare.
   obs::Observer* obs = nullptr;
-  /// Explicit parent for the compile span — used when compile() runs on a
-  /// pool worker but belongs under a span opened on another thread (the
-  /// portfolio race root). 0 = the calling thread's innermost open span.
-  std::uint64_t obs_parent_span = 0;
 };
 
 class Compiler {
@@ -102,8 +86,8 @@ class Compiler {
   [[nodiscard]] CompilationResult compile(const Circuit& circuit) const;
 
   /// Compiles with an explicit pipeline (built in code or parsed from
-  /// JSON via PipelineSpec::from_json). Seed/cancel/hook/obs still come
-  /// from this compiler's options.
+  /// JSON via PipelineSpec::from_json). Seed/cancel/obs still come from
+  /// this compiler's options.
   [[nodiscard]] CompilationResult compile(const Circuit& circuit,
                                           const PipelineSpec& spec) const;
 

@@ -60,10 +60,8 @@ std::string format_cost(double cost) {
 
 }  // namespace
 
-PipelineSpec StrategySpec::pipeline(const CompilerOptions& base) const {
-  return PipelineSpec::standard(placer, router, base.lower_to_native,
-                                base.peephole, base.run_scheduler,
-                                base.use_control_constraints);
+PipelineSpec StrategySpec::pipeline() const {
+  return PipelineSpec::standard(placer, router);
 }
 
 std::string StrategyTelemetry::status_name() const {
@@ -184,12 +182,11 @@ double PortfolioResult::best_cost_() const {
 }
 
 PortfolioCompiler::PortfolioCompiler(Device device, PortfolioOptions options)
-    : device_(std::move(device)), options_(std::move(options)) {
+    : device_(std::move(device)),
+      options_(std::move(options)),
+      cost_(make_cost_function(options_.cost_name)) {
   if (options_.strategies.empty()) {
     options_.strategies = default_portfolio(device_);
-  }
-  if (!options_.cost) {
-    options_.cost = make_cost_function(options_.cost_name);
   }
   // Fail fast on misspelled strategies (the factory error lists the valid
   // names) instead of failing every run at compile() time.
@@ -260,8 +257,7 @@ PortfolioResult PortfolioCompiler::try_compile(const Circuit& circuit,
   const std::size_t n = options_.strategies.size();
   if (n == 0) throw MappingError("portfolio: no strategies configured");
 
-  obs::Observer* const obs =
-      options_.obs != nullptr ? options_.obs : options_.base.obs;
+  obs::Observer* const obs = options_.obs;
   obs::Span race_span(obs, "portfolio", "engine");
   if (race_span.active()) {
     race_span.arg("circuit", circuit.name());
@@ -330,28 +326,27 @@ PortfolioResult PortfolioCompiler::try_compile(const Circuit& circuit,
       // The strategy as data: the standard pipeline with this spec's
       // placer/router, executed directly against the shared device (and
       // so its immutable distance tables) — no per-strategy Device copy.
+      // The compile span nests under strategy_span, the innermost span
+      // open on this thread.
       PipelineRuntime runtime;
       runtime.seed = Rng::derive_stream(options_.base_seed, i);
       runtime.cancel = &token;
       runtime.obs = obs;
-      runtime.obs_parent_span = strategy_span.seq();
       if (options_.stage_hook) {
         runtime.stage_hook = [this, i](const char* stage) {
           options_.stage_hook(stage, static_cast<int>(i));
         };
-      } else {
-        runtime.stage_hook = options_.base.stage_hook;
       }
 
       // Crash boundary: nothing a strategy throws may escape its worker —
       // a crashing placer/router (or injected fault) becomes Failed
       // telemetry with an error class, and its siblings race on.
       try {
-        const PassManager manager(spec.pipeline(options_.base));
+        const PassManager manager(spec.pipeline());
         CompilationResult result = manager.run(circuit, device_, runtime);
         telemetry.wall_ms = ms_since(start);
         telemetry.status = StrategyTelemetry::Status::Completed;
-        telemetry.cost = options_.cost(result, device_);
+        telemetry.cost = cost_(result, device_);
         telemetry.peak_layer_ops = peak_parallel_ops(result.schedule);
         telemetry.added_swaps = result.routing.added_swaps;
         run.result = std::move(result);

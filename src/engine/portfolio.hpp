@@ -43,10 +43,9 @@ struct StrategySpec {
   [[nodiscard]] std::string label() const { return placer + "+" + router; }
 
   /// The strategy as pipeline data: the standard preset with this spec's
-  /// placer/router and the shared toggles (lower_to_native, peephole,
-  /// scheduler, control constraints) taken from `base`. Portfolio workers
-  /// execute exactly this spec, so a strategy *is* a PipelineSpec.
-  [[nodiscard]] PipelineSpec pipeline(const CompilerOptions& base) const;
+  /// placer/router. Portfolio workers execute exactly this spec, so a
+  /// strategy *is* a PipelineSpec.
+  [[nodiscard]] PipelineSpec pipeline() const;
 };
 
 /// Structured telemetry of one strategy run.
@@ -94,26 +93,20 @@ struct PortfolioOptions {
   /// (0 = none). Outstanding strategies are cancelled when it passes; the
   /// best result finished by then is returned.
   double portfolio_deadline_ms = 0.0;
-  /// Winner-selection cost; unset falls back to make_cost_function(cost_name).
-  CostFunction cost;
+  /// Winner-selection cost, by make_cost_function() name.
   std::string cost_name = "balanced";
   /// Per-strategy stage hook: called as (stage, strategy_index) at the
-  /// compiler's stage boundaries ("placer"/"router"/"postroute"/
+  /// pipeline's stage boundaries ("placer"/"router"/"postroute"/
   /// "schedule") of every racing strategy. The engine wraps it into each
-  /// strategy's CompilerOptions::stage_hook; exceptions it throws are
+  /// strategy's PipelineRuntime::stage_hook; exceptions it throws are
   /// caught by the same crash boundary that contains placer/router
   /// crashes, which is how the resilience fault injector plants
   /// deterministic per-strategy faults. Empty by default.
   std::function<void(const char* stage, int strategy_index)> stage_hook;
-  /// Pipeline toggles shared by every strategy (placer/router/seed/cancel
-  /// fields are overwritten per strategy; stage_hook is overwritten when
-  /// the portfolio-level stage_hook above is set).
-  CompilerOptions base;
   /// Observability sink (obs/): a race-root span, one strategy span per
   /// entrant (explicitly parented under the root across threads), and
   /// post-join win/cancellation counters aggregated deterministically on
-  /// the calling thread. Not owned; null disables recording. Overrides
-  /// base.obs for every strategy.
+  /// the calling thread. Not owned; null disables recording.
   obs::Observer* obs = nullptr;
   /// Upstream cancellation (not owned; null = none): every strategy's
   /// per-run deadline token is parent-linked to it, so firing it — e.g. the
@@ -163,11 +156,6 @@ class PortfolioCompiler {
   [[nodiscard]] const std::vector<StrategySpec>& strategies() const noexcept {
     return options_.strategies;
   }
-  /// The device's distance tables (Device::artifacts()).
-  [[nodiscard]] const std::shared_ptr<const ArchArtifacts>& artifacts()
-      const noexcept {
-    return device_.artifacts();
-  }
 
   /// Races the portfolio on an internally owned pool.
   [[nodiscard]] PortfolioResult compile(const Circuit& circuit) const;
@@ -196,6 +184,7 @@ class PortfolioCompiler {
  private:
   Device device_;
   PortfolioOptions options_;
+  CostFunction cost_;
 };
 
 }  // namespace qmap

@@ -26,8 +26,9 @@
 //                     dropped() and stores nothing, so memory is bounded
 //                     and loss is observable instead of silent.
 //   Observer        — the facade the pipeline threads through
-//                     (CompilerOptions::obs, PortfolioOptions::obs,
-//                     resilience::Policy::obs, FuzzOptions::obs). A null
+//                     (PipelineRuntime::obs, CompilerOptions::obs,
+//                     PortfolioOptions::obs, resilience::Policy::obs,
+//                     FuzzOptions::obs). A null
 //                     Observer* — the default everywhere — reduces every
 //                     recording helper to one pointer compare, so the
 //                     instrumented hot paths cost nothing when

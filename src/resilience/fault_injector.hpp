@@ -23,11 +23,12 @@
 //                      registered here so arming shares the same validated
 //                      FaultSpec machinery and seeded fire decisions.
 //
-// Stage faults are delivered through CompilerOptions::stage_hook /
-// PortfolioOptions::stage_hook — the injector never patches a pass. The
-// stage names it matches against ("placer", "router", ...) are exactly the
-// Pass::name() values the PassManager hands to the hook (src/pass/), so
-// the matrix keeps working for any pipeline built from registered passes.
+// Stage faults are delivered through PipelineRuntime::stage_hook (rungs 1
+// and 2) and PortfolioOptions::stage_hook (the rung-0 race) — the injector
+// never patches a pass. The stage names it matches against ("placer",
+// "router", ...) are exactly the Pass::name() values the PassManager hands
+// to the hook (src/pass/), so the matrix keeps working for any pipeline
+// built from registered passes.
 // Decisions are pure functions of (seed, spec index, rung, strategy,
 // attempt): no global counters, no clocks, so a fixed seed fires the same
 // faults whether the portfolio runs on 1 thread or 16. Fired faults are
@@ -83,7 +84,7 @@ class FaultInjector {
   /// Stage-boundary delivery: evaluates every armed stage fault against
   /// (stage, rung, strategy, attempt) and performs the first that fires —
   /// throwing its error or stalling. Deterministic for a fixed seed.
-  /// Wire this into CompilerOptions::stage_hook (or the portfolio's
+  /// Wire this into PipelineRuntime::stage_hook (or the portfolio's
   /// per-strategy variant). Thread-safe.
   void at_stage(const char* stage, int rung, int strategy, int attempt) const;
 

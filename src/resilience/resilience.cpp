@@ -177,24 +177,16 @@ ResilientCompiler::ResilientCompiler(Device device, Policy policy)
       num_strategies_(policy_.portfolio.empty()
                           ? PortfolioCompiler::default_portfolio(device_).size()
                           : policy_.portfolio.size()),
-      guard_(device_, policy_.budget) {
-  // Fail on nonsense now, not three rungs deep into a compile.
-  (void)make_placer(policy_.fallback_placer);
-  (void)make_router(policy_.fallback_router);
+      guard_(device_, policy_.budget),
+      rung1_(policy_.rung1_pipeline.value_or(PipelineSpec::standard())),
+      rung2_(PipelineSpec::standard("identity", "naive")) {
+  // Fail on nonsense now, not three rungs deep into a compile. Building
+  // rung1_ above already validated the rung-1 pipeline.
   for (const StrategySpec& spec : policy_.portfolio) {
     (void)make_placer(spec.placer);
     (void)make_router(spec.router);
   }
-  if (policy_.rung1_pipeline) (void)policy_.rung1_pipeline->build();
-  if (policy_.rung2_pipeline) (void)policy_.rung2_pipeline->build();
   (void)FaultInjector(policy_.faults);  // validates fault-point names
-  if (policy_.rung0_deadline_fraction <= 0.0 ||
-      policy_.rung0_deadline_fraction > 1.0 ||
-      policy_.rung1_deadline_fraction <= 0.0 ||
-      policy_.rung1_deadline_fraction > 1.0) {
-    throw MappingError(
-        "resilience policy: rung deadline fractions must be in (0, 1]");
-  }
   if (policy_.max_retries_per_rung < 0) {
     throw MappingError("resilience policy: max_retries_per_rung < 0");
   }
@@ -248,8 +240,7 @@ CompileOutcome ResilientCompiler::compile_(const Circuit& circuit,
   const Clock::time_point start = Clock::now();
   CompileOutcome outcome;
 
-  obs::Observer* const obs =
-      policy_.obs != nullptr ? policy_.obs : policy_.base.obs;
+  obs::Observer* const obs = policy_.obs;
   obs::Span root_span(obs, "resilient_compile", "resilience");
   if (root_span.active()) root_span.arg("circuit", circuit.name());
   obs::add(obs, "resilience.compiles");
@@ -290,14 +281,8 @@ CompileOutcome ResilientCompiler::compile_(const Circuit& circuit,
   for (int rung = 0; rung < 3; ++rung) {
     RungReport rr;
     rr.rung = rung;
-    rr.label =
-        rung == 0 ? "portfolio"
-        : rung == 1
-            ? (policy_.rung1_pipeline
-                   ? policy_.rung1_pipeline->label()
-                   : policy_.fallback_placer + "+" + policy_.fallback_router)
-            : (policy_.rung2_pipeline ? policy_.rung2_pipeline->label()
-                                      : "identity+naive");
+    const PassManager& pipeline = rung == 1 ? rung1_ : rung2_;
+    rr.label = rung == 0 ? "portfolio" : pipeline.spec().label();
     const bool shielded = rung == 2 && policy_.shield_last_rung;
     // Explicit caller cancellation stops the ladder even ahead of the
     // shielded rung: it is a request, not a failure, so the never-fails
@@ -354,27 +339,24 @@ CompileOutcome ResilientCompiler::compile_(const Circuit& circuit,
         if (!shielded) {
           (void)injector.corrupt(candidate, device_, rung, strategy, attempt);
         }
-        const bool must_validate = rung == 2 || policy_.validate_intermediate;
-        if (must_validate) {
-          const verify::ValidityReport audit = checker.check_result(candidate);
-          if (!audit.ok()) {
-            ar.ok = false;
-            ar.error_class = ErrorClass::Permanent;
-            ar.error = "result failed post-validation: " +
-                       audit.violations.front().to_string() +
-                       (audit.violations.size() > 1
-                            ? " (+" +
-                                  std::to_string(audit.violations.size() - 1) +
-                                  " more)"
-                            : "");
-            return;
-          }
+        const verify::ValidityReport audit = checker.check_result(candidate);
+        if (!audit.ok()) {
+          ar.ok = false;
+          ar.error_class = ErrorClass::Permanent;
+          ar.error = "result failed post-validation: " +
+                     audit.violations.front().to_string() +
+                     (audit.violations.size() > 1
+                          ? " (+" +
+                                std::to_string(audit.violations.size() - 1) +
+                                " more)"
+                          : "");
+          return;
         }
         ar.ok = true;
         outcome.ok = true;
         outcome.rung = rung;
         outcome.winner_label = std::move(label);
-        outcome.validated = must_validate;
+        outcome.validated = true;
         outcome.result = std::move(candidate);
       };
 
@@ -385,12 +367,11 @@ CompileOutcome ResilientCompiler::compile_(const Circuit& circuit,
           popt.num_threads = policy_.num_threads;
           popt.base_seed = Rng::derive_stream(
               seed, kRungStream + static_cast<std::uint64_t>(attempt));
-          popt.base = policy_.base;
           popt.obs = obs;
           popt.cancel = client_cancel;
           if (has_deadline) {
             popt.portfolio_deadline_ms =
-                std::min(policy_.deadline_ms * policy_.rung0_deadline_fraction,
+                std::min(policy_.deadline_ms * kRung0DeadlineFraction,
                          std::max(0.0, remaining_ms()));
           }
           if (!injector.empty()) {
@@ -436,44 +417,31 @@ CompileOutcome ResilientCompiler::compile_(const Circuit& circuit,
                        " failed/skipped)";
           }
         } else {
-          CompilerOptions copt = policy_.base;
-          copt.placer = rung == 1 ? policy_.fallback_placer : "identity";
-          copt.router = rung == 1 ? policy_.fallback_router : "naive";
-          copt.seed = Rng::derive_stream(
+          PipelineRuntime runtime;
+          runtime.seed = Rng::derive_stream(
               seed, kRungStream + (static_cast<std::uint64_t>(rung) << 8) +
                         static_cast<std::uint64_t>(attempt));
+          runtime.obs = obs;
           CancelToken token;
-          copt.cancel = nullptr;
-          copt.stage_hook = nullptr;
-          copt.obs = obs;
           if (rung == 1 && has_deadline) {
             token.set_deadline_after_ms(std::max(0.0, remaining_ms()) *
-                                        policy_.rung1_deadline_fraction);
-            copt.cancel = &token;
+                                        kRung1DeadlineFraction);
+            runtime.cancel = &token;
           }
           // Rung 2 stays uncancellable mid-run: the shield's never-fails
           // guarantee holds once the last rung has started; disconnects
           // are honoured at the attempt/rung checkpoints above instead.
           if (rung == 1 && client_cancel != nullptr) {
             token.link_parent(client_cancel);
-            copt.cancel = &token;
+            runtime.cancel = &token;
           }
           if (!injector.empty() && !shielded) {
             const FaultInjector* inj = &injector;
-            copt.stage_hook = [inj, rung, attempt](const char* stage) {
+            runtime.stage_hook = [inj, rung, attempt](const char* stage) {
               inj->at_stage(stage, rung, 0, attempt);
             };
           }
-          // The rung is pipeline data: an explicit policy override or the
-          // standard preset derived from copt's placer/router/toggles.
-          // Either way the compile path below is the same PassManager run.
-          const std::optional<PipelineSpec>& pipeline_override =
-              rung == 1 ? policy_.rung1_pipeline : policy_.rung2_pipeline;
-          const Compiler compiler(device_, copt);
-          accept(compiler.compile(circuit, pipeline_override
-                                               ? *pipeline_override
-                                               : compiler.pipeline()),
-                 0, rr.label);
+          accept(pipeline.run(circuit, device_, runtime), 0, rr.label);
         }
       } catch (const CancelledError& e) {
         ar.ok = false;

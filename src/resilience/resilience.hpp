@@ -16,32 +16,35 @@
 //      the last, each inside its own crash boundary with its own slice of
 //      the wall-clock deadline:
 //        rung 0  portfolio race (PortfolioCompiler, all strategies);
-//        rung 1  single best-known strategy (greedy+sabre by default);
+//        rung 1  one pipeline: Policy::rung1_pipeline, or the standard
+//                greedy+sabre preset when it is unset;
 //        rung 2  trivial identity placement + naive router — guaranteed to
 //                terminate on any connected device (see route/naive.hpp),
 //                runs with no deadline and (by default) shielded from
 //                fault injection, so the ladder as a whole cannot come
 //                back empty-handed;
+//      every rung is a PipelineSpec: rung 0 races one per StrategySpec,
+//      rungs 1 and 2 run theirs through a PassManager on the supervisor's
+//      own Device;
 //   3. retry with decorrelated-jitter backoff (resilience/backoff.hpp) for
 //      attempts that failed with ErrorClass::Transient — a deadline slice
 //      expiring, a transient pass error — while Permanent failures fall
 //      through to the next rung immediately and ResourceExhausted ones are
 //      never retried at the same tier;
-//   4. post-compile validation (verify::ValidityChecker) — policy-gated on
-//      the early rungs, always on at the last — so a corrupted result
-//      degrades to the next rung instead of escaping to the caller;
+//   4. post-compile validation (verify::ValidityChecker) on every rung, so
+//      a corrupted result degrades to the next rung instead of escaping to
+//      the caller;
 //   5. systematic fault injection (resilience/fault_injector.hpp) armed
 //      from the policy, so every one of those degradation paths is
 //      exercisable in tests rather than discovered in production.
 //
 // The CompileOutcome records exactly how degraded the answer is: which
-// rung produced it, how many retries were spent, which faults fired, and
-// whether the result was re-validated. For a fixed policy seed the outcome
+// rung produced it, how many retries were spent, and which faults fired.
+// For a fixed policy seed the outcome
 // fingerprint is byte-identical across runs and thread counts.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,21 +54,25 @@
 #include "engine/cancel.hpp"
 #include "engine/portfolio.hpp"
 #include "engine/thread_pool.hpp"
+#include "pass/manager.hpp"
 #include "resilience/admission.hpp"
 #include "resilience/backoff.hpp"
 #include "resilience/fault_injector.hpp"
 
 namespace qmap::resilience {
 
+/// Share of Policy::deadline_ms the portfolio race (rung 0) may spend.
+inline constexpr double kRung0DeadlineFraction = 0.6;
+/// Share of the deadline left after rung 0 that rung 1 may spend.
+inline constexpr double kRung1DeadlineFraction = 0.5;
+
 struct Policy {
   /// Admission budgets (see resilience/admission.hpp).
   ResourceBudget budget;
   /// Total wall-clock deadline for the whole ladder in milliseconds
-  /// (0 = none). Rung 0 gets rung0_deadline_fraction of it, rung 1 the
-  /// same fraction of what is left; rung 2 always runs unbounded.
+  /// (0 = none). Rung 0 gets kRung0DeadlineFraction of it, rung 1
+  /// kRung1DeadlineFraction of what is left; rung 2 always runs unbounded.
   double deadline_ms = 0.0;
-  double rung0_deadline_fraction = 0.6;
-  double rung1_deadline_fraction = 0.5;
   /// Retries per rung for Transient failures (on top of the first
   /// attempt). Permanent and ResourceExhausted failures never retry.
   int max_retries_per_rung = 2;
@@ -75,9 +82,6 @@ struct Policy {
   std::uint64_t seed = 0xC0FFEE;
   /// Worker threads for the portfolio rung (0 = hardware concurrency).
   int num_threads = 0;
-  /// Run the ValidityChecker on rung-0/1 results (the last rung is always
-  /// validated regardless).
-  bool validate_intermediate = true;
   /// Keep fault hooks and deadlines away from the last rung so its
   /// never-fails guarantee survives even a probability-1.0 injection
   /// campaign. Disable only to test the ladder's own failure path.
@@ -99,25 +103,16 @@ struct Policy {
   /// Each StrategySpec expands to a PipelineSpec (StrategySpec::pipeline),
   /// so all three rungs are pipeline data in the end.
   std::vector<StrategySpec> portfolio;
-  /// Rung 1 strategy.
-  std::string fallback_placer = "greedy";
-  std::string fallback_router = "sabre";
-  /// Explicit pipelines for rungs 1/2 as declarative data (build with
-  /// PipelineSpec::standard or parse with PipelineSpec::from_json). Unset
-  /// (the default) derives rung 1 from fallback_placer/fallback_router and
-  /// rung 2 from identity+naive, each with `base`'s toggles — exactly the
-  /// historical ladder. The seed/deadline/fault wiring is identical either
-  /// way; the rung label becomes the pipeline's label().
+  /// Rung 1 as declarative data (build with PipelineSpec::standard or
+  /// parse with PipelineSpec::from_json); unset = PipelineSpec::standard(),
+  /// greedy+sabre. The rung label is the pipeline's label(). Rung 2 is
+  /// always PipelineSpec::standard("identity", "naive").
   std::optional<PipelineSpec> rung1_pipeline;
-  std::optional<PipelineSpec> rung2_pipeline;
   /// Armed faults (empty in production).
   std::vector<FaultSpec> faults;
-  /// Pipeline toggles shared by every rung (placer/router/seed/cancel/
-  /// stage_hook fields are overwritten per rung).
-  CompilerOptions base;
   /// Observability sink (obs/): a root span per compile, one span per rung
   /// and per attempt, instant events for fired faults, and ladder counters.
-  /// Not owned; null disables recording. Overrides base.obs on every rung.
+  /// Not owned; null disables recording.
   obs::Observer* obs = nullptr;
 };
 
@@ -165,7 +160,8 @@ struct CompileOutcome {
   int total_retries = 0;
   /// Union of fault points that fired anywhere (sorted, deduplicated).
   std::vector<std::string> injected_faults;
-  /// True when the returned result passed a ValidityChecker audit.
+  /// True when the returned result passed a ValidityChecker audit; every
+  /// rung audits, so this equals ok.
   bool validated = false;
   std::vector<RungReport> rungs;
   double wall_ms = 0.0;
@@ -186,26 +182,19 @@ struct CompileOutcome {
 
 class ResilientCompiler {
  public:
-  /// Validates the policy eagerly: strategy and fault-point names, rung-1
-  /// pairing, deadline fractions. Throws MappingError on nonsense.
+  /// Validates the policy eagerly: strategy and fault-point names, the
+  /// rung-1 pipeline, retry and rung bounds. Throws MappingError on
+  /// nonsense.
   explicit ResilientCompiler(Device device, Policy policy = {});
 
   [[nodiscard]] const Device& device() const noexcept { return device_; }
   [[nodiscard]] const Policy& policy() const noexcept { return policy_; }
-  /// The device's distance tables, shared by every rung and attempt.
-  [[nodiscard]] const std::shared_ptr<const ArchArtifacts>& artifacts()
-      const noexcept {
-    return device_.artifacts();
-  }
 
   /// The one admission path every entry point shares — compile(),
   /// compile_batch(), and the compile service's pre-queue check all call
   /// this, so reject/down-tier behaviour cannot drift between front doors.
   /// Wraps the guard with the policy-derived race width and deadline.
   [[nodiscard]] AdmissionReport assess(const Circuit& circuit) const;
-  [[nodiscard]] const AdmissionGuard& admission_guard() const noexcept {
-    return guard_;
-  }
 
   /// Never throws for any admitted circuit: every failure is contained in
   /// the outcome. Runs the portfolio rung on an internally owned pool.
@@ -233,6 +222,9 @@ class ResilientCompiler {
   std::size_t num_strategies_ = 1;
   /// One guard per supervisor, shared by every entry point (see assess()).
   AdmissionGuard guard_;
+  /// Rungs 1 and 2, built once; every attempt runs one on device_.
+  PassManager rung1_;
+  PassManager rung2_;
 };
 
 /// Front door: one call, one hardened answer.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <istream>
 #include <ostream>
@@ -51,7 +52,16 @@ ServiceRequest ServiceRequest::from_json(const Json& json) {
     } else if (key == "pipeline") {
       request.pipeline = PipelineSpec::from_json(value);
     } else if (key == "seed") {
-      request.seed = static_cast<std::uint64_t>(value.as_number());
+      // JSON numbers are doubles: only integers in [0, 2^53) convert to a
+      // seed exactly, so anything else is refused rather than cast.
+      const double seed = value.as_number();
+      if (!(seed >= 0.0 && seed < 9007199254740992.0) ||
+          seed != std::floor(seed)) {
+        throw MappingError(
+            "service request: field 'seed' must be an integer in "
+            "[0, 2^53)");
+      }
+      request.seed = static_cast<std::uint64_t>(seed);
     } else if (key == "deadline_ms") {
       request.deadline_ms = value.as_number();
     } else if (key == "no_cache") {

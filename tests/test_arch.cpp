@@ -362,6 +362,9 @@ TEST(DeviceConfig, RejectsMalformedConfigs) {
                    R"({"num_qubits": 2, "edges": [[0, 5]]})"),
                DeviceError);
   EXPECT_THROW((void)load_device("/nonexistent/path.json"), DeviceError);
+  // Outside int range: rejected, never cast.
+  EXPECT_THROW((void)device_from_json_text(R"({"num_qubits": 3000000000})"),
+               ParseError);
 }
 
 // Hard errors carry the offending key path so a bad config is fixable

@@ -1,5 +1,6 @@
 // Tests for the common support layer: strings, JSON, matrices, RNG.
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -123,6 +124,16 @@ TEST(Json, TypeMismatchThrows) {
   EXPECT_THROW((void)doc.as_object(), ParseError);
   EXPECT_THROW((void)doc.at("key"), ParseError);
   EXPECT_THROW((void)Json::parse("1.5").as_int(), ParseError);
+}
+
+TEST(Json, AsIntRejectsValuesOutsideIntRange) {
+  EXPECT_EQ(Json::parse("2147483647").as_int(),
+            std::numeric_limits<int>::max());
+  EXPECT_EQ(Json::parse("-2147483648").as_int(),
+            std::numeric_limits<int>::min());
+  EXPECT_THROW((void)Json::parse("2147483648").as_int(), ParseError);
+  EXPECT_THROW((void)Json::parse("-2147483649").as_int(), ParseError);
+  EXPECT_THROW((void)Json::parse("1e300").as_int(), ParseError);
 }
 
 TEST(Json, UnicodeEscapes) {

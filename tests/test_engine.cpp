@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "arch/builtin.hpp"
@@ -282,6 +284,31 @@ TEST(Portfolio, ThrowsWhenNothingCompletes) {
   options.strategies = {{"identity", "exact", 0, /*deadline_ms=*/20.0}};
   const PortfolioCompiler portfolio(device, options);
   EXPECT_THROW((void)portfolio.compile(circuit), MappingError);
+}
+
+TEST(Portfolio, ForeignExceptionFromStageHookIsContainedPerStrategy) {
+  // A stage hook throwing a type not derived from qmap::Error fails every
+  // strategy inside its own crash boundary: each records the failure in
+  // its telemetry, and try_compile reports an empty race without throwing.
+  PortfolioOptions options = small_portfolio_options(2);
+  options.stage_hook = [](const char* stage, int) {
+    if (std::string(stage) == "router") {
+      throw std::runtime_error("planted foreign fault");
+    }
+  };
+  const PortfolioCompiler portfolio(devices::ibm_qx4(), options);
+  ThreadPool pool(2);
+  // Any exception escaping try_compile fails the test on its own.
+  const PortfolioResult result =
+      portfolio.try_compile(workloads::ghz(4), pool);
+  EXPECT_EQ(result.winner_index, -1);
+  ASSERT_EQ(result.telemetry.size(), portfolio.strategies().size());
+  for (const StrategyTelemetry& t : result.telemetry) {
+    EXPECT_EQ(t.status, StrategyTelemetry::Status::Failed) << t.spec.label();
+    EXPECT_EQ(t.error_class, ErrorClass::Permanent) << t.spec.label();
+    EXPECT_NE(t.error.find("planted foreign fault"), std::string::npos)
+        << t.error;
+  }
 }
 
 TEST(Portfolio, RejectsMisspelledStrategyAtConstruction) {

@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -290,6 +291,37 @@ TEST(ChromeTrace, RealPortfolioTraceIsStructurallyValid) {
   EXPECT_NE(document.find("metrics"), nullptr);
 }
 
+TEST(Span, PortfolioCompileSpansNestUnderTheirStrategySpan) {
+  // Each strategy's compile span opens on the worker thread inside that
+  // strategy's span, so it nests there without an explicit parent.
+  obs::Observer observer;
+  PortfolioOptions options;
+  options.num_threads = 4;
+  options.strategies = {{"greedy", "sabre", 0, 0.0},
+                        {"annealing", "qmap", 0, 0.0},
+                        {"greedy", "bridge", 0, 0.0}};
+  options.obs = &observer;
+  const PortfolioResult result =
+      PortfolioCompiler(devices::surface17(), options)
+          .compile(workloads::qft(5));
+  ASSERT_GE(result.winner_index, 0);
+
+  std::map<std::uint64_t, obs::SpanRecord> by_seq;
+  for (obs::SpanRecord& span : observer.trace().snapshot()) {
+    by_seq[span.seq] = std::move(span);
+  }
+  int compiles = 0;
+  for (const auto& [seq, span] : by_seq) {
+    if (span.name != "compile") continue;
+    ++compiles;
+    const auto parent = by_seq.find(span.parent_seq);
+    ASSERT_NE(parent, by_seq.end()) << "compile span " << seq;
+    EXPECT_EQ(parent->second.category, "strategy");
+    EXPECT_EQ(parent->second.tid, span.tid);
+  }
+  EXPECT_EQ(compiles, 3);
+}
+
 TEST(ChromeTrace, ValidatorRejectsBrokenTraces) {
   EXPECT_FALSE(obs::validate_chrome_trace("not json").ok);
   EXPECT_FALSE(obs::validate_chrome_trace("{}").ok);
@@ -438,11 +470,11 @@ TEST(ResilienceObs, StallFaultShowsAsSpanExceedingRungDeadlineSlice) {
   EXPECT_TRUE(outcome.ok);
   EXPECT_TRUE(outcome.degraded()) << outcome.report();
 
-  // The rung-0 slice is deadline_ms * rung0_deadline_fraction = 36 ms; the
+  // The rung-0 slice is deadline_ms * kRung0DeadlineFraction = 36 ms; the
   // stalled attempt must overshoot it (the 120 ms sleep straddles the
   // armed deadline before CancelledError surfaces).
   const double slice_ms =
-      policy.deadline_ms * policy.rung0_deadline_fraction;
+      policy.deadline_ms * resilience::kRung0DeadlineFraction;
   bool found_overrun = false;
   for (const obs::SpanRecord& span : observer.trace().snapshot()) {
     if (span.name != "attempt") continue;

@@ -180,8 +180,9 @@ TEST(ArchArtifacts, CopiesAndCompilersShareTheDeviceBundle) {
   assigned = device;
   EXPECT_EQ(assigned.artifacts().get(), bundle);
   EXPECT_EQ(Compiler(device).artifacts().get(), bundle);
-  EXPECT_EQ(PortfolioCompiler(device).artifacts().get(), bundle);
-  EXPECT_EQ(resilience::ResilientCompiler(device).artifacts().get(), bundle);
+  EXPECT_EQ(PortfolioCompiler(device).device().artifacts().get(), bundle);
+  EXPECT_EQ(resilience::ResilientCompiler(device).device().artifacts().get(),
+            bundle);
   // A second device of the same shape builds its own tables.
   EXPECT_NE(devices::surface17().artifacts().get(), bundle);
 }
@@ -274,13 +275,9 @@ TEST(PipelineSpec, StrategySpecExpandsToItsPipeline) {
   StrategySpec strategy;
   strategy.placer = "identity";
   strategy.router = "naive";
-  CompilerOptions base;
-  base.run_scheduler = false;
-  const PipelineSpec spec = strategy.pipeline(base);
+  const PipelineSpec spec = strategy.pipeline();
   EXPECT_EQ(spec.label(), strategy.label());
-  EXPECT_EQ(spec.size(), 4u);  // no schedule pass
-  EXPECT_EQ(spec, PipelineSpec::standard("identity", "naive", true, true,
-                                         false, true));
+  EXPECT_EQ(spec, PipelineSpec::standard("identity", "naive"));
 }
 
 // --- Custom pipelines -------------------------------------------------------

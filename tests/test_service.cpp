@@ -268,6 +268,21 @@ TEST(ServiceRequest, FromJsonRejectsUnknownFieldsAndOps) {
                MappingError);
   EXPECT_THROW(ServiceRequest::from_json(Json::parse(R"({"op": "explode"})")),
                MappingError);
+  // Seeds: only integers in [0, 2^53) convert exactly from a JSON number.
+  for (const char* seed : {"-1", "1.5", "9007199254740992"}) {
+    try {
+      (void)ServiceRequest::from_json(
+          Json::parse(std::string(R"({"seed": )") + seed + "}"));
+      ADD_FAILURE() << "seed " << seed << " was accepted";
+    } catch (const MappingError& e) {
+      EXPECT_NE(std::string(e.what()).find("seed"), std::string::npos)
+          << e.what();
+    }
+  }
+  ServiceRequest largest;
+  largest.seed = 9007199254740991ull;
+  EXPECT_EQ(ServiceRequest::from_json(largest.to_json()).seed,
+            9007199254740991ull);
 }
 
 TEST(ServiceRequest, JsonRoundTripPreservesFields) {
