@@ -22,10 +22,10 @@
 //                terminate on any connected device (see route/naive.hpp),
 //                runs with no deadline and (by default) shielded from
 //                fault injection, so the ladder as a whole cannot come
-//                back empty-handed;
-//      every rung is a PipelineSpec: rung 0 races one per StrategySpec,
-//      rungs 1 and 2 run theirs through a PassManager on the supervisor's
-//      own Device;
+//                back empty-handed.
+//      Every rung is a PipelineSpec: rung 0 races one per StrategySpec,
+//      rungs 1 and 2 each run theirs through a PassManager on the
+//      supervisor's own Device;
 //   3. retry with decorrelated-jitter backoff (resilience/backoff.hpp) for
 //      attempts that failed with ErrorClass::Transient — a deadline slice
 //      expiring, a transient pass error — while Permanent failures fall
@@ -40,8 +40,8 @@
 //
 // The CompileOutcome records exactly how degraded the answer is: which
 // rung produced it, how many retries were spent, and which faults fired.
-// For a fixed policy seed the outcome
-// fingerprint is byte-identical across runs and thread counts.
+// For a fixed policy seed the outcome fingerprint is byte-identical across
+// runs and thread counts.
 #pragma once
 
 #include <cstdint>
