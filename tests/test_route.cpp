@@ -21,6 +21,7 @@
 #include "route/qmap_router.hpp"
 #include "route/sabre.hpp"
 #include "route/token_swap.hpp"
+#include "reference_exact.hpp"
 #include "sim/equivalence.hpp"
 #include "sim/stabilizer.hpp"
 #include "verify/validity.hpp"
@@ -234,6 +235,93 @@ TEST(ExactRouter, ThrowsWhenStateBudgetExceeded) {
   EXPECT_THROW((void)ExactRouter(options).route(
                    circuit, grid, Placement::identity(8, 9)),
                MappingError);
+}
+
+/// The objective ExactRouter minimises: SWAPs first, then CX inversions.
+std::size_t exact_cost(const RoutingResult& result) {
+  return 1000 * result.added_swaps + result.direction_fixes;
+}
+
+TEST(ExactRouter, CostEqualsReferenceDijkstra) {
+  struct Case {
+    std::string label;
+    Device device;
+    Circuit circuit;
+    Placement initial;
+  };
+  std::vector<Case> cases;
+
+  // The Fig. 3 suite on QX4 under the paper's trivial placement
+  // (bench_fig3_qx4_mapping), lowered as the bench lowers it.
+  const Device qx4 = devices::ibm_qx4();
+  Rng fig_rng(1234);
+  std::vector<Circuit> fig3 = {workloads::fig1_skeleton(),
+                               workloads::fig1_example(), workloads::ghz(4),
+                               workloads::qft(4), workloads::grover(2, 3)};
+  fig3.push_back(workloads::random_circuit(4, 24, fig_rng, 0.5));
+  fig3.push_back(workloads::random_circuit(4, 24, fig_rng, 0.5));
+  fig3.push_back(workloads::random_circuit(5, 30, fig_rng, 0.5));
+  for (const Circuit& circuit : fig3) {
+    const Circuit lowered = lower_to_device(circuit, qx4, true);
+    cases.push_back({"fig3/" + circuit.name(), qx4, lowered,
+                     Placement::identity(lowered.num_qubits(), 5)});
+  }
+
+  // Seeded random circuits of up to 5 program qubits after greedy
+  // placement. Clifford gates keep the equivalence check exact and cheap
+  // on the 16- and 17-qubit devices; the sizes keep the reference search
+  // in milliseconds.
+  struct RandomFamily {
+    Device device;
+    int trials;
+    int num_gates;
+  };
+  const RandomFamily families[] = {{qx4, 6, 24},
+                                   {devices::linear(5), 6, 20},
+                                   {devices::ibm_qx5(), 6, 24},
+                                   {devices::surface17(), 6, 24}};
+  Rng rng(2718);
+  for (const RandomFamily& family : families) {
+    for (int trial = 0; trial < family.trials; ++trial) {
+      const int n = 3 + trial % 3;
+      const Circuit circuit =
+          workloads::random_clifford_circuit(n, family.num_gates, rng, 0.5);
+      const Placement initial =
+          make_placer("greedy")->place(circuit, family.device);
+      cases.push_back({family.device.name() + "/random" +
+                           std::to_string(trial),
+                       family.device, circuit, initial});
+    }
+  }
+
+  for (const Case& c : cases) {
+    const RoutingResult reference =
+        reference_exact_route(c.circuit, c.device, c.initial);
+    const RoutingResult exact =
+        ExactRouter().route(c.circuit, c.device, c.initial);
+    EXPECT_EQ(exact_cost(exact), exact_cost(reference)) << c.label;
+
+    Circuit legal = expand_swaps(exact.circuit, c.device);
+    legal = fix_cx_directions(legal, c.device);
+    verify::CheckOptions options;
+    options.require_native = false;
+    const verify::ValidityReport report =
+        verify::ValidityChecker(c.device, options).check_circuit(legal);
+    EXPECT_TRUE(report.ok()) << c.label << ": " << report.to_string();
+    if (is_clifford_circuit(c.circuit)) {
+      EXPECT_TRUE(clifford_mapping_equivalent(
+          c.circuit, legal, exact.initial.wire_to_phys(),
+          exact.final.wire_to_phys()))
+          << c.label;
+    } else {
+      Rng sim_rng(99);
+      EXPECT_TRUE(mapping_equivalent(c.circuit.unitary_part(),
+                                     legal.unitary_part(),
+                                     exact.initial.wire_to_phys(),
+                                     exact.final.wire_to_phys(), sim_rng, 3))
+          << c.label;
+    }
+  }
 }
 
 TEST(Routers, NaiveIsTheOverheadBaselineOnFig1Skeleton) {
