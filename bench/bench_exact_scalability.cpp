@@ -40,22 +40,32 @@ void print_figure() {
       "solutions [but] are often not that scalable'.");
   section("Runtime vs device size (line devices, 12-CNOT chain circuits)");
   TextTable table({"device qubits", "exact ms", "sabre ms", "astar ms",
-                   "exact swaps", "sabre swaps", "astar swaps"});
-  for (int n = 3; n <= 8; ++n) {
+                   "exact swaps", "sabre swaps", "astar swaps",
+                   "states stored", "states expanded"});
+  for (int n = 3; n <= 10; ++n) {
     const Device device = devices::linear(n);
     Rng rng(1000 + static_cast<std::uint64_t>(n));
     const Circuit circuit = chain_workload(n, 12, rng);
     const Placement initial = Placement::identity(n, n);
     double runtime[3] = {0, 0, 0};
     std::size_t swaps[3] = {0, 0, 0};
+    std::uint64_t stored = 0;  // the exact router's A* search size
+    std::uint64_t expanded = 0;
     const char* routers[] = {"exact", "sabre", "astar"};
     for (int r = 0; r < 3; ++r) {
       // Median of 3 runs.
       std::vector<double> times;
       RoutingResult result;
       for (int rep = 0; rep < 3; ++rep) {
-        result = make_router(routers[r])->route(circuit, device, initial);
+        obs::Observer observer;
+        const auto router = make_router(routers[r]);
+        router->set_observer(&observer);
+        result = router->route(circuit, device, initial);
         times.push_back(result.runtime_ms);
+        if (r == 0) {
+          stored = observer.metrics().counter("router.exact.stored");
+          expanded = observer.metrics().counter("router.exact.expanded");
+        }
       }
       std::sort(times.begin(), times.end());
       runtime[r] = times[1];
@@ -64,7 +74,9 @@ void print_figure() {
     table.add_row({TextTable::num(n), TextTable::num(runtime[0], 3),
                    TextTable::num(runtime[1], 3),
                    TextTable::num(runtime[2], 3), TextTable::num(swaps[0]),
-                   TextTable::num(swaps[1]), TextTable::num(swaps[2])});
+                   TextTable::num(swaps[1]), TextTable::num(swaps[2]),
+                   TextTable::num(static_cast<std::size_t>(stored)),
+                   TextTable::num(static_cast<std::size_t>(expanded))});
     // Heuristics never beat exact on these chain instances.
     if (swaps[1] < swaps[0] || swaps[2] < swaps[0]) {
       std::cerr << "FATAL: heuristic beat the exact router on a fixed-order "

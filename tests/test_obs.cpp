@@ -400,6 +400,46 @@ TEST(RouterObs, ReliabilityAndShuttleFlushLoopCounters) {
   }
 }
 
+TEST(RouterObs, ExactFlushesSearchCounters) {
+  const Device qx4 = devices::ibm_qx4();
+  const Circuit circuit = workloads::fig1_example();
+  obs::Observer observer;
+  CompilerOptions options;
+  options.router = "exact";
+  options.obs = &observer;
+  (void)Compiler(qx4, options).compile(circuit);
+  const Json counters = observer.metrics().to_json().at("counters");
+  for (const char* counter : {"router.exact.routes", "router.exact.expanded",
+                              "router.exact.stored"}) {
+    EXPECT_TRUE(counters.contains(counter)) << counter;
+  }
+  EXPECT_EQ(observer.metrics().counter("router.exact.routes"), 1u);
+  const std::uint64_t expanded =
+      observer.metrics().counter("router.exact.expanded");
+  EXPECT_GE(expanded, 1u);
+  // The start state is stored before anything is expanded.
+  EXPECT_GT(observer.metrics().counter("router.exact.stored"), expanded);
+  EXPECT_EQ(observer.metrics().histogram("route.swaps_inserted").count, 1u);
+
+  // The counts are search facts, not timings: a portfolio race that
+  // enrolls the exact strategy reports the same metrics at any width.
+  std::vector<std::string> fingerprints;
+  for (const int threads : {1, 2, 8}) {
+    obs::Observer race_observer;
+    PortfolioOptions race_options;
+    race_options.num_threads = threads;
+    race_options.obs = &race_observer;
+    const PortfolioResult result =
+        PortfolioCompiler(qx4, race_options).compile(circuit);
+    EXPECT_GE(result.winner_index, 0);
+    EXPECT_EQ(race_observer.metrics().counter("router.exact.routes"), 1u)
+        << threads;
+    fingerprints.push_back(race_observer.metrics().fingerprint());
+  }
+  EXPECT_EQ(fingerprints[0], fingerprints[1]);
+  EXPECT_EQ(fingerprints[0], fingerprints[2]);
+}
+
 // ---------------------------------------------------------------------------
 // Resilience negative paths
 // ---------------------------------------------------------------------------
