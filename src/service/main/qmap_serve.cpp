@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "service/serve_flags.hpp"
 #include "service/service.hpp"
 
 #ifndef _WIN32
@@ -44,18 +45,23 @@ void usage(const char* argv0) {
       << "usage: " << argv0 << " [options]\n"
       << "  --socket PATH        listen on a Unix domain socket instead of\n"
       << "                       stdin/stdout (one serve loop per client)\n"
-      << "  --workers N          dispatcher threads (default 2)\n"
-      << "  --compile-threads N  engine pool threads (default: hardware)\n"
-      << "  --cache-mb N         result-cache byte budget in MiB (default 64)\n"
-      << "  --cache-shards N     result-cache lock shards (default 8)\n"
+      << "  --workers N          dispatcher threads, 1-256 (default 2)\n"
+      << "  --compile-threads N  engine pool threads, 0-256 (default 0:\n"
+      << "                       hardware)\n"
+      << "  --cache-mb N         result-cache byte budget in MiB, at most\n"
+      << "                       1048576 (default 64)\n"
+      << "  --cache-shards N     result-cache lock shards, 1-1024 (default 8)\n"
       << "  --negative-ttl-ms X  failed-outcome cache TTL (default 2000)\n"
       << "  --deadline-ms X      default per-request deadline (default none)\n"
       << "  --drain-ms X         graceful-drain deadline on SIGTERM/SIGINT\n"
       << "                       (default 2000; stragglers are cancelled)\n"
       << "  --max-queued N       global queue budget; beyond it requests are\n"
-      << "                       shed (default 256, 0 = unlimited)\n"
+      << "                       shed (default 256, 0 = unlimited, at most\n"
+      << "                       1000000)\n"
       << "  --metrics            dump the obs metrics JSON to stderr on exit\n"
-      << "  --help               this text\n";
+      << "  --help               this text\n"
+      << "X is in milliseconds, 0 to 86400000. A malformed or out-of-range\n"
+      << "value exits with status 2.\n";
 }
 
 #ifdef QMAP_SERVE_HAVE_UNIX_SOCKETS
@@ -131,51 +137,21 @@ int serve_unix_socket(qmap::service::CompileService& service,
 }  // namespace
 
 int main(int argc, char** argv) {
-  qmap::service::ServiceConfig config;
-  std::string socket_path;
-  bool dump_metrics = false;
-  double drain_ms = 2000.0;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "qmap_serve: " << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      socket_path = next();
-    } else if (arg == "--workers") {
-      config.num_workers = std::atoi(next().c_str());
-    } else if (arg == "--compile-threads") {
-      config.num_compile_threads = std::atoi(next().c_str());
-    } else if (arg == "--cache-mb") {
-      config.cache.max_bytes =
-          static_cast<std::size_t>(std::atoll(next().c_str())) << 20;
-    } else if (arg == "--cache-shards") {
-      config.cache.shards = std::atoi(next().c_str());
-    } else if (arg == "--negative-ttl-ms") {
-      config.cache.negative_ttl_ms = std::atof(next().c_str());
-    } else if (arg == "--deadline-ms") {
-      config.default_deadline_ms = std::atof(next().c_str());
-    } else if (arg == "--drain-ms") {
-      drain_ms = std::atof(next().c_str());
-    } else if (arg == "--max-queued") {
-      config.overload.max_queued_total =
-          static_cast<std::size_t>(std::atoll(next().c_str()));
-    } else if (arg == "--metrics") {
-      dump_metrics = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::cerr << "qmap_serve: unknown option " << arg << "\n";
-      usage(argv[0]);
-      return 2;
-    }
+  qmap::service::ServeFlagsResult parsed = qmap::service::parse_serve_flags(
+      std::vector<std::string>(argv + 1, argv + argc));
+  if (!parsed.error.empty()) {
+    std::cerr << "qmap_serve: " << parsed.error << "\n";
+    usage(argv[0]);
+    return 2;
   }
+  if (parsed.flags.help) {
+    usage(argv[0]);
+    return 0;
+  }
+  qmap::service::ServiceConfig config = std::move(parsed.flags.config);
+  const std::string socket_path = parsed.flags.socket_path;
+  const bool dump_metrics = parsed.flags.dump_metrics;
+  const double drain_ms = parsed.flags.drain_ms;
 
 #ifndef _WIN32
   // SIGPIPE immunity: a client hanging up mid-response must surface as a

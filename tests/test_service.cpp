@@ -21,6 +21,7 @@
 #include "qasm/openqasm.hpp"
 #include "resilience/resilience.hpp"
 #include "service/cache.hpp"
+#include "service/serve_flags.hpp"
 #include "service/service.hpp"
 #include "workloads/workloads.hpp"
 
@@ -283,6 +284,62 @@ TEST(ServiceRequest, FromJsonRejectsUnknownFieldsAndOps) {
   largest.seed = 9007199254740991ull;
   EXPECT_EQ(ServiceRequest::from_json(largest.to_json()).seed,
             9007199254740991ull);
+}
+
+// --------------------------------------------------- qmap_serve flags --
+
+TEST(ServeFlags, ParsesEveryFlag) {
+  const ServeFlagsResult parsed = parse_serve_flags(
+      {"--socket", "/tmp/q.sock", "--workers", "4", "--compile-threads", "0",
+       "--cache-mb", "16", "--cache-shards", "2", "--negative-ttl-ms", "0.5",
+       "--deadline-ms", "300", "--drain-ms", "1e3", "--max-queued", "0",
+       "--metrics"});
+  ASSERT_EQ(parsed.error, "");
+  const ServeFlags& flags = parsed.flags;
+  EXPECT_EQ(flags.socket_path, "/tmp/q.sock");
+  EXPECT_EQ(flags.config.num_workers, 4);
+  EXPECT_EQ(flags.config.num_compile_threads, 0);
+  EXPECT_EQ(flags.config.cache.max_bytes, std::size_t(16) << 20);
+  EXPECT_EQ(flags.config.cache.shards, 2);
+  EXPECT_EQ(flags.config.cache.negative_ttl_ms, 0.5);
+  EXPECT_EQ(flags.config.default_deadline_ms, 300.0);
+  EXPECT_EQ(flags.drain_ms, 1000.0);
+  EXPECT_EQ(flags.config.overload.max_queued_total, 0u);
+  EXPECT_TRUE(flags.dump_metrics);
+  EXPECT_FALSE(flags.help);
+  EXPECT_TRUE(parse_serve_flags({"--help"}).flags.help);
+  // Upper caps are accepted; nothing here starts a thread.
+  EXPECT_EQ(parse_serve_flags({"--workers", "256"}).flags.config.num_workers,
+            256);
+  EXPECT_EQ(parse_serve_flags({"--cache-mb", "1048576"})
+                .flags.config.cache.max_bytes,
+            std::size_t(1) << 40);
+}
+
+TEST(ServeFlags, RejectsMalformedNegativeAndOversizedValuesNamingTheFlag) {
+  const std::vector<std::vector<std::string>> bad = {
+      {"--workers", "abc"},         {"--workers", "3x"},
+      {"--workers", ""},            {"--workers", "-1"},
+      {"--workers", "0"},           {"--workers", "257"},
+      {"--workers", "+2"},          {"--workers", "1.5"},
+      {"--compile-threads", "-3"},  {"--compile-threads", "100000"},
+      {"--cache-mb", "-1"},         {"--cache-mb", "1048577"},
+      {"--cache-mb", "18446744073709551616"},
+      {"--cache-shards", "0"},      {"--cache-shards", "4096"},
+      {"--max-queued", "-5"},       {"--max-queued", "1000001"},
+      {"--negative-ttl-ms", "-1"},  {"--negative-ttl-ms", "nan"},
+      {"--deadline-ms", "inf"},     {"--deadline-ms", "5ms"},
+      {"--drain-ms", "1e300"},      {"--drain-ms", " 5"},
+  };
+  for (const auto& args : bad) {
+    const ServeFlagsResult parsed = parse_serve_flags(args);
+    EXPECT_NE(parsed.error.find(args[0]), std::string::npos)
+        << args[0] << " '" << args[1] << "': " << parsed.error;
+  }
+  EXPECT_NE(parse_serve_flags({"--workers"}).error.find("--workers"),
+            std::string::npos);
+  EXPECT_NE(parse_serve_flags({"--bogus"}).error.find("--bogus"),
+            std::string::npos);
 }
 
 TEST(ServiceRequest, JsonRoundTripPreservesFields) {
