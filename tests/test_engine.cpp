@@ -232,8 +232,8 @@ TEST(Portfolio, DeterministicAcrossThreadCounts) {
 
 TEST(Portfolio, SlowExactStrategyIsCancelledAtDeadline) {
   const Device device = devices::surface17();
-  // 8 qubits on a 17-qubit device: the exact router's Dijkstra state space
-  // is astronomically large, so this strategy can only end via its
+  // 8 qubits on a 17-qubit device: the exact router's state space is
+  // astronomically large, so even its A* search can only end via its
   // deadline; the heuristics finish long before.
   Rng rng(7);
   const Circuit circuit = workloads::random_circuit(8, 60, rng, 0.5);
