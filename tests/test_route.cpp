@@ -295,6 +295,24 @@ TEST(ExactRouter, CostEqualsReferenceDijkstra) {
     }
   }
 
+  // Placements wider than one 64-bit key (13 and 17 program qubits at 5
+  // bits each on Surface-17, so the highest qubits sit in the second
+  // word): six gates on coupling edges, then one between the highest
+  // qubit and the highest one at distance 3 from it (15 and 16 on 17
+  // qubits, both in the second word), under the identity placement.
+  const Device s17 = devices::surface17();
+  for (const int n : {13, 17}) {
+    Circuit circuit(n, "wide" + std::to_string(n));
+    for (const auto& edge : s17.coupling().edges()) {
+      if (edge.b < n && circuit.size() < 6) circuit.cz(edge.a, edge.b);
+    }
+    for (int b = n - 2; b >= 0 && circuit.size() < 7; --b) {
+      if (s17.artifacts()->distance(n - 1, b) == 3) circuit.cz(n - 1, b);
+    }
+    cases.push_back({"surface17/" + circuit.name(), s17, circuit,
+                     Placement::identity(n, s17.num_qubits())});
+  }
+
   for (const Case& c : cases) {
     SCOPED_TRACE(c.label);
     const RoutingResult reference =
