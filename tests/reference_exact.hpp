@@ -25,9 +25,8 @@ namespace qmap {
 
 inline RoutingResult reference_exact_route(const Circuit& circuit,
                                            const Device& device,
-                                           const Placement& initial,
-                                           std::size_t max_states =
-                                               4'000'000) {
+                                           const Placement& initial) {
+  constexpr std::size_t kMaxStates = 4'000'000;  // the router's default
   constexpr long kCostPerSwap = 1000;       // primary objective
   constexpr long kCostPerDirectionFix = 1;  // tie-breaker
 
@@ -79,9 +78,9 @@ inline RoutingResult reference_exact_route(const Circuit& circuit,
       goal_state = state;
       break;
     }
-    if (dist.size() > max_states) {
+    if (dist.size() > kMaxStates) {
       throw MappingError("reference exact router: state budget exceeded (" +
-                         std::to_string(max_states) + " states)");
+                         std::to_string(kMaxStates) + " states)");
     }
 
     const auto relax = [&](State next, long cost, const Action& action) {
