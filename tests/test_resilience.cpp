@@ -349,6 +349,34 @@ TEST(Admission, MemoryPressureDownTiersPastThePortfolio) {
   EXPECT_TRUE(outcome.rungs[0].skipped);
 }
 
+TEST(Admission, DeadlineBelowTheRaceFloorDownTiers) {
+  const Circuit circuit = workloads::ghz(4);
+  const AdmissionGuard guard(devices::ibm_qx4(), ResourceBudget{});
+  const auto tight = guard.assess(circuit, 1, 5.0);
+  EXPECT_EQ(tight.verdict, AdmissionVerdict::DownTier);
+  const std::vector<std::string> expected = {
+      "deadline 5.000000 ms is below min_race_deadline_ms 10.000000; "
+      "starting at the single-strategy rung"};
+  EXPECT_EQ(tight.reasons, expected);
+  // The floor itself, and no deadline at all, race the portfolio.
+  for (const double deadline_ms : {10.0, 0.0}) {
+    const auto report = guard.assess(circuit, 1, deadline_ms);
+    EXPECT_EQ(report.verdict, AdmissionVerdict::Admit) << deadline_ms;
+    EXPECT_TRUE(report.reasons.empty()) << deadline_ms;
+  }
+
+  Policy policy = small_policy();
+  policy.deadline_ms = 5.0;
+  const CompileOutcome outcome =
+      resilience::compile(circuit, devices::ibm_qx4(), policy);
+  ASSERT_TRUE(outcome.ok) << outcome.report();
+  EXPECT_EQ(outcome.admission.verdict, AdmissionVerdict::DownTier);
+  ASSERT_EQ(outcome.rungs.size(), 3u);
+  EXPECT_TRUE(outcome.rungs[0].skipped);
+  EXPECT_TRUE(outcome.rungs[0].attempts.empty());
+  EXPECT_GE(outcome.rung, 1);
+}
+
 TEST(Admission, ReportsMalformedGatesStructurally) {
   Circuit bad(3);
   bad.add(Gate{GateKind::CX, {0, 0}, {}});

@@ -765,6 +765,13 @@ TEST(CompileService, ServeAnswersJsonLines) {
   EXPECT_EQ(service.cache_stats().misses, 1u);
 }
 
+TEST(CompileService, DefaultServiceRegistersTheFourBuiltInDevices) {
+  const CompileService service;
+  const std::vector<std::string> expected = {"ibm_qx4", "ibm_qx5",
+                                             "surface17", "surface7"};
+  EXPECT_EQ(service.device_names(), expected);
+}
+
 TEST(CompileService, StatsReportsCacheAndDevices) {
   CompileService service;
   ServiceRequest stats_request;
