@@ -168,14 +168,20 @@ echo "== tier 1: arena-backed suites under ASan+UBSan =="
 # (test_resilience) keeps each rung-1 deadline token and PipelineRuntime
 # on the stack across a PassManager run that the token's parent link and
 # the fault hook reach into; Json::as_int (test_common) range-checks a
-# double before casting it, where an out-of-range cast is undefined.
+# double before casting it, where an out-of-range cast is undefined. The
+# compile service (test_service, test_chaos) shares cache entries and
+# flights through shared_ptr across dispatcher threads, parses hostile
+# request lines under a byte cap, and hands each device's breaker and
+# supervisor to concurrent compiles; a lifetime slip there is invisible to
+# TSan, which reports races, not use-after-free.
 cmake -B build-asan -S . -DQMAP_SANITIZE=address
 cmake --build build-asan -j "${JOBS}" --target test_route_ir test_schedule \
     test_core test_noise test_shuttle test_stream test_decompose \
-    test_peephole test_pass test_arch test_route test_resilience test_common
+    test_peephole test_pass test_arch test_route test_resilience test_common \
+    test_service test_chaos
 for suite in test_route_ir test_schedule test_core test_noise test_shuttle \
     test_stream test_decompose test_peephole test_pass test_arch \
-    test_route test_resilience test_common; do
+    test_route test_resilience test_common test_service test_chaos; do
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/tests/${suite}"
 done

@@ -78,10 +78,6 @@ struct PipelineRuntime {
   /// stage-boundary pass, plus router/scheduler counters. Not owned; null
   /// (the default) disables recording at the cost of one pointer compare.
   obs::Observer* obs = nullptr;
-  /// Explicit parent for the compile span — used when the pipeline runs on
-  /// a pool worker but belongs under a span opened on another thread (the
-  /// portfolio race root). 0 = the calling thread's innermost open span.
-  std::uint64_t obs_parent_span = 0;
   /// The device's own distance tables, for callers that pass
   /// Compiler::artifacts() along. Null or device.artifacts() only: any
   /// other bundle makes CompileContext throw MappingError, since routers

@@ -12,8 +12,7 @@ PassManager::PassManager(const PipelineSpec& spec)
 
 void PassManager::run(CompileContext& ctx) const {
   obs::Observer* obs = ctx.obs();
-  obs::Span compile_span(obs, "compile", "core",
-                         ctx.runtime().obs_parent_span);
+  obs::Span compile_span(obs, "compile", "core");
   if (compile_span.active()) {
     compile_span.arg("circuit", ctx.input().name());
     if (!placer_label_.empty()) compile_span.arg("placer", placer_label_);

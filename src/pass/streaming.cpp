@@ -263,8 +263,7 @@ StreamReport PassManager::run_stream(GateSource& source, const Device& device,
       make_router(router_label_)->supports_streaming();
 
   obs::Observer* obs = runtime.obs;
-  obs::Span compile_span(obs, "compile_stream", "core",
-                         runtime.obs_parent_span);
+  obs::Span compile_span(obs, "compile_stream", "core");
   if (compile_span.active()) {
     compile_span.arg("circuit", source.name());
     if (!placer_label_.empty()) compile_span.arg("placer", placer_label_);

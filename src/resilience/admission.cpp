@@ -94,10 +94,6 @@ AdmissionReport AdmissionGuard::assess(const Circuit& circuit,
   }
 
   // --- Hard resource budgets. ---
-  if (budget_.max_qubits > 0 && width > budget_.max_qubits) {
-    reject("circuit width " + std::to_string(width) +
-           " exceeds budget max_qubits " + std::to_string(budget_.max_qubits));
-  }
   if (budget_.max_gates > 0 && gates > budget_.max_gates) {
     reject("gate count " + std::to_string(gates) +
            " exceeds budget max_gates " + std::to_string(budget_.max_gates));
@@ -126,11 +122,10 @@ AdmissionReport AdmissionGuard::assess(const Circuit& circuit,
               std::to_string(budget_.max_memory_bytes) +
               "; starting at the single-strategy rung");
   }
-  if (deadline_ms > 0.0 && budget_.min_race_deadline_ms > 0.0 &&
-      deadline_ms < budget_.min_race_deadline_ms) {
+  if (deadline_ms > 0.0 && deadline_ms < kMinRaceDeadlineMs) {
     down_tier("deadline " + std::to_string(deadline_ms) +
               " ms is below min_race_deadline_ms " +
-              std::to_string(budget_.min_race_deadline_ms) +
+              std::to_string(kMinRaceDeadlineMs) +
               "; starting at the single-strategy rung");
   }
   return report;

@@ -31,12 +31,15 @@
 
 namespace qmap::resilience {
 
+/// Deadlines shorter than this down-tier past the portfolio rung: a race
+/// that will be cancelled before any strategy can finish only burns the
+/// budget the fallback rungs need. The down-tier reason still calls it
+/// `min_race_deadline_ms`: the text ends up in outcome JSON.
+inline constexpr double kMinRaceDeadlineMs = 10.0;
+
 /// Hard and soft budgets for one compile request. Zero means "no limit"
-/// everywhere.
+/// everywhere. The circuit width is always capped by the device width.
 struct ResourceBudget {
-  /// Hard cap on circuit width (qubits). The device width is always an
-  /// implicit cap on top of this.
-  int max_qubits = 0;
   /// Hard cap on gate count.
   std::size_t max_gates = 200000;
   /// Hard cap on circuit depth (unit-duration critical path).
@@ -45,10 +48,6 @@ struct ResourceBudget {
   /// exceeds it down-tiers to the single-strategy rung (1/N of the
   /// estimate); a single strategy exceeding it rejects.
   std::size_t max_memory_bytes = std::size_t(512) << 20;
-  /// Deadlines shorter than this down-tier past the portfolio rung: a race
-  /// that will be cancelled before any strategy can finish only burns the
-  /// budget the fallback rungs need.
-  double min_race_deadline_ms = 10.0;
 };
 
 enum class AdmissionVerdict { Admit, DownTier, Reject };

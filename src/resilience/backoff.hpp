@@ -6,8 +6,8 @@
 // t=0 retries at exactly t=d, collides again, and repeats. The
 // decorrelated-jitter schedule (from the AWS architecture blog's
 // "Exponential Backoff And Jitter" analysis) draws each delay uniformly
-// from [base, prev * 3] capped at `cap`, which spreads retries while still
-// growing the expected delay geometrically.
+// from [base, prev * kBackoffMultiplier] capped at `cap`, which spreads
+// retries while still growing the expected delay geometrically.
 //
 // Header-only and driven by the repo's deterministic Rng: for a fixed seed
 // the delay sequence is reproducible, so retry telemetry fingerprints are
@@ -23,13 +23,14 @@
 
 namespace qmap::resilience {
 
+/// Growth factor: delay_k is drawn from [base, delay_{k-1} * 3].
+inline constexpr double kBackoffMultiplier = 3.0;
+
 struct BackoffOptions {
   /// Lower bound of every draw and the first delay's scale (milliseconds).
   double base_ms = 1.0;
   /// Hard upper bound on any single delay (milliseconds).
   double cap_ms = 250.0;
-  /// Growth factor: delay_k is drawn from [base, delay_{k-1} * multiplier].
-  double multiplier = 3.0;
 };
 
 class Backoff {
@@ -39,7 +40,7 @@ class Backoff {
 
   /// The next delay in milliseconds. Deterministic for a fixed seed.
   [[nodiscard]] double next_ms() {
-    const double hi = std::max(options_.base_ms, prev_ms_ * options_.multiplier);
+    const double hi = std::max(options_.base_ms, prev_ms_ * kBackoffMultiplier);
     const double drawn = rng_.uniform(options_.base_ms, hi);
     prev_ms_ = std::min(options_.cap_ms, drawn);
     return prev_ms_;

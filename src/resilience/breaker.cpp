@@ -31,8 +31,7 @@ void CircuitBreaker::transition_(BreakerState next) {
     opened_at_us_ = now_us_();
   }
   if (next == BreakerState::HalfOpen) {
-    probes_in_flight_ = 0;
-    probe_successes_ = 0;
+    probe_in_flight_ = false;
   }
   if (next == BreakerState::Closed) {
     consecutive_failures_ = 0;
@@ -50,8 +49,8 @@ bool CircuitBreaker::try_acquire() {
     transition_(BreakerState::HalfOpen);
   }
   if (state_ == BreakerState::HalfOpen) {
-    if (probes_in_flight_ >= config_.half_open_max_probes) return false;
-    ++probes_in_flight_;
+    if (probe_in_flight_) return false;
+    probe_in_flight_ = true;
   }
   return true;
 }
@@ -59,19 +58,14 @@ bool CircuitBreaker::try_acquire() {
 void CircuitBreaker::release() {
   if (config_.failure_threshold <= 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ == BreakerState::HalfOpen && probes_in_flight_ > 0) {
-    --probes_in_flight_;
-  }
+  if (state_ == BreakerState::HalfOpen) probe_in_flight_ = false;
 }
 
 void CircuitBreaker::on_success() {
   if (config_.failure_threshold <= 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
   if (state_ == BreakerState::HalfOpen) {
-    if (probes_in_flight_ > 0) --probes_in_flight_;
-    if (++probe_successes_ >= config_.half_open_successes) {
-      transition_(BreakerState::Closed);
-    }
+    transition_(BreakerState::Closed);
     return;
   }
   consecutive_failures_ = 0;
@@ -81,7 +75,6 @@ void CircuitBreaker::on_failure() {
   if (config_.failure_threshold <= 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
   if (state_ == BreakerState::HalfOpen) {
-    if (probes_in_flight_ > 0) --probes_in_flight_;
     transition_(BreakerState::Open);
     return;
   }

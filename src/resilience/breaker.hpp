@@ -16,10 +16,9 @@
 //   Open      — fast-fail: try_acquire() denies immediately (the service
 //               answers `status:"unavailable"` with `retry_after_ms`)
 //               until `open_ms` has elapsed on the injectable clock.
-//   HalfOpen  — after `open_ms`, up to `half_open_max_probes` concurrent
-//               probe requests are let through. `half_open_successes`
-//               successful probes close the breaker; one Permanent
-//               failure re-opens it (with a fresh open window).
+//   HalfOpen  — after `open_ms`, one probe request at a time is let
+//               through. A successful probe closes the breaker; a
+//               Permanent failure re-opens it (with a fresh open window).
 //
 // Every try_acquire() that returned true must be balanced by exactly one
 // of on_success() / on_failure() / release() — release() is the neutral
@@ -46,12 +45,8 @@ struct BreakerConfig {
   /// Consecutive Permanent/crash failures that trip the breaker.
   /// <= 0 disables the breaker entirely (try_acquire always passes).
   int failure_threshold = 5;
-  /// How long the breaker stays open before allowing half-open probes.
+  /// How long the breaker stays open before allowing a half-open probe.
   double open_ms = 5000.0;
-  /// Concurrent probe requests admitted while half-open.
-  int half_open_max_probes = 1;
-  /// Successful probes required to close again.
-  int half_open_successes = 1;
   /// Microsecond clock for the open window; defaults to steady_clock.
   /// Tests inject a fake to step through the states deterministically.
   std::function<std::int64_t()> now_us;
@@ -72,7 +67,7 @@ class CircuitBreaker {
 
   /// Neutral verdict: the acquisition ran no work that reflects on the
   /// dependency (cache hit, coalesced join, admission rejection,
-  /// cancellation). Frees a half-open probe slot without counting.
+  /// cancellation). Frees the half-open probe slot without counting.
   void release();
   /// The acquired work succeeded.
   void on_success();
@@ -101,8 +96,8 @@ class CircuitBreaker {
   mutable std::mutex mutex_;
   BreakerState state_ = BreakerState::Closed;
   int consecutive_failures_ = 0;
-  int probes_in_flight_ = 0;
-  int probe_successes_ = 0;
+  /// True while the one half-open probe is out.
+  bool probe_in_flight_ = false;
   std::int64_t opened_at_us_ = 0;
 };
 

@@ -13,7 +13,8 @@ RoutingResult SabreRouter::route(const Circuit& circuit, const Device& device,
       circuit, device, initial,
       options_.use_commutation ? DagMode::Commutation : DagMode::Sequential,
       SabreLoopParams{}, [this] { check_cancelled(); }, stats);
-  record_sabre_loop(observer(), "sabre", stats, result.added_swaps);
+  record_sabre_loop(observer(), "router.sabre", stats,
+                    result.added_swaps);
   return result;
 }
 
@@ -33,7 +34,8 @@ StreamRouteStats SabreRouter::route_stream(GateSource& source,
   const StreamRouteStats stats = run_sabre_stream(
       source, device, initial, sink, options, SabreLoopParams{},
       [this] { check_cancelled(); }, &loop_stats);
-  record_sabre_loop(observer(), "sabre", loop_stats, stats.added_swaps);
+  record_sabre_loop(observer(), "router.sabre", loop_stats,
+                    stats.added_swaps);
   return stats;
 }
 

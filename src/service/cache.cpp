@@ -26,7 +26,8 @@ void ResultCache::Flight::drop_interest() noexcept {
   }
 }
 
-ResultCache::ResultCache(CacheConfig config) : config_(std::move(config)) {
+ResultCache::ResultCache(CacheConfig config, obs::Observer* obs)
+    : config_(std::move(config)), obs_(obs) {
   const int shards = std::max(1, config_.shards);
   config_.shards = shards;
   shard_budget_ = std::max<std::size_t>(
@@ -51,9 +52,9 @@ std::int64_t ResultCache::now_us() const {
 }
 
 void ResultCache::update_gauges() const {
-  obs::set_gauge(config_.obs, "service.cache.bytes",
+  obs::set_gauge(obs_, "service.cache.bytes",
                  static_cast<double>(bytes_.load(std::memory_order_relaxed)));
-  obs::set_gauge(config_.obs, "service.cache.entries",
+  obs::set_gauge(obs_, "service.cache.entries",
                  static_cast<double>(entries_.load(std::memory_order_relaxed)));
 }
 
@@ -75,17 +76,17 @@ ResultCache::Lookup ResultCache::acquire(const std::string& key) {
       expired_.fetch_add(1, std::memory_order_relaxed);
       entries_.fetch_sub(1, std::memory_order_relaxed);
       bytes_.fetch_sub(freed, std::memory_order_relaxed);
-      obs::add(config_.obs, "service.cache.expired");
+      obs::add(obs_, "service.cache.expired");
     } else {
       shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru_it);
       lookup.kind = Lookup::Kind::Hit;
       lookup.value = entry.value;
       if (entry.value->ok) {
         hits_.fetch_add(1, std::memory_order_relaxed);
-        obs::add(config_.obs, "service.cache.hit");
+        obs::add(obs_, "service.cache.hit");
       } else {
         negative_hits_.fetch_add(1, std::memory_order_relaxed);
-        obs::add(config_.obs, "service.cache.negative_hit");
+        obs::add(obs_, "service.cache.negative_hit");
       }
       return lookup;
     }
@@ -97,7 +98,7 @@ ResultCache::Lookup ResultCache::acquire(const std::string& key) {
     lookup.kind = Lookup::Kind::Follower;
     lookup.flight = flight_it->second;
     coalesced_.fetch_add(1, std::memory_order_relaxed);
-    obs::add(config_.obs, "service.cache.coalesced");
+    obs::add(obs_, "service.cache.coalesced");
     return lookup;
   }
 
@@ -106,7 +107,7 @@ ResultCache::Lookup ResultCache::acquire(const std::string& key) {
   lookup.kind = Lookup::Kind::Leader;
   lookup.flight = std::move(flight);
   misses_.fetch_add(1, std::memory_order_relaxed);
-  obs::add(config_.obs, "service.cache.miss");
+  obs::add(obs_, "service.cache.miss");
   return lookup;
 }
 
@@ -115,7 +116,7 @@ void ResultCache::insert_locked(Shard& shard, const std::string& key,
   const std::size_t bytes = value->bytes();
   if (bytes > shard_budget_) {
     insert_rejected_.fetch_add(1, std::memory_order_relaxed);
-    obs::add(config_.obs, "service.cache.insert_rejected");
+    obs::add(obs_, "service.cache.insert_rejected");
     return;
   }
 
@@ -138,7 +139,7 @@ void ResultCache::insert_locked(Shard& shard, const std::string& key,
     shard.entries.erase(victim);
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    obs::add(config_.obs, "service.cache.evictions");
+    obs::add(obs_, "service.cache.evictions");
   }
 
   Entry entry;
@@ -212,7 +213,7 @@ std::shared_ptr<const CachedOutcome> ResultCache::lookup(
     entries_.fetch_sub(1, std::memory_order_relaxed);
     bytes_.fetch_sub(freed, std::memory_order_relaxed);
     shard.entries.erase(it);
-    obs::add(config_.obs, "service.cache.expired");
+    obs::add(obs_, "service.cache.expired");
     return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru_it);

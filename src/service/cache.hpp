@@ -84,8 +84,6 @@ struct CacheConfig {
   /// negative caching entirely. Positive entries never expire (they are
   /// deterministic replays), only LRU-evict.
   double negative_ttl_ms = 2000.0;
-  /// Metrics sink (not owned; null disables recording).
-  obs::Observer* obs = nullptr;
   /// Microsecond clock for TTL bookkeeping; defaults to steady_clock.
   /// Tests inject a fake to step time over the negative TTL.
   std::function<std::int64_t()> now_us;
@@ -105,7 +103,8 @@ struct CacheStats {
 
 class ResultCache {
  public:
-  explicit ResultCache(CacheConfig config = {});
+  /// `obs` is the metrics sink (not owned; null disables recording).
+  explicit ResultCache(CacheConfig config = {}, obs::Observer* obs = nullptr);
 
   /// One in-flight computation of one key. The Leader's compile token is
   /// exposed so a service can cancel work no client is waiting for any
@@ -204,6 +203,7 @@ class ResultCache {
   void update_gauges() const;
 
   CacheConfig config_;
+  obs::Observer* obs_ = nullptr;
   std::size_t shard_budget_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 

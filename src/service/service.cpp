@@ -137,20 +137,14 @@ std::string canonical_request_text(const ServiceRequest& request,
 
 CompileService::CompileService(ServiceConfig config)
     : config_(std::move(config)),
-      cache_([&] {
-        CacheConfig cc = config_.cache;
-        cc.obs = config_.obs;
-        return cc;
-      }()),
+      cache_(config_.cache, config_.obs),
       compile_pool_(config_.num_compile_threads) {
   config_.num_workers = std::max(1, config_.num_workers);
   cost_estimate_ms_ = std::max(0.0, config_.overload.initial_cost_ms);
-  if (config_.register_builtin_devices) {
-    register_device(devices::ibm_qx4());
-    register_device(devices::ibm_qx5());
-    register_device(devices::surface7());
-    register_device(devices::surface17());
-  }
+  register_device(devices::ibm_qx4());
+  register_device(devices::ibm_qx5());
+  register_device(devices::surface7());
+  register_device(devices::surface17());
   workers_.reserve(static_cast<std::size_t>(config_.num_workers));
   for (int i = 0; i < config_.num_workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -361,8 +355,8 @@ ServiceResponse CompileService::handle_compile(const ServiceRequest& request) {
       response.status = "unavailable";
       response.error =
           "device '" + request.device + "' circuit breaker open";
-      response.retry_after_ms = std::max(breaker.retry_after_ms(),
-                                         config_.overload.retry_after_ms);
+      response.retry_after_ms =
+          std::max(breaker.retry_after_ms(), kRetryAfterFloorMs);
       return response;
     }
     obs::add(config_.obs, "service.cache.bypass");
@@ -390,8 +384,8 @@ ServiceResponse CompileService::handle_compile(const ServiceRequest& request) {
     obs::add(config_.obs, "service.breaker_fast_fail");
     response.status = "unavailable";
     response.error = "device '" + request.device + "' circuit breaker open";
-    response.retry_after_ms = std::max(breaker.retry_after_ms(),
-                                       config_.overload.retry_after_ms);
+    response.retry_after_ms =
+        std::max(breaker.retry_after_ms(), kRetryAfterFloorMs);
     return response;
   }
 
@@ -671,8 +665,8 @@ LoadDecision CompileService::assess_load(double deadline_ms) const {
                       "ms";
   }
   if (decision.shed) {
-    decision.retry_after_ms = std::max(config_.overload.retry_after_ms,
-                                       decision.predicted_wait_ms);
+    decision.retry_after_ms =
+        std::max(kRetryAfterFloorMs, decision.predicted_wait_ms);
   }
   return decision;
 }
@@ -800,10 +794,7 @@ void CompileService::wait_idle() {
 }
 
 void CompileService::update_brownout_locked() {
-  if (!config_.overload.brownout_enabled ||
-      config_.overload.max_queued_total == 0) {
-    return;
-  }
+  if (config_.overload.max_queued_total == 0) return;
   const double total =
       static_cast<double>(config_.overload.max_queued_total);
   const double depth = static_cast<double>(queued_);

@@ -45,12 +45,15 @@
 //     but never cached, so they cannot outlive the overload;
 //   * circuit breakers: each device owns a resilience::CircuitBreaker;
 //     consecutive Permanent/crash outcomes open it and further compiles
-//     fast-fail `status:"unavailable"` (cache hits still serve) until
-//     timed half-open probes succeed;
+//     fast-fail `status:"unavailable"` (cache hits still serve) until a
+//     timed half-open probe succeeds;
 //   * graceful drain: drain(deadline_ms) stops admission, waits for
 //     in-flight work, then cancels stragglers through the drain token —
 //     qmap_serve wires SIGTERM/SIGINT to it so a supervisor restart never
 //     drops an accepted request on the floor.
+//
+// Every service serves the four built-in devices (qx4, qx5, surface7,
+// surface17); register_device() adds more.
 //
 // Transport is a JSON-lines loop over any std::istream/std::ostream
 // (serve()); the qmap_serve binary wires it to stdin/stdout or a Unix
@@ -147,6 +150,9 @@ struct ServiceResponse {
   [[nodiscard]] Json to_json() const;
 };
 
+/// Floor for the retry_after_ms hint on shed/unavailable responses.
+inline constexpr double kRetryAfterFloorMs = 100.0;
+
 /// Overload-control knobs. The global budget and the predicted-wait model
 /// gate admission in submit(); brownout is hysteresis on the global queue
 /// depth. All of it is disabled by max_queued_total = 0.
@@ -154,18 +160,16 @@ struct OverloadConfig {
   /// Global cap on queued requests across all clients (0 = unlimited,
   /// which also disables brownout).
   std::size_t max_queued_total = 256;
-  /// Floor for the retry_after_ms hint on shed/unavailable responses.
-  double retry_after_ms = 100.0;
   /// Cold-start per-compile cost estimate feeding the predicted-wait
   /// model before any compile has been observed.
   double initial_cost_ms = 50.0;
   /// EMA weight for observed cold-compile cost (0 pins the estimate).
   double cost_ema_alpha = 0.2;
-  /// Brownout enters when queued >= enter_fraction * max_queued_total...
+  /// Brownout enters when queued >= enter_fraction * max_queued_total
+  /// (a fraction no queue depth reaches, e.g. infinity, disables it)...
   double brownout_enter_fraction = 0.75;
   /// ...and exits when queued <= exit_fraction * max_queued_total.
   double brownout_exit_fraction = 0.25;
-  bool brownout_enabled = true;
 };
 
 /// One admission verdict from CompileService::assess_load().
@@ -175,7 +179,7 @@ struct LoadDecision {
   std::string reason;
   /// outstanding * cost_estimate / num_workers at decision time.
   double predicted_wait_ms = 0.0;
-  /// Backoff hint (max of the configured floor and the predicted wait).
+  /// Backoff hint (max of kRetryAfterFloorMs and the predicted wait).
   double retry_after_ms = 0.0;
   /// True when brownout mode was active at decision time.
   bool brownout = false;
@@ -203,11 +207,13 @@ struct ServiceConfig {
   std::size_t max_queued_per_client = 64;
   /// Deadline applied when a request carries none (0 = unlimited).
   double default_deadline_ms = 0.0;
-  /// Result cache shape (the service owns the cache; cache.obs is
-  /// overridden with `obs` below).
+  /// Result cache shape (the service owns the cache and records its
+  /// metrics to `obs` below).
   CacheConfig cache;
   /// Base policy for every compile; per-request seed/deadline/pipeline/
-  /// cancellation are overlaid per request.
+  /// cancellation are overlaid per request. The service overwrites
+  /// policy.obs with `obs` below and policy.cancel with its own per-request
+  /// token, so setting either here has no effect.
   resilience::Policy policy;
   /// Overload admission / brownout knobs.
   OverloadConfig overload;
@@ -218,8 +224,6 @@ struct ServiceConfig {
   /// Over-cap lines are discarded and answered status:"error" without
   /// wedging the connection.
   std::size_t max_request_line_bytes = std::size_t(1) << 20;
-  /// Register qx4/qx5/surface7/surface17 at construction.
-  bool register_builtin_devices = true;
   /// Metrics/trace sink (not owned; null disables recording).
   obs::Observer* obs = nullptr;
 };

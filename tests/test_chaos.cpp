@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -33,6 +34,9 @@ namespace {
 
 using resilience::BreakerState;
 using resilience::FaultSpec;
+
+/// A brownout enter fraction no queue depth reaches: brownout stays off.
+constexpr double kNoBrownout = std::numeric_limits<double>::infinity();
 
 FaultSpec wire_fault(const std::string& point, double probability) {
   FaultSpec spec;
@@ -374,7 +378,7 @@ TEST(CompileService, DeadlineAwareAdmissionShedsDoomedRequests) {
   config.num_workers = 1;
   config.overload.initial_cost_ms = 1e6;  // predicted wait dwarfs any deadline
   config.overload.cost_ema_alpha = 0.0;   // pin the estimate
-  config.overload.brownout_enabled = false;
+  config.overload.brownout_enter_fraction = kNoBrownout;
   // Keep r1 in flight long enough that r2's admission check sees it.
   FaultSpec stall;
   stall.point = "stall-ms";
@@ -403,8 +407,7 @@ TEST(CompileService, GlobalQueueBudgetShedsBeyondWatermark) {
   ServiceConfig config;
   config.num_workers = 1;
   config.overload.max_queued_total = 1;
-  config.overload.brownout_enabled = false;
-  config.overload.retry_after_ms = 25.0;
+  config.overload.brownout_enter_fraction = kNoBrownout;
   // Stall every attempt so the first request pins the dispatcher while
   // the rest arrive.
   FaultSpec stall;

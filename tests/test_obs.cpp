@@ -21,9 +21,13 @@
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
 #include "engine/portfolio.hpp"
+#include "ir/gate_stream.hpp"
+#include "layout/placement.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "resilience/resilience.hpp"
+#include "route/router.hpp"
+#include "route/sabre.hpp"
 #include "workloads/workloads.hpp"
 
 namespace qmap {
@@ -397,6 +401,39 @@ TEST(RouterObs, ReliabilityAndShuttleFlushLoopCounters) {
         << router;
     EXPECT_EQ(observer.metrics().histogram("route.swaps_inserted").count, 1u)
         << router;
+  }
+}
+
+// The default router's counters sit under `router.sabre`, like every
+// other loop router's, on both the materialized and the streamed path.
+TEST(RouterObs, SabreFlushesLoopCountersOnBothPaths) {
+  const Device qx5 = devices::ibm_qx5();
+  const Circuit circuit = workloads::ghz(5);
+  const Placement placement =
+      Placement::identity(circuit.num_qubits(), qx5.num_qubits());
+
+  obs::Observer materialized;
+  SabreRouter router;
+  router.set_observer(&materialized);
+  (void)router.route(circuit, qx5, placement);
+
+  obs::Observer streamed;
+  SabreRouter stream_router;
+  stream_router.set_observer(&streamed);
+  CircuitSource source(circuit);
+  CircuitSink sink(qx5.num_qubits(), "streamed");
+  (void)stream_router.route_stream(source, qx5, placement, sink,
+                                   StreamRouteOptions{});
+
+  for (obs::Observer* observer : {&materialized, &streamed}) {
+    const Json counters = observer->metrics().to_json().at("counters");
+    for (const char* counter :
+         {"router.sabre.routes", "router.sabre.iterations",
+          "router.sabre.rescues"}) {
+      EXPECT_TRUE(counters.contains(counter)) << counter;
+    }
+    EXPECT_EQ(observer->metrics().counter("router.sabre.routes"), 1u);
+    EXPECT_FALSE(counters.contains("sabre.routes"));
   }
 }
 

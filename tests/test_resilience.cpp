@@ -459,7 +459,7 @@ TEST(BackoffSchedule, DecorrelatedJitterStaysInBounds) {
     const double d = backoff.next_ms();
     EXPECT_GE(d, options.base_ms);
     EXPECT_LE(d, options.cap_ms);
-    EXPECT_LE(d, std::max(options.base_ms, prev * options.multiplier));
+    EXPECT_LE(d, std::max(options.base_ms, prev * resilience::kBackoffMultiplier));
     prev = d;
   }
 }
