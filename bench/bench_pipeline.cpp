@@ -175,6 +175,40 @@ void BM_SixteenStrategyRace(benchmark::State& state) {
 }
 BENCHMARK(BM_SixteenStrategyRace)->Arg(1)->Arg(4);
 
+// The placer layer by itself: the annealing entrant of every portfolio
+// race (default 20,000 iterations) and the exhaustive entrant at the
+// widest shape serve_mixed races, on a random Clifford circuit with 20
+// gates per qubit on Surface-17.
+Circuit placer_workload(int width) {
+  Rng rng(99);
+  return workloads::random_clifford_circuit(width, 20 * width, rng);
+}
+
+void BM_AnnealingPlace(benchmark::State& state) {
+  const Device device = devices::surface17();
+  const int width = static_cast<int>(state.range(0));
+  const Circuit circuit = placer_workload(width);
+  for (auto _ : state) {
+    AnnealingPlacer placer;
+    benchmark::DoNotOptimize(placer.place(circuit, device));
+  }
+  state.SetLabel(std::to_string(width) + " qubits, surface17");
+}
+BENCHMARK(BM_AnnealingPlace)
+    ->Arg(5)->Arg(6)->Arg(12)->Arg(16)->Unit(benchmark::kMillisecond);
+
+void BM_ExhaustivePlace(benchmark::State& state) {
+  const Device device = devices::surface17();
+  const int width = static_cast<int>(state.range(0));
+  const Circuit circuit = placer_workload(width);
+  for (auto _ : state) {
+    ExhaustivePlacer placer;
+    benchmark::DoNotOptimize(placer.place(circuit, device));
+  }
+  state.SetLabel(std::to_string(width) + " qubits, surface17");
+}
+BENCHMARK(BM_ExhaustivePlace)->Arg(5)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {

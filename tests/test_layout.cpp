@@ -1,6 +1,13 @@
 // Placement and initial-placer tests.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <limits>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "arch/builtin.hpp"
 #include "common/error.hpp"
 #include "core/compiler.hpp"
@@ -181,6 +188,137 @@ TEST(Placers, RejectOversizedCircuits) {
 TEST(Factories, UnknownNamesThrow) {
   EXPECT_THROW((void)make_placer("nope"), MappingError);
   EXPECT_THROW((void)make_router("nope"), MappingError);
+}
+
+// --- Placer pins: placer x device x width x seed -> full wire map ---
+//
+// Every row of tests/golden/placer_fingerprints.txt is the complete
+// wire_to_phys() of one placement, free wires included (routers start
+// from those positions, so they are output bytes too). Annealing is
+// pinned at 0, 1, 2, 257 (past the first cancellation poll) and the
+// default 20,000 iterations. The two-component device makes greedy split
+// an interacting pair across its components, so annealing starts from the
+// maximum (disconnected) cost. Regenerate after an intentional change:
+//   QMAP_REGEN_GOLDEN=1 ./build/tests/test_layout --gtest_filter='Placers.GoldenFingerprints'
+
+/// Components {0,1,2} and {3,4,5,6}, both lines.
+Device two_component_device() {
+  CouplingGraph coupling(7);
+  coupling.add_edge(0, 1);
+  coupling.add_edge(1, 2);
+  coupling.add_edge(3, 4);
+  coupling.add_edge(4, 5);
+  coupling.add_edge(5, 6);
+  return Device("split3+4", coupling);
+}
+
+std::string wire_map_row(const Placement& placement) {
+  std::string row;
+  for (const int phys : placement.wire_to_phys()) {
+    if (!row.empty()) row += ',';
+    row += std::to_string(phys);
+  }
+  return row;
+}
+
+/// The wire map, or the error a placer threw (exhaustive on a device with
+/// no feasible placement).
+std::string place_row(Placer& placer, const Circuit& circuit,
+                      const Device& device) {
+  try {
+    return wire_map_row(placer.place(circuit, device));
+  } catch (const MappingError&) {
+    return "MappingError";
+  }
+}
+
+TEST(Placers, GoldenFingerprints) {
+  struct DeviceCase {
+    const char* label;
+    Device device;
+    std::vector<int> widths;
+  };
+  const std::vector<DeviceCase> cases = {
+      {"qx4", devices::ibm_qx4(), {3, 4, 5}},
+      {"qx5", devices::ibm_qx5(), {2, 4, 6, 10, 16}},
+      {"surface7", devices::surface7(), {3, 5, 7}},
+      {"surface17", devices::surface17(), {2, 5, 6, 12, 17}},
+      {"linear7", devices::linear(7), {3, 5, 7}},
+      {"grid4x4", devices::grid(4, 4), {4, 8, 16}},
+      {"split3+4", two_component_device(), {3, 4, 5}},
+  };
+  const long max_assignments = 5'000'000;  // ExhaustivePlacer's default
+  std::map<std::string, std::string> actual;
+  int split_greedy_rows = 0;
+  int split_escapes = 0;
+  for (const DeviceCase& c : cases) {
+    for (const int width : c.widths) {
+      const std::string shape = "@" + std::string(c.label) + "/w" +
+                                std::to_string(width);
+      IdentityPlacer identity;
+      actual["identity" + shape] = place_row(identity, Circuit(width), c.device);
+      double assignments = 1.0;
+      for (int i = 0; i < width; ++i) assignments *= c.device.num_qubits() - i;
+      for (const std::uint64_t seed : {7ULL, 1009ULL, 7919ULL}) {
+        const std::string id = shape + "/s" + std::to_string(seed);
+        Rng rng(seed + static_cast<std::uint64_t>(width));
+        const Circuit circuit =
+            workloads::random_clifford_circuit(width, 20 * width, rng);
+        GreedyPlacer greedy;
+        actual["greedy" + id] = place_row(greedy, circuit, c.device);
+        if (assignments <= static_cast<double>(max_assignments)) {
+          ExhaustivePlacer exhaustive(max_assignments);
+          actual["exhaustive" + id] = place_row(exhaustive, circuit, c.device);
+        }
+        for (const int iterations : {0, 1, 2, 257, 20000}) {
+          AnnealingPlacer annealing(seed, iterations);
+          actual["annealing." + std::to_string(iterations) + id] =
+              place_row(annealing, circuit, c.device);
+        }
+        if (std::string(c.label) == "split3+4") {
+          const InteractionGraph graph(circuit);
+          const long greedy_cost = placement_cost(
+              graph, GreedyPlacer().place(circuit, c.device), c.device);
+          if (greedy_cost == std::numeric_limits<long>::max()) {
+            ++split_greedy_rows;
+            const long annealed_cost = placement_cost(
+                graph, AnnealingPlacer(seed).place(circuit, c.device),
+                c.device);
+            if (annealed_cost < greedy_cost) ++split_escapes;
+          }
+        }
+      }
+    }
+  }
+  // The disconnected-device path must actually be exercised: greedy
+  // splits a pair, and annealing finds its way out at least once.
+  EXPECT_GT(split_greedy_rows, 0);
+  EXPECT_GT(split_escapes, 0);
+
+  const std::string path =
+      std::string(QMAP_GOLDEN_DIR) + "/placer_fingerprints.txt";
+  const char* regen = std::getenv("QMAP_REGEN_GOLDEN");
+  if (regen != nullptr && *regen != '\0') {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    for (const auto& [id, row] : actual) out << id << ' ' << row << '\n';
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::map<std::string, std::string> golden;
+  std::ifstream in(path);
+  std::string id;
+  std::string row;
+  while (in >> id >> row) golden[id] = row;
+  ASSERT_FALSE(golden.empty())
+      << "no golden placements at " << path
+      << " (QMAP_REGEN_GOLDEN=1 generates them)";
+  ASSERT_EQ(actual.size(), golden.size());
+  for (const auto& [case_id, value] : actual) {
+    const auto it = golden.find(case_id);
+    ASSERT_NE(it, golden.end()) << "missing golden for " << case_id;
+    EXPECT_EQ(value, it->second)
+        << case_id << ": placement drifted from the golden wire map";
+  }
 }
 
 }  // namespace
