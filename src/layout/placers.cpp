@@ -82,12 +82,18 @@ Placement GreedyPlacer::place(const Circuit& circuit, const Device& device) {
   const InteractionGraph interactions(circuit);
   const int n = circuit.num_qubits();
   const int m = device.num_qubits();
+  const int* dist = device.artifacts()->distance_data();
 
   // Program qubits by descending interaction degree (ties: lower index).
+  std::vector<int> degree(static_cast<std::size_t>(n));
+  for (int k = 0; k < n; ++k) {
+    degree[static_cast<std::size_t>(k)] = interactions.degree(k);
+  }
   std::vector<int> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return interactions.degree(a) > interactions.degree(b);
+    return degree[static_cast<std::size_t>(a)] >
+           degree[static_cast<std::size_t>(b)];
   });
 
   std::vector<int> program_to_phys(static_cast<std::size_t>(n), -1);
@@ -95,20 +101,20 @@ Placement GreedyPlacer::place(const Circuit& circuit, const Device& device) {
 
   for (const int k : order) {
     check_cancelled();  // O(n*m) per qubit: one poll per placement decision
+    const int* weights = interactions.row(k);
     int best_phys = -1;
     long best_score = std::numeric_limits<long>::max();
     for (int phys = 0; phys < m; ++phys) {
       if (used[static_cast<std::size_t>(phys)]) continue;
+      const int* dist_row = dist + static_cast<std::ptrdiff_t>(phys) * m;
       long score = 0;
       bool any_partner = false;
       for (int other = 0; other < n; ++other) {
-        const int w = interactions.weight(k, other);
-        if (w == 0 || program_to_phys[static_cast<std::size_t>(other)] < 0) {
-          continue;
-        }
+        const int w = weights[other];
+        const int other_phys = program_to_phys[static_cast<std::size_t>(other)];
+        if (w == 0 || other_phys < 0) continue;
         any_partner = true;
-        const int d = device.artifacts()->distance(
-            phys, program_to_phys[static_cast<std::size_t>(other)]);
+        const int d = dist_row[other_phys];
         if (d < 0) {
           score = std::numeric_limits<long>::max() / 2;
           break;
@@ -149,6 +155,7 @@ Placement ExhaustivePlacer::place(const Circuit& circuit,
                         " assignments); use AnnealingPlacer");
   }
 
+  const int* dist = device.artifacts()->distance_data();
   std::vector<int> program_to_phys(static_cast<std::size_t>(n), -1);
   std::vector<int> best = program_to_phys;
   std::vector<bool> used(static_cast<std::size_t>(m), false);
@@ -167,15 +174,17 @@ Placement ExhaustivePlacer::place(const Circuit& circuit,
       best = program_to_phys;
       return;
     }
+    const int* weights = interactions.row(k);
     for (int phys = 0; phys < m; ++phys) {
       if (used[static_cast<std::size_t>(phys)]) continue;
+      const int* dist_row = dist + static_cast<std::ptrdiff_t>(phys) * m;
       long delta = 0;
       bool feasible = true;
       for (int other = 0; other < k; ++other) {
-        const int w = interactions.weight(k, other);
+        const int w = weights[other];
         if (w == 0) continue;
-        const int d = device.artifacts()->distance(
-            phys, program_to_phys[static_cast<std::size_t>(other)]);
+        const int d =
+            dist_row[program_to_phys[static_cast<std::size_t>(other)]];
         if (d < 0) {
           feasible = false;
           break;
@@ -194,6 +203,9 @@ Placement ExhaustivePlacer::place(const Circuit& circuit,
   if (best_cost == std::numeric_limits<long>::max()) {
     throw MappingError("no feasible placement (device disconnected?)");
   }
+  obs::add(observer(), "placer.exhaustive.places");
+  obs::add(observer(), "placer.exhaustive.visited",
+           static_cast<std::uint64_t>(visited));
   return Placement::from_program_map(best, m);
 }
 
@@ -201,43 +213,132 @@ Placement AnnealingPlacer::place(const Circuit& circuit,
                                  const Device& device) {
   check_fits(circuit, device);
   const InteractionGraph interactions(circuit);
+  const int n = circuit.num_qubits();
   const int m = device.num_qubits();
+  const int* dist = device.artifacts()->distance_data();
+  constexpr long kDisconnected = std::numeric_limits<long>::max();
+
+  // CSR adjacency of the interaction graph: partners of program qubit p
+  // are partner[offset[p] .. offset[p + 1]), with their gate counts.
+  std::vector<int> offset(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<int> partner;
+  std::vector<int> weight;
+  for (int p = 0; p < n; ++p) {
+    const int* row = interactions.row(p);
+    for (int r = 0; r < n; ++r) {
+      if (r == p || row[r] == 0) continue;
+      partner.push_back(r);
+      weight.push_back(row[r]);
+    }
+    offset[static_cast<std::size_t>(p) + 1] = static_cast<int>(partner.size());
+  }
 
   Placement current = GreedyPlacer().place(circuit, device);
-  long current_cost = placement_cost(interactions, current, device);
+  // Flat mirrors of `current`: program -> physical, physical -> program
+  // (-1 = free site; free sites have no interaction edges).
+  std::vector<int> phys_of(static_cast<std::size_t>(n));
+  std::vector<int> program_at(static_cast<std::size_t>(m), -1);
+  for (int p = 0; p < n; ++p) {
+    const int phys = current.phys_of_program(p);
+    phys_of[static_cast<std::size_t>(p)] = phys;
+    program_at[static_cast<std::size_t>(phys)] = p;
+  }
+
+  // placement_cost() split in two: the finite sum over connected pairs and
+  // the number of disconnected pairs (any makes the cost the maximum).
+  long finite = 0;
+  int disconnected = 0;
+  const auto add_edge = [&](int w, int d, int sign) {
+    if (d < 0) {
+      disconnected += sign;
+    } else {
+      finite += sign * static_cast<long>(w) * (d - 1);
+    }
+  };
+  for (int p = 0; p < n; ++p) {
+    const int* dist_row =
+        dist + static_cast<std::ptrdiff_t>(phys_of[static_cast<std::size_t>(p)]) *
+                   m;
+    for (int e = offset[static_cast<std::size_t>(p)];
+         e < offset[static_cast<std::size_t>(p) + 1]; ++e) {
+      const int r = partner[static_cast<std::size_t>(e)];
+      if (r < p) continue;  // each pair once
+      add_edge(weight[static_cast<std::size_t>(e)],
+               dist_row[phys_of[static_cast<std::size_t>(r)]], +1);
+    }
+  }
+  long current_cost = disconnected > 0 ? kDisconnected : finite;
   Placement best = current;
   long best_cost = current_cost;
+
+  // Moves program qubit p from physical `from` to `to` in the running
+  // sums. The edge to `skip` (the other swapped qubit) keeps its length:
+  // hop distance is symmetric, so swapping both ends leaves it unchanged.
+  const auto move = [&](int p, int from, int to, int skip) {
+    const int* from_row = dist + static_cast<std::ptrdiff_t>(from) * m;
+    const int* to_row = dist + static_cast<std::ptrdiff_t>(to) * m;
+    for (int e = offset[static_cast<std::size_t>(p)];
+         e < offset[static_cast<std::size_t>(p) + 1]; ++e) {
+      const int r = partner[static_cast<std::size_t>(e)];
+      if (r == skip) continue;
+      const int w = weight[static_cast<std::size_t>(e)];
+      const int site = phys_of[static_cast<std::size_t>(r)];
+      add_edge(w, from_row[site], -1);
+      add_edge(w, to_row[site], +1);
+    }
+  };
 
   Rng rng(seed_);
   const double t_start = 4.0;
   const double t_end = 0.05;
+  std::uint64_t accepted = 0;
   for (int it = 0; it < iterations_; ++it) {
-    // One poll per 256 sweeps: each iteration is O(edges), so a deadline
+    // One poll per 256 sweeps: each iteration is O(degree), so a deadline
     // interrupts within a fraction of a millisecond even on wide devices.
     if ((it & 255) == 0) check_cancelled();
-    const double fraction =
-        static_cast<double>(it) / std::max(1, iterations_ - 1);
-    const double temperature =
-        t_start * std::pow(t_end / t_start, fraction);
     // Propose: exchange the wires on two random physical qubits.
     const int a = static_cast<int>(rng.index(static_cast<std::size_t>(m)));
     int b = static_cast<int>(rng.index(static_cast<std::size_t>(m)));
     if (a == b) continue;
-    Placement proposal = current;
-    proposal.apply_swap(a, b);
-    const long proposal_cost =
-        placement_cost(interactions, proposal, device);
+    const int pa = program_at[static_cast<std::size_t>(a)];
+    const int pb = program_at[static_cast<std::size_t>(b)];
+    const long kept_finite = finite;
+    const int kept_disconnected = disconnected;
+    if (pa >= 0) move(pa, a, b, pb);
+    if (pb >= 0) move(pb, b, a, pa);
+    const long proposal_cost = disconnected > 0 ? kDisconnected : finite;
     const long delta = proposal_cost - current_cost;
-    if (delta <= 0 ||
-        rng.uniform() < std::exp(-static_cast<double>(delta) / temperature)) {
-      current = std::move(proposal);
-      current_cost = proposal_cost;
-      if (current_cost < best_cost) {
-        best = current;
-        best_cost = current_cost;
-      }
+    bool accept = delta <= 0;
+    if (!accept) {
+      // The temperature is read only here, so it is computed only here.
+      const double fraction =
+          static_cast<double>(it) / std::max(1, iterations_ - 1);
+      const double temperature =
+          t_start * std::pow(t_end / t_start, fraction);
+      accept = rng.uniform() <
+               std::exp(-static_cast<double>(delta) / temperature);
+    }
+    if (!accept) {
+      finite = kept_finite;
+      disconnected = kept_disconnected;
+      continue;
+    }
+    ++accepted;
+    current.apply_swap(a, b);
+    program_at[static_cast<std::size_t>(a)] = pb;
+    program_at[static_cast<std::size_t>(b)] = pa;
+    if (pa >= 0) phys_of[static_cast<std::size_t>(pa)] = b;
+    if (pb >= 0) phys_of[static_cast<std::size_t>(pb)] = a;
+    current_cost = proposal_cost;
+    if (current_cost < best_cost) {
+      best = current;
+      best_cost = current_cost;
     }
   }
+  obs::add(observer(), "placer.annealing.places");
+  obs::add(observer(), "placer.annealing.iterations",
+           static_cast<std::uint64_t>(std::max(0, iterations_)));
+  obs::add(observer(), "placer.annealing.accepted", accepted);
   return best;
 }
 

@@ -14,6 +14,7 @@
 #include "engine/cancel.hpp"
 #include "ir/circuit.hpp"
 #include "layout/placement.hpp"
+#include "obs/obs.hpp"
 
 namespace qmap {
 
@@ -25,6 +26,12 @@ class InteractionGraph {
 
   [[nodiscard]] int num_qubits() const noexcept { return n_; }
   [[nodiscard]] int weight(int a, int b) const;
+  /// Row `a` of the weight matrix, unchecked: row(a)[b] == weight(a, b)
+  /// for a, b in [0, num_qubits()). Placer inner loops index this.
+  [[nodiscard]] const int* row(int a) const noexcept {
+    return weights_.data() +
+           static_cast<std::size_t>(a) * static_cast<std::size_t>(n_);
+  }
   /// Total two-qubit gates touching qubit q.
   [[nodiscard]] int degree(int q) const;
   /// Pairs with non-zero weight.
@@ -58,6 +65,12 @@ class Placer {
   /// too, not just routing. Not owned; null detaches.
   void set_cancel_token(const CancelToken* token) noexcept { cancel_ = token; }
 
+  /// Attaches an observer for per-placement search counters (obs/),
+  /// mirroring Router::set_observer. Counters are flushed once, when a
+  /// placement is returned; a cancelled or failed search records nothing.
+  /// Not owned; null (the default) detaches.
+  void set_observer(obs::Observer* observer) noexcept { observer_ = observer; }
+
  protected:
   /// Cancellation checkpoint for placer search loops. Implementations with
   /// superlinear loops (exhaustive DFS, annealing sweeps) must poll this
@@ -67,8 +80,12 @@ class Placer {
     if (cancel_ != nullptr) cancel_->check();
   }
 
+  /// Maybe-null observability sink for implementations.
+  [[nodiscard]] obs::Observer* observer() const noexcept { return observer_; }
+
  private:
   const CancelToken* cancel_ = nullptr;
+  obs::Observer* observer_ = nullptr;
 };
 
 /// Trivial placement: program qubit k -> physical qubit k.
@@ -106,6 +123,15 @@ class ExhaustivePlacer final : public Placer {
 };
 
 /// Simulated annealing over placements, seeded by the greedy placer.
+///
+/// Each iteration proposes exchanging the wires on two random physical
+/// qubits and prices it incrementally: only the interaction edges of the
+/// (at most two) program qubits that move change length, so the delta is
+/// summed over their adjacency lists in a CSR copy of the interaction
+/// graph built once per call. The result equals a full placement_cost()
+/// recomputation: the finite part and the number of disconnected edges are
+/// tracked separately, so a placement with any disconnected pair still
+/// costs the maximum, and accept decisions (and so the RNG stream) match.
 class AnnealingPlacer final : public Placer {
  public:
   explicit AnnealingPlacer(std::uint64_t seed = 0xC0FFEE, int iterations = 20000)

@@ -72,6 +72,7 @@ PlacePass::PlacePass(std::string algorithm)
 void PlacePass::run(CompileContext& ctx) {
   std::unique_ptr<Placer> placer = make_placer(algorithm_, ctx.seed());
   placer->set_cancel_token(ctx.cancel());
+  placer->set_observer(ctx.obs());
   ctx.placement = placer->place(ctx.result.lowered, ctx.device());
   ctx.placed = true;
 }

@@ -231,6 +231,40 @@ TEST(ObsDeterminism, PortfolioMetricsByteIdenticalAcrossThreadCounts) {
   EXPECT_GT(span_counts[0], 0u);
 }
 
+TEST(ObsDeterminism, AnnealingPortfolioFlushesPlacerCounters) {
+  // The placer counters come from the racing strategies' PlacePass runs,
+  // so they must add up to the same fingerprint whatever the thread count.
+  const Device device = devices::surface17();
+  Rng rng(7919);
+  const Circuit circuit = workloads::random_clifford_circuit(5, 100, rng);
+
+  std::vector<std::string> fingerprints;
+  for (const int threads : {1, 2, 8}) {
+    obs::Observer observer;
+    PortfolioOptions options;
+    options.strategies = {{"annealing", "qmap"},
+                          {"exhaustive", "astar"},
+                          {"greedy", "sabre"}};
+    options.num_threads = threads;
+    options.obs = &observer;
+    const PortfolioResult result =
+        PortfolioCompiler(device, options).compile(circuit);
+    EXPECT_GE(result.winner_index, 0);
+    const obs::MetricsRegistry& metrics = observer.metrics();
+    EXPECT_EQ(metrics.counter("placer.annealing.places"), 1u);
+    EXPECT_EQ(metrics.counter("placer.annealing.iterations"), 20000u);
+    EXPECT_GT(metrics.counter("placer.annealing.accepted"), 0u);
+    EXPECT_LE(metrics.counter("placer.annealing.accepted"), 20000u);
+    EXPECT_EQ(metrics.counter("placer.exhaustive.places"), 1u);
+    EXPECT_GT(metrics.counter("placer.exhaustive.visited"), 0u);
+    fingerprints.push_back(metrics.fingerprint());
+  }
+  EXPECT_EQ(fingerprints[0], fingerprints[1]);
+  EXPECT_EQ(fingerprints[0], fingerprints[2]);
+  EXPECT_NE(fingerprints[0].find("placer.annealing.accepted"),
+            std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Exporters
 // ---------------------------------------------------------------------------
