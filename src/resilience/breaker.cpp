@@ -27,11 +27,10 @@ std::int64_t CircuitBreaker::now_us_() const {
 void CircuitBreaker::transition_(BreakerState next) {
   if (state_ == next) return;
   state_ = next;
+  // Every transition starts or ends a half-open episode: no probe is out.
+  probe_in_flight_ = false;
   if (next == BreakerState::Open) {
     opened_at_us_ = now_us_();
-  }
-  if (next == BreakerState::HalfOpen) {
-    probe_in_flight_ = false;
   }
   if (next == BreakerState::Closed) {
     consecutive_failures_ = 0;
@@ -39,58 +38,59 @@ void CircuitBreaker::transition_(BreakerState next) {
   if (on_transition) on_transition(next);
 }
 
-bool CircuitBreaker::try_acquire() {
-  if (config_.failure_threshold <= 0) return true;
+BreakerPermit CircuitBreaker::try_acquire() {
+  using Kind = BreakerPermit::Kind;
+  if (config_.failure_threshold <= 0) return BreakerPermit(Kind::Normal);
   std::lock_guard<std::mutex> lock(mutex_);
   if (state_ == BreakerState::Open) {
     const double elapsed_ms =
         static_cast<double>(now_us_() - opened_at_us_) / 1000.0;
-    if (elapsed_ms < config_.open_ms) return false;
+    if (elapsed_ms < config_.open_ms) return BreakerPermit();
     transition_(BreakerState::HalfOpen);
   }
   if (state_ == BreakerState::HalfOpen) {
-    if (probe_in_flight_) return false;
+    if (probe_in_flight_) return BreakerPermit();
     probe_in_flight_ = true;
+    return BreakerPermit(Kind::Probe);
   }
-  return true;
+  return BreakerPermit(Kind::Normal);
 }
 
-void CircuitBreaker::release() {
-  if (config_.failure_threshold <= 0) return;
+void CircuitBreaker::release(BreakerPermit permit) {
+  if (!permit.probe()) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ == BreakerState::HalfOpen) probe_in_flight_ = false;
+  probe_in_flight_ = false;
 }
 
-void CircuitBreaker::on_success() {
+void CircuitBreaker::on_success(BreakerPermit permit) {
   if (config_.failure_threshold <= 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ == BreakerState::HalfOpen) {
+  if (permit.probe()) {
     transition_(BreakerState::Closed);
-    return;
+  } else if (state_ == BreakerState::Closed) {
+    consecutive_failures_ = 0;
   }
-  consecutive_failures_ = 0;
 }
 
-void CircuitBreaker::on_failure() {
+void CircuitBreaker::on_failure(BreakerPermit permit) {
   if (config_.failure_threshold <= 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ == BreakerState::HalfOpen) {
+  if (permit.probe()) {
     transition_(BreakerState::Open);
-    return;
-  }
-  if (state_ == BreakerState::Closed &&
-      ++consecutive_failures_ >= config_.failure_threshold) {
+  } else if (state_ == BreakerState::Closed &&
+             ++consecutive_failures_ >= config_.failure_threshold) {
     transition_(BreakerState::Open);
   }
 }
 
-void CircuitBreaker::record(bool ok, ErrorClass error_class) {
+void CircuitBreaker::record(BreakerPermit permit, bool ok,
+                            ErrorClass error_class) {
   if (ok) {
-    on_success();
+    on_success(permit);
   } else if (error_class == ErrorClass::Permanent) {
-    on_failure();
+    on_failure(permit);
   } else {
-    release();
+    release(permit);
   }
 }
 

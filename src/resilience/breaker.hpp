@@ -20,11 +20,17 @@
 //               through. A successful probe closes the breaker; a
 //               Permanent failure re-opens it (with a fresh open window).
 //
-// Every try_acquire() that returned true must be balanced by exactly one
-// of on_success() / on_failure() / release() — release() is the neutral
+// try_acquire() hands back a BreakerPermit naming what it granted: a
+// normal permit (Closed, or a disabled breaker), the half-open probe, or
+// nothing. Every granted permit must be passed back to exactly one of
+// on_success() / on_failure() / release() — release() is the neutral
 // verdict for outcomes that say nothing about the dependency (cache hit,
-// admission rejection, cancellation). `record(ok, error_class)` maps a
-// compile outcome onto that trio. State transitions invoke the
+// admission rejection, cancellation). `record(permit, ok, error_class)`
+// maps a compile outcome onto that trio. Only the probe's verdict frees
+// the probe slot or moves HalfOpen to Closed or Open; a normal permit's
+// verdict counts only while the breaker is Closed, so a request admitted
+// before a trip that finishes after it cannot free the probe slot or
+// decide the probe's outcome. State transitions invoke the
 // `on_transition` callback (under the lock; keep it cheap — the compile
 // service increments service.breaker_* counters there).
 //
@@ -56,28 +62,52 @@ enum class BreakerState { Closed, Open, HalfOpen };
 
 [[nodiscard]] const char* breaker_state_name(BreakerState state);
 
+/// What CircuitBreaker::try_acquire() granted. A denied permit (false)
+/// owes no verdict; a granted one owes exactly one verdict call, made with
+/// this permit.
+class BreakerPermit {
+ public:
+  /// A denied permit.
+  BreakerPermit() = default;
+
+  /// True when the request may proceed.
+  explicit operator bool() const noexcept { return kind_ != Kind::Denied; }
+  /// True for the one half-open probe.
+  [[nodiscard]] bool probe() const noexcept { return kind_ == Kind::Probe; }
+
+ private:
+  friend class CircuitBreaker;
+  enum class Kind { Denied, Normal, Probe };
+  explicit BreakerPermit(Kind kind) noexcept : kind_(kind) {}
+
+  Kind kind_ = Kind::Denied;
+};
+
 class CircuitBreaker {
  public:
   explicit CircuitBreaker(BreakerConfig config = {});
 
-  /// Admission check. True = proceed (and owe exactly one verdict call);
-  /// false = fast-fail without touching the dependency. An expired open
-  /// window transitions Open -> HalfOpen inside this call.
-  [[nodiscard]] bool try_acquire();
+  /// Admission check. A granted permit = proceed (and owe exactly one
+  /// verdict call with it); a denied one = fast-fail without touching the
+  /// dependency. An expired open window transitions Open -> HalfOpen
+  /// inside this call, and the permit it then grants is the probe.
+  [[nodiscard]] BreakerPermit try_acquire();
 
   /// Neutral verdict: the acquisition ran no work that reflects on the
   /// dependency (cache hit, coalesced join, admission rejection,
-  /// cancellation). Frees the half-open probe slot without counting.
-  void release();
-  /// The acquired work succeeded.
-  void on_success();
+  /// cancellation). A probe's release frees the probe slot without
+  /// counting.
+  void release(BreakerPermit permit);
+  /// The acquired work succeeded. The probe's success closes the breaker.
+  void on_success(BreakerPermit permit);
   /// The acquired work failed in a way that indicts the dependency
-  /// (ErrorClass::Permanent or an escaped exception).
-  void on_failure();
+  /// (ErrorClass::Permanent or an escaped exception). The probe's failure
+  /// re-opens the breaker.
+  void on_failure(BreakerPermit permit);
   /// Maps a compile outcome onto the verdict trio: ok -> on_success,
   /// Permanent -> on_failure, anything else (Transient, including
   /// cancellation, and ResourceExhausted) -> release.
-  void record(bool ok, ErrorClass error_class);
+  void record(BreakerPermit permit, bool ok, ErrorClass error_class);
 
   [[nodiscard]] BreakerState state() const;
   /// Milliseconds until the open window lapses (0 unless Open).

@@ -304,12 +304,13 @@ void fill_from_outcome(ServiceResponse& response, const CachedOutcome& value,
 /// rejections are per-request verdicts (too many qubits), not device
 /// health — they release the acquisition instead of counting.
 void settle_breaker(resilience::CircuitBreaker& breaker,
+                    resilience::BreakerPermit permit,
                     const CachedOutcome& value) {
   if (!value.ok && starts_with(value.error, "rejected")) {
-    breaker.release();
+    breaker.release(permit);
     return;
   }
-  breaker.record(value.ok, value.error_class);
+  breaker.record(permit, value.ok, value.error_class);
 }
 
 }  // namespace
@@ -350,7 +351,8 @@ ServiceResponse CompileService::handle_compile(const ServiceRequest& request) {
   resilience::CircuitBreaker& breaker = *entry->breaker;
 
   if (request.no_cache) {
-    if (!breaker.try_acquire()) {
+    const resilience::BreakerPermit permit = breaker.try_acquire();
+    if (!permit) {
       obs::add(config_.obs, "service.breaker_fast_fail");
       response.status = "unavailable";
       response.error =
@@ -363,7 +365,7 @@ ServiceResponse CompileService::handle_compile(const ServiceRequest& request) {
     const CachedOutcome value =
         guarded_compile(*entry, request, circuit, effective_deadline_ms,
                         &drain_token_, brownout_active());
-    settle_breaker(breaker, value);
+    settle_breaker(breaker, permit, value);
     fill_from_outcome(response, value, request.verbose);
     response.cache = "bypass";
     return response;
@@ -372,7 +374,8 @@ ServiceResponse CompileService::handle_compile(const ServiceRequest& request) {
   const std::string key = content_digest(
       canonical_request_text(request, circuit, effective_deadline_ms));
 
-  if (!breaker.try_acquire()) {
+  const resilience::BreakerPermit permit = breaker.try_acquire();
+  if (!permit) {
     // Open breaker: cached answers (positive or negative — both are
     // deterministic replays) still serve; only fresh work at the sick
     // device fast-fails.
@@ -393,13 +396,13 @@ ServiceResponse CompileService::handle_compile(const ServiceRequest& request) {
 
   switch (lookup.kind) {
     case ResultCache::Lookup::Kind::Hit: {
-      breaker.release();  // no fresh work ran; verdict is neutral
+      breaker.release(permit);  // no fresh work ran; verdict is neutral
       fill_from_outcome(response, *lookup.value, request.verbose);
       response.cache = lookup.value->ok ? "hit" : "negative-hit";
       return response;
     }
     case ResultCache::Lookup::Kind::Follower: {
-      breaker.release();  // the leader owns this compile's verdict
+      breaker.release(permit);  // the leader owns this compile's verdict
       track_flight(request.client, lookup.flight);
       const auto value = cache_.wait(lookup.flight);
       if (value == nullptr) {
@@ -433,7 +436,7 @@ ServiceResponse CompileService::handle_compile(const ServiceRequest& request) {
     // Every interested client hung up mid-compile (or drain fired); don't
     // poison the cache with a cancellation artifact, and don't count it
     // against the device either.
-    breaker.release();
+    breaker.release(permit);
     cache_.abandon(lookup.flight);
     untrack_flight(request.client, lookup.flight.get());
     response.status = "cancelled";
@@ -442,7 +445,7 @@ ServiceResponse CompileService::handle_compile(const ServiceRequest& request) {
     return response;
   }
 
-  settle_breaker(breaker, value);
+  settle_breaker(breaker, permit, value);
   // Brownout answers are delivered (to this client and every follower)
   // but never stored: a degraded rung-2 result must not be replayed as a
   // hit after the overload clears.

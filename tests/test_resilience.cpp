@@ -772,17 +772,25 @@ TEST(Resilience, DefaultRungsMatchTheirPipelineSpecForm) {
 // ---------------------------------------------------------------------------
 
 using resilience::BreakerConfig;
+using resilience::BreakerPermit;
 using resilience::BreakerState;
 using resilience::CircuitBreaker;
 
 namespace {
 
-BreakerConfig fast_breaker(std::int64_t* clock_us) {
+BreakerConfig fast_breaker(std::int64_t* clock_us, int threshold = 3) {
   BreakerConfig config;
-  config.failure_threshold = 3;
+  config.failure_threshold = threshold;
   config.open_ms = 100.0;
   config.now_us = [clock_us] { return *clock_us; };
   return config;
+}
+
+/// Acquires a permit, which must be granted, and settles it as a failure.
+void fail_once(CircuitBreaker& breaker) {
+  const BreakerPermit permit = breaker.try_acquire();
+  ASSERT_TRUE(permit);
+  breaker.on_failure(permit);
 }
 
 }  // namespace
@@ -791,12 +799,10 @@ TEST(CircuitBreaker, ConsecutivePermanentFailuresOpenIt) {
   std::int64_t clock_us = 0;
   CircuitBreaker breaker(fast_breaker(&clock_us));
   for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(breaker.try_acquire());
-    breaker.on_failure();
+    fail_once(breaker);
     EXPECT_EQ(breaker.state(), BreakerState::Closed);
   }
-  ASSERT_TRUE(breaker.try_acquire());
-  breaker.on_failure();
+  fail_once(breaker);
   EXPECT_EQ(breaker.state(), BreakerState::Open);
   EXPECT_FALSE(breaker.try_acquire());
   EXPECT_GT(breaker.retry_after_ms(), 0.0);
@@ -807,12 +813,11 @@ TEST(CircuitBreaker, SuccessResetsTheConsecutiveCount) {
   std::int64_t clock_us = 0;
   CircuitBreaker breaker(fast_breaker(&clock_us));
   for (int round = 0; round < 5; ++round) {
-    ASSERT_TRUE(breaker.try_acquire());
-    breaker.on_failure();
-    ASSERT_TRUE(breaker.try_acquire());
-    breaker.on_failure();
-    ASSERT_TRUE(breaker.try_acquire());
-    breaker.on_success();  // the streak never reaches 3
+    fail_once(breaker);
+    fail_once(breaker);
+    const BreakerPermit permit = breaker.try_acquire();
+    ASSERT_TRUE(permit);
+    breaker.on_success(permit);  // the streak never reaches 3
   }
   EXPECT_EQ(breaker.state(), BreakerState::Closed);
   EXPECT_EQ(breaker.consecutive_failures(), 0);
@@ -822,9 +827,11 @@ TEST(CircuitBreaker, TransientAndResourceOutcomesNeverCount) {
   std::int64_t clock_us = 0;
   CircuitBreaker breaker(fast_breaker(&clock_us));
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(breaker.try_acquire());
-    breaker.record(false, i % 2 == 0 ? ErrorClass::Transient
-                                     : ErrorClass::ResourceExhausted);
+    const BreakerPermit permit = breaker.try_acquire();
+    ASSERT_TRUE(permit);
+    breaker.record(permit, false,
+                   i % 2 == 0 ? ErrorClass::Transient
+                              : ErrorClass::ResourceExhausted);
   }
   EXPECT_EQ(breaker.state(), BreakerState::Closed);
   EXPECT_EQ(breaker.consecutive_failures(), 0);
@@ -833,44 +840,74 @@ TEST(CircuitBreaker, TransientAndResourceOutcomesNeverCount) {
 TEST(CircuitBreaker, HalfOpenProbeClosesOnSuccess) {
   std::int64_t clock_us = 0;
   CircuitBreaker breaker(fast_breaker(&clock_us));
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(breaker.try_acquire());
-    breaker.on_failure();
-  }
+  for (int i = 0; i < 3; ++i) fail_once(breaker);
   ASSERT_EQ(breaker.state(), BreakerState::Open);
   EXPECT_FALSE(breaker.try_acquire());
 
   clock_us += 100 * 1000;  // open window lapses
-  ASSERT_TRUE(breaker.try_acquire());  // the probe
+  const BreakerPermit probe = breaker.try_acquire();
+  ASSERT_TRUE(probe);
+  EXPECT_TRUE(probe.probe());
   EXPECT_EQ(breaker.state(), BreakerState::HalfOpen);
   // Only one concurrent probe is admitted.
   EXPECT_FALSE(breaker.try_acquire());
-  breaker.on_success();
+  breaker.on_success(probe);
   EXPECT_EQ(breaker.state(), BreakerState::Closed);
-  EXPECT_TRUE(breaker.try_acquire());
-  breaker.release();
+  const BreakerPermit next = breaker.try_acquire();
+  EXPECT_TRUE(next);
+  EXPECT_FALSE(next.probe());
+  breaker.release(next);
 }
 
 TEST(CircuitBreaker, HalfOpenProbeFailureReopensWithFreshWindow) {
   std::int64_t clock_us = 0;
   CircuitBreaker breaker(fast_breaker(&clock_us));
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(breaker.try_acquire());
-    breaker.on_failure();
-  }
+  for (int i = 0; i < 3; ++i) fail_once(breaker);
   clock_us += 100 * 1000;
-  ASSERT_TRUE(breaker.try_acquire());
-  breaker.on_failure();
+  fail_once(breaker);  // the probe
   EXPECT_EQ(breaker.state(), BreakerState::Open);
   // Fresh window: still denied until another open_ms passes.
   clock_us += 50 * 1000;
   EXPECT_FALSE(breaker.try_acquire());
   clock_us += 50 * 1000;
-  EXPECT_TRUE(breaker.try_acquire());
+  const BreakerPermit probe = breaker.try_acquire();
+  EXPECT_TRUE(probe);
   EXPECT_EQ(breaker.state(), BreakerState::HalfOpen);
-  breaker.release();  // neutral verdict frees the probe slot
-  EXPECT_TRUE(breaker.try_acquire());
-  breaker.on_success();
+  breaker.release(probe);  // neutral verdict frees the probe slot
+  const BreakerPermit second = breaker.try_acquire();
+  EXPECT_TRUE(second);
+  breaker.on_success(second);
+  EXPECT_EQ(breaker.state(), BreakerState::Closed);
+}
+
+TEST(CircuitBreaker, StaleVerdictDoesNotFreeTheProbeSlot) {
+  // A request admitted while Closed that finishes after the trip must not
+  // free the probe slot: only the probe's own verdict does.
+  std::int64_t clock_us = 0;
+  CircuitBreaker breaker(fast_breaker(&clock_us, /*threshold=*/2));
+  const BreakerPermit a = breaker.try_acquire();
+  ASSERT_TRUE(a);
+  EXPECT_FALSE(a.probe());
+  fail_once(breaker);
+  fail_once(breaker);
+  ASSERT_EQ(breaker.state(), BreakerState::Open);
+  clock_us += 100 * 1000;  // open window lapses
+
+  const BreakerPermit probe = breaker.try_acquire();
+  ASSERT_TRUE(probe);
+  ASSERT_TRUE(probe.probe());
+  breaker.release(a);  // A finishes neutrally (cache hit, cancellation)
+  EXPECT_FALSE(breaker.try_acquire()) << "a second probe got through";
+  EXPECT_EQ(breaker.state(), BreakerState::HalfOpen);
+
+  // A stale success or failure does not decide the probe's outcome either.
+  breaker.on_success(a);
+  EXPECT_EQ(breaker.state(), BreakerState::HalfOpen);
+  breaker.on_failure(a);
+  EXPECT_EQ(breaker.state(), BreakerState::HalfOpen);
+  EXPECT_FALSE(breaker.try_acquire());
+
+  breaker.on_success(probe);
   EXPECT_EQ(breaker.state(), BreakerState::Closed);
 }
 
@@ -881,13 +918,11 @@ TEST(CircuitBreaker, TransitionCallbackSeesEveryState) {
   breaker.on_transition = [&seen](BreakerState state) {
     seen.push_back(state);
   };
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(breaker.try_acquire());
-    breaker.on_failure();
-  }
+  for (int i = 0; i < 3; ++i) fail_once(breaker);
   clock_us += 100 * 1000;
-  ASSERT_TRUE(breaker.try_acquire());
-  breaker.on_success();
+  const BreakerPermit probe = breaker.try_acquire();
+  ASSERT_TRUE(probe);
+  breaker.on_success(probe);
   const std::vector<BreakerState> expected = {
       BreakerState::Open, BreakerState::HalfOpen, BreakerState::Closed};
   EXPECT_EQ(seen, expected);
@@ -899,10 +934,7 @@ TEST(CircuitBreaker, ZeroThresholdDisablesEntirely) {
   BreakerConfig config;
   config.failure_threshold = 0;
   CircuitBreaker breaker(config);
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(breaker.try_acquire());
-    breaker.on_failure();
-  }
+  for (int i = 0; i < 50; ++i) fail_once(breaker);
   EXPECT_EQ(breaker.state(), BreakerState::Closed);
   EXPECT_EQ(breaker.retry_after_ms(), 0.0);
 }
