@@ -164,7 +164,10 @@ echo "== tier 1: arena-backed suites under ASan+UBSan =="
 # peephole's live indices still name while a pass marks. Every router
 # (test_route) and the distance tables themselves (test_arch, including a
 # disconnected graph) index the device-owned ArchArtifacts matrices
-# directly, with no bounds check on the hot path. The fallback ladder
+# directly, with no bounds check on the hot path; so do the placers
+# (test_layout, with its placer golden pins): annealing indexes its CSR
+# interaction arrays and the raw distance matrix unchecked, and greedy
+# and exhaustive placement read raw weight rows. The fallback ladder
 # (test_resilience) keeps each rung-1 deadline token and PipelineRuntime
 # on the stack across a PassManager run that the token's parent link and
 # the fault hook reach into; Json::as_int (test_common) range-checks a
@@ -178,10 +181,11 @@ cmake -B build-asan -S . -DQMAP_SANITIZE=address
 cmake --build build-asan -j "${JOBS}" --target test_route_ir test_schedule \
     test_core test_noise test_shuttle test_stream test_decompose \
     test_peephole test_pass test_arch test_route test_resilience test_common \
-    test_service test_chaos
+    test_service test_chaos test_layout
 for suite in test_route_ir test_schedule test_core test_noise test_shuttle \
     test_stream test_decompose test_peephole test_pass test_arch \
-    test_route test_resilience test_common test_service test_chaos; do
+    test_route test_resilience test_common test_service test_chaos \
+    test_layout; do
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/tests/${suite}"
 done

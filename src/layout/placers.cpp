@@ -256,9 +256,8 @@ Placement AnnealingPlacer::place(const Circuit& circuit,
     }
   };
   for (int p = 0; p < n; ++p) {
-    const int* dist_row =
-        dist + static_cast<std::ptrdiff_t>(phys_of[static_cast<std::size_t>(p)]) *
-                   m;
+    const int site = phys_of[static_cast<std::size_t>(p)];
+    const int* dist_row = dist + static_cast<std::ptrdiff_t>(site) * m;
     for (int e = offset[static_cast<std::size_t>(p)];
          e < offset[static_cast<std::size_t>(p) + 1]; ++e) {
       const int r = partner[static_cast<std::size_t>(e)];
@@ -298,7 +297,7 @@ Placement AnnealingPlacer::place(const Circuit& circuit,
     if ((it & 255) == 0) check_cancelled();
     // Propose: exchange the wires on two random physical qubits.
     const int a = static_cast<int>(rng.index(static_cast<std::size_t>(m)));
-    int b = static_cast<int>(rng.index(static_cast<std::size_t>(m)));
+    const int b = static_cast<int>(rng.index(static_cast<std::size_t>(m)));
     if (a == b) continue;
     const int pa = program_at[static_cast<std::size_t>(a)];
     const int pb = program_at[static_cast<std::size_t>(b)];

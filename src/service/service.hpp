@@ -155,7 +155,9 @@ inline constexpr double kRetryAfterFloorMs = 100.0;
 
 /// Overload-control knobs. The global budget and the predicted-wait model
 /// gate admission in submit(); brownout is hysteresis on the global queue
-/// depth. All of it is disabled by max_queued_total = 0.
+/// depth. max_queued_total = 0 lifts the budget and disables brownout, but
+/// not the predicted-wait shed: a request whose deadline the predicted
+/// queue wait already exceeds is shed whatever the budget.
 struct OverloadConfig {
   /// Global cap on queued requests across all clients (0 = unlimited,
   /// which also disables brownout).
