@@ -203,7 +203,6 @@ Placement ExhaustivePlacer::place(const Circuit& circuit,
   if (best_cost == std::numeric_limits<long>::max()) {
     throw MappingError("no feasible placement (device disconnected?)");
   }
-  obs::add(observer(), "placer.exhaustive.places");
   obs::add(observer(), "placer.exhaustive.visited",
            static_cast<std::uint64_t>(visited));
   return Placement::from_program_map(best, m);

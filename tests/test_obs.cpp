@@ -255,7 +255,6 @@ TEST(ObsDeterminism, AnnealingPortfolioFlushesPlacerCounters) {
     EXPECT_EQ(metrics.counter("placer.annealing.iterations"), 20000u);
     EXPECT_GT(metrics.counter("placer.annealing.accepted"), 0u);
     EXPECT_LE(metrics.counter("placer.annealing.accepted"), 20000u);
-    EXPECT_EQ(metrics.counter("placer.exhaustive.places"), 1u);
     EXPECT_GT(metrics.counter("placer.exhaustive.visited"), 0u);
     fingerprints.push_back(metrics.fingerprint());
   }
