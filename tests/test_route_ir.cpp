@@ -137,6 +137,13 @@ TEST(RouteIrParity, MatchesPreRefactorGoldenFingerprints) {
 // placers (the seeded annealing placer and a deterministic one: the
 // `reliability` placer for noisy devices, `greedy` for dot grids) with
 // two circuits (a seeded random circuit and qft5).
+//
+// The qmap rows widen the parity matrix's nine qmap rows before qmap
+// moves onto the shared loop: directed QX4 (direction fixes), Surface-7,
+// a 7-qubit line and a 4x4 grid, greedy and annealing placement, qft5
+// and a device-wide random circuit with mid-circuit measurements and
+// barriers (the gates whose durations advance the look-back's busy-until
+// cycles).
 
 Device noisy(Device device, std::uint64_t noise_seed) {
   Rng rng(noise_seed);
@@ -154,6 +161,32 @@ std::string pin_digest(const std::string& router, const Device& device,
   options.seed = seed;
   return content_digest(
       Compiler(device, options).compile(circuit).fingerprint());
+}
+
+// A seeded random n-qubit circuit of 12n gates: CNOTs and rotations, with
+// two-qubit and full barriers and mid-circuit measurements mixed in,
+// closed by a measurement of every qubit. As wide as the device, so the
+// front layer holds several gates and the lookahead weight can reorder
+// candidates, which it almost never does on a 5-qubit circuit.
+Circuit measured_circuit(std::uint64_t seed, int n) {
+  Rng rng(Rng::derive_stream(0x3EA5, seed));
+  Circuit circuit(n, "measured#" + std::to_string(seed));
+  int cbit = n;
+  for (int g = 0; g < 12 * n; ++g) {
+    const int a = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
+    int b = static_cast<int>(rng.index(static_cast<std::size_t>(n - 1)));
+    if (b >= a) ++b;
+    switch (rng.index(10)) {
+      case 0: circuit.barrier({a, b}); break;
+      case 1: circuit.barrier(); break;
+      case 2: circuit.measure(a, cbit++); break;
+      case 3: circuit.h(a); break;
+      case 4: circuit.rz(rng.uniform(0.0, 1.0), a); break;
+      default: circuit.cx(a, b); break;
+    }
+  }
+  circuit.measure_all();
+  return circuit;
 }
 
 TEST(RouteIrParity, ReliabilityAndShuttleMatchGoldenFingerprints) {
@@ -194,6 +227,26 @@ TEST(RouteIrParity, ReliabilityAndShuttleMatchGoldenFingerprints) {
                std::to_string(seed)] =
             pin_digest(pin.router, pin.device, placer, workloads::qft(5),
                        seed);
+      }
+    }
+  }
+
+  const std::pair<const char*, Device> qmap_devices[] = {
+      {"ibm_qx4", devices::ibm_qx4()},
+      {"surface7", devices::surface7()},
+      {"linear7", devices::linear(7)},
+      {"grid4x4", devices::grid(4, 4)},
+  };
+  for (const auto& [label, device] : qmap_devices) {
+    for (const char* placer : {"greedy", "annealing"}) {
+      for (const std::uint64_t seed : kParitySeeds) {
+        const std::string prefix =
+            std::string("qmap@") + label + "/" + placer + "/";
+        actual[prefix + "measured#" + std::to_string(seed)] =
+            pin_digest("qmap", device, placer,
+                       measured_circuit(seed, device.num_qubits()), seed);
+        actual[prefix + "qft5#" + std::to_string(seed)] =
+            pin_digest("qmap", device, placer, workloads::qft(5), seed);
       }
     }
   }
