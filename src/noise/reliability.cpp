@@ -114,10 +114,11 @@ RoutingResult ReliabilityRouter::route(const Circuit& circuit,
                                        const Device& device,
                                        const Placement& initial) {
   SabreLoopStats stats;
-  RoutingResult result = run_sabre_route<ReliabilityDistance>(
-      circuit, device, initial, DagMode::Sequential,
-      SabreLoopParams{/*enable_bridge=*/false, "reliability"},
-      [this] { check_cancelled(); }, stats);
+  RoutingResult result =
+      run_sabre_route<MaterializedLoopCore<ReliabilityDistance>>(
+          circuit, device, initial, DagMode::Sequential,
+          SabreLoopParams{/*enable_bridge=*/false, "reliability"},
+          [this] { check_cancelled(); }, stats);
   record_sabre_loop(observer(), "router.reliability", stats,
                     result.added_swaps);
   return result;

@@ -20,7 +20,7 @@ void record_bridge_loop(obs::Observer* observer, const SabreLoopStats& stats,
 RoutingResult BridgeRouter::route(const Circuit& circuit, const Device& device,
                                   const Placement& initial) {
   SabreLoopStats stats;
-  RoutingResult result = run_sabre_route<HopDistance>(
+  RoutingResult result = run_sabre_route<MaterializedLoopCore<HopDistance>>(
       circuit, device, initial, DagMode::Sequential, kBridgeParams,
       [this] { check_cancelled(); }, stats);
   record_bridge_loop(observer(), stats, result.added_swaps,

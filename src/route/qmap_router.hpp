@@ -5,6 +5,13 @@
 // which routing path is cheapest — and among SWAPs that help the front
 // layer it picks the one that can start (and finish) earliest, maximizing
 // instruction-level parallelism.
+//
+// It runs the shared lookahead loop (route/sabre_loop.hpp) with its own
+// loop core: a SWAP scores front + 0.3 * extended over a 10-gate window
+// (no decay), scores within 1e-12 tie and the SWAP finishing first wins,
+// and every emitted gate — program gates, chosen SWAPs and stall-rescue
+// SWAPs — advances the busy-until cycles of the qubits it occupies.
+// Counters land under router.qmap.* (record_sabre_loop).
 #pragma once
 
 #include "route/router.hpp"

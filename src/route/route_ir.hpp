@@ -334,6 +334,8 @@ class RouteCore {
   }
 
   [[nodiscard]] int num_phys() const noexcept { return num_phys_; }
+  /// The routed circuit; gate index == IR node.
+  [[nodiscard]] const Circuit& circuit() const noexcept { return *circuit_; }
 
  private:
   // The mirror's half of a SWAP or Move on (phys_a, phys_b).

@@ -9,7 +9,7 @@ namespace qmap {
 RoutingResult SabreRouter::route(const Circuit& circuit, const Device& device,
                                  const Placement& initial) {
   SabreLoopStats stats;
-  RoutingResult result = run_sabre_route<HopDistance>(
+  RoutingResult result = run_sabre_route<MaterializedLoopCore<HopDistance>>(
       circuit, device, initial,
       options_.use_commutation ? DagMode::Commutation : DagMode::Sequential,
       SabreLoopParams{}, [this] { check_cancelled(); }, stats);

@@ -1,26 +1,34 @@
-// The sabre-family main loop, shared by the materialized routers
-// (sabre, bridge and reliability over RouteCore, through run_sabre_route)
-// and the streaming drivers (sabre and bridge over StreamRouteCore,
-// through run_sabre_stream). The shuttle router runs its own action
-// choice (a Move or a SWAP per edge) over the same RouteCore primitives.
+// The lookahead decision loop of src/route, shared by every front-layer
+// heuristic router: sabre, bridge and reliability (materialized, over
+// RouteCore through run_sabre_route), sabre and bridge again as streaming
+// drivers (over StreamRouteCore through run_sabre_stream), and qmap and
+// shuttle (materialized, through run_sabre_route with their own cores).
 //
 // The loop body is one decision sequence — flush-to-fixpoint, front
-// refresh, extended lookahead, per-edge swap scoring with decay, the
+// refresh, extended lookahead, per-edge action scoring with decay, the
 // optional BRIDGE decision, the stall rescue, and the decay-reset
 // bookkeeping. Keeping it in one template is what makes the streamed
 // and materialized paths byte-identical by construction: both
 // instantiations run the same statements in the same order, only the
 // Core behind them differs (full CSR DAG vs sliding window). The golden
-// fingerprint matrix (tests/test_route_ir.cpp) pins that neither
+// fingerprint matrices (tests/test_route_ir.cpp) pin that no
 // instantiation drifts.
 //
-// The routers differ only in the distance they minimise: hop count
-// (sabre, bridge) or accumulated SWAP log-error (reliability, Sec. III-B).
-// A candidate SWAP on edge (a, b) scores
-//   decay * (swap_cost(a, b) + front + kSabreExtendedWeight * extended)
-// where swap_cost is the SWAP's own cost under the distance source: 0.0
-// for hop distances (and 0.0 + x == x, so the hop score is unchanged),
-// the SWAP's log-error for reliability.
+// The routers differ in three decisions, each a member of the Core:
+//   * which action an edge offers (offer): a SWAP; shuttle offers a Move
+//     of an occupant into the free site instead, and nothing when both
+//     sites are free;
+//   * how an action scores and which score wins (score, better): from the
+//     distance sums over the front layer and the lookahead window with
+//     the action applied (LoopTerms). SABRE's score (sabre_score) is
+//     decay * (swap_cost(a, b) + front + kSabreExtendedWeight * extended),
+//     swap_cost being 0.0 for hop distances (sabre, bridge) and the
+//     SWAP's log-error for reliability (Sec. III-B); shuttle adds a
+//     weighted action cost instead, and qmap scores front + 0.3 * extended
+//     over a 10-gate window without decay, breaking near-ties on the
+//     SWAP's look-back finish cycle;
+//   * what applying an action emits (apply, and flush for program gates):
+//     qmap also advances its busy-until cycles, shuttle emits Moves.
 //
 // Core concept (duck-typed):
 //   bool all_scheduled();
@@ -35,13 +43,15 @@
 //                          std::int32_t* pa, std::int32_t* pb) const;
 //   D dist_pair(std::int32_t pa, std::int32_t pb) const;  // D: int/double
 //   D dist_pair_swapped(std::int32_t pa, std::int32_t pb, int ea, int eb);
-//   double swap_cost(int a, int b) const;
+//   LoopAction offer(int a, int b) const;     // kind None: nothing
+//   LoopScore score(const LoopAction&, const LoopTerms&) const;
+//   bool better(const LoopScore& score, const LoopScore& best) const;
+//   void apply(RoutingEmitter&, const LoopAction&);
 //   GateKind kind_of(std::uint32_t node) const;
 //   int gate_dist(std::uint32_t node) const;  // hop count
 //   int phys_q0(std::uint32_t node) const;    // phys of first operand
 //   int phys_q1(std::uint32_t node) const;
 //   std::vector<int> shortest_path(int a, int b) const;
-//   void emit_swap(RoutingEmitter&, int phys_a, int phys_b);
 //   void mark_front_scheduled(std::uint32_t node);  // bridge bookkeeping
 #pragma once
 
@@ -60,8 +70,8 @@
 
 namespace qmap {
 
-// The SABRE tuning of Li, Ding and Xie [40], shared by every sabre-style
-// router (sabre, bridge, reliability, shuttle).
+// The SABRE tuning of Li, Ding and Xie [40], shared by the sabre-style
+// routers (sabre, bridge, reliability, shuttle).
 inline constexpr std::size_t kSabreExtendedWindow = 20;  // future 2q gates
 inline constexpr double kSabreExtendedWeight = 0.5;  // lookahead weight
 inline constexpr double kSabreDecayIncrement = 0.1;  // per-use qubit decay
@@ -99,6 +109,47 @@ struct SabreLoopStats {
   std::uint64_t swaps_avoided = 0;  // bridged front gates
 };
 
+enum class ActionKind : std::uint8_t { None, Swap, Move };
+
+/// What one coupling edge offers: a SWAP of sites a and b, a shuttle Move
+/// of a's occupant into the free site b, or nothing.
+struct LoopAction {
+  ActionKind kind = ActionKind::None;
+  int a = -1;
+  int b = -1;
+};
+
+/// One candidate's score. `finish` is qmap's tie-break (the SWAP's
+/// look-back finish cycle); the other cores leave it 0.
+struct LoopScore {
+  double value = std::numeric_limits<double>::infinity();
+  double finish = std::numeric_limits<double>::infinity();
+};
+
+/// The distance terms of one candidate action: the sums over the front
+/// layer and the lookahead window with the action applied, their sizes,
+/// and the larger decay of the two sites.
+struct LoopTerms {
+  double front_sum;
+  std::uint32_t front_size;
+  double extended_sum;
+  std::uint32_t num_extended;
+  double decay;
+
+  [[nodiscard]] double front_mean() const { return front_sum / front_size; }
+  /// 0.0 for an empty window.
+  [[nodiscard]] double extended_mean() const {
+    return num_extended > 0 ? extended_sum / num_extended : 0.0;
+  }
+};
+
+/// SABRE's score [40] of a SWAP whose own cost is `swap_cost`.
+[[nodiscard]] inline double sabre_score(const LoopTerms& terms,
+                                        double swap_cost) {
+  return terms.decay * (swap_cost + terms.front_mean() +
+                        kSabreExtendedWeight * terms.extended_mean());
+}
+
 template <class Core, class CheckCancel>
 SabreLoopStats run_sabre_loop(Core& core, RoutingEmitter& emitter,
                               const CouplingGraph& coupling, int num_phys,
@@ -133,49 +184,43 @@ SabreLoopStats run_sabre_loop(Core& core, RoutingEmitter& emitter,
     const std::uint32_t num_extended =
         core.collect_extended(core.ext_cap(), buffers.extended);
 
-    // Candidate SWAPs: edges touching a physical qubit that currently holds
-    // an operand of a front-layer gate.
+    // Candidate actions: edges touching a physical qubit that currently
+    // holds an operand of a front-layer gate.
     core.mark_relevant(buffers.relevant);
     core.collect_endpoints(front_gates, front_size, buffers.front_pa,
                            buffers.front_pb);
     core.collect_endpoints(buffers.extended, num_extended, buffers.ext_pa,
                            buffers.ext_pb);
 
-    double best_score = std::numeric_limits<double>::infinity();
-    int best_a = -1;
-    int best_b = -1;
+    LoopScore best_score;
+    LoopAction best;
     for (const auto& edge : coupling.edges()) {
       if (!buffers.relevant[edge.a] && !buffers.relevant[edge.b]) continue;
-      double front_term = 0.0;
+      const LoopAction action = core.offer(edge.a, edge.b);
+      if (action.kind == ActionKind::None) continue;
+      double front_sum = 0.0;
       for (std::uint32_t k = 0; k < front_size; ++k) {
-        front_term += core.dist_pair_swapped(buffers.front_pa[k],
-                                             buffers.front_pb[k], edge.a,
-                                             edge.b);
+        front_sum += core.dist_pair_swapped(buffers.front_pa[k],
+                                            buffers.front_pb[k], action.a,
+                                            action.b);
       }
-      front_term /= static_cast<double>(front_size);
-      double extended_term = 0.0;
-      if (num_extended > 0) {
-        for (std::uint32_t k = 0; k < num_extended; ++k) {
-          extended_term += core.dist_pair_swapped(buffers.ext_pa[k],
-                                                  buffers.ext_pb[k], edge.a,
-                                                  edge.b);
-        }
-        extended_term /= static_cast<double>(num_extended);
+      double extended_sum = 0.0;
+      for (std::uint32_t k = 0; k < num_extended; ++k) {
+        extended_sum += core.dist_pair_swapped(buffers.ext_pa[k],
+                                               buffers.ext_pb[k], action.a,
+                                               action.b);
       }
-      const double decay_factor =
-          std::max(decay[edge.a], decay[edge.b]);
-      const double score =
-          decay_factor * (core.swap_cost(edge.a, edge.b) + front_term +
-                          kSabreExtendedWeight * extended_term);
-      if (score < best_score) {
+      const LoopScore score = core.score(
+          action, LoopTerms{front_sum, front_size, extended_sum, num_extended,
+                            std::max(decay[action.a], decay[action.b])});
+      if (core.better(score, best_score)) {
         best_score = score;
-        best_a = edge.a;
-        best_b = edge.b;
+        best = action;
       }
     }
-    if (best_a < 0) {
+    if (best.kind == ActionKind::None) {
       throw MappingError(std::string(params.label) +
-                         ": no candidate SWAP found");
+                         ": no candidate action found");
     }
 
     if (params.enable_bridge) {
@@ -196,15 +241,15 @@ SabreLoopStats run_sabre_loop(Core& core, RoutingEmitter& emitter,
           if (front_gates[j] == node) continue;
           rest_now += core.dist_pair(buffers.front_pa[j], buffers.front_pb[j]);
           rest_swapped += core.dist_pair_swapped(
-              buffers.front_pa[j], buffers.front_pb[j], best_a, best_b);
+              buffers.front_pa[j], buffers.front_pb[j], best.a, best.b);
         }
         for (std::uint32_t j = 0; j < num_extended; ++j) {
           rest_now += kSabreExtendedWeight *
                       core.dist_pair(buffers.ext_pa[j], buffers.ext_pb[j]);
           rest_swapped += kSabreExtendedWeight *
                           core.dist_pair_swapped(buffers.ext_pa[j],
-                                                 buffers.ext_pb[j], best_a,
-                                                 best_b);
+                                                 buffers.ext_pb[j], best.a,
+                                                 best.b);
         }
         if (rest_swapped < rest_now) continue;  // the SWAP helps others too
         buffers.to_bridge[num_to_bridge++] = node;
@@ -227,22 +272,23 @@ SabreLoopStats run_sabre_loop(Core& core, RoutingEmitter& emitter,
     ++swaps_since_progress;
     if (swaps_since_progress > stall_limit) {
       // Safeguard: force progress by walking the first front gate together
-      // along a shortest path (the naive step). Guarantees termination.
+      // along a shortest path (the naive step), taking the action each
+      // path edge offers. Guarantees termination.
       const std::uint32_t gate = front_gates[0];
       const int pa = core.phys_q0(gate);
       const int pb = core.phys_q1(gate);
       const std::vector<int> path = core.shortest_path(pa, pb);
       for (std::size_t i = 0; i + 2 < path.size(); ++i) {
-        core.emit_swap(emitter, path[i], path[i + 1]);
+        core.apply(emitter, core.offer(path[i], path[i + 1]));
       }
       ++stats.rescues;
       swaps_since_progress = 0;
       continue;
     }
 
-    core.emit_swap(emitter, best_a, best_b);
-    decay[best_a] += kSabreDecayIncrement;
-    decay[best_b] += kSabreDecayIncrement;
+    core.apply(emitter, best);
+    decay[best.a] += kSabreDecayIncrement;
+    decay[best.b] += kSabreDecayIncrement;
     if (++swaps_since_reset >= kSabreDecayResetInterval) {
       std::fill(decay, decay + num_phys, 1.0);
       swaps_since_reset = 0;
@@ -266,8 +312,8 @@ inline void record_sabre_loop(obs::Observer* observer, std::string_view prefix,
                static_cast<double>(added_swaps));
 }
 
-/// The hop-count distance source (sabre, bridge): the device's distance
-/// matrix, and no cost of its own for a SWAP.
+/// The hop-count distance source (sabre, bridge, qmap, shuttle): the
+/// device's distance matrix, and no cost of its own for a SWAP.
 class HopDistance {
  public:
   explicit HopDistance(const Device& device)
@@ -293,16 +339,19 @@ inline std::size_t materialized_ext_cap(const RouteCore& core) {
                   static_cast<std::size_t>(core.ir.num_two_qubit));
 }
 
-/// RouteCore adapter for run_sabre_loop: the materialized path, scoring
-/// with `Distance` (cost(a, b) and swap_cost(a, b): HopDistance, or
-/// ReliabilityDistance).
+/// RouteCore adapter for run_sabre_loop: the materialized path, offering
+/// a SWAP on every edge and scoring it by sabre_score with `Distance`
+/// (cost(a, b) and swap_cost(a, b): HopDistance, or ReliabilityDistance).
+/// qmap and shuttle derive from it and hide the members where they
+/// differ; run_sabre_loop is a template over the derived type, so no
+/// member is virtual.
 template <class Distance>
 class MaterializedLoopCore {
  public:
-  MaterializedLoopCore(RouteCore& core, const Distance& distance,
-                       const SabreLoopBuffers& buffers)
+  MaterializedLoopCore(RouteCore& core, const Device& device,
+                       RouteArena& /*arena*/, const SabreLoopBuffers& buffers)
       : core_(&core),
-        distance_(&distance),
+        distance_(device),
         ext_cap_(materialized_ext_cap(core)),
         buffers_(buffers) {}
 
@@ -330,15 +379,26 @@ class MaterializedLoopCore {
     core_->collect_endpoints(nodes, count, pa, pb);
   }
   [[nodiscard]] auto dist_pair(std::int32_t pa, std::int32_t pb) const {
-    return distance_->cost(pa, pb);
+    return distance_.cost(pa, pb);
   }
   [[nodiscard]] auto dist_pair_swapped(std::int32_t pa, std::int32_t pb,
                                        int ea, int eb) const {
-    return distance_->cost(RouteCore::swapped(pa, ea, eb),
-                           RouteCore::swapped(pb, ea, eb));
+    return distance_.cost(RouteCore::swapped(pa, ea, eb),
+                          RouteCore::swapped(pb, ea, eb));
   }
-  [[nodiscard]] double swap_cost(int a, int b) const {
-    return distance_->swap_cost(a, b);
+  [[nodiscard]] static LoopAction offer(int a, int b) {
+    return {ActionKind::Swap, a, b};
+  }
+  [[nodiscard]] LoopScore score(const LoopAction& action,
+                                const LoopTerms& terms) const {
+    return {sabre_score(terms, distance_.swap_cost(action.a, action.b)), 0.0};
+  }
+  [[nodiscard]] static bool better(const LoopScore& score,
+                                   const LoopScore& best) {
+    return score.value < best.value;
+  }
+  void apply(RoutingEmitter& emitter, const LoopAction& action) {
+    core_->emit_swap(emitter, action.a, action.b);
   }
   [[nodiscard]] GateKind kind_of(std::uint32_t node) const {
     return core_->ir.gate_kind(node);
@@ -355,16 +415,16 @@ class MaterializedLoopCore {
   [[nodiscard]] std::vector<int> shortest_path(int a, int b) const {
     return core_->shortest_path(a, b);
   }
-  void emit_swap(RoutingEmitter& emitter, int phys_a, int phys_b) {
-    core_->emit_swap(emitter, phys_a, phys_b);
-  }
   void mark_front_scheduled(std::uint32_t node) {
     core_->front.mark_scheduled(node);
   }
 
+ protected:
+  [[nodiscard]] RouteCore& route_core() const { return *core_; }
+
  private:
   RouteCore* core_;
-  const Distance* distance_;
+  Distance distance_;
   std::size_t ext_cap_;
   SabreLoopBuffers buffers_;
 };
@@ -392,12 +452,14 @@ inline SabreLoopBuffers alloc_sabre_buffers(RouteArena& arena,
   return buffers;
 }
 
-/// One materialized sabre-family route, start to finish — the
-/// materialized twin of run_sabre_stream: checks routability, builds the
-/// `Distance` source from the device, the RouteCore over `mode` and the
-/// arena-backed loop buffers, runs the shared loop and finishes the
-/// emitter. `stats` receives the loop counters for observability.
-template <class Distance, class CheckCancel>
+/// One materialized route, start to finish — the materialized twin of
+/// run_sabre_stream: checks routability, builds the RouteCore over `mode`
+/// and the arena-backed loop buffers, wraps them in a `LoopCore`
+/// (MaterializedLoopCore<Distance> or a router's own derived core,
+/// constructed from the RouteCore, the device, the arena and the
+/// buffers), runs the shared loop and finishes the emitter. `stats`
+/// receives the loop counters for observability.
+template <class LoopCore, class CheckCancel>
 RoutingResult run_sabre_route(const Circuit& circuit, const Device& device,
                               const Placement& initial, DagMode mode,
                               const SabreLoopParams& params,
@@ -405,7 +467,6 @@ RoutingResult run_sabre_route(const Circuit& circuit, const Device& device,
                               SabreLoopStats& stats) {
   const auto start_time = std::chrono::steady_clock::now();
   check_routable(circuit, device);
-  const Distance distance(device);
   RouteArena& arena = RouteArena::scratch();
   const ArenaScope scope(arena);
   RouteCore core(circuit, device, mode, initial, arena);
@@ -417,7 +478,7 @@ RoutingResult run_sabre_route(const Circuit& circuit, const Device& device,
 
   const SabreLoopBuffers buffers =
       alloc_sabre_buffers(arena, core, params.enable_bridge);
-  MaterializedLoopCore<Distance> loop_core(core, distance, buffers);
+  LoopCore loop_core(core, device, arena, buffers);
   stats = run_sabre_loop(loop_core, emitter, device.coupling(),
                          device.num_qubits(), params, check_cancelled);
 

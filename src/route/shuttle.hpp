@@ -12,9 +12,11 @@
 // Moves into empty sites (cost: 1 native operation). When the program uses
 // fewer qubits than the device has dots, most routing traffic rides the
 // cheap moves; with a full register it degrades gracefully to SWAP-only
-// routing. It shares the SABRE tuning and the RouteCore primitives (flush,
-// lookahead, relevant qubits, swapped-endpoint distances) with the
-// sabre loop in route/sabre_loop.hpp and keeps only its action choice.
+// routing. It runs the shared lookahead loop (route/sabre_loop.hpp) with
+// the SABRE tuning; its loop core keeps only the action choice: an edge
+// with one free site offers a Move into it (nothing when both are free),
+// an action scores decay * (front + 0.5 * extended + 0.1 * cost), and the
+// stall rescue moves into free sites along its path too.
 #pragma once
 
 #include "route/router.hpp"

@@ -104,8 +104,18 @@ class StreamRouteCore {
     return dist(RouteCore::swapped(pa, ea, eb),
                 RouteCore::swapped(pb, ea, eb));
   }
+  [[nodiscard]] static LoopAction offer(int a, int b) {
+    return {ActionKind::Swap, a, b};
+  }
   /// Hop distances: a SWAP has no cost of its own.
-  [[nodiscard]] static double swap_cost(int /*a*/, int /*b*/) { return 0.0; }
+  [[nodiscard]] static LoopScore score(const LoopAction& /*action*/,
+                                       const LoopTerms& terms) {
+    return {sabre_score(terms, 0.0), 0.0};
+  }
+  [[nodiscard]] static bool better(const LoopScore& score,
+                                   const LoopScore& best) {
+    return score.value < best.value;
+  }
   [[nodiscard]] GateKind kind_of(std::uint32_t node) const {
     return static_cast<GateKind>(kind_[idx(node)]);
   }
@@ -122,14 +132,14 @@ class StreamRouteCore {
   [[nodiscard]] std::vector<int> shortest_path(int a, int b) const {
     return device_->artifacts()->shortest_path(a, b);
   }
-  void emit_swap(RoutingEmitter& emitter, int phys_a, int phys_b) {
-    emitter.emit_swap(phys_a, phys_b);
-    const std::int32_t wa = prog_at_[phys_a];
-    const std::int32_t wb = prog_at_[phys_b];
-    prog_at_[phys_a] = wb;
-    prog_at_[phys_b] = wa;
-    if (wa >= 0) phys_of_[wa] = static_cast<std::uint32_t>(phys_b);
-    if (wb >= 0) phys_of_[wb] = static_cast<std::uint32_t>(phys_a);
+  void apply(RoutingEmitter& emitter, const LoopAction& action) {
+    emitter.emit_swap(action.a, action.b);
+    const std::int32_t wa = prog_at_[action.a];
+    const std::int32_t wb = prog_at_[action.b];
+    prog_at_[action.a] = wb;
+    prog_at_[action.b] = wa;
+    if (wa >= 0) phys_of_[wa] = static_cast<std::uint32_t>(action.b);
+    if (wb >= 0) phys_of_[wb] = static_cast<std::uint32_t>(action.a);
   }
   void mark_front_scheduled(std::uint32_t node) { mark_scheduled(node); }
 
