@@ -224,9 +224,9 @@ RoutingResult AStarLayerRouter::route(const Circuit& circuit,
           std::chrono::steady_clock::now() - start_time)
           .count();
   RoutingResult result = std::move(emitter).finish(initial, runtime_ms);
-  obs::add(observer(), "astar.routes");
-  obs::add(observer(), "astar.expansions", total_expansions);
-  obs::add(observer(), "astar.fallback_layers", fallback_layers);
+  obs::add(observer(), "router.astar.routes");
+  obs::add(observer(), "router.astar.expansions", total_expansions);
+  obs::add(observer(), "router.astar.fallback_layers", fallback_layers);
   obs::observe(observer(), "route.swaps_inserted",
                static_cast<double>(result.added_swaps));
   return result;

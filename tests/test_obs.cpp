@@ -470,6 +470,37 @@ TEST(RouterObs, SabreFlushesLoopCountersOnBothPaths) {
   }
 }
 
+// qmap and the layered A* router flush under `router.<name>` like every
+// other router, and no longer under their old top-level prefixes.
+TEST(RouterObs, QmapAndAstarFlushUnderRouterNames) {
+  struct Case {
+    const char* router;
+    const char* old_prefix;
+    std::vector<const char*> suffixes;
+  };
+  const Case cases[] = {
+      {"qmap", "qmap_router", {".routes", ".iterations", ".rescues"}},
+      {"astar", "astar", {".routes", ".expansions", ".fallback_layers"}},
+  };
+  for (const Case& c : cases) {
+    obs::Observer observer;
+    CompilerOptions options;
+    options.router = c.router;
+    options.obs = &observer;
+    (void)Compiler(devices::ibm_qx5(), options).compile(workloads::qft(5));
+    const Json counters = observer.metrics().to_json().at("counters");
+    const std::string prefix = std::string("router.") + c.router;
+    for (const char* suffix : c.suffixes) {
+      EXPECT_TRUE(counters.contains(prefix + suffix)) << prefix + suffix;
+      EXPECT_FALSE(counters.contains(c.old_prefix + std::string(suffix)))
+          << c.old_prefix << suffix;
+    }
+    EXPECT_EQ(observer.metrics().counter(prefix + ".routes"), 1u) << c.router;
+    EXPECT_EQ(observer.metrics().histogram("route.swaps_inserted").count, 1u)
+        << c.router;
+  }
+}
+
 TEST(RouterObs, ExactFlushesSearchCounters) {
   const Device qx4 = devices::ibm_qx4();
   const Circuit circuit = workloads::fig1_example();
