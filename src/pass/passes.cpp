@@ -108,36 +108,13 @@ void TokenSwapFinisherPass::run(CompileContext& ctx) {
         "SWAPs are placeholders the postroute pass expands");
   }
   RoutingResult& routing = ctx.result.routing;
-  TokenSwapCleanup cleanup =
-      plan_token_swap_cleanup(routing.final, routing.initial, ctx.device());
-  obs::add(ctx.obs(), "router.bridge.token_swap_rounds", cleanup.rounds);
-  obs::add(ctx.obs(), "router.bridge.token_swap_swaps",
-           cleanup.total_swaps());
-  if (cleanup.swaps.empty()) return;
-
-  // The cleanup SWAPs are unitaries, and relocate_measurements (postroute)
-  // rejects unitaries after a deferred measurement — so splice the rounds
-  // in *before* the trailing measurement/barrier suffix and route those
-  // terminal operands through the cleanup permutation. The gate list is
-  // taken, edited in place, and put back: the prefix (which dominates) is
-  // never copied gate-by-gate.
   std::vector<Gate> gates = routing.circuit.take_gates();
-  std::size_t split = gates.size();
-  while (split > 0) {
-    const GateKind kind = gates[split - 1].kind;
-    if (kind != GateKind::Measure && kind != GateKind::Barrier) break;
-    --split;
-  }
-  for (std::size_t i = split; i < gates.size(); ++i) {
-    for (int& q : gates[i].qubits) {
-      q = cleanup.position_of[static_cast<std::size_t>(q)];
-    }
-  }
-  routing.added_swaps += cleanup.total_swaps();
-  gates.insert(gates.begin() + static_cast<std::ptrdiff_t>(split),
-               std::make_move_iterator(cleanup.swaps.begin()),
-               std::make_move_iterator(cleanup.swaps.end()));
+  const TokenSwapPlan plan = splice_token_swap_cleanup(
+      gates, routing.final, routing.initial, ctx.device());
   routing.circuit.set_gates(std::move(gates));
+  obs::add(ctx.obs(), "router.bridge.token_swap_rounds", plan.rounds.size());
+  obs::add(ctx.obs(), "router.bridge.token_swap_swaps", plan.total_swaps());
+  routing.added_swaps += plan.total_swaps();
 }
 
 void PostRoutePass::run(CompileContext& ctx) {

@@ -211,19 +211,10 @@ class TokenSwapFinisherSink final : public GateSink {
   /// remapped suffix, and flushes downstream.
   void finish(Placement& final_placement, const Placement& initial,
               const Device& device) {
-    TokenSwapCleanup cleanup =
-        plan_token_swap_cleanup(final_placement, initial, device);
-    rounds_ = cleanup.rounds;
-    swaps_ = cleanup.total_swaps();
-    if (!cleanup.swaps.empty()) {
-      for (Gate& gate : suffix_) {
-        for (int& q : gate.qubits) {
-          q = cleanup.position_of[static_cast<std::size_t>(q)];
-        }
-      }
-      forwarded_ += cleanup.swaps.size();
-      downstream_->put_chunk(cleanup.swaps);
-    }
+    const TokenSwapPlan plan =
+        splice_token_swap_cleanup(suffix_, final_placement, initial, device);
+    rounds_ = plan.rounds.size();
+    swaps_ = plan.total_swaps();
     forward_suffix();
     downstream_->flush();
   }

@@ -1,6 +1,7 @@
 #include "route/token_swap.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -181,32 +182,50 @@ TokenSwapPlan plan_token_swaps(const Placement& current,
   return plan;
 }
 
-TokenSwapCleanup plan_token_swap_cleanup(Placement& current,
-                                         const Placement& target,
-                                         const Device& device) {
-  const TokenSwapPlan plan = plan_token_swaps(current, target, device);
-  TokenSwapCleanup cleanup;
-  cleanup.rounds = plan.rounds.size();
-  cleanup.swaps.reserve(plan.total_swaps());
+TokenSwapPlan splice_token_swap_cleanup(std::vector<Gate>& gates,
+                                        Placement& current,
+                                        const Placement& target,
+                                        const Device& device) {
+  TokenSwapPlan plan = plan_token_swaps(current, target, device);
+  if (plan.rounds.empty()) return plan;
+  std::vector<Gate> swaps;
+  swaps.reserve(plan.total_swaps());
   // position_of[p]: where the wire sitting on p before the cleanup ends up
   // once all rounds have run; content_at is its running inverse.
-  cleanup.position_of.resize(static_cast<std::size_t>(device.num_qubits()));
-  std::vector<int> content_at(cleanup.position_of.size());
-  std::iota(cleanup.position_of.begin(), cleanup.position_of.end(), 0);
+  std::vector<int> position_of(static_cast<std::size_t>(device.num_qubits()));
+  std::vector<int> content_at(position_of.size());
+  std::iota(position_of.begin(), position_of.end(), 0);
   std::iota(content_at.begin(), content_at.end(), 0);
   for (const SwapRound& round : plan.rounds) {
     for (const auto& [a, b] : round) {
-      cleanup.swaps.push_back(make_gate(GateKind::SWAP, {a, b}));
+      swaps.push_back(make_gate(GateKind::SWAP, {a, b}));
       current.apply_swap(a, b);
       const int x = content_at[static_cast<std::size_t>(a)];
       const int y = content_at[static_cast<std::size_t>(b)];
       std::swap(content_at[static_cast<std::size_t>(a)],
                 content_at[static_cast<std::size_t>(b)]);
-      cleanup.position_of[static_cast<std::size_t>(x)] = b;
-      cleanup.position_of[static_cast<std::size_t>(y)] = a;
+      position_of[static_cast<std::size_t>(x)] = b;
+      position_of[static_cast<std::size_t>(y)] = a;
     }
   }
-  return cleanup;
+
+  // The list is edited in place: the prefix (which dominates) is never
+  // copied gate-by-gate.
+  std::size_t split = gates.size();
+  while (split > 0) {
+    const GateKind kind = gates[split - 1].kind;
+    if (kind != GateKind::Measure && kind != GateKind::Barrier) break;
+    --split;
+  }
+  for (std::size_t i = split; i < gates.size(); ++i) {
+    for (int& q : gates[i].qubits) {
+      q = position_of[static_cast<std::size_t>(q)];
+    }
+  }
+  gates.insert(gates.begin() + static_cast<std::ptrdiff_t>(split),
+               std::make_move_iterator(swaps.begin()),
+               std::make_move_iterator(swaps.end()));
+  return plan;
 }
 
 }  // namespace qmap

@@ -49,26 +49,18 @@ struct TokenSwapPlan {
                                              const Device& device,
                                              int escape_budget = -1);
 
-/// A token-swap plan flattened into circuit form: the SWAPs as gates in
-/// emission order, plus the wire-position remap a trailing
-/// measurement/barrier suffix must be routed through (position_of[p] is
-/// where the wire sitting on physical qubit p before the cleanup ends up
-/// afterwards). Shared by the materialized TokenSwapFinisherPass and the
-/// streaming finisher sink so both emit byte-identical cleanups.
-struct TokenSwapCleanup {
-  std::vector<Gate> swaps;
-  std::vector<int> position_of;
-  std::size_t rounds = 0;
-
-  [[nodiscard]] std::size_t total_swaps() const noexcept {
-    return swaps.size();
-  }
-};
-
-/// Plans the cleanup returning `current` to `target` and applies the
-/// resulting SWAPs to `current` (mirroring what emitting them does to the
-/// routing state).
-[[nodiscard]] TokenSwapCleanup plan_token_swap_cleanup(
-    Placement& current, const Placement& target, const Device& device);
+/// Returns `current` to `target` at the end of the routed gate list
+/// `gates`: plans the token swaps, applies them to `current` (mirroring
+/// what emitting them does to the routing state), and inserts their SWAPs
+/// before the list's trailing run of Measure/Barrier gates, whose operands
+/// follow their wires through the cleanup permutation (postroute's
+/// relocate_measurements rejects unitaries after a deferred measurement).
+/// TokenSwapFinisherPass passes the whole routed list and the streaming
+/// finisher sink its buffered Measure/Barrier tail, so both emit
+/// byte-identical cleanups. Returns the plan it applied.
+TokenSwapPlan splice_token_swap_cleanup(std::vector<Gate>& gates,
+                                        Placement& current,
+                                        const Placement& target,
+                                        const Device& device);
 
 }  // namespace qmap
