@@ -141,9 +141,9 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_chaos
 cmake --build build-tsan -j "${JOBS}" --target test_route_ir
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_route_ir \
     --gtest_filter='RouteIrThreads.*'
-# The streaming thread tests re-run under TSan: the bounded PipeStream
-# hand-off between a producer thread and the routing thread (chunked
-# reader -> router), and the 1/2/8-thread streamed-route digest pin.
+# The streaming thread test re-runs under TSan: the 1/2/8-thread
+# streamed-route digest pin, each thread routing its own chunked streams
+# through the window core and the shared device tables.
 cmake --build build-tsan -j "${JOBS}" --target test_stream
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_stream \
     --gtest_filter='StreamThreads.*'

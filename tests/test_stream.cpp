@@ -26,7 +26,6 @@
 #include "decompose/decomposer.hpp"
 #include "ir/circuit.hpp"
 #include "ir/gate_stream.hpp"
-#include "ir/pipe_stream.hpp"
 #include "layout/placers.hpp"
 #include "pass/manager.hpp"
 #include "pass/passes.hpp"
@@ -443,59 +442,7 @@ TEST(StreamRoute, WindowPeakStaysBoundedOnLongCircuits) {
       << "window must not scale with circuit length";
 }
 
-// --- Thread handoff: the TSan targets ---
-
-TEST(StreamThreads, PipeHandsOffBetweenThreads) {
-  const Circuit circuit = stream_test_circuit(5, 6, 500);
-  GatePipe pipe(circuit.num_qubits(), circuit.name(),
-                /*capacity_gates=*/64, circuit.num_cbits());
-  std::thread producer([&] {
-    CircuitSource source(circuit);
-    std::vector<Gate> chunk;
-    while (source.pull(chunk, 17) > 0) {
-      pipe.sink().put_chunk(chunk);
-      chunk.clear();
-    }
-    pipe.sink().flush();
-  });
-  CircuitSink sink(circuit.num_qubits(), circuit.name());
-  std::vector<Gate> chunk;
-  while (pipe.source().pull(chunk, 23) > 0) {
-    sink.put_chunk(chunk);
-    chunk.clear();
-  }
-  producer.join();
-  EXPECT_EQ(to_openqasm(sink.circuit()), to_openqasm(circuit));
-}
-
-TEST(StreamThreads, PipedRouteMatchesMaterialized) {
-  // Producer thread feeds the pipe; the router consumes it on this
-  // thread: the chunked reader/router handoff under real concurrency.
-  const Device device = verify::device_by_name("ibm_qx5");
-  const Circuit circuit = stream_test_circuit(6, 5, 300);
-  const Placement placement = GreedyPlacer().place(circuit, device);
-  const RoutingResult materialized =
-      SabreRouter().route(circuit, device, placement);
-
-  GatePipe pipe(circuit.num_qubits(), circuit.name(), /*capacity_gates=*/32,
-                circuit.num_cbits());
-  std::thread producer([&] {
-    CircuitSource source(circuit);
-    std::vector<Gate> chunk;
-    while (source.pull(chunk, 11) > 0) {
-      pipe.sink().put_chunk(chunk);
-      chunk.clear();
-    }
-    pipe.sink().flush();
-  });
-  CircuitSink sink(device.num_qubits(), "piped");
-  StreamRouteOptions options;
-  options.chunk_gates = 16;
-  SabreRouter router;
-  (void)router.route_stream(pipe.source(), device, placement, sink, options);
-  producer.join();
-  EXPECT_EQ(to_openqasm(sink.circuit()), to_openqasm(materialized.circuit));
-}
+// --- Thread determinism: the TSan target ---
 
 std::vector<std::string> stream_route_digests(int num_threads) {
   const char* const routers[] = {"sabre", "bridge"};
