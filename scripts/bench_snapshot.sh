@@ -13,6 +13,10 @@
 #     "derived":    {<bench-specific ratios>}
 #   }
 #
+# Every bench runs and every gate is checked even when an earlier gate
+# fails, so one slow layer cannot keep the other snapshots from being
+# refreshed; the script then exits nonzero naming each failed gate.
+#
 # Usage: scripts/bench_snapshot.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,6 +25,19 @@ BUILD="${1:-build}"
 BENCHES="bench_router_comparison bench_pipeline bench_service bench_streaming"
 
 cmake --build "${BUILD}" -j "$(nproc)" --target ${BENCHES}
+
+# gate <label> <command...>: runs the command; a nonzero exit records the
+# label as a failed gate instead of stopping the script.
+FAILED_GATES=()
+gate() {
+  local label="$1"
+  shift
+  "$@" || FAILED_GATES+=("${label}")
+}
+
+# The router gates below read the committed router snapshot, or this
+# run's rejected one when the route-time gate refused to commit it.
+ROUTER_SNAPSHOT="BENCH_router_comparison.json"
 
 for bench in ${BENCHES}; do
   name="${bench#bench_}"
@@ -36,7 +53,12 @@ for bench in ${BENCHES}; do
   "./${BUILD}/bench/${bench}" \
     --benchmark_out="${raw}" --benchmark_out_format=json \
     --benchmark_repetitions="${reps}" >/dev/null
-  python3 - "${raw}" "${out}" "${name}" <<'PY'
+  label="${out} snapshot"
+  if [ "${name}" = "router_comparison" ]; then
+    label="router route-time gate (>10% slower; new numbers in ${out}.rejected)"
+  fi
+  failed_before=${#FAILED_GATES[@]}
+  gate "${label}" python3 - "${raw}" "${out}" "${name}" <<'PY'
 import json, os, statistics, sys
 
 raw_path, out_path, name = sys.argv[1], sys.argv[2], sys.argv[3]
@@ -190,7 +212,8 @@ snapshot = {
 # Perf-regression gate (router_comparison only): any route-time median more
 # than 10% slower than the previous committed snapshot rejects the run —
 # the new numbers land in BENCH_*.json.rejected for inspection, the
-# committed baseline stays untouched, and the script exits nonzero.
+# committed baseline stays untouched, the other benches and gates still
+# run, and the script exits nonzero at the end.
 # QMAP_BENCH_ALLOW_REGRESSION=1 accepts an intentional slowdown.
 regressions = []
 if name == "router_comparison" and os.path.exists(out_path) \
@@ -225,11 +248,17 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(f"bench_snapshot: wrote {out_path} ({len(benchmarks)} benchmarks)")
 PY
+  if [ "${name}" = "router_comparison" ] &&
+      [ "${#FAILED_GATES[@]}" -gt "${failed_before}" ] &&
+      [ -f "${out}.rejected" ]; then
+    ROUTER_SNAPSHOT="${out}.rejected"
+  fi
 done
 
 # The service snapshot carries the PR's headline claim: fail the snapshot
-# run outright if the warm/cold ratio regressed below the 100x gate.
-python3 - <<'PY'
+# run if the warm/cold ratio regressed below the 100x gate.
+gate "service gates (warm/cold >= 100x, shed decision < 1%, drain)" \
+    python3 - <<'PY'
 import json, sys
 with open("BENCH_service.json") as f:
     snapshot = json.load(f)
@@ -253,9 +282,10 @@ PY
 
 # The BRIDGE router's headline claim: it must insert fewer CXs than sabre
 # on at least one device/workload pair in the snapshot.
-python3 - <<'PY'
+gate "bridge added-CX gate (bridge beats sabre somewhere)" \
+    python3 - "${ROUTER_SNAPSHOT}" <<'PY'
 import json, sys
-with open("BENCH_router_comparison.json") as f:
+with open(sys.argv[1]) as f:
     snapshot = json.load(f)
 derived = snapshot.get("derived", {})
 deltas = {k: v for k, v in derived.items()
@@ -276,9 +306,10 @@ PY
 # route is a few microseconds, so the ratio pits one ~100ns measurement
 # against another and flaps with scheduler noise while the absolute cost
 # is trivially unable to eat any win.
-python3 - <<'PY'
+gate "RouteIR conversion gate (< 5% of the sabre route)" \
+    python3 - "${ROUTER_SNAPSHOT}" <<'PY'
 import json, sys
-with open("BENCH_router_comparison.json") as f:
+with open(sys.argv[1]) as f:
     snapshot = json.load(f)
 benchmarks = {b["name"]: b for b in snapshot.get("benchmarks", [])}
 derived = snapshot.get("derived", {})
@@ -315,7 +346,7 @@ PY
 # windowed pipeline must keep peak RSS within 2x of the 10k-gate run at
 # the same window — the claim the streaming mode exists to make.
 # QMAP_BENCH_ALLOW_REGRESSION=1 accepts an intentional change.
-python3 - <<'PY'
+gate "streaming peak-RSS gate (1M vs 10k gates <= 2x)" python3 - <<'PY'
 import json, os, sys
 with open("BENCH_streaming.json") as f:
     snapshot = json.load(f)
@@ -333,3 +364,12 @@ if ratio > 2.0 and not os.environ.get("QMAP_BENCH_ALLOW_REGRESSION"):
              "the 2x out-of-core gate (QMAP_BENCH_ALLOW_REGRESSION=1 "
              "overrides)")
 PY
+
+if [ "${#FAILED_GATES[@]}" -gt 0 ]; then
+  echo "bench_snapshot: ${#FAILED_GATES[@]} gate(s) failed:" >&2
+  for label in "${FAILED_GATES[@]}"; do
+    echo "bench_snapshot:   ${label}" >&2
+  done
+  exit 1
+fi
+echo "bench_snapshot: every gate passed"
