@@ -260,20 +260,14 @@ class RouteCore {
   /// Physical endpoints of two-qubit gates `nodes` under the current
   /// placement, for the edge-scoring loops: hoists the q0/q1/phys_of
   /// loads out of the per-candidate-SWAP scan (they are invariant across
-  /// candidates), leaving dist_pair_swapped with register arithmetic plus
-  /// one distance load per (edge, gate) trial.
+  /// candidates), leaving each trial (the loop core's dist_pair_swapped)
+  /// with register arithmetic plus one distance load per (edge, gate).
   void collect_endpoints(const std::uint32_t* nodes, std::uint32_t count,
                          std::int32_t* pa, std::int32_t* pb) const {
     for (std::uint32_t k = 0; k < count; ++k) {
       pa[k] = phys_of_[ir.q0[nodes[k]]];
       pb[k] = phys_of_[ir.q1[nodes[k]]];
     }
-  }
-  /// Distance of a precollected endpoint pair under the placement with
-  /// physical qubits (ea, eb) swapped.
-  [[nodiscard]] int dist_pair_swapped(std::int32_t pa, std::int32_t pb,
-                                      int ea, int eb) const {
-    return dist(swapped(pa, ea, eb), swapped(pb, ea, eb));
   }
   /// Program qubit on physical qubit `p`, or -1 when it holds a free wire.
   [[nodiscard]] std::int32_t program_at(int p) const { return prog_at_[p]; }
