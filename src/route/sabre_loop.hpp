@@ -70,8 +70,8 @@
 
 namespace qmap {
 
-// The SABRE tuning of Li, Ding and Xie [40], shared by the sabre-style
-// routers (sabre, bridge, reliability, shuttle).
+// The SABRE tuning of Li, Ding and Xie [40], shared by every sabre-style
+// router (sabre, bridge, reliability, shuttle).
 inline constexpr std::size_t kSabreExtendedWindow = 20;  // future 2q gates
 inline constexpr double kSabreExtendedWeight = 0.5;  // lookahead weight
 inline constexpr double kSabreDecayIncrement = 0.1;  // per-use qubit decay
