@@ -35,9 +35,11 @@ gate() {
   "$@" || FAILED_GATES+=("${label}")
 }
 
-# The router gates below read the committed router snapshot, or this
-# run's rejected one when the route-time gate refused to commit it.
-ROUTER_SNAPSHOT="BENCH_router_comparison.json"
+# SNAPSHOT[<name>]: the snapshot this run wrote for each bench, or the
+# rejected one when the route-time gate refused to commit it. The gates
+# after the loop check only the benches that produced one, so they never
+# pass on a stale committed snapshot.
+declare -A SNAPSHOT=()
 
 for bench in ${BENCHES}; do
   name="${bench#bench_}"
@@ -50,9 +52,15 @@ for bench in ${BENCHES}; do
   if [ "${name}" = "router_comparison" ]; then reps=3; fi
   # The binaries print their paper-figure prose to stdout, so take the
   # JSON via --benchmark_out instead of mixing both streams.
-  "./${BUILD}/bench/${bench}" \
-    --benchmark_out="${raw}" --benchmark_out_format=json \
-    --benchmark_repetitions="${reps}" >/dev/null
+  # A bench that checks its own figure (bench_service's warm/cold ratio,
+  # for one) exits nonzero before its benchmarks run.
+  if ! "./${BUILD}/bench/${bench}" \
+      --benchmark_out="${raw}" --benchmark_out_format=json \
+      --benchmark_repetitions="${reps}" >/dev/null; then
+    FAILED_GATES+=("${bench} self-check (exited nonzero; its stderr says why)")
+    continue
+  fi
+  rm -f "${out}.rejected"
   label="${out} snapshot"
   if [ "${name}" = "router_comparison" ]; then
     label="router route-time gate (>10% slower; new numbers in ${out}.rejected)"
@@ -248,19 +256,20 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(f"bench_snapshot: wrote {out_path} ({len(benchmarks)} benchmarks)")
 PY
-  if [ "${name}" = "router_comparison" ] &&
-      [ "${#FAILED_GATES[@]}" -gt "${failed_before}" ] &&
-      [ -f "${out}.rejected" ]; then
-    ROUTER_SNAPSHOT="${out}.rejected"
+  if [ "${#FAILED_GATES[@]}" -eq "${failed_before}" ]; then
+    SNAPSHOT[${name}]="${out}"
+  elif [ -f "${out}.rejected" ]; then
+    SNAPSHOT[${name}]="${out}.rejected"
   fi
 done
 
 # The service snapshot carries the PR's headline claim: fail the snapshot
 # run if the warm/cold ratio regressed below the 100x gate.
-gate "service gates (warm/cold >= 100x, shed decision < 1%, drain)" \
-    python3 - <<'PY'
+if [ -n "${SNAPSHOT[service]:-}" ]; then
+  gate "service gates (warm/cold >= 100x, shed decision < 1%, drain)" \
+      python3 - "${SNAPSHOT[service]}" <<'PY'
 import json, sys
-with open("BENCH_service.json") as f:
+with open(sys.argv[1]) as f:
     snapshot = json.load(f)
 ratio = snapshot.get("derived", {}).get("warm_cold_ratio", 0)
 if ratio < 100:
@@ -279,11 +288,13 @@ if drain_ms is None:
     sys.exit("bench_snapshot: no drain latency recorded")
 print(f"bench_snapshot: graceful drain {drain_ms}ms with compiles in flight")
 PY
+fi
 
 # The BRIDGE router's headline claim: it must insert fewer CXs than sabre
 # on at least one device/workload pair in the snapshot.
-gate "bridge added-CX gate (bridge beats sabre somewhere)" \
-    python3 - "${ROUTER_SNAPSHOT}" <<'PY'
+if [ -n "${SNAPSHOT[router_comparison]:-}" ]; then
+  gate "bridge added-CX gate (bridge beats sabre somewhere)" \
+      python3 - "${SNAPSHOT[router_comparison]}" <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
     snapshot = json.load(f)
@@ -297,6 +308,7 @@ if min(deltas.values()) >= 0:
 for key, value in sorted(deltas.items()):
     print(f"bench_snapshot: {key} = {value:+g}")
 PY
+fi
 
 # RouteIR economics: converting a Circuit into the SoA/CSR routing IR must
 # stay under 5% of the matching sabre route time (else the data-oriented
@@ -306,8 +318,9 @@ PY
 # route is a few microseconds, so the ratio pits one ~100ns measurement
 # against another and flaps with scheduler noise while the absolute cost
 # is trivially unable to eat any win.
-gate "RouteIR conversion gate (< 5% of the sabre route)" \
-    python3 - "${ROUTER_SNAPSHOT}" <<'PY'
+if [ -n "${SNAPSHOT[router_comparison]:-}" ]; then
+  gate "RouteIR conversion gate (< 5% of the sabre route)" \
+      python3 - "${SNAPSHOT[router_comparison]}" <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
     snapshot = json.load(f)
@@ -341,14 +354,17 @@ for key, value in sorted(derived.items()):
     if key.startswith("route_time_speedup_vs_previous_"):
         print(f"bench_snapshot: {key} = {value}x")
 PY
+fi
 
 # Streaming out-of-core gate: compiling a million gates through the
 # windowed pipeline must keep peak RSS within 2x of the 10k-gate run at
 # the same window — the claim the streaming mode exists to make.
 # QMAP_BENCH_ALLOW_REGRESSION=1 accepts an intentional change.
-gate "streaming peak-RSS gate (1M vs 10k gates <= 2x)" python3 - <<'PY'
+if [ -n "${SNAPSHOT[streaming]:-}" ]; then
+  gate "streaming peak-RSS gate (1M vs 10k gates <= 2x)" \
+      python3 - "${SNAPSHOT[streaming]}" <<'PY'
 import json, os, sys
-with open("BENCH_streaming.json") as f:
+with open(sys.argv[1]) as f:
     snapshot = json.load(f)
 derived = snapshot.get("derived", {})
 ratio = derived.get("peak_rss_ratio_1m_vs_10k")
@@ -364,6 +380,7 @@ if ratio > 2.0 and not os.environ.get("QMAP_BENCH_ALLOW_REGRESSION"):
              "the 2x out-of-core gate (QMAP_BENCH_ALLOW_REGRESSION=1 "
              "overrides)")
 PY
+fi
 
 if [ "${#FAILED_GATES[@]}" -gt 0 ]; then
   echo "bench_snapshot: ${#FAILED_GATES[@]} gate(s) failed:" >&2
