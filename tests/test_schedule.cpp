@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <map>
+#include <string>
 
 #include "arch/builtin.hpp"
+#include "common/digest.hpp"
+#include "core/compiler.hpp"
 #include "decompose/decomposer.hpp"
 #include "naive_dag.hpp"
 #include "obs/obs.hpp"
@@ -523,6 +529,156 @@ TEST(ScheduleConsistency, LaneSweepMatchesPairwiseOverlapCheck) {
     }
   }
   EXPECT_GT(clashes, 0) << "jitter never produced an overlap";
+}
+
+// Every row of tests/golden/schedule_fingerprints.txt is the digest of
+// one Schedule: each op's gate text, start cycle and duration, in Schedule
+// order. Rows cover the constrained scheduler on the stress circuits of
+// every constrained device (with and without barriers), a Surface-17
+// variant with two-cycle single-qubit gates (the only shape where the
+// shared-AWG start-cycle rule can bind), each constraint stack of the
+// control-constraint ablation, and default Surface-17 compiles.
+// Regenerate after an intentional change:
+//   QMAP_REGEN_GOLDEN=1 ./build/tests/test_schedule --gtest_filter='SchedulePins.*'
+
+std::string schedule_digest(const Schedule& schedule) {
+  std::string text;
+  for (const ScheduledGate& op : schedule.operations()) {
+    text += op.gate.to_string() + '|' + std::to_string(op.start_cycle) + '|' +
+            std::to_string(op.duration_cycles) + '\n';
+  }
+  return content_digest(text);
+}
+
+Device slow_single_qubit_surface17() {
+  Device device = devices::surface17();
+  Durations durations = device.durations();
+  durations.single_qubit_cycles = 2;
+  device.set_durations(durations);
+  return device;
+}
+
+/// The constraint subsets of the control-constraint ablation.
+std::vector<std::unique_ptr<ResourceConstraint>> ablation_stack(
+    const std::string& name) {
+  std::vector<std::unique_ptr<ResourceConstraint>> stack;
+  if (name == "microwave" || name == "all") {
+    stack.push_back(std::make_unique<SharedMicrowaveConstraint>());
+  }
+  if (name == "feedline" || name == "all") {
+    stack.push_back(std::make_unique<FeedlineConstraint>());
+  }
+  if (name == "parking" || name == "all") {
+    stack.push_back(std::make_unique<ParkingConstraint>());
+  }
+  return stack;
+}
+
+TEST(SchedulePins, GoldenFingerprints) {
+  std::map<std::string, std::string> actual;
+  struct DeviceCase {
+    const char* label;
+    Device device;
+    std::uint64_t seeds;
+  };
+  const std::vector<DeviceCase> stressed = {
+      {"surface17", devices::surface17(), 6},
+      {"surface7", devices::surface7(), 6},
+      {"ion5", devices::trapped_ion(5), 6},
+      {"surface17-slow1q", slow_single_qubit_surface17(), 3},
+  };
+  for (const DeviceCase& c : stressed) {
+    const auto constraints = constraints_for_device(c.device);
+    for (const bool barriers : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= c.seeds; ++seed) {
+        Rng rng(seed);
+        const Circuit circuit =
+            control_stress_circuit(c.device, 400, rng, barriers);
+        actual["stress@" + std::string(c.label) +
+               (barriers ? "/barriers" : "/plain") + "/s" +
+               std::to_string(seed)] =
+            schedule_digest(
+                schedule_constrained(circuit, c.device, constraints));
+      }
+    }
+  }
+
+  // The ablation suite, mapped by qmap without a schedule pass, then
+  // scheduled under each constraint subset; plus two stress circuits.
+  const Device s17 = devices::surface17();
+  std::vector<std::pair<std::string, Circuit>> suite;
+  {
+    Rng rng(5);
+    suite.emplace_back("fig1", workloads::fig1_example());
+    suite.emplace_back("ghz6", workloads::ghz(6));
+    suite.emplace_back("qft5", workloads::qft(5));
+    Circuit measured = workloads::ghz(6);
+    measured.measure_all();
+    suite.emplace_back("ghz6+measure", std::move(measured));
+    suite.emplace_back("random8", workloads::random_circuit(8, 60, rng, 0.4));
+  }
+  CompilerOptions mapped_only;
+  mapped_only.router = "qmap";
+  mapped_only.run_scheduler = false;
+  std::vector<std::pair<std::string, Circuit>> stacked;
+  for (const auto& [label, circuit] : suite) {
+    stacked.emplace_back(
+        label, Compiler(s17, mapped_only).compile(circuit).final_circuit);
+  }
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    Rng rng(seed);
+    stacked.emplace_back(
+        "stress/s" + std::to_string(seed),
+        control_stress_circuit(s17, 400, rng, /*barriers=*/true));
+  }
+  for (const auto& [label, circuit] : stacked) {
+    for (const char* which :
+         {"none", "microwave", "feedline", "parking", "all"}) {
+      actual["stack." + std::string(which) + "@surface17/" + label] =
+          schedule_digest(
+              schedule_constrained(circuit, s17, ablation_stack(which)));
+    }
+  }
+
+  // Default compiles: the schedule the Compiler returns.
+  std::vector<std::pair<std::string, Circuit>> compiled;
+  compiled.emplace_back("fig1", workloads::fig1_example());
+  compiled.emplace_back("qft17", workloads::qft(17));
+  for (const int width : {10, 13, 17}) {
+    Rng rng(static_cast<std::uint64_t>(width));
+    compiled.emplace_back(
+        "clifford" + std::to_string(width),
+        workloads::random_clifford_circuit(width, 24 * width, rng));
+  }
+  for (const auto& [label, circuit] : compiled) {
+    actual["compile@surface17/" + label] =
+        schedule_digest(Compiler(s17).compile(circuit).schedule);
+  }
+
+  const std::string path =
+      std::string(QMAP_GOLDEN_DIR) + "/schedule_fingerprints.txt";
+  const char* regen = std::getenv("QMAP_REGEN_GOLDEN");
+  if (regen != nullptr && *regen != '\0') {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    for (const auto& [id, row] : actual) out << id << ' ' << row << '\n';
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::map<std::string, std::string> golden;
+  std::ifstream in(path);
+  std::string id;
+  std::string row;
+  while (in >> id >> row) golden[id] = row;
+  ASSERT_FALSE(golden.empty())
+      << "no golden schedules at " << path
+      << " (QMAP_REGEN_GOLDEN=1 generates them)";
+  ASSERT_EQ(actual.size(), golden.size());
+  for (const auto& [case_id, value] : actual) {
+    const auto it = golden.find(case_id);
+    ASSERT_NE(it, golden.end()) << "missing golden for " << case_id;
+    EXPECT_EQ(value, it->second)
+        << case_id << ": schedule drifted from the golden digest";
+  }
 }
 
 }  // namespace
