@@ -209,6 +209,28 @@ void BM_ExhaustivePlace(benchmark::State& state) {
 }
 BENCHMARK(BM_ExhaustivePlace)->Arg(5)->Unit(benchmark::kMillisecond);
 
+// The schedule layer by itself: the constrained scheduler on the final
+// circuit of a default Surface-17 compile (greedy+sabre, postroute) of
+// qft17 (arg 0) and of a 17-qubit, 408-gate random Clifford circuit
+// (arg 1), under the device's full control-constraint stack.
+void BM_ScheduleConstrained(benchmark::State& state) {
+  const Device device = devices::surface17();
+  Rng rng(17);
+  const Circuit input = state.range(0) == 0
+                            ? workloads::qft(17)
+                            : workloads::random_clifford_circuit(17, 408, rng);
+  CompilerOptions options;
+  options.run_scheduler = false;
+  const Circuit routed = Compiler(device, options).compile(input).final_circuit;
+  const auto constraints = constraints_for_device(device);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(schedule_constrained(routed, device, constraints));
+  }
+  state.SetLabel(std::string(state.range(0) == 0 ? "qft17" : "clifford17x408") +
+                 ", surface17, " + std::to_string(routed.size()) + " gates");
+}
+BENCHMARK(BM_ScheduleConstrained)->Arg(0)->Arg(1);
+
 }  // namespace
 
 int main(int argc, char** argv) {
