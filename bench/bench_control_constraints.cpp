@@ -21,8 +21,6 @@ namespace {
 using namespace qmap;
 using namespace qmap::bench;
 
-using ConstraintStack = std::vector<std::unique_ptr<ResourceConstraint>>;
-
 ConstraintStack stack_named(const std::string& name) {
   ConstraintStack stack;
   if (name == "none") return stack;

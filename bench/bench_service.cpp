@@ -55,11 +55,15 @@ void print_figure() {
 
   service::CompileService compile_service;
 
-  // Cold: median over a few genuinely distinct compiles (fresh seeds so
-  // none of them can hit the cache).
+  // Cold compiles (fresh seeds, so none can hit the cache) interleaved
+  // with blocks of warm hits on the seed-1 request, so that a stretch of
+  // slow host time lands on both medians instead of deciding the ratio.
+  constexpr std::uint64_t kColdSamples = 15;
+  constexpr int kWarmPerBlock = 150;
   std::vector<double> cold_ms;
+  std::vector<double> warm_ms;
   std::string cold_fingerprint;
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+  for (std::uint64_t seed = 1; seed <= kColdSamples; ++seed) {
     const auto start = std::chrono::steady_clock::now();
     const service::ServiceResponse response =
         compile_service.handle(bench_request(seed));
@@ -72,26 +76,24 @@ void print_figure() {
       std::exit(1);
     }
     if (seed == 1) cold_fingerprint = response.fingerprint;
-  }
 
-  // Warm: the seed-1 request again, many times, all hits.
-  std::vector<double> warm_ms;
-  for (int i = 0; i < 2000; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    const service::ServiceResponse response =
-        compile_service.handle(bench_request(1));
-    warm_ms.push_back(std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count());
-    if (response.cache != "hit") {
-      std::cerr << "FATAL: warm request missed the cache (cache="
-                << response.cache << ")\n";
-      std::exit(1);
-    }
-    if (response.fingerprint != cold_fingerprint) {
-      std::cerr << "FATAL: warm hit replayed a different fingerprint than "
-                   "the cold compile\n";
-      std::exit(1);
+    for (int i = 0; i < kWarmPerBlock; ++i) {
+      const auto warm_start = std::chrono::steady_clock::now();
+      const service::ServiceResponse hit =
+          compile_service.handle(bench_request(1));
+      warm_ms.push_back(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - warm_start)
+                            .count());
+      if (hit.cache != "hit") {
+        std::cerr << "FATAL: warm request missed the cache (cache="
+                  << hit.cache << ")\n";
+        std::exit(1);
+      }
+      if (hit.fingerprint != cold_fingerprint) {
+        std::cerr << "FATAL: warm hit replayed a different fingerprint than "
+                     "the cold compile\n";
+        std::exit(1);
+      }
     }
   }
 

@@ -89,10 +89,13 @@ echo "== tier 1: stream label =="
 (cd build && ctest --output-on-failure -L stream)
 
 echo "== tier 1: schedule label =="
-# The scheduler suite (tests/test_schedule.cpp): the running-window
+# The scheduler suite (tests/test_schedule.cpp): the node-index
 # constrained scheduler pinned byte-identical to the O(n^2) reference
-# loop on Surface-17, Surface-7 and a 5-ion trap, and the window-peak
-# bound that fails fast if the window regrows with the circuit.
+# loop on Surface-17, Surface-7 and a 5-ion trap, the schedule digests of
+# tests/golden/schedule_fingerprints.txt (stress circuits, every
+# control-constraint subset, default Surface-17 compiles), the Sec. V rules
+# over ControlTable facts, and the window-peak bound that fails fast if
+# the window regrows with the circuit.
 (cd build && ctest --output-on-failure -L schedule)
 
 echo "== tier 1: pass registry lint =="
@@ -176,16 +179,20 @@ echo "== tier 1: arena-backed suites under ASan+UBSan =="
 # flights through shared_ptr across dispatcher threads, parses hostile
 # request lines under a byte cap, and hands each device's breaker and
 # supervisor to concurrent compiles; a lifetime slip there is invisible to
-# TSan, which reports races, not use-after-free.
+# TSan, which reports races, not use-after-free. The control rules read
+# ControlTable ops through Gate pointers into the circuit or schedule they
+# were built from, and per-CZ spans of parked qubits, in the scheduler,
+# the execution snapshot, ValidityChecker's re-audit (test_verify) and the
+# trapped-ion parallelism cases (test_device_types).
 cmake -B build-asan -S . -DQMAP_SANITIZE=address
 cmake --build build-asan -j "${JOBS}" --target test_route_ir test_schedule \
     test_core test_noise test_shuttle test_stream test_decompose \
     test_peephole test_pass test_arch test_route test_resilience test_common \
-    test_service test_chaos test_layout
+    test_service test_chaos test_layout test_verify test_device_types
 for suite in test_route_ir test_schedule test_core test_noise test_shuttle \
     test_stream test_decompose test_peephole test_pass test_arch \
     test_route test_resilience test_common test_service test_chaos \
-    test_layout; do
+    test_layout test_verify test_device_types; do
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./build-asan/tests/${suite}"
 done

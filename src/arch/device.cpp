@@ -87,6 +87,24 @@ void Device::set_frequency_groups(std::vector<int> groups) {
     throw DeviceError("frequency group vector size mismatch");
   }
   frequency_group_ = std::move(groups);
+  grouped_neighbours_.clear();
+  neighbour_offsets_.clear();
+  if (frequency_group_.empty()) return;
+  neighbour_offsets_.push_back(0);
+  for (int q = 0; q < num_qubits(); ++q) {
+    const auto begin = static_cast<std::ptrdiff_t>(grouped_neighbours_.size());
+    for (const int n : coupling_.neighbors(q)) {
+      if (frequency_group_[static_cast<std::size_t>(n)] >= 0) {
+        grouped_neighbours_.push_back(n);
+      }
+    }
+    std::stable_sort(grouped_neighbours_.begin() + begin,
+                     grouped_neighbours_.end(), [this](int x, int y) {
+                       return frequency_group(x) < frequency_group(y);
+                     });
+    neighbour_offsets_.push_back(
+        static_cast<std::uint32_t>(grouped_neighbours_.size()));
+  }
 }
 
 int Device::frequency_group(int qubit) const {
@@ -113,26 +131,48 @@ int Device::feedline(int qubit) const {
   return feedline_[static_cast<std::size_t>(qubit)];
 }
 
-bool Device::parks(int a, int b, int q) const {
-  if (frequency_group_.empty() || q < 0 || q >= num_qubits()) return false;
+std::span<const int> Device::parking_neighbours_(int a, int b,
+                                                 int& low) const {
   const int ga = frequency_group(a);
   const int gb = frequency_group(b);
-  if (ga < 0 || gb < 0 || ga == gb) return false;
+  if (ga < 0 || gb < 0 || ga == gb) return {};
   // Convention: smaller group index = higher frequency (f1 > f2 > f3).
   const int high = ga < gb ? a : b;
-  const int low = ga < gb ? b : a;
-  return q != low && coupling_.connected(high, q) &&
-         frequency_group(q) == frequency_group(low);
+  low = ga < gb ? b : a;
+  const int group = std::max(ga, gb);
+  const auto first = grouped_neighbours_.begin() +
+                     neighbour_offsets_[static_cast<std::size_t>(high)];
+  const auto last = grouped_neighbours_.begin() +
+                    neighbour_offsets_[static_cast<std::size_t>(high) + 1];
+  const auto group_of = [this](int n) {
+    return frequency_group_[static_cast<std::size_t>(n)];
+  };
+  const auto from = std::partition_point(
+      first, last, [&](int n) { return group_of(n) < group; });
+  const auto to = std::partition_point(
+      from, last, [&](int n) { return group_of(n) == group; });
+  return {from, to};
+}
+
+bool Device::parks(int a, int b, int q) const {
+  if (frequency_group_.empty() || q < 0 || q >= num_qubits()) return false;
+  int low = -1;
+  const std::span<const int> neighbours = parking_neighbours_(a, b, low);
+  return q != low &&
+         std::find(neighbours.begin(), neighbours.end(), q) != neighbours.end();
+}
+
+void Device::append_parked_qubits(int a, int b, std::vector<int>& out) const {
+  if (frequency_group_.empty()) return;
+  int low = -1;
+  for (const int n : parking_neighbours_(a, b, low)) {
+    if (n != low) out.push_back(n);
+  }
 }
 
 std::vector<int> Device::parked_qubits(int a, int b) const {
   std::vector<int> parked;
-  if (frequency_group_.empty()) return parked;
-  // Only neighbours of the higher-frequency qubit can be parked.
-  const int high = frequency_group(a) < frequency_group(b) ? a : b;
-  for (const int n : coupling_.neighbors(high)) {
-    if (parks(a, b, n)) parked.push_back(n);
-  }
+  append_parked_qubits(a, b, parked);
   return parked;
 }
 

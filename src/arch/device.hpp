@@ -15,8 +15,10 @@
 // the tables never go stale; copies of a Device share them.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -153,10 +155,12 @@ class Device {
   /// the frequency of the lower one l; any *other* neighbour of h whose
   /// frequency group equals l's would be dragged into resonance and is
   /// parked for the duration of the CZ. Returns empty when the device has
-  /// no frequency groups.
+  /// no frequency groups. Read from a per-qubit table of neighbours by
+  /// frequency group that set_frequency_groups builds.
   [[nodiscard]] std::vector<int> parked_qubits(int a, int b) const;
-  /// True when `q` is parked while CZ(a, b) runs: the parking rule above
-  /// as an allocation-free O(1) predicate (parked_qubits is defined by it).
+  /// Appends parked_qubits(a, b) to `out`, in the same order.
+  void append_parked_qubits(int a, int b, std::vector<int>& out) const;
+  /// True when `q` is parked while CZ(a, b) runs.
   [[nodiscard]] bool parks(int a, int b, int q) const;
 
   [[nodiscard]] bool has_control_constraints() const;
@@ -198,6 +202,11 @@ class Device {
   [[nodiscard]] std::string summary() const;
 
  private:
+  /// The neighbours of CZ(a, b)'s higher-frequency qubit that share the
+  /// lower one's frequency group, lower one included; sets `low` to it.
+  [[nodiscard]] std::span<const int> parking_neighbours_(int a, int b,
+                                                         int& low) const;
+
   std::string name_ = "device";
   CouplingGraph coupling_;
   std::shared_ptr<const ArchArtifacts> artifacts_;
@@ -208,6 +217,11 @@ class Device {
   std::vector<bool> measurable_;
   Durations durations_;
   std::vector<int> frequency_group_;
+  // Each qubit's grouped neighbours (frequency group >= 0), stably sorted
+  // by group: qubit q's run is [neighbour_offsets_[q],
+  // neighbour_offsets_[q + 1]). Empty when the device has no groups.
+  std::vector<int> grouped_neighbours_;
+  std::vector<std::uint32_t> neighbour_offsets_;
   std::vector<int> feedline_;
   std::optional<NoiseModel> noise_;
   std::vector<std::pair<double, double>> coordinates_;

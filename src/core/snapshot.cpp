@@ -3,16 +3,18 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "schedule/schedulers.hpp"
 
 namespace qmap {
 
 ExecutionSnapshot::ExecutionSnapshot(Circuit circuit, const Device& device,
                                      Placement initial)
     : circuit_(std::move(circuit)),
-      device_(&device),
       initial_(initial),
       current_(std::move(initial)),
-      schedule_(circuit_.num_qubits()) {
+      schedule_(circuit_.num_qubits()),
+      table_(device),
+      scheduled_(table_) {
   if (circuit_.num_qubits() != device.num_qubits()) {
     throw MappingError(
         "execution snapshot expects a routed circuit on physical qubits");
@@ -20,32 +22,25 @@ ExecutionSnapshot::ExecutionSnapshot(Circuit circuit, const Device& device,
   ir_ = RouteIR::build(circuit_, DagMode::Sequential, arena_);
   front_.init(ir_, arena_);
   constraints_ = constraints_for_device(device);
-  priority_.assign(ir_.num_gates, 0.0);
-  for (std::size_t i = ir_.num_gates; i-- > 0;) {
-    double downstream = 0.0;
-    for (std::uint32_t e = ir_.succ_offsets[i]; e < ir_.succ_offsets[i + 1];
-         ++e) {
-      downstream = std::max(downstream, priority_[ir_.succ[e]]);
-    }
-    priority_[i] = downstream + device.cycles_for(circuit_.gate(i));
+  table_.reserve(circuit_.size());
+  for (const Gate& gate : circuit_) {
+    table_.add(gate, 0, device.cycles_for(gate));
   }
+  rank_ = critical_path_ranks(ir_, table_);
   qubit_busy_.assign(static_cast<std::size_t>(circuit_.num_qubits()), 0);
 }
 
 bool ExecutionSnapshot::step() {
   if (front_.all_scheduled()) return false;
-  // Highest-priority ready gate.
-  std::vector<int> ready(front_.ready(), front_.ready() + front_.ready_size());
-  if (ready.empty()) {
+  if (front_.ready_size() == 0) {
     throw MappingError("execution snapshot: no ready gate (cyclic DAG?)");
   }
-  std::stable_sort(ready.begin(), ready.end(), [&](int a, int b) {
-    return priority_[static_cast<std::size_t>(a)] >
-           priority_[static_cast<std::size_t>(b)];
-  });
-  const int node = ready.front();
-  const Gate& gate = circuit_.gate(static_cast<std::size_t>(node));
-  const int duration = device_->cycles_for(gate);
+  // Highest-ranked ready gate.
+  const std::uint32_t node = *std::min_element(
+      front_.ready(), front_.ready() + front_.ready_size(),
+      [this](std::uint32_t a, std::uint32_t b) { return rank_[a] < rank_[b]; });
+  const Gate& gate = table_.gate(node);
+  const int duration = table_.duration(node);
 
   // Every predecessor is the last scheduled gate on one of the operands,
   // so operand availability is also dependency completion.
@@ -57,16 +52,8 @@ bool ExecutionSnapshot::step() {
   int start = earliest;
   const int horizon = schedule_.total_cycles() + duration + 1;
   while (true) {
-    const ScheduledGate candidate{gate, start, duration};
-    bool allowed = true;
-    for (const auto& constraint : constraints_) {
-      if (!constraint->compatible(candidate, schedule_.operations(),
-                                  *device_)) {
-        allowed = false;
-        break;
-      }
-    }
-    if (allowed) break;
+    table_.set_start(node, start);
+    if (admits(constraints_, node, scheduled_)) break;
     ++start;
     if (start > horizon + earliest) {
       throw MappingError("execution snapshot: no feasible start cycle");
@@ -74,13 +61,14 @@ bool ExecutionSnapshot::step() {
   }
 
   schedule_.add(ScheduledGate{gate, start, duration});
+  scheduled_.add(node);
   for (const int q : gate.qubits) {
     qubit_busy_[static_cast<std::size_t>(q)] = start + duration;
   }
   if (gate.kind == GateKind::SWAP) {
     current_.apply_swap(gate.qubits[0], gate.qubits[1]);
   }
-  front_.mark_scheduled(static_cast<std::uint32_t>(node));
+  front_.mark_scheduled(node);
   return true;
 }
 
@@ -93,14 +81,12 @@ int ExecutionSnapshot::run_to_completion() {
 std::map<std::pair<int, int>, std::string>
 ExecutionSnapshot::control_settings() const {
   std::map<std::pair<int, int>, std::string> out;
-  if (device_->frequency_groups().empty()) return out;
-  for (const ScheduledGate& op : schedule_.operations()) {
-    if (!op.gate.is_unitary() || gate_info(op.gate.kind).arity != 1) continue;
-    const int group = device_->frequency_group(op.gate.qubits[0]);
+  for (const std::uint32_t node : scheduled_.of(ControlClass::SingleQubit)) {
+    const int group = table_.group(node);
     if (group < 0) continue;
-    for (int c = op.start_cycle; c < op.end_cycle(); ++c) {
-      out[{c, group}] = op.gate.to_string().substr(
-          0, op.gate.to_string().find(' '));  // pulse mnemonic only
+    const std::string text = table_.gate(node).to_string();
+    for (int c = table_.start(node); c < table_.end(node); ++c) {
+      out[{c, group}] = text.substr(0, text.find(' '));  // pulse mnemonic only
     }
   }
   return out;

@@ -12,10 +12,12 @@
 //      - the settings of the control electronics for the execution."
 //
 // The snapshot wraps a physical-qubit circuit and schedules it one gate at
-// a time (critical-path priority, earliest feasible cycle under the
-// device's control constraints), exposing every intermediate state the
-// paper lists. Running it to completion yields the same class of schedule
-// as schedule_constrained.
+// a time (critical-path rank, earliest feasible cycle under the device's
+// control constraints), exposing every intermediate state the paper lists.
+// Running it to completion yields the same class of schedule as
+// schedule_constrained. Its starts are not monotone in scheduling order,
+// so every constraint check sees every gate scheduled so far, through the
+// same ControlTable rules the scheduler calls.
 #pragma once
 
 #include <map>
@@ -72,15 +74,16 @@ class ExecutionSnapshot {
 
  private:
   Circuit circuit_;
-  const Device* device_;
   RouteArena arena_;  // holds ir_'s arrays and front_'s worklist
   RouteIR ir_;
   FrontLayer front_;
   Placement initial_;
   Placement current_;
   Schedule schedule_;
-  std::vector<std::unique_ptr<ResourceConstraint>> constraints_;
-  std::vector<double> priority_;
+  ConstraintStack constraints_;
+  ControlTable table_;  // node i of ir_ is op i, pointing into circuit_
+  ControlWindow scheduled_;  // every node scheduled so far
+  std::vector<std::uint64_t> rank_;  // critical_path_ranks
   std::vector<int> qubit_busy_;  // per physical qubit
 };
 

@@ -1,13 +1,15 @@
 #include "schedule/constraints.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace qmap {
 namespace {
 
-bool is_single_qubit_unitary(const Gate& gate) {
-  return gate.is_unitary() && gate_info(gate.kind).arity == 1;
-}
+constexpr ControlClass kAllClasses[] = {
+    ControlClass::SingleQubit, ControlClass::Measure, ControlClass::CZ,
+    ControlClass::Other};
 
 bool same_pulse(const Gate& a, const Gate& b) {
   if (a.kind != b.kind || a.params.size() != b.params.size()) return false;
@@ -17,96 +19,157 @@ bool same_pulse(const Gate& a, const Gate& b) {
   return true;
 }
 
+/// True when `victim` operates on one of the `parked` qubits.
+bool touches(std::span<const int> parked, const Gate& victim) {
+  for (const int p : parked) {
+    for (const int q : victim.qubits) {
+      if (p == q) return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
+std::uint32_t ControlTable::add(const Gate& gate, int start, int duration) {
+  const GateInfo& info = gate_info(gate.kind);
+  Op op{&gate, start, duration, ControlClass::Other, gate.is_two_qubit(),
+        -1,    -1,    0,        0};
+  if (gate.kind == GateKind::Measure) {
+    op.kind = ControlClass::Measure;
+    op.feedline = device_->feedline(gate.qubits[0]);
+  } else if (gate.kind == GateKind::CZ) {
+    op.kind = ControlClass::CZ;
+    op.parked_begin = static_cast<std::uint32_t>(parked_.size());
+    device_->append_parked_qubits(gate.qubits[0], gate.qubits[1], parked_);
+    op.parked_end = static_cast<std::uint32_t>(parked_.size());
+  } else if (info.unitary && info.arity == 1) {
+    op.kind = ControlClass::SingleQubit;
+    op.group = device_->frequency_group(gate.qubits[0]);
+  }
+  ops_.push_back(op);
+  return static_cast<std::uint32_t>(ops_.size() - 1);
+}
+
+std::size_t ControlWindow::size() const {
+  std::size_t total = 0;
+  for (const auto& ops : ops_) total += ops.size();
+  return total;
+}
+
+int ControlWindow::first_end() const {
+  int first = std::numeric_limits<int>::max();
+  for (const auto& ops : ops_) {
+    for (const std::uint32_t op : ops) first = std::min(first, table_->end(op));
+  }
+  return first;
+}
+
+void ControlWindow::drop_ended(int cycle) {
+  for (auto& ops : ops_) {
+    if (ops.empty()) continue;
+    std::erase_if(ops, [this, cycle](std::uint32_t op) {
+      return table_->end(op) <= cycle;
+    });
+  }
+}
+
+bool admits(const ConstraintStack& constraints, std::uint32_t candidate,
+            const ControlWindow& running) {
+  for (const auto& constraint : constraints) {
+    if (!constraint->compatible(candidate, running)) return false;
+  }
+  return true;
+}
+
 bool SharedMicrowaveConstraint::compatible(
-    const ScheduledGate& candidate, const std::vector<ScheduledGate>& running,
-    const Device& device) const {
-  if (!is_single_qubit_unitary(candidate.gate)) return true;
-  if (device.frequency_groups().empty()) return true;
-  const int group = device.frequency_group(candidate.gate.qubits[0]);
+    std::uint32_t candidate, const ControlWindow& running) const {
+  const ControlTable& table = running.table();
+  if (table.kind(candidate) != ControlClass::SingleQubit) return true;
+  const int group = table.group(candidate);
   if (group < 0) return true;
-  for (const ScheduledGate& other : running) {
-    if (!candidate.overlaps(other)) continue;
-    if (!is_single_qubit_unitary(other.gate)) continue;
-    if (device.frequency_group(other.gate.qubits[0]) != group) continue;
+  for (const std::uint32_t other : running.of(ControlClass::SingleQubit)) {
+    if (table.group(other) != group || !table.overlaps(candidate, other)) {
+      continue;
+    }
     // Same AWG: the waveform is shared, so concurrent gates must be the
     // identical pulse, perfectly aligned.
-    if (!same_pulse(candidate.gate, other.gate) ||
-        other.start_cycle != candidate.start_cycle ||
-        other.duration_cycles != candidate.duration_cycles) {
+    if (!same_pulse(table.gate(candidate), table.gate(other)) ||
+        table.start(other) != table.start(candidate) ||
+        table.duration(other) != table.duration(candidate)) {
       return false;
     }
   }
   return true;
 }
 
-bool FeedlineConstraint::compatible(const ScheduledGate& candidate,
-                                    const std::vector<ScheduledGate>& running,
-                                    const Device& device) const {
-  if (candidate.gate.kind != GateKind::Measure) return true;
-  if (device.feedlines().empty()) return true;
-  const int line = device.feedline(candidate.gate.qubits[0]);
+bool FeedlineConstraint::compatible(std::uint32_t candidate,
+                                    const ControlWindow& running) const {
+  const ControlTable& table = running.table();
+  if (table.kind(candidate) != ControlClass::Measure) return true;
+  const int line = table.feedline(candidate);
   if (line < 0) return true;
-  for (const ScheduledGate& other : running) {
-    if (other.gate.kind != GateKind::Measure) continue;
-    if (!candidate.overlaps(other)) continue;
-    if (device.feedline(other.gate.qubits[0]) != line) continue;
+  for (const std::uint32_t other : running.of(ControlClass::Measure)) {
+    if (table.feedline(other) != line || !table.overlaps(candidate, other)) {
+      continue;
+    }
     // Overlapping measurements on a shared feedline must start together.
-    if (other.start_cycle != candidate.start_cycle) return false;
+    if (table.start(other) != table.start(candidate)) return false;
   }
   return true;
 }
 
-bool ParkingConstraint::compatible(const ScheduledGate& candidate,
-                                   const std::vector<ScheduledGate>& running,
-                                   const Device& device) const {
-  if (device.frequency_groups().empty()) return true;
-  // True when `op` is a CZ that parks a qubit `victim` operates on.
-  const auto parks_any = [&](const ScheduledGate& op,
-                             const ScheduledGate& victim) {
-    if (op.gate.kind != GateKind::CZ) return false;
-    for (const int q : victim.gate.qubits) {
-      if (device.parks(op.gate.qubits[0], op.gate.qubits[1], q)) return true;
-    }
-    return false;
-  };
-  // The candidate must not touch a qubit parked by a running CZ, and a CZ
-  // candidate's own parked qubits must be idle for its whole window.
-  for (const ScheduledGate& other : running) {
-    if (!candidate.overlaps(other)) continue;
-    if (parks_any(other, candidate) || parks_any(candidate, other)) {
+bool ParkingConstraint::compatible(std::uint32_t candidate,
+                                   const ControlWindow& running) const {
+  const ControlTable& table = running.table();
+  // The candidate must not touch a qubit parked by a running CZ...
+  for (const std::uint32_t cz : running.of(ControlClass::CZ)) {
+    if (table.overlaps(candidate, cz) &&
+        touches(table.parked(cz), table.gate(candidate))) {
       return false;
+    }
+  }
+  // ...and a CZ candidate's own parked qubits must be idle for its whole
+  // window.
+  const std::span<const int> own = table.parked(candidate);
+  if (own.empty()) return true;
+  for (const ControlClass kind : kAllClasses) {
+    for (const std::uint32_t other : running.of(kind)) {
+      if (table.overlaps(candidate, other) &&
+          touches(own, table.gate(other))) {
+        return false;
+      }
     }
   }
   return true;
 }
 
 bool TwoQubitParallelismConstraint::compatible(
-    const ScheduledGate& candidate, const std::vector<ScheduledGate>& running,
-    const Device& device) const {
-  (void)device;
-  if (!candidate.gate.is_two_qubit()) return true;
+    std::uint32_t candidate, const ControlWindow& running) const {
+  const ControlTable& table = running.table();
+  if (!table.two_qubit(candidate)) return true;
   int concurrent = 0;
-  for (const ScheduledGate& other : running) {
-    if (!other.gate.is_two_qubit()) continue;
-    if (candidate.overlaps(other)) ++concurrent;
+  // Only CZ and Other ops span two qubits.
+  for (const ControlClass kind : {ControlClass::CZ, ControlClass::Other}) {
+    for (const std::uint32_t other : running.of(kind)) {
+      if (table.two_qubit(other) && table.overlaps(candidate, other)) {
+        ++concurrent;
+      }
+    }
   }
   return concurrent < max_concurrent_;
 }
 
-std::vector<std::unique_ptr<ResourceConstraint>>
-surface_control_constraints() {
-  std::vector<std::unique_ptr<ResourceConstraint>> out;
+ConstraintStack surface_control_constraints() {
+  ConstraintStack out;
   out.push_back(std::make_unique<SharedMicrowaveConstraint>());
   out.push_back(std::make_unique<FeedlineConstraint>());
   out.push_back(std::make_unique<ParkingConstraint>());
   return out;
 }
 
-std::vector<std::unique_ptr<ResourceConstraint>> constraints_for_device(
-    const Device& device) {
-  std::vector<std::unique_ptr<ResourceConstraint>> out;
+ConstraintStack constraints_for_device(const Device& device) {
+  ConstraintStack out;
   if (!device.frequency_groups().empty() || !device.feedlines().empty()) {
     out = surface_control_constraints();
   }

@@ -11,11 +11,23 @@
 //  * FeedlineConstraint — measurements on one feedline either start in the
 //    same cycle or do not overlap at all.
 //  * ParkingConstraint — while CZ(a,b) runs, the frequency-adjacent
-//    neighbours for which Device::parks(a,b,q) holds are detuned and may
-//    not execute anything.
+//    neighbours Device::parked_qubits(a,b) names are detuned and may not
+//    execute anything.
+// plus the trapped-ion TwoQubitParallelismConstraint.
+//
+// Each rule is written once, as its class's compatible(), over a
+// ControlTable: the operations under consideration by index, each with its
+// control facts (class, frequency group, feedline, parked qubits) derived
+// once from its gate and the device. The constrained scheduler, the
+// execution snapshot and ValidityChecker's re-audit all build a table and
+// call these rules; none re-derives a fact per check.
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,44 +36,152 @@
 
 namespace qmap {
 
+/// What the control rules distinguish about an operation.
+enum class ControlClass : std::uint8_t {
+  SingleQubit,  // one-qubit unitary: a pulse from its group's AWG
+  Measure,      // a readout on its feedline
+  CZ,           // a flux pulse that parks frequency-adjacent neighbours
+  Other,
+};
+
+/// Operations by index, each with a start cycle, a duration and the
+/// control facts the rules read. The table points at the gates it was
+/// given, which must outlive it.
+class ControlTable {
+ public:
+  explicit ControlTable(const Device& device) : device_(&device) {}
+
+  void reserve(std::size_t ops) { ops_.reserve(ops); }
+  /// Derives `gate`'s control facts and returns the new op's index.
+  std::uint32_t add(const Gate& gate, int start, int duration);
+  std::uint32_t add(const ScheduledGate& op) {
+    return add(op.gate, op.start_cycle, op.duration_cycles);
+  }
+  std::uint32_t add(Gate&&, int, int) = delete;
+  std::uint32_t add(ScheduledGate&&) = delete;
+  void set_start(std::uint32_t op, int start) { ops_[op].start = start; }
+
+  [[nodiscard]] std::size_t size() const noexcept { return ops_.size(); }
+  [[nodiscard]] const Gate& gate(std::uint32_t op) const {
+    return *ops_[op].gate;
+  }
+  [[nodiscard]] int start(std::uint32_t op) const { return ops_[op].start; }
+  [[nodiscard]] int duration(std::uint32_t op) const {
+    return ops_[op].duration;
+  }
+  [[nodiscard]] int end(std::uint32_t op) const {
+    return ops_[op].start + ops_[op].duration;
+  }
+  /// True when the execution windows of the two ops overlap.
+  [[nodiscard]] bool overlaps(std::uint32_t a, std::uint32_t b) const {
+    return start(a) < end(b) && start(b) < end(a);
+  }
+  [[nodiscard]] ControlClass kind(std::uint32_t op) const {
+    return ops_[op].kind;
+  }
+  [[nodiscard]] bool two_qubit(std::uint32_t op) const {
+    return ops_[op].two_qubit;
+  }
+  /// Frequency group of a SingleQubit op's qubit (-1: none).
+  [[nodiscard]] int group(std::uint32_t op) const { return ops_[op].group; }
+  /// Feedline of a Measure op's qubit (-1: dedicated line).
+  [[nodiscard]] int feedline(std::uint32_t op) const {
+    return ops_[op].feedline;
+  }
+  /// Qubits a CZ op parks (empty for every other op).
+  [[nodiscard]] std::span<const int> parked(std::uint32_t op) const {
+    return {parked_.data() + ops_[op].parked_begin,
+            parked_.data() + ops_[op].parked_end};
+  }
+
+ private:
+  struct Op {
+    const Gate* gate;
+    int start;
+    int duration;
+    ControlClass kind;
+    bool two_qubit;
+    int group;
+    int feedline;
+    std::uint32_t parked_begin;
+    std::uint32_t parked_end;
+  };
+  const Device* device_;
+  std::vector<Op> ops_;
+  std::vector<int> parked_;
+};
+
+/// The ops of a ControlTable a candidate is checked against, kept apart
+/// by control class so that each rule scans only the classes it
+/// constrains.
+class ControlWindow {
+ public:
+  explicit ControlWindow(const ControlTable& table) : table_(&table) {}
+  ControlWindow(const ControlTable& table,
+                std::initializer_list<std::uint32_t> ops)
+      : table_(&table) {
+    for (const std::uint32_t op : ops) add(op);
+  }
+
+  [[nodiscard]] const ControlTable& table() const noexcept { return *table_; }
+  void add(std::uint32_t op) {
+    ops_[static_cast<std::size_t>(table_->kind(op))].push_back(op);
+  }
+  /// The window's ops of class `kind`.
+  [[nodiscard]] const std::vector<std::uint32_t>& of(ControlClass kind) const {
+    return ops_[static_cast<std::size_t>(kind)];
+  }
+  [[nodiscard]] std::size_t size() const;
+  /// Earliest end cycle among the window's ops (INT_MAX when empty).
+  [[nodiscard]] int first_end() const;
+  /// Drops every op that ends at or before `cycle`.
+  void drop_ended(int cycle);
+
+ private:
+  const ControlTable* table_;
+  std::array<std::vector<std::uint32_t>, 4> ops_;
+};
+
 class ResourceConstraint {
  public:
   virtual ~ResourceConstraint() = default;
   [[nodiscard]] virtual std::string name() const = 0;
-  /// True when `candidate` may run alongside the already-admitted,
-  /// time-overlapping `running` operations. Implementations must ignore
-  /// operations in `running` that do not overlap `candidate`: callers pass
-  /// their running window, which may still hold gates that already ended.
-  [[nodiscard]] virtual bool compatible(
-      const ScheduledGate& candidate,
-      const std::vector<ScheduledGate>& running,
-      const Device& device) const = 0;
+  /// True when op `candidate` of `running.table()` may run alongside the
+  /// ops of `running`. Implementations must ignore ops that do not overlap
+  /// `candidate`: callers pass their running window, which may still hold
+  /// ops that already ended.
+  [[nodiscard]] virtual bool compatible(std::uint32_t candidate,
+                                        const ControlWindow& running) const = 0;
 };
+
+using ConstraintStack = std::vector<std::unique_ptr<ResourceConstraint>>;
+
+/// True when every constraint of `constraints` admits `candidate`.
+[[nodiscard]] bool admits(const ConstraintStack& constraints,
+                          std::uint32_t candidate,
+                          const ControlWindow& running);
 
 class SharedMicrowaveConstraint final : public ResourceConstraint {
  public:
   [[nodiscard]] std::string name() const override {
     return "shared-microwave";
   }
-  [[nodiscard]] bool compatible(const ScheduledGate& candidate,
-                                const std::vector<ScheduledGate>& running,
-                                const Device& device) const override;
+  [[nodiscard]] bool compatible(std::uint32_t candidate,
+                                const ControlWindow& running) const override;
 };
 
 class FeedlineConstraint final : public ResourceConstraint {
  public:
   [[nodiscard]] std::string name() const override { return "feedline"; }
-  [[nodiscard]] bool compatible(const ScheduledGate& candidate,
-                                const std::vector<ScheduledGate>& running,
-                                const Device& device) const override;
+  [[nodiscard]] bool compatible(std::uint32_t candidate,
+                                const ControlWindow& running) const override;
 };
 
 class ParkingConstraint final : public ResourceConstraint {
  public:
   [[nodiscard]] std::string name() const override { return "cz-parking"; }
-  [[nodiscard]] bool compatible(const ScheduledGate& candidate,
-                                const std::vector<ScheduledGate>& running,
-                                const Device& device) const override;
+  [[nodiscard]] bool compatible(std::uint32_t candidate,
+                                const ControlWindow& running) const override;
 };
 
 /// Limits device-wide two-qubit gate concurrency (Sec. VI-C: trapped ions
@@ -74,23 +194,20 @@ class TwoQubitParallelismConstraint final : public ResourceConstraint {
   [[nodiscard]] std::string name() const override {
     return "two-qubit-parallelism";
   }
-  [[nodiscard]] bool compatible(const ScheduledGate& candidate,
-                                const std::vector<ScheduledGate>& running,
-                                const Device& device) const override;
+  [[nodiscard]] bool compatible(std::uint32_t candidate,
+                                const ControlWindow& running) const override;
 
  private:
   int max_concurrent_;
 };
 
 /// The full Surface-17 constraint stack.
-[[nodiscard]] std::vector<std::unique_ptr<ResourceConstraint>>
-surface_control_constraints();
+[[nodiscard]] ConstraintStack surface_control_constraints();
 
 /// The constraint stack appropriate for `device`: the Surface control
 /// constraints when frequency groups / feedlines are declared, plus the
 /// two-qubit parallelism limit when one is set. Empty for unconstrained
 /// devices.
-[[nodiscard]] std::vector<std::unique_ptr<ResourceConstraint>>
-constraints_for_device(const Device& device);
+[[nodiscard]] ConstraintStack constraints_for_device(const Device& device);
 
 }  // namespace qmap

@@ -37,6 +37,7 @@ class Schedule {
     return operations_.size();
   }
 
+  void reserve(std::size_t ops) { operations_.reserve(ops); }
   void add(ScheduledGate op) { operations_.push_back(std::move(op)); }
 
   /// Total latency in cycles (max end cycle).

@@ -1,7 +1,6 @@
 #include "schedule/schedulers.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -39,106 +38,124 @@ Schedule schedule_alap(const Circuit& circuit, const Device& device) {
   return schedule;
 }
 
-Schedule schedule_constrained(
-    const Circuit& circuit, const Device& device,
-    const std::vector<std::unique_ptr<ResourceConstraint>>& constraints,
-    obs::Observer* obs) {
-  RouteArena& arena = RouteArena::scratch();
-  const ArenaScope scope(arena);
-  const RouteIR ir = RouteIR::build(circuit, DagMode::Sequential, arena);
-  FrontLayer front(ir, arena);
-  const std::size_t num_nodes = ir.num_gates;
-  Schedule schedule(circuit.num_qubits());
-
-  // Priority: downstream critical path (including own duration).
-  std::vector<double> priority(num_nodes, 0.0);
-  for (std::size_t i = num_nodes; i-- > 0;) {
-    double downstream = 0.0;
+std::vector<std::uint64_t> critical_path_ranks(const RouteIR& ir,
+                                               const ControlTable& table) {
+  const std::uint32_t num_nodes = ir.num_gates;
+  // Downstream critical path, own duration included. A path's cycle count
+  // stays below 2^31 whenever its schedule's cycles fit an int, so it fits
+  // the key's upper half.
+  std::vector<std::uint64_t> priority(num_nodes, 0);
+  std::uint64_t longest = 0;
+  for (std::uint32_t i = num_nodes; i-- > 0;) {
+    std::uint64_t downstream = 0;
     for (std::uint32_t e = ir.succ_offsets[i]; e < ir.succ_offsets[i + 1];
          ++e) {
       downstream = std::max(downstream, priority[ir.succ[e]]);
     }
-    priority[i] = downstream + device.cycles_for(circuit.gate(i));
+    priority[i] = downstream + static_cast<std::uint64_t>(table.duration(i));
+    longest = std::max(longest, priority[i]);
   }
+  std::vector<std::uint64_t> rank(num_nodes);
+  for (std::uint32_t i = 0; i < num_nodes; ++i) {
+    rank[i] = (longest - priority[i]) << 32 | i;
+  }
+  return rank;
+}
 
-  // Operand availability. Every predecessor of a gate is an admitted gate
-  // on one of its qubits, so an idle operand set also means every
-  // dependency has finished.
-  std::vector<int> qubit_busy(static_cast<std::size_t>(circuit.num_qubits()),
-                              0);
-  // Running window: admitted gates that may still overlap a candidate.
+Schedule schedule_constrained(const Circuit& circuit, const Device& device,
+                              const ConstraintStack& constraints,
+                              obs::Observer* obs) {
+  RouteArena& arena = RouteArena::scratch();
+  const ArenaScope scope(arena);
+  const RouteIR ir = RouteIR::build(circuit, DagMode::Sequential, arena);
+  const std::uint32_t num_nodes = ir.num_gates;
+
+  // Facts once per node: duration and control facts, then rank.
+  ControlTable table(device);
+  table.reserve(num_nodes);
+  for (const Gate& gate : circuit) table.add(gate, 0, device.cycles_for(gate));
+  const std::vector<std::uint64_t> rank = critical_path_ranks(ir, table);
+  const auto by_rank = [&rank](std::uint32_t a, std::uint32_t b) {
+    return rank[a] < rank[b];
+  };
+
+  // Unscheduled predecessors per node, and the ready nodes in rank order.
+  std::vector<std::uint32_t> waiting(ir.pred_count, ir.pred_count + num_nodes);
+  std::vector<std::uint32_t> ready;
+  for (std::uint32_t i = 0; i < num_nodes; ++i) {
+    if (waiting[i] == 0) ready.push_back(i);
+  }
+  std::sort(ready.begin(), ready.end(), by_rank);
+  std::vector<std::uint32_t> deferred;  // ready, not admitted this cycle
+  std::vector<std::uint32_t> enabled;   // made ready by this cycle's admits
+  std::vector<std::uint32_t> admitted;  // admission order: the Schedule's
+  admitted.reserve(num_nodes);
+  // Latest end cycle of each node's admitted predecessors. Every
+  // predecessor is the previous gate on one of the node's qubits, and no
+  // other gate on those qubits can be admitted while the node waits, so
+  // this is also when its operands fall idle.
+  std::vector<int> operands_idle(num_nodes, 0);
+  // Running window: admitted nodes that may still overlap a candidate.
   // Every candidate starts at `cycle`, which only moves forward, and every
-  // constraint ignores non-overlapping gates, so a gate that ended at or
+  // constraint ignores non-overlapping ops, so a node that ended at or
   // before `cycle` can never matter again and is dropped on each advance.
-  std::vector<ScheduledGate> running;
+  ControlWindow running(table);
+  std::size_t window_size = 0;
   std::size_t window_peak = 0;
 
   int cycle = 0;
-  std::size_t scheduled = 0;
   std::uint64_t cycle_advances = 0;
   std::uint64_t constraint_deferrals = 0;
-  while (scheduled < num_nodes) {
-    // Ready nodes, highest priority first (stable on node index).
-    std::vector<int> ready(front.ready(), front.ready() + front.ready_size());
-    std::stable_sort(ready.begin(), ready.end(), [&](int a, int b) {
-      return priority[static_cast<std::size_t>(a)] >
-             priority[static_cast<std::size_t>(b)];
-    });
-    bool progressed = false;
-    for (const int node : ready) {
-      const Gate& gate = circuit.gate(static_cast<std::size_t>(node));
-      const int duration = device.cycles_for(gate);
-      // Operands must be idle.
-      bool startable = true;
-      for (const int q : gate.qubits) {
-        if (qubit_busy[static_cast<std::size_t>(q)] > cycle) {
-          startable = false;
-          break;
-        }
+  while (admitted.size() < num_nodes) {
+    // The ready set as of this cycle's start, highest rank first; nodes
+    // that admissions enable wait for the next cycle.
+    deferred.clear();
+    enabled.clear();
+    for (const std::uint32_t node : ready) {
+      if (operands_idle[node] > cycle) {
+        deferred.push_back(node);
+        continue;
       }
-      if (!startable) continue;
-      const ScheduledGate candidate{gate, cycle, duration};
-      bool allowed = true;
-      for (const auto& constraint : constraints) {
-        if (!constraint->compatible(candidate, running, device)) {
-          allowed = false;
-          break;
-        }
-      }
-      if (!allowed) {
+      table.set_start(node, cycle);
+      if (!admits(constraints, node, running)) {
         ++constraint_deferrals;
+        deferred.push_back(node);
         continue;
       }
       // Admit.
-      running.push_back(candidate);
-      window_peak = std::max(window_peak, running.size());
-      schedule.add(candidate);
-      for (const int q : gate.qubits) {
-        qubit_busy[static_cast<std::size_t>(q)] =
-            std::max(qubit_busy[static_cast<std::size_t>(q)],
-                     cycle + duration);
+      running.add(node);
+      window_peak = std::max(window_peak, ++window_size);
+      admitted.push_back(node);
+      for (std::uint32_t e = ir.succ_offsets[node];
+           e < ir.succ_offsets[node + 1]; ++e) {
+        const std::uint32_t succ = ir.succ[e];
+        operands_idle[succ] = std::max(operands_idle[succ], table.end(node));
+        if (--waiting[succ] == 0) enabled.push_back(succ);
       }
-      front.mark_scheduled(static_cast<std::uint32_t>(node));
-      ++scheduled;
-      progressed = true;
     }
-    if (scheduled == num_nodes) break;
-    // Advance: next cycle at which anything can change.
+    if (admitted.size() == num_nodes) break;
+    // Advance: next cycle at which anything can change. Without an
+    // admission that is the first end among the running gates, all of
+    // which end after `cycle`.
     int next = cycle + 1;
-    if (!progressed) {
-      int earliest_event = std::numeric_limits<int>::max();
-      for (const int busy : qubit_busy) {
-        if (busy > cycle) earliest_event = std::min(earliest_event, busy);
-      }
-      if (earliest_event != std::numeric_limits<int>::max()) {
-        next = std::max(next, earliest_event);
-      }
+    if (deferred.size() == ready.size() && window_size > 0) {
+      next = running.first_end();
     }
+    std::sort(enabled.begin(), enabled.end(), by_rank);
+    ready.resize(deferred.size() + enabled.size());
+    std::merge(deferred.begin(), deferred.end(), enabled.begin(),
+               enabled.end(), ready.begin(), by_rank);
     cycle = next;
     ++cycle_advances;
-    std::erase_if(running, [cycle](const ScheduledGate& op) {
-      return op.end_cycle() <= cycle;
-    });
+    running.drop_ended(cycle);
+    window_size = running.size();
+  }
+
+  Schedule schedule(circuit.num_qubits());
+  schedule.reserve(num_nodes);
+  for (const std::uint32_t node : admitted) {
+    schedule.add(ScheduledGate{table.gate(node), table.start(node),
+                               table.duration(node)});
   }
   obs::add(obs, "schedule.constrained_runs");
   obs::add(obs, "schedule.cycle_advances", cycle_advances);

@@ -5,15 +5,22 @@
 // comparison. `schedule_constrained` additionally enforces a stack of
 // classical-control ResourceConstraints, reproducing the Sec. V claim that
 // control sharing inflates the latency (~2x on the running example).
+//
+// The constrained scheduler works on node indices: each node's duration,
+// control facts (a ControlTable) and critical-path rank are computed once,
+// the ready set is kept in rank order and the running window holds node
+// indices. The Schedule, with its Gate copies, is built once at the end.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "arch/device.hpp"
 #include "ir/circuit.hpp"
 #include "obs/obs.hpp"
+#include "route/route_ir.hpp"
 #include "schedule/constraints.hpp"
 #include "schedule/schedule.hpp"
 
@@ -59,16 +66,24 @@ class AsapSweep {
 [[nodiscard]] Schedule schedule_alap(const Circuit& circuit,
                                      const Device& device);
 
-/// Cycle-driven list scheduler honouring `constraints`. Gates are
-/// prioritized by downstream critical-path length. With an empty constraint
-/// stack this degrades to an ASAP schedule. Constraint checks see only the
-/// gates still running at the current cycle. `obs` (maybe null) receives
-/// cycle-advance / constraint-deferral counters and depth and running-window
-/// peak histograms.
+/// Every node's critical-path rank as a sort key: a smaller key comes
+/// first, ordering nodes by downstream critical-path length (own duration,
+/// `table.duration(node)`, included) descending, then by index ascending.
+/// Node i of `ir` is op i of `table`.
+[[nodiscard]] std::vector<std::uint64_t> critical_path_ranks(
+    const RouteIR& ir, const ControlTable& table);
+
+/// Cycle-driven list scheduler honouring `constraints`. Each cycle it
+/// walks the nodes ready at its start in critical-path rank order and
+/// admits every one whose operands are idle and which every constraint
+/// admits. With an empty constraint stack this degrades to an ASAP
+/// schedule. Constraint checks see only the gates still running at the
+/// current cycle. `obs` (maybe null) receives cycle-advance /
+/// constraint-deferral counters and depth and running-window peak
+/// histograms.
 [[nodiscard]] Schedule schedule_constrained(
     const Circuit& circuit, const Device& device,
-    const std::vector<std::unique_ptr<ResourceConstraint>>& constraints,
-    obs::Observer* obs = nullptr);
+    const ConstraintStack& constraints, obs::Observer* obs = nullptr);
 
 /// Convenience: constrained schedule with the full Surface control stack
 /// when the device declares control resources, plain ASAP otherwise.

@@ -182,7 +182,8 @@ ValidityReport ValidityChecker::check_schedule(const Schedule& schedule,
   }
 
   // Per-qubit audit: no double-booking, and the per-qubit gate sequence of
-  // the schedule must equal the source program order.
+  // the schedule must equal the source program order. Both sides' lanes
+  // are built in one walk.
   const int width = std::max(schedule.num_qubits(), source.num_qubits());
   std::vector<std::vector<std::size_t>> per_qubit(
       static_cast<std::size_t>(width));
@@ -190,6 +191,17 @@ ValidityReport ValidityChecker::check_schedule(const Schedule& schedule,
     if (ops[i].gate.kind == GateKind::Barrier) continue;
     for (const int q : ops[i].gate.qubits) {
       per_qubit[static_cast<std::size_t>(q)].push_back(i);
+    }
+  }
+  std::vector<std::vector<const Gate*>> source_lanes(
+      static_cast<std::size_t>(width));
+  for (const Gate& gate : source) {
+    if (gate.kind == GateKind::Barrier) continue;
+    for (auto q = gate.qubits.begin(); q != gate.qubits.end(); ++q) {
+      // A gate joins each of its qubits' lanes once.
+      if (std::find(gate.qubits.begin(), q, *q) == q) {
+        source_lanes[static_cast<std::size_t>(*q)].push_back(&gate);
+      }
     }
   }
   for (int q = 0; q < width && !full_(report); ++q) {
@@ -203,16 +215,7 @@ ValidityReport ValidityChecker::check_schedule(const Schedule& schedule,
       }
     }
     // Source-order comparison.
-    std::vector<const Gate*> expected;
-    for (const Gate& gate : source) {
-      if (gate.kind == GateKind::Barrier) continue;
-      for (const int oq : gate.qubits) {
-        if (oq == q) {
-          expected.push_back(&gate);
-          break;
-        }
-      }
-    }
+    const auto& expected = source_lanes[static_cast<std::size_t>(q)];
     if (expected.size() != lane.size()) {
       add_(report, Violation::Kind::OrderMismatch, Violation::npos,
            "qubit " + std::to_string(q) + ": schedule has " +
@@ -236,24 +239,25 @@ ValidityReport ValidityChecker::check_schedule(const Schedule& schedule,
   // never decrease in that order, so an op that ended at or before the
   // current start overlaps no later op either and leaves the window.
   if (options_.check_control_constraints) {
-    const auto constraints = constraints_for_device(device_);
+    const ConstraintStack constraints = constraints_for_device(device_);
     if (!constraints.empty()) {
-      std::vector<ScheduledGate> running;
+      ControlTable table(device_);
+      table.reserve(ops.size());
+      for (const ScheduledGate& op : ops) table.add(op);
+      ControlWindow running(table);
       for (const std::size_t i : order) {
         if (full_(report)) break;
-        std::erase_if(running, [start = ops[i].start_cycle](
-                                   const ScheduledGate& prior) {
-          return prior.end_cycle() <= start;
-        });
+        const auto op = static_cast<std::uint32_t>(i);
+        running.drop_ended(table.start(op));
         for (const auto& constraint : constraints) {
-          if (!constraint->compatible(ops[i], running, device_)) {
+          if (!constraint->compatible(op, running)) {
             add_(report, Violation::Kind::ControlConflict, i,
                  ops[i].gate.to_string() + " at cycle " +
                      std::to_string(ops[i].start_cycle) + " violates '" +
                      constraint->name() + "'");
           }
         }
-        running.push_back(ops[i]);
+        running.add(op);
       }
     }
   }

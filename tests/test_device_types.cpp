@@ -32,12 +32,17 @@ TEST(TwoQubitParallelism, ConstraintBlocksConcurrentPairs) {
   const Device ion = devices::trapped_ion(4);
   TwoQubitParallelismConstraint constraint(1);
   const ScheduledGate running{make_gate(GateKind::CX, {0, 1}), 0, 10};
+  ControlTable ops(ion);
+  const std::uint32_t running_op = ops.add(running);
   const ScheduledGate overlapping{make_gate(GateKind::CX, {2, 3}), 5, 10};
-  EXPECT_FALSE(constraint.compatible(overlapping, {running}, ion));
+  EXPECT_FALSE(constraint.compatible(ops.add(overlapping),
+                                     ControlWindow(ops, {running_op})));
   const ScheduledGate after{make_gate(GateKind::CX, {2, 3}), 10, 10};
-  EXPECT_TRUE(constraint.compatible(after, {running}, ion));
+  EXPECT_TRUE(constraint.compatible(ops.add(after),
+                                    ControlWindow(ops, {running_op})));
   const ScheduledGate single{make_gate(GateKind::X, {2}), 5, 1};
-  EXPECT_TRUE(constraint.compatible(single, {running}, ion));
+  EXPECT_TRUE(constraint.compatible(ops.add(single),
+                                    ControlWindow(ops, {running_op})));
 }
 
 TEST(TwoQubitParallelism, HigherLimitsAllowMoreConcurrency) {
@@ -46,8 +51,11 @@ TEST(TwoQubitParallelism, HigherLimitsAllowMoreConcurrency) {
   const ScheduledGate a{make_gate(GateKind::CX, {0, 1}), 0, 10};
   const ScheduledGate b{make_gate(GateKind::CX, {2, 3}), 0, 10};
   const ScheduledGate c{make_gate(GateKind::CX, {4, 5}), 0, 10};
-  EXPECT_TRUE(two.compatible(b, {a}, ion));
-  EXPECT_FALSE(two.compatible(c, {a, b}, ion));
+  ControlTable ops(ion);
+  const std::uint32_t a_op = ops.add(a);
+  const std::uint32_t b_op = ops.add(b);
+  EXPECT_TRUE(two.compatible(b_op, ControlWindow(ops, {a_op})));
+  EXPECT_FALSE(two.compatible(ops.add(c), ControlWindow(ops, {a_op, b_op})));
 }
 
 TEST(TrappedIon, SchedulerSerializesTwoQubitGates) {

@@ -26,17 +26,17 @@ constexpr double kPi = 3.14159265358979323846;
 
 /// Validates a schedule against a constraint stack: every pair of
 /// overlapping operations must be mutually compatible.
-bool satisfies_constraints(
-    const Schedule& schedule, const Device& device,
-    const std::vector<std::unique_ptr<ResourceConstraint>>& constraints) {
-  const auto& ops = schedule.operations();
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    std::vector<ScheduledGate> others;
-    for (std::size_t j = 0; j < ops.size(); ++j) {
-      if (j != i) others.push_back(ops[j]);
+bool satisfies_constraints(const Schedule& schedule, const Device& device,
+                           const ConstraintStack& constraints) {
+  ControlTable table(device);
+  for (const ScheduledGate& op : schedule.operations()) table.add(op);
+  for (std::uint32_t i = 0; i < table.size(); ++i) {
+    ControlWindow others(table);
+    for (std::uint32_t j = 0; j < table.size(); ++j) {
+      if (j != i) others.add(j);
     }
     for (const auto& constraint : constraints) {
-      if (!constraint->compatible(ops[i], others, device)) return false;
+      if (!constraint->compatible(i, others)) return false;
     }
   }
   return true;
@@ -46,9 +46,9 @@ bool satisfies_constraints(
 /// candidate is checked against every gate admitted so far, O(n^2), and
 /// against the finish cycle of every predecessor in the naive pairwise
 /// DAG. Kept only as the parity reference for schedule_constrained.
-Schedule reference_schedule_constrained(
-    const Circuit& circuit, const Device& device,
-    const std::vector<std::unique_ptr<ResourceConstraint>>& constraints) {
+Schedule reference_schedule_constrained(const Circuit& circuit,
+                                        const Device& device,
+                                        const ConstraintStack& constraints) {
   const NaiveDag dag = naive_dag(circuit, DagMode::Sequential);
   const std::size_t num_nodes = circuit.size();
   Schedule schedule(circuit.num_qubits());
@@ -63,7 +63,9 @@ Schedule reference_schedule_constrained(
   std::vector<int> end_cycle(num_nodes, 0);
   std::vector<int> qubit_busy(static_cast<std::size_t>(circuit.num_qubits()),
                               0);
-  std::vector<ScheduledGate> admitted;
+  ControlTable table(device);
+  for (const Gate& gate : circuit) table.add(gate, 0, device.cycles_for(gate));
+  ControlWindow admitted(table);
   std::vector<bool> done(num_nodes, false);
   int cycle = 0;
   std::size_t scheduled = 0;
@@ -93,17 +95,18 @@ Schedule reference_schedule_constrained(
         }
       }
       if (!startable) continue;
-      const ScheduledGate candidate{gate, cycle, duration};
+      const auto candidate = static_cast<std::uint32_t>(node);
+      table.set_start(candidate, cycle);
       bool allowed = true;
       for (const auto& constraint : constraints) {
-        if (!constraint->compatible(candidate, admitted, device)) {
+        if (!constraint->compatible(candidate, admitted)) {
           allowed = false;
           break;
         }
       }
       if (!allowed) continue;
-      admitted.push_back(candidate);
-      schedule.add(candidate);
+      admitted.add(candidate);
+      schedule.add(ScheduledGate{gate, cycle, duration});
       end_cycle[static_cast<std::size_t>(node)] = cycle + duration;
       for (const int q : gate.qubits) {
         qubit_busy[static_cast<std::size_t>(q)] =
@@ -268,7 +271,9 @@ TEST(SharedMicrowave, SameGateMayRunInParallel) {
   ASSERT_EQ(s17.frequency_group(1), s17.frequency_group(3));
   const ScheduledGate x1{make_gate(GateKind::X, {1}), 0, 1};
   const ScheduledGate x3{make_gate(GateKind::X, {3}), 0, 1};
-  EXPECT_TRUE(constraint.compatible(x3, {x1}, s17));
+  ControlTable ops(s17);
+  const std::uint32_t x1_op = ops.add(x1);
+  EXPECT_TRUE(constraint.compatible(ops.add(x3), ControlWindow(ops, {x1_op})));
 }
 
 TEST(SharedMicrowave, DifferentGatesSameGroupConflict) {
@@ -276,14 +281,19 @@ TEST(SharedMicrowave, DifferentGatesSameGroupConflict) {
   SharedMicrowaveConstraint constraint;
   const ScheduledGate x1{make_gate(GateKind::X, {1}), 0, 1};
   const ScheduledGate y3{make_gate(GateKind::Y, {3}), 0, 1};
-  EXPECT_FALSE(constraint.compatible(y3, {x1}, s17));
+  ControlTable ops(s17);
+  const std::uint32_t x1_op = ops.add(x1);
+  EXPECT_FALSE(constraint.compatible(ops.add(y3), ControlWindow(ops, {x1_op})));
   // Different rotation angles are different pulses too.
   const ScheduledGate rx_a{make_gate(GateKind::Rx, {1}, {0.5}), 0, 1};
   const ScheduledGate rx_b{make_gate(GateKind::Rx, {3}, {0.7}), 0, 1};
-  EXPECT_FALSE(constraint.compatible(rx_b, {rx_a}, s17));
+  const std::uint32_t rx_a_op = ops.add(rx_a);
+  EXPECT_FALSE(constraint.compatible(ops.add(rx_b),
+                                     ControlWindow(ops, {rx_a_op})));
   // Identical angle is the same waveform.
   const ScheduledGate rx_c{make_gate(GateKind::Rx, {3}, {0.5}), 0, 1};
-  EXPECT_TRUE(constraint.compatible(rx_c, {rx_a}, s17));
+  EXPECT_TRUE(constraint.compatible(ops.add(rx_c),
+                                    ControlWindow(ops, {rx_a_op})));
 }
 
 TEST(SharedMicrowave, DifferentGroupsDoNotInteract) {
@@ -293,7 +303,9 @@ TEST(SharedMicrowave, DifferentGroupsDoNotInteract) {
   ASSERT_NE(s17.frequency_group(1), s17.frequency_group(2));
   const ScheduledGate x1{make_gate(GateKind::X, {1}), 0, 1};
   const ScheduledGate y2{make_gate(GateKind::Y, {2}), 0, 1};
-  EXPECT_TRUE(constraint.compatible(y2, {x1}, s17));
+  ControlTable ops(s17);
+  const std::uint32_t x1_op = ops.add(x1);
+  EXPECT_TRUE(constraint.compatible(ops.add(y2), ControlWindow(ops, {x1_op})));
 }
 
 TEST(SharedMicrowave, NonOverlappingGatesAreFree) {
@@ -301,7 +313,9 @@ TEST(SharedMicrowave, NonOverlappingGatesAreFree) {
   SharedMicrowaveConstraint constraint;
   const ScheduledGate x1{make_gate(GateKind::X, {1}), 0, 1};
   const ScheduledGate y3{make_gate(GateKind::Y, {3}), 1, 1};
-  EXPECT_TRUE(constraint.compatible(y3, {x1}, s17));
+  ControlTable ops(s17);
+  const std::uint32_t x1_op = ops.add(x1);
+  EXPECT_TRUE(constraint.compatible(ops.add(y3), ControlWindow(ops, {x1_op})));
 }
 
 TEST(Feedline, MeasurementsMustStartTogetherOrNotOverlap) {
@@ -310,15 +324,20 @@ TEST(Feedline, MeasurementsMustStartTogetherOrNotOverlap) {
   // Qubits 0 and 2 share feedline 0 ("not possible to start measuring
   // qubit 2 while still measuring qubit 0").
   const ScheduledGate m0{make_measure(0, 0), 0, 30};
+  ControlTable ops(s17);
+  const std::uint32_t m0_op = ops.add(m0);
   const ScheduledGate m2_late{make_measure(2, 2), 5, 30};
-  EXPECT_FALSE(constraint.compatible(m2_late, {m0}, s17));
+  EXPECT_FALSE(constraint.compatible(ops.add(m2_late),
+                                     ControlWindow(ops, {m0_op})));
   const ScheduledGate m2_same{make_measure(2, 2), 0, 30};
-  EXPECT_TRUE(constraint.compatible(m2_same, {m0}, s17));
+  EXPECT_TRUE(constraint.compatible(ops.add(m2_same),
+                                    ControlWindow(ops, {m0_op})));
   const ScheduledGate m2_after{make_measure(2, 2), 30, 30};
-  EXPECT_TRUE(constraint.compatible(m2_after, {m0}, s17));
+  EXPECT_TRUE(constraint.compatible(ops.add(m2_after),
+                                    ControlWindow(ops, {m0_op})));
   // Different feedlines do not interact.
   const ScheduledGate m1{make_measure(1, 1), 5, 30};
-  EXPECT_TRUE(constraint.compatible(m1, {m0}, s17));
+  EXPECT_TRUE(constraint.compatible(ops.add(m1), ControlWindow(ops, {m0_op})));
 }
 
 TEST(Parking, BlocksGatesOnParkedQubits) {
@@ -330,10 +349,15 @@ TEST(Parking, BlocksGatesOnParkedQubits) {
     if (parked.empty()) continue;
     const ScheduledGate cz{make_gate(GateKind::CZ, {edge.a, edge.b}), 0, 2};
     const ScheduledGate victim{make_gate(GateKind::X, {parked.front()}), 1, 1};
-    EXPECT_FALSE(constraint.compatible(victim, {cz}, s17));
-    EXPECT_FALSE(constraint.compatible(cz, {victim}, s17));  // symmetric
+    ControlTable ops(s17);
+    const std::uint32_t cz_op = ops.add(cz);
+    const std::uint32_t victim_op = ops.add(victim);
+    EXPECT_FALSE(constraint.compatible(victim_op, ControlWindow(ops, {cz_op})));
+    EXPECT_FALSE(constraint.compatible(
+        cz_op, ControlWindow(ops, {victim_op})));  // symmetric
     const ScheduledGate after{make_gate(GateKind::X, {parked.front()}), 2, 1};
-    EXPECT_TRUE(constraint.compatible(after, {cz}, s17));
+    EXPECT_TRUE(constraint.compatible(ops.add(after),
+                                      ControlWindow(ops, {cz_op})));
     return;
   }
   FAIL() << "no CZ with a non-empty parked set found";
@@ -371,7 +395,7 @@ TEST(Constrained, EmptyConstraintStackMatchesAsapLatency) {
   Rng rng(8);
   Circuit c(17);
   c.x(1).y(2).cz(1, 5).x(1).cz(2, 6).measure(1, 1);
-  const std::vector<std::unique_ptr<ResourceConstraint>> empty;
+  const ConstraintStack empty;
   EXPECT_EQ(schedule_constrained(c, s17, empty).total_cycles(),
             schedule_asap(c, s17).total_cycles());
 }
@@ -559,9 +583,8 @@ Device slow_single_qubit_surface17() {
 }
 
 /// The constraint subsets of the control-constraint ablation.
-std::vector<std::unique_ptr<ResourceConstraint>> ablation_stack(
-    const std::string& name) {
-  std::vector<std::unique_ptr<ResourceConstraint>> stack;
+ConstraintStack ablation_stack(const std::string& name) {
+  ConstraintStack stack;
   if (name == "microwave" || name == "all") {
     stack.push_back(std::make_unique<SharedMicrowaveConstraint>());
   }
