@@ -39,8 +39,8 @@ bool ExecutionSnapshot::step() {
   const std::uint32_t node = *std::min_element(
       front_.ready(), front_.ready() + front_.ready_size(),
       [this](std::uint32_t a, std::uint32_t b) { return rank_[a] < rank_[b]; });
-  const Gate& gate = table_.gate(node);
-  const int duration = table_.duration(node);
+  const Gate& gate = *table_[node].gate;
+  const int duration = table_[node].duration;
 
   // Every predecessor is the last scheduled gate on one of the operands,
   // so operand availability is also dependency completion.
@@ -82,11 +82,11 @@ std::map<std::pair<int, int>, std::string>
 ExecutionSnapshot::control_settings() const {
   std::map<std::pair<int, int>, std::string> out;
   for (const std::uint32_t node : scheduled_.of(ControlClass::SingleQubit)) {
-    const int group = table_.group(node);
-    if (group < 0) continue;
-    const std::string text = table_.gate(node).to_string();
-    for (int c = table_.start(node); c < table_.end(node); ++c) {
-      out[{c, group}] = text.substr(0, text.find(' '));  // pulse mnemonic only
+    const ControlOp& op = table_[node];
+    if (op.group < 0) continue;
+    const std::string text = op.gate->to_string();
+    for (int c = op.start; c < op.end(); ++c) {
+      out[{c, op.group}] = text.substr(0, text.find(' '));  // pulse mnemonic
     }
   }
   return out;

@@ -33,8 +33,8 @@ bool touches(std::span<const int> parked, const Gate& victim) {
 
 std::uint32_t ControlTable::add(const Gate& gate, int start, int duration) {
   const GateInfo& info = gate_info(gate.kind);
-  Op op{&gate, start, duration, ControlClass::Other, gate.is_two_qubit(),
-        -1,    -1,    0,        0};
+  ControlOp op{&gate, start, duration, ControlClass::Other,
+               gate.is_two_qubit(), -1, -1, 0, 0};
   if (gate.kind == GateKind::Measure) {
     op.kind = ControlClass::Measure;
     op.feedline = device_->feedline(gate.qubits[0]);
@@ -60,7 +60,9 @@ std::size_t ControlWindow::size() const {
 int ControlWindow::first_end() const {
   int first = std::numeric_limits<int>::max();
   for (const auto& ops : ops_) {
-    for (const std::uint32_t op : ops) first = std::min(first, table_->end(op));
+    for (const std::uint32_t op : ops) {
+      first = std::min(first, (*table_)[op].end());
+    }
   }
   return first;
 }
@@ -69,7 +71,7 @@ void ControlWindow::drop_ended(int cycle) {
   for (auto& ops : ops_) {
     if (ops.empty()) continue;
     std::erase_if(ops, [this, cycle](std::uint32_t op) {
-      return table_->end(op) <= cycle;
+      return (*table_)[op].end() <= cycle;
     });
   }
 }
@@ -85,18 +87,15 @@ bool admits(const ConstraintStack& constraints, std::uint32_t candidate,
 bool SharedMicrowaveConstraint::compatible(
     std::uint32_t candidate, const ControlWindow& running) const {
   const ControlTable& table = running.table();
-  if (table.kind(candidate) != ControlClass::SingleQubit) return true;
-  const int group = table.group(candidate);
-  if (group < 0) return true;
-  for (const std::uint32_t other : running.of(ControlClass::SingleQubit)) {
-    if (table.group(other) != group || !table.overlaps(candidate, other)) {
-      continue;
-    }
+  const ControlOp& op = table[candidate];
+  if (op.kind != ControlClass::SingleQubit || op.group < 0) return true;
+  for (const std::uint32_t index : running.of(ControlClass::SingleQubit)) {
+    const ControlOp& other = table[index];
+    if (other.group != op.group || !op.overlaps(other)) continue;
     // Same AWG: the waveform is shared, so concurrent gates must be the
     // identical pulse, perfectly aligned.
-    if (!same_pulse(table.gate(candidate), table.gate(other)) ||
-        table.start(other) != table.start(candidate) ||
-        table.duration(other) != table.duration(candidate)) {
+    if (!same_pulse(*op.gate, *other.gate) || other.start != op.start ||
+        other.duration != op.duration) {
       return false;
     }
   }
@@ -106,15 +105,15 @@ bool SharedMicrowaveConstraint::compatible(
 bool FeedlineConstraint::compatible(std::uint32_t candidate,
                                     const ControlWindow& running) const {
   const ControlTable& table = running.table();
-  if (table.kind(candidate) != ControlClass::Measure) return true;
-  const int line = table.feedline(candidate);
-  if (line < 0) return true;
-  for (const std::uint32_t other : running.of(ControlClass::Measure)) {
-    if (table.feedline(other) != line || !table.overlaps(candidate, other)) {
-      continue;
-    }
+  const ControlOp& op = table[candidate];
+  if (op.kind != ControlClass::Measure || op.feedline < 0) return true;
+  for (const std::uint32_t index : running.of(ControlClass::Measure)) {
+    const ControlOp& other = table[index];
     // Overlapping measurements on a shared feedline must start together.
-    if (table.start(other) != table.start(candidate)) return false;
+    if (other.feedline == op.feedline && op.overlaps(other) &&
+        other.start != op.start) {
+      return false;
+    }
   }
   return true;
 }
@@ -122,23 +121,20 @@ bool FeedlineConstraint::compatible(std::uint32_t candidate,
 bool ParkingConstraint::compatible(std::uint32_t candidate,
                                    const ControlWindow& running) const {
   const ControlTable& table = running.table();
+  const ControlOp& op = table[candidate];
   // The candidate must not touch a qubit parked by a running CZ...
-  for (const std::uint32_t cz : running.of(ControlClass::CZ)) {
-    if (table.overlaps(candidate, cz) &&
-        touches(table.parked(cz), table.gate(candidate))) {
-      return false;
-    }
+  for (const std::uint32_t index : running.of(ControlClass::CZ)) {
+    const ControlOp& cz = table[index];
+    if (op.overlaps(cz) && touches(table.parked(cz), *op.gate)) return false;
   }
   // ...and a CZ candidate's own parked qubits must be idle for its whole
   // window.
-  const std::span<const int> own = table.parked(candidate);
-  if (own.empty()) return true;
+  const std::span<const int> parked = table.parked(op);
+  if (parked.empty()) return true;
   for (const ControlClass kind : kAllClasses) {
-    for (const std::uint32_t other : running.of(kind)) {
-      if (table.overlaps(candidate, other) &&
-          touches(own, table.gate(other))) {
-        return false;
-      }
+    for (const std::uint32_t index : running.of(kind)) {
+      const ControlOp& other = table[index];
+      if (op.overlaps(other) && touches(parked, *other.gate)) return false;
     }
   }
   return true;
@@ -147,14 +143,14 @@ bool ParkingConstraint::compatible(std::uint32_t candidate,
 bool TwoQubitParallelismConstraint::compatible(
     std::uint32_t candidate, const ControlWindow& running) const {
   const ControlTable& table = running.table();
-  if (!table.two_qubit(candidate)) return true;
+  const ControlOp& op = table[candidate];
+  if (!op.two_qubit) return true;
   int concurrent = 0;
   // Only CZ and Other ops span two qubits.
   for (const ControlClass kind : {ControlClass::CZ, ControlClass::Other}) {
-    for (const std::uint32_t other : running.of(kind)) {
-      if (table.two_qubit(other) && table.overlaps(candidate, other)) {
-        ++concurrent;
-      }
+    for (const std::uint32_t index : running.of(kind)) {
+      const ControlOp& other = table[index];
+      if (other.two_qubit && op.overlaps(other)) ++concurrent;
     }
   }
   return concurrent < max_concurrent_;

@@ -44,9 +44,28 @@ enum class ControlClass : std::uint8_t {
   Other,
 };
 
-/// Operations by index, each with a start cycle, a duration and the
-/// control facts the rules read. The table points at the gates it was
-/// given, which must outlive it.
+/// One operation as the control rules see it: its gate, timing and the
+/// control facts derived once from the gate and the device.
+struct ControlOp {
+  const Gate* gate;
+  int start;
+  int duration;
+  ControlClass kind;
+  bool two_qubit;
+  int group;                   // SingleQubit: its qubit's frequency group
+  int feedline;                // Measure: its qubit's feedline
+  std::uint32_t parked_begin;  // CZ: its parked qubits in the table
+  std::uint32_t parked_end;
+
+  [[nodiscard]] int end() const { return start + duration; }
+  /// True when the execution windows of the two ops overlap.
+  [[nodiscard]] bool overlaps(const ControlOp& other) const {
+    return start < other.end() && other.start < end();
+  }
+};
+
+/// Operations by index. The table points at the gates it was given,
+/// which must outlive it.
 class ControlTable {
  public:
   explicit ControlTable(const Device& device) : device_(&device) {}
@@ -62,52 +81,17 @@ class ControlTable {
   void set_start(std::uint32_t op, int start) { ops_[op].start = start; }
 
   [[nodiscard]] std::size_t size() const noexcept { return ops_.size(); }
-  [[nodiscard]] const Gate& gate(std::uint32_t op) const {
-    return *ops_[op].gate;
+  [[nodiscard]] const ControlOp& operator[](std::uint32_t op) const {
+    return ops_[op];
   }
-  [[nodiscard]] int start(std::uint32_t op) const { return ops_[op].start; }
-  [[nodiscard]] int duration(std::uint32_t op) const {
-    return ops_[op].duration;
-  }
-  [[nodiscard]] int end(std::uint32_t op) const {
-    return ops_[op].start + ops_[op].duration;
-  }
-  /// True when the execution windows of the two ops overlap.
-  [[nodiscard]] bool overlaps(std::uint32_t a, std::uint32_t b) const {
-    return start(a) < end(b) && start(b) < end(a);
-  }
-  [[nodiscard]] ControlClass kind(std::uint32_t op) const {
-    return ops_[op].kind;
-  }
-  [[nodiscard]] bool two_qubit(std::uint32_t op) const {
-    return ops_[op].two_qubit;
-  }
-  /// Frequency group of a SingleQubit op's qubit (-1: none).
-  [[nodiscard]] int group(std::uint32_t op) const { return ops_[op].group; }
-  /// Feedline of a Measure op's qubit (-1: dedicated line).
-  [[nodiscard]] int feedline(std::uint32_t op) const {
-    return ops_[op].feedline;
-  }
-  /// Qubits a CZ op parks (empty for every other op).
-  [[nodiscard]] std::span<const int> parked(std::uint32_t op) const {
-    return {parked_.data() + ops_[op].parked_begin,
-            parked_.data() + ops_[op].parked_end};
+  /// Qubits `op` parks (empty unless it is a CZ).
+  [[nodiscard]] std::span<const int> parked(const ControlOp& op) const {
+    return {parked_.data() + op.parked_begin, parked_.data() + op.parked_end};
   }
 
  private:
-  struct Op {
-    const Gate* gate;
-    int start;
-    int duration;
-    ControlClass kind;
-    bool two_qubit;
-    int group;
-    int feedline;
-    std::uint32_t parked_begin;
-    std::uint32_t parked_end;
-  };
   const Device* device_;
-  std::vector<Op> ops_;
+  std::vector<ControlOp> ops_;
   std::vector<int> parked_;
 };
 
@@ -125,7 +109,7 @@ class ControlWindow {
 
   [[nodiscard]] const ControlTable& table() const noexcept { return *table_; }
   void add(std::uint32_t op) {
-    ops_[static_cast<std::size_t>(table_->kind(op))].push_back(op);
+    ops_[static_cast<std::size_t>((*table_)[op].kind)].push_back(op);
   }
   /// The window's ops of class `kind`.
   [[nodiscard]] const std::vector<std::uint32_t>& of(ControlClass kind) const {

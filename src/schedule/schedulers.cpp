@@ -52,7 +52,7 @@ std::vector<std::uint64_t> critical_path_ranks(const RouteIR& ir,
          ++e) {
       downstream = std::max(downstream, priority[ir.succ[e]]);
     }
-    priority[i] = downstream + static_cast<std::uint64_t>(table.duration(i));
+    priority[i] = downstream + static_cast<std::uint64_t>(table[i].duration);
     longest = std::max(longest, priority[i]);
   }
   std::vector<std::uint64_t> rank(num_nodes);
@@ -129,7 +129,8 @@ Schedule schedule_constrained(const Circuit& circuit, const Device& device,
       for (std::uint32_t e = ir.succ_offsets[node];
            e < ir.succ_offsets[node + 1]; ++e) {
         const std::uint32_t succ = ir.succ[e];
-        operands_idle[succ] = std::max(operands_idle[succ], table.end(node));
+        operands_idle[succ] =
+            std::max(operands_idle[succ], table[node].end());
         if (--waiting[succ] == 0) enabled.push_back(succ);
       }
     }
@@ -154,8 +155,8 @@ Schedule schedule_constrained(const Circuit& circuit, const Device& device,
   Schedule schedule(circuit.num_qubits());
   schedule.reserve(num_nodes);
   for (const std::uint32_t node : admitted) {
-    schedule.add(ScheduledGate{table.gate(node), table.start(node),
-                               table.duration(node)});
+    const ControlOp& op = table[node];
+    schedule.add(ScheduledGate{*op.gate, op.start, op.duration});
   }
   obs::add(obs, "schedule.constrained_runs");
   obs::add(obs, "schedule.cycle_advances", cycle_advances);

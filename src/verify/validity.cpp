@@ -248,7 +248,7 @@ ValidityReport ValidityChecker::check_schedule(const Schedule& schedule,
       for (const std::size_t i : order) {
         if (full_(report)) break;
         const auto op = static_cast<std::uint32_t>(i);
-        running.drop_ended(table.start(op));
+        running.drop_ended(table[op].start);
         for (const auto& constraint : constraints) {
           if (!constraint->compatible(op, running)) {
             add_(report, Violation::Kind::ControlConflict, i,
