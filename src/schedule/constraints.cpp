@@ -7,7 +7,7 @@
 namespace qmap {
 namespace {
 
-constexpr ControlClass kAllClasses[] = {
+constexpr ControlClass kAllClasses[kControlClasses] = {
     ControlClass::SingleQubit, ControlClass::Measure, ControlClass::CZ,
     ControlClass::Other};
 

@@ -16,11 +16,13 @@
 // plus the trapped-ion TwoQubitParallelismConstraint.
 //
 // Each rule is written once, as its class's compatible(), over a
-// ControlTable: the operations under consideration by index, each with its
-// control facts (class, frequency group, feedline, parked qubits) derived
-// once from its gate and the device. The constrained scheduler, the
-// execution snapshot and ValidityChecker's re-audit all build a table and
-// call these rules; none re-derives a fact per check.
+// ControlTable and a ControlWindow. The table holds the operations under
+// consideration by index, each a ControlOp whose control facts (class,
+// frequency group, feedline, parked qubits) are derived once from its gate
+// and the device; the window holds the indices a candidate is checked
+// against, grouped by class. The constrained scheduler, the execution
+// snapshot and ValidityChecker's re-audit all call these rules; none
+// re-derives a fact per check.
 #pragma once
 
 #include <array>
@@ -43,6 +45,7 @@ enum class ControlClass : std::uint8_t {
   CZ,           // a flux pulse that parks frequency-adjacent neighbours
   Other,
 };
+inline constexpr std::size_t kControlClasses = 4;
 
 /// One operation as the control rules see it: its gate, timing and the
 /// control facts derived once from the gate and the device.
@@ -123,7 +126,7 @@ class ControlWindow {
 
  private:
   const ControlTable* table_;
-  std::array<std::vector<std::uint32_t>, 4> ops_;
+  std::array<std::vector<std::uint32_t>, kControlClasses> ops_;
 };
 
 class ResourceConstraint {

@@ -68,7 +68,7 @@ class AsapSweep {
 
 /// Every node's critical-path rank as a sort key: a smaller key comes
 /// first, ordering nodes by downstream critical-path length (own duration,
-/// `table.duration(node)`, included) descending, then by index ascending.
+/// `table[node].duration`, included) descending, then by index ascending.
 /// Node i of `ir` is op i of `table`.
 [[nodiscard]] std::vector<std::uint64_t> critical_path_ranks(
     const RouteIR& ir, const ControlTable& table);
