@@ -273,17 +273,9 @@ StreamedRoute route_streamed(const std::string& router_name,
 }
 
 void expect_stream_parity(const std::string& router_name,
-                          const std::string& device_name,
-                          std::uint64_t seed, std::size_t chunk_gates) {
-  const std::string label = router_name + "@" + device_name + "#" +
-                            std::to_string(seed) + " chunk=" +
-                            std::to_string(chunk_gates);
-  const Device device = verify::device_by_name(device_name);
-  Rng rng(Rng::derive_stream(0x50A17E, seed));
-  const Circuit circuit =
-      workloads::random_circuit(5, 60, rng, 0.5);
+                          const Device& device, const Circuit& circuit,
+                          std::size_t chunk_gates, const std::string& label) {
   const Placement placement = GreedyPlacer().place(circuit, device);
-
   const RoutingResult materialized =
       make_router(router_name)->route(circuit, device, placement);
   const StreamedRoute streamed = route_streamed(
@@ -305,18 +297,32 @@ void expect_stream_parity(const std::string& router_name,
   }
 }
 
+void expect_stream_parity(const std::string& router_name,
+                          const std::string& device_name,
+                          std::uint64_t seed, std::size_t chunk_gates) {
+  Rng rng(Rng::derive_stream(0x50A17E, seed));
+  expect_stream_parity(router_name, verify::device_by_name(device_name),
+                       workloads::random_circuit(5, 60, rng, 0.5),
+                       chunk_gates,
+                       router_name + "@" + device_name + "#" +
+                           std::to_string(seed) + " chunk=" +
+                           std::to_string(chunk_gates));
+}
+
+// The chunk sizes of the parity matrix: chunk=1 forces the smallest legal
+// window at every step (the invariant is exercised gate by gate); chunk=3
+// staggers chunk and statement boundaries; chunk=16 spills the routed
+// output mid-circuit in batches; chunk=4096 >= the circuit degenerates to
+// materialized.
+constexpr std::size_t kParityChunks[] = {1, 3, 16, 4096};
+const char* const kStreamRouters[] = {"sabre", "bridge"};
+
 TEST(StreamRouteParity, MatrixMatchesMaterializedRoute) {
-  // chunk=1 forces the smallest legal window at every step (the invariant
-  // is exercised gate by gate); chunk=3 staggers chunk and statement
-  // boundaries; chunk=16 spills the routed output mid-circuit in batches;
-  // chunk=4096 >= the circuit degenerates to materialized.
-  const std::size_t chunks[] = {1, 3, 16, 4096};
-  const char* const routers[] = {"sabre", "bridge"};
   const char* const devices[] = {"ibm_qx4", "ibm_qx5", "surface17"};
-  for (const char* router : routers) {
+  for (const char* router : kStreamRouters) {
     for (const char* device : devices) {
       for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        for (const std::size_t chunk : chunks) {
+        for (const std::size_t chunk : kParityChunks) {
           expect_stream_parity(router, device, seed, chunk);
         }
       }
@@ -343,6 +349,55 @@ TEST(StreamRouteParity, WideCircuitWithBarriersAndMeasures) {
   const StreamedRoute streamed =
       route_streamed("sabre", circuit, device, placement, 2);
   EXPECT_EQ(to_openqasm(streamed.circuit), to_openqasm(materialized.circuit));
+}
+
+TEST(StreamRouteParity, LongIdleQubitStretchesThenShrinksTheWindow) {
+  // Program qubit 5 is used at the start, then sits idle for 120 gates
+  // (more than 4 chunks even at chunk=16) before it is used again:
+  // invariant (a) keeps pulling while it is idle, so the window stretches
+  // over the whole gap, then shrinks once qubit 5 is busy again. Qubit 5
+  // goes idle in the middle of the first flush, and the h(5) past the gap
+  // is ready at once: it must be emitted in the next pass, as the
+  // materialized route emits it.
+  const Device device = verify::device_by_name("ibm_qx5");
+  Rng rng(Rng::derive_stream(0x1D7E, 1));
+  Circuit circuit(6, "long_idle");
+  circuit.h(5).cx(5, 0);
+  circuit.append(workloads::random_circuit(5, 120, rng, 0.5));
+  circuit.h(5).cx(2, 5);
+  circuit.append(workloads::random_circuit(6, 60, rng, 0.5));
+  circuit.measure_all();
+  for (const char* router : kStreamRouters) {
+    for (const std::size_t chunk : kParityChunks) {
+      expect_stream_parity(router, device, circuit, chunk,
+                           std::string(router) + " long_idle chunk=" +
+                               std::to_string(chunk));
+    }
+  }
+}
+
+TEST(StreamRouteParity, MidStreamFullWidthBarriersAndMeasures) {
+  // Full-width barriers and measurements in the middle of the stream, with
+  // the measured qubits reused afterwards: a full-width barrier waits on
+  // every qubit's last toucher and then unlocks all of them at once.
+  const Device device = verify::device_by_name("surface17");
+  Rng rng(Rng::derive_stream(0xBA45, 2));
+  Circuit circuit(8, "mid_barriers");
+  for (int block = 0; block < 3; ++block) {
+    circuit.append(workloads::random_circuit(8, 30, rng, 0.5));
+    circuit.barrier();
+    circuit.measure(block, block).measure(7 - block, 7 - block);
+    circuit.append(workloads::random_circuit(8, 10, rng, 0.5));
+    circuit.barrier();
+  }
+  circuit.measure_all();
+  for (const char* router : kStreamRouters) {
+    for (const std::size_t chunk : kParityChunks) {
+      expect_stream_parity(router, device, circuit, chunk,
+                           std::string(router) + " mid_barriers chunk=" +
+                               std::to_string(chunk));
+    }
+  }
 }
 
 TEST(StreamRouteParity, QasmSourceEndToEnd) {
