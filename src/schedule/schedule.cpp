@@ -1,12 +1,36 @@
 #include "schedule/schedule.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 
 #include "common/error.hpp"
 
 namespace qmap {
+
+std::vector<LaneOverlap> lane_overlaps(const std::vector<ScheduledGate>& ops,
+                                       const std::vector<std::size_t>& lane) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<LaneOverlap> overlaps;
+  // latest[m]: the op ending last among lane[0, m), kNone for m == 0.
+  std::vector<std::size_t> latest{kNone};
+  latest.reserve(lane.size() + 1);
+  for (std::size_t k = 0; k < lane.size(); ++k) {
+    const ScheduledGate& op = ops[lane[k]];
+    const auto first_after = std::partition_point(
+        lane.begin(), lane.begin() + static_cast<std::ptrdiff_t>(k),
+        [&](std::size_t i) { return ops[i].start_cycle < op.end_cycle(); });
+    const std::size_t earlier =
+        latest[static_cast<std::size_t>(first_after - lane.begin())];
+    if (earlier != kNone && ops[earlier].end_cycle() > op.start_cycle) {
+      overlaps.push_back({lane[k], earlier});
+    }
+    const std::size_t last = latest.back();
+    latest.push_back(last == kNone || op.end_cycle() > ops[last].end_cycle()
+                         ? lane[k]
+                         : last);
+  }
+  return overlaps;
+}
 
 int Schedule::total_cycles() const {
   int latest = 0;
@@ -41,26 +65,9 @@ bool Schedule::is_consistent_with(const Circuit& source) const {
   for (const std::size_t i : order) {
     for (const int q : operations_[i].gate.qubits) lanes[q].push_back(i);
   }
-  // 1. No two overlapping operations share a qubit. The earlier ops of a
-  //    lane that start before an op ends form a prefix of the lane, so the
-  //    op overlaps one of them exactly when that prefix's latest end lies
-  //    past its start. (Checking adjacent ops only would miss a
-  //    zero-duration barrier sitting between two overlapping gates.)
+  // 1. No two overlapping operations share a qubit.
   for (const auto& [q, lane] : lanes) {
-    std::vector<int> prefix_end{std::numeric_limits<int>::min()};
-    for (std::size_t k = 0; k < lane.size(); ++k) {
-      const ScheduledGate& op = operations_[lane[k]];
-      const auto first_after = std::partition_point(
-          lane.begin(), lane.begin() + static_cast<std::ptrdiff_t>(k),
-          [&](std::size_t i) {
-            return operations_[i].start_cycle < op.end_cycle();
-          });
-      if (prefix_end[static_cast<std::size_t>(first_after - lane.begin())] >
-          op.start_cycle) {
-        return false;
-      }
-      prefix_end.push_back(std::max(prefix_end.back(), op.end_cycle()));
-    }
+    if (!lane_overlaps(operations_, lane).empty()) return false;
   }
   // 2. Same multiset of gates and same per-qubit order as the source.
   std::map<int, std::vector<const Gate*>> source_per_qubit;

@@ -24,6 +24,24 @@ struct ScheduledGate {
   }
 };
 
+/// One overlap on a qubit lane: operation `later` starts while operation
+/// `earlier` is still running (indices into the operation list).
+struct LaneOverlap {
+  std::size_t later;
+  std::size_t earlier;
+};
+
+/// The overlaps along one qubit lane. `lane` holds indices into `ops` in
+/// start order; every op that overlaps an earlier op of the lane is
+/// reported once, paired with the earlier op that ends last. The earlier
+/// ops that start before an op ends form a prefix of the lane, so a
+/// prefix maximum of their end cycles finds every overlap. Comparing lane
+/// neighbours only would miss y in measure [0,30), x [1,2), y [5,6), and
+/// two gates that overlap across a zero-duration barrier between them.
+[[nodiscard]] std::vector<LaneOverlap> lane_overlaps(
+    const std::vector<ScheduledGate>& ops,
+    const std::vector<std::size_t>& lane);
+
 class Schedule {
  public:
   Schedule() = default;

@@ -66,8 +66,7 @@ ValidityChecker::ValidityChecker(Device device, CheckOptions options)
     : device_(std::move(device)), options_(options) {}
 
 bool ValidityChecker::full_(const ValidityReport& report) const {
-  return options_.max_violations != 0 &&
-         report.violations.size() >= options_.max_violations;
+  return report.violations.size() >= kMaxViolations;
 }
 
 void ValidityChecker::add_(ValidityReport& report, Violation::Kind kind,
@@ -103,8 +102,7 @@ ValidityReport ValidityChecker::check_circuit(const Circuit& circuit) const {
            gate.to_string() + ": device does not support shuttling");
     }
     if (options_.require_native && gate.kind != GateKind::Move &&
-        !device_.is_native_kind(gate.kind) &&
-        !(options_.allow_swap && gate.kind == GateKind::SWAP)) {
+        !device_.is_native_kind(gate.kind)) {
       add_(report, Violation::Kind::NonNativeGate, i,
            gate.to_string() + ": not in the native set of '" +
                device_.name() + "'");
@@ -206,13 +204,11 @@ ValidityReport ValidityChecker::check_schedule(const Schedule& schedule,
   }
   for (int q = 0; q < width && !full_(report); ++q) {
     const auto& lane = per_qubit[static_cast<std::size_t>(q)];
-    for (std::size_t k = 1; k < lane.size(); ++k) {
-      if (ops[lane[k - 1]].overlaps(ops[lane[k]])) {
-        add_(report, Violation::Kind::QubitOverlap, lane[k],
-             ops[lane[k]].gate.to_string() + " overlaps " +
-                 ops[lane[k - 1]].gate.to_string() + " on qubit " +
-                 std::to_string(q));
-      }
+    for (const LaneOverlap& overlap : lane_overlaps(ops, lane)) {
+      add_(report, Violation::Kind::QubitOverlap, overlap.later,
+           ops[overlap.later].gate.to_string() + " overlaps " +
+               ops[overlap.earlier].gate.to_string() + " on qubit " +
+               std::to_string(q));
     }
     // Source-order comparison.
     const auto& expected = source_lanes[static_cast<std::size_t>(q)];
@@ -269,7 +265,7 @@ ValidityReport ValidityChecker::check_result(
   ValidityReport report = check_placement(result.routing.initial);
   report.merge(check_placement(result.routing.final));
   report.merge(check_circuit(result.final_circuit));
-  if (options_.check_schedule && result.schedule.size() > 0) {
+  if (result.schedule.size() > 0) {
     report.merge(check_schedule(result.schedule, result.final_circuit));
   }
   return report;

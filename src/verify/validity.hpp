@@ -74,19 +74,15 @@ struct CheckOptions {
   /// pre-lowering circuits that legitimately contain SWAP placeholders
   /// or un-decomposed single-qubit gates.
   bool require_native = true;
-  /// Accept SWAP gates even when require_native is set (routed-but-not-
-  /// yet-expanded circuits).
-  bool allow_swap = false;
-  /// Audit the schedule when the result carries one.
-  bool check_schedule = true;
   /// Re-audit the classical-control constraint stack
   /// (constraints_for_device) over the schedule. Disable when the
   /// schedule was deliberately built without control constraints.
   bool check_control_constraints = true;
-  /// Stop collecting after this many violations (0 = unbounded); a
-  /// fuzzer shrinking a badly broken circuit only needs the first few.
-  std::size_t max_violations = 64;
 };
+
+/// A report stops collecting after this many violations: a fuzzer
+/// shrinking a badly broken circuit only needs the first few.
+inline constexpr std::size_t kMaxViolations = 64;
 
 class ValidityChecker {
  public:
@@ -110,7 +106,7 @@ class ValidityChecker {
                                               const Circuit& source) const;
 
   /// Full end-to-end audit of a compilation result: both placements, the
-  /// final circuit, and (when present) the schedule.
+  /// final circuit, and the schedule whenever the result carries one.
   [[nodiscard]] ValidityReport check_result(
       const CompilationResult& result) const;
 

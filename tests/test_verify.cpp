@@ -146,6 +146,37 @@ TEST(ValidityChecker, RejectsDoubleBookedQubit) {
       << report.to_string();
 }
 
+TEST(ValidityChecker, NamesEveryOpOverlappingALongRunningOne) {
+  // measure q0 [0,30), x q0 [1,2), y q0 [5,6): y's lane neighbour x ended
+  // before y starts, but the measure still runs. Both x and y overlap it,
+  // and both must be named.
+  Device s7 = devices::surface7();
+  Durations durations = s7.durations();
+  durations.measure_cycles = 30;
+  s7.set_durations(durations);
+  Circuit c(7);
+  c.measure(0, 0).x(0).y(0);
+  Schedule schedule(7);
+  schedule.add(ScheduledGate{c.gate(0), 0, s7.cycles_for(c.gate(0))});
+  schedule.add(ScheduledGate{c.gate(1), 1, s7.cycles_for(c.gate(1))});
+  schedule.add(ScheduledGate{c.gate(2), 5, s7.cycles_for(c.gate(2))});
+  ASSERT_EQ(schedule.operations()[0].end_cycle(), 30);
+  ASSERT_LE(schedule.operations()[1].end_cycle(), 5);
+  const ValidityReport report =
+      ValidityChecker(s7).check_schedule(schedule, c);
+  std::vector<std::size_t> overlapping;
+  for (const Violation& violation : report.violations) {
+    if (violation.kind != Violation::Kind::QubitOverlap) continue;
+    overlapping.push_back(violation.index);
+    EXPECT_NE(violation.message.find(c.gate(0).to_string()),
+              std::string::npos)
+        << violation.message;
+  }
+  EXPECT_EQ(overlapping, (std::vector<std::size_t>{1, 2}))
+      << report.to_string();
+  EXPECT_FALSE(schedule.is_consistent_with(c));
+}
+
 TEST(ValidityChecker, RejectsReorderedQubitSequence) {
   const Device s7 = devices::surface7();
   Circuit c(7);
