@@ -9,6 +9,9 @@
 // lookahead routers win SWAP count on deep circuits.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <string_view>
+
 #include "bench_util.hpp"
 #include "route/route_ir.hpp"
 #include "schedule/constraints.hpp"
@@ -152,7 +155,13 @@ BENCHMARK(BM_GreedyPlacement);
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_figure();
+  // The figure takes minutes; a --benchmark_filter run times only the
+  // benchmarks it names.
+  const bool filtered =
+      std::any_of(argv + 1, argv + argc, [](const char* arg) {
+        return std::string_view(arg).starts_with("--benchmark_filter");
+      });
+  if (!filtered) print_figure();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
