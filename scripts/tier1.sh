@@ -81,7 +81,10 @@ echo "== tier 1: route_ir label =="
 echo "== tier 1: stream label =="
 # The streaming compilation suite (tests/test_stream.cpp): incremental
 # QASM parsing, streamed-vs-materialized route byte parity across the
-# chunk-size matrix, and run_stream's two shapes — the streamed head
+# chunk-size matrix (the streamed route rewinds its arena and rebuilds a
+# RouteCore over the resident window after every pull; a long-idle qubit
+# and mid-stream full-width barriers stretch and shrink that window), and
+# run_stream's two shapes — the streamed head
 # (identity placer, streamable router) against the materialized pipeline,
 # and the materialized shape (any other pipeline) against the golden
 # fingerprint matrix — plus the allocation audits of the token-swap
@@ -146,7 +149,8 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_route_ir \
     --gtest_filter='RouteIrThreads.*'
 # The streaming thread test re-runs under TSan: the 1/2/8-thread
 # streamed-route digest pin, each thread routing its own chunked streams
-# through the window core and the shared device tables.
+# through its own thread_local arena (rewound at every window rebuild)
+# and the shared device tables.
 cmake --build build-tsan -j "${JOBS}" --target test_stream
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_stream \
     --gtest_filter='StreamThreads.*'
@@ -156,7 +160,11 @@ echo "== tier 1: arena-backed suites under ASan+UBSan =="
 # block reuse); ASan+UBSan over the full RouteIR suite — parity matrix,
 # extended reliability/shuttle pins and cancellation matrix included —
 # catches out-of-bounds SoA/CSR indexing, use-after-rewind,
-# and misaligned loads that plain tests cannot see. The constrained
+# and misaligned loads that plain tests cannot see. The streamed route
+# (test_stream) rewinds the arena to a marker above the loop's route-long
+# buffers and rebuilds its RouteCore over the window on every pull, in
+# the middle of a flush, so a read of the old window's IR after a rewind
+# shows up there. The constrained
 # scheduler (test_schedule), the execution snapshot (test_core) and the
 # reliability (test_noise) and shuttle (test_shuttle) routers run on
 # RouteIR arena memory too. The decompose stage (test_decompose,

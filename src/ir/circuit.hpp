@@ -64,6 +64,10 @@ class Circuit {
     return out;
   }
 
+  /// Moves gate `i` out, leaving an empty gate in its slot: the streamed
+  /// route emits each window gate this way once it is scheduled.
+  [[nodiscard]] Gate take_gate(std::size_t i) { return std::move(gates_[i]); }
+
   /// Replaces the gate list wholesale, without re-validating operands.
   /// Counterpart of take_gates() for trusted producers; classical-register
   /// tracking matches add_unchecked().

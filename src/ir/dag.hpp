@@ -2,10 +2,10 @@
 // "a directed, acyclic graph with nodes representing the quantum gates and
 // edges indicating dependencies"). Nodes are gate indices; an edge u -> v
 // means gate v depends on gate u. The rules live here; RouteIR::build
-// (route/route_ir.hpp) is the one place that applies them to a whole
-// circuit, and FrontLayer carries the scheduled / ready / pending colours.
-// StreamRouteCore (route/stream_core.hpp) applies the same rules to its
-// sliding window of a streamed circuit.
+// (route/route_ir.hpp) is the one place that applies them — to a whole
+// circuit, or to the resident window of a streamed one
+// (route/stream_core.hpp) — and FrontLayer carries the scheduled / ready
+// / pending colours.
 #pragma once
 
 #include "ir/circuit.hpp"

@@ -31,7 +31,11 @@ class QmapLoopCore : public MaterializedLoopCore<HopDistance> {
 
   bool flush(RoutingEmitter& emitter) {
     return route_core().flush_executable(
-        emitter, [this](std::uint32_t node) { occupy_gate(node); });
+        [&](std::uint32_t node) {
+          emitter.emit_program_gate(route_core().circuit().gate(node));
+          occupy_gate(node);
+        },
+        [] {});
   }
   [[nodiscard]] std::size_t ext_cap() const {
     return std::min(kExtendedWindow, static_cast<std::size_t>(

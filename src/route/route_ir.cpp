@@ -271,24 +271,31 @@ std::uint32_t FrontLayer::ready_two_qubit(std::uint32_t* out) const {
 RouteCore::RouteCore(const Circuit& circuit, const Device& device,
                      DagMode mode, const Placement& initial,
                      RouteArena& arena)
-    : circuit_(&circuit),
-      artifacts_(device.artifacts().get()),
+    : artifacts_(device.artifacts().get()),
       dist_(artifacts_->distance_data()),
       num_phys_(device.num_qubits()) {
+  rebuild(circuit, mode, initial, arena);
+}
+
+void RouteCore::rebuild(const Circuit& circuit, DagMode mode,
+                        const Placement& placement, RouteArena& arena) {
+  circuit_ = &circuit;
   ir = RouteIR::build(circuit, mode, arena);
   front.init(ir, arena);
   phys_of_ = arena.alloc<std::uint32_t>(ir.num_program_qubits);
   prog_at_ = arena.alloc<std::int32_t>(num_phys_);
   for (std::uint32_t k = 0; k < ir.num_program_qubits; ++k) {
-    phys_of_[k] =
-        static_cast<std::uint32_t>(initial.phys_of_program(static_cast<int>(k)));
+    phys_of_[k] = static_cast<std::uint32_t>(
+        placement.phys_of_program(static_cast<int>(k)));
   }
   for (int p = 0; p < num_phys_; ++p) {
-    prog_at_[p] = initial.program_at_phys(p);
+    prog_at_[p] = placement.program_at_phys(p);
   }
   ready_snapshot_ = arena.alloc<std::uint32_t>(ir.num_gates);
   front_buf_ = arena.alloc<std::uint32_t>(ir.num_two_qubit);
   front_gates = front_buf_;
+  front_size = 0;
+  ext_cursor_ = 0;
 }
 
 std::uint32_t RouteCore::collect_extended(std::size_t window,

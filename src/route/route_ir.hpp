@@ -16,10 +16,11 @@
 // and distance queries read straight out of the device's ArchArtifacts
 // row-major matrix.
 //
-// RouteIR is the one whole-circuit dependency DAG: every DAG-driven
-// router (sabre, bridge, reliability, shuttle, qmap, astar_layer) runs on
-// it through RouteCore, as do the constrained scheduler and the execution
-// snapshot, and StreamRouteCore is its windowed form. Fidelity contract: the CSR build
+// RouteIR is the one dependency DAG: every DAG-driven router (sabre,
+// bridge, reliability, shuttle, qmap, astar_layer) runs on it through
+// RouteCore, as do the constrained scheduler and the execution snapshot,
+// and the streamed route (stream_core.hpp) rebuilds a RouteCore over its
+// resident window after each pull. Fidelity contract: the CSR build
 // applies the rules of ir/dag.hpp — the Sequential last-writer rule and
 // the commutation-aware rule — with one edge per (source, destination)
 // pair and ascending successor lists, and FrontLayer keeps the ready list
@@ -222,6 +223,16 @@ class RouteCore {
  public:
   RouteCore(const Circuit& circuit, const Device& device, DagMode mode,
             const Placement& initial, RouteArena& arena);
+  // front points into ir: a copy would schedule against the original.
+  RouteCore(const RouteCore&) = delete;
+  RouteCore& operator=(const RouteCore&) = delete;
+
+  /// Builds the IR, front layer and mirror over `circuit` from
+  /// `placement`, as the constructor does, in place: pointers to this core
+  /// stay valid. The streamed route rebuilds its core over each new window
+  /// while a flush runs on it.
+  void rebuild(const Circuit& circuit, DagMode mode,
+               const Placement& placement, RouteArena& arena);
 
   RouteIR ir;
   FrontLayer front;
@@ -285,14 +296,18 @@ class RouteCore {
     exchange(phys_from, phys_to);
   }
 
-  /// Emits every executable ready gate until fixpoint, calling
-  /// on_emit(node) after each emission. Returns true when anything ran.
-  template <typename OnEmit>
-  bool flush_executable(RoutingEmitter& emitter, OnEmit&& on_emit) {
+  /// Runs every executable ready gate until fixpoint: calls before_pass()
+  /// ahead of each pass and emit(node) for each executable ready node,
+  /// then marks the node scheduled. Returns true when anything ran.
+  /// before_pass may rebuild this core (the streamed route's window
+  /// advance).
+  template <typename Emit, typename BeforePass>
+  bool flush_executable(Emit&& emit, BeforePass&& before_pass) {
     bool progressed = true;
     bool any = false;
     while (progressed) {
       progressed = false;
+      before_pass();
       // Snapshot: mark_scheduled mutates the ready list.
       const std::uint32_t count = front.ready_size();
       std::memcpy(ready_snapshot_, front.ready(),
@@ -300,8 +315,7 @@ class RouteCore {
       for (std::uint32_t k = 0; k < count; ++k) {
         const std::uint32_t node = ready_snapshot_[k];
         if (!executable(node)) continue;
-        emitter.emit_program_gate(circuit_->gate(node));
-        on_emit(node);
+        emit(node);
         front.mark_scheduled(node);
         progressed = true;
         any = true;

@@ -1,18 +1,19 @@
 // The lookahead decision loop of src/route, shared by every front-layer
 // heuristic router: sabre, bridge and reliability (materialized, over
 // RouteCore through run_sabre_route), sabre and bridge again as streaming
-// drivers (over StreamRouteCore through run_sabre_stream), and qmap and
-// shuttle (materialized, through run_sabre_route with their own cores).
+// drivers (through run_sabre_stream, over a RouteCore that
+// stream_core.cpp rebuilds over the resident window after each pull), and
+// qmap and shuttle (materialized, through run_sabre_route with their own
+// cores).
 //
 // The loop body is one decision sequence — flush-to-fixpoint, front
 // refresh, extended lookahead, per-edge action scoring with decay, the
 // optional BRIDGE decision, the stall rescue, and the decay-reset
-// bookkeeping. Keeping it in one template is what makes the streamed
-// and materialized paths byte-identical by construction: both
-// instantiations run the same statements in the same order, only the
-// Core behind them differs (full CSR DAG vs sliding window). The golden
-// fingerprint matrices (tests/test_route_ir.cpp) pin that no
-// instantiation drifts.
+// bookkeeping. Every core derives from MaterializedLoopCore, so the
+// streamed and materialized paths run the same statements over the same
+// RouteCore; the streamed one only sees a window of the circuit. The
+// golden fingerprint matrices (tests/test_route_ir.cpp) and the stream
+// parity matrix (tests/test_stream.cpp) pin that no instantiation drifts.
 //
 // The routers differ in three decisions, each a member of the Core:
 //   * which action an edge offers (offer): a SWAP; shuttle offers a Move
@@ -82,14 +83,13 @@ struct SabreLoopParams {
   const char* label = "sabre";  // error-message prefix
 };
 
-/// Scratch buffers for the loop, owned by the core (arena-backed for the
-/// materialized routers, vector-backed for the streaming ones) and
-/// exposed via Core::buffers(). `extended`, `ext_pa`, `ext_pb` need
-/// capacity >= the largest ext_cap() the core will report; `front_pa`/
-/// `front_pb` capacity >= the current front layer and `to_bridge`
-/// likewise (null unless enable_bridge) — a streaming core may grow
-/// those (and so move the pointers) inside refresh_front(), which is why
-/// the loop re-reads buffers() after each refresh. `decay` and
+/// Scratch buffers for the loop, arena-backed and exposed via
+/// Core::buffers(). `extended`, `ext_pa`, `ext_pb` need capacity >= the
+/// largest ext_cap() the core will report; `front_pa`/`front_pb` capacity
+/// >= the current front layer and `to_bridge` likewise (null unless
+/// enable_bridge) — the streamed route re-allocates those (and so moves
+/// the pointers) whenever it rebuilds its window inside flush(), which is
+/// why the loop re-reads buffers() after each refresh. `decay` and
 /// `relevant` are num_phys-sized and must stay stable across the whole
 /// loop (decay accumulates state between iterations).
 struct SabreLoopBuffers {
@@ -342,9 +342,9 @@ inline std::size_t materialized_ext_cap(const RouteCore& core) {
 /// RouteCore adapter for run_sabre_loop: the materialized path, offering
 /// a SWAP on every edge and scoring it by sabre_score with `Distance`
 /// (cost(a, b) and swap_cost(a, b): HopDistance, or ReliabilityDistance).
-/// qmap and shuttle derive from it and hide the members where they
-/// differ; run_sabre_loop is a template over the derived type, so no
-/// member is virtual.
+/// qmap, shuttle and the streamed route derive from it and hide the
+/// members where they differ; run_sabre_loop is a template over the
+/// derived type, so no member is virtual.
 template <class Distance>
 class MaterializedLoopCore {
  public:
@@ -360,7 +360,11 @@ class MaterializedLoopCore {
     return core_->front.all_scheduled();
   }
   bool flush(RoutingEmitter& emitter) {
-    return core_->flush_executable(emitter, [](std::uint32_t) {});
+    return core_->flush_executable(
+        [&](std::uint32_t node) {
+          emitter.emit_program_gate(core_->circuit().gate(node));
+        },
+        [] {});
   }
   void refresh_front() { core_->refresh_front(); }
   [[nodiscard]] std::uint32_t front_size() const { return core_->front_size; }
@@ -421,6 +425,9 @@ class MaterializedLoopCore {
 
  protected:
   [[nodiscard]] RouteCore& route_core() const { return *core_; }
+  /// Points the loop at new buffers (the streamed route's front-sized
+  /// ones move with each window rebuild).
+  void rebind(const SabreLoopBuffers& buffers) { buffers_ = buffers; }
 
  private:
   RouteCore* core_;
@@ -429,27 +436,32 @@ class MaterializedLoopCore {
   SabreLoopBuffers buffers_;
 };
 
-/// Arena-backed loop buffers for a materialized route over `core`:
-/// front-sized buffers hold every two-qubit gate, extended-sized ones the
-/// materialized_ext_cap. `to_bridge` only with bridging.
-inline SabreLoopBuffers alloc_sabre_buffers(RouteArena& arena,
-                                            const RouteCore& core,
-                                            bool enable_bridge) {
-  const std::size_t front_cap = core.ir.num_two_qubit;
-  const std::size_t ext_cap = materialized_ext_cap(core);
+/// Arena-backed loop buffers that last the whole route: `decay` and
+/// `relevant` per physical qubit, the extended-sized ones for `ext_cap`
+/// gates. The front-sized ones come from alloc_front_buffers.
+inline SabreLoopBuffers alloc_sabre_buffers(RouteArena& arena, int num_phys,
+                                            std::size_t ext_cap) {
   SabreLoopBuffers buffers;
-  buffers.decay = arena.alloc<double>(core.num_phys());
-  buffers.relevant = arena.alloc<std::uint8_t>(core.num_phys());
+  buffers.decay = arena.alloc<double>(static_cast<std::size_t>(num_phys));
+  buffers.relevant =
+      arena.alloc<std::uint8_t>(static_cast<std::size_t>(num_phys));
   buffers.extended = arena.alloc<std::uint32_t>(ext_cap);
-  if (enable_bridge) buffers.to_bridge = arena.alloc<std::uint32_t>(front_cap);
   // Endpoint pairs of the front/extended gates, recollected per swap
   // decision: invariant across candidate edges and across the bridge
   // decisions (pure reads, placement untouched).
-  buffers.front_pa = arena.alloc<std::int32_t>(front_cap);
-  buffers.front_pb = arena.alloc<std::int32_t>(front_cap);
   buffers.ext_pa = arena.alloc<std::int32_t>(ext_cap);
   buffers.ext_pb = arena.alloc<std::int32_t>(ext_cap);
   return buffers;
+}
+
+/// The front-sized loop buffers for a front of up to `front_cap` gates:
+/// the endpoint pairs, and `to_bridge` only with bridging.
+inline void alloc_front_buffers(RouteArena& arena, std::size_t front_cap,
+                                bool enable_bridge,
+                                SabreLoopBuffers& buffers) {
+  if (enable_bridge) buffers.to_bridge = arena.alloc<std::uint32_t>(front_cap);
+  buffers.front_pa = arena.alloc<std::int32_t>(front_cap);
+  buffers.front_pb = arena.alloc<std::int32_t>(front_cap);
 }
 
 /// One materialized route, start to finish — the materialized twin of
@@ -476,8 +488,10 @@ RoutingResult run_sabre_route(const Circuit& circuit, const Device& device,
   // fixes; generous slack beats mid-route growth reallocations.
   emitter.reserve(circuit.size() * 3 + 16);
 
-  const SabreLoopBuffers buffers =
-      alloc_sabre_buffers(arena, core, params.enable_bridge);
+  SabreLoopBuffers buffers =
+      alloc_sabre_buffers(arena, core.num_phys(), materialized_ext_cap(core));
+  alloc_front_buffers(arena, core.ir.num_two_qubit, params.enable_bridge,
+                      buffers);
   LoopCore loop_core(core, device, arena, buffers);
   stats = run_sabre_loop(loop_core, emitter, device.coupling(),
                          device.num_qubits(), params, check_cancelled);
