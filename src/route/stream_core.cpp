@@ -56,16 +56,8 @@ class StreamWindow {
 
   [[nodiscard]] RouteCore& core() { return core_; }
   [[nodiscard]] const SabreLoopBuffers& buffers() const { return buffers_; }
-  [[nodiscard]] bool all_scheduled() const {
-    return dry_ && core_.front.all_scheduled();
-  }
-  /// min(kSabreExtendedWindow, two-qubit gates seen so far). Equal at
-  /// every decision point to the materialized min(kSabreExtendedWindow,
-  /// total): invariant (b) guarantees seen >= the window while the source
-  /// has gates left, and once dry seen == total.
-  [[nodiscard]] std::size_t ext_cap() const {
-    return std::min(kSabreExtendedWindow, seen_two_qubit_);
-  }
+  [[nodiscard]] bool dry() const { return dry_; }
+  [[nodiscard]] std::size_t two_qubit_seen() const { return seen_two_qubit_; }
   [[nodiscard]] std::size_t gates_seen() const { return gates_seen_; }
   [[nodiscard]] std::size_t window_peak_gates() const { return window_peak_; }
 
@@ -177,7 +169,9 @@ class StreamLoopCore : public MaterializedLoopCore<HopDistance> {
       : MaterializedLoopCore(window.core(), device, arena, window.buffers()),
         window_(&window) {}
 
-  [[nodiscard]] bool all_scheduled() const { return window_->all_scheduled(); }
+  [[nodiscard]] bool all_scheduled() const {
+    return window_->dry() && route_core().front.all_scheduled();
+  }
   bool flush(RoutingEmitter& emitter) {
     const bool any = route_core().flush_executable(
         [&](std::uint32_t node) {
@@ -192,7 +186,13 @@ class StreamLoopCore : public MaterializedLoopCore<HopDistance> {
     emitter.spill_if_needed();
     return any;
   }
-  [[nodiscard]] std::size_t ext_cap() const { return window_->ext_cap(); }
+  /// min(kSabreExtendedWindow, two-qubit gates seen so far). Equal at
+  /// every decision point to the materialized min(kSabreExtendedWindow,
+  /// total): invariant (b) guarantees seen >= the window while the source
+  /// has gates left, and once dry seen == total.
+  [[nodiscard]] std::size_t ext_cap() const {
+    return std::min(kSabreExtendedWindow, window_->two_qubit_seen());
+  }
   void mark_front_scheduled(std::uint32_t node) {
     window_->on_scheduled(node);
     MaterializedLoopCore::mark_front_scheduled(node);
