@@ -30,7 +30,6 @@ class StreamWindow {
                                      kSabreExtendedWindow)),
         marker_(arena.mark()),
         core_(window_, device, DagMode::Sequential, initial, arena) {
-    alloc_front_buffers(arena, 0, enable_bridge_, buffers_);
     advance(initial);
   }
   StreamWindow(const StreamWindow&) = delete;
@@ -65,8 +64,8 @@ class StreamWindow {
   /// Checks and appends one pulled gate; returns whether it is ready in
   /// the full DAG (every operand idle before it).
   bool append(Gate&& gate);
-  /// Removes the scheduled gates from the window (the core still reads
-  /// the old window until it is rebuilt).
+  /// Removes the core's scheduled gates from the window; the core is
+  /// stale until advance rebuilds it.
   void drop_scheduled();
 
   GateSource* source_;
