@@ -149,7 +149,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_route_ir \
     --gtest_filter='RouteIrThreads.*'
 # The streaming thread test re-runs under TSan: the 1/2/8-thread
 # streamed-route digest pin, each thread routing its own chunked streams
-# through its own thread_local arena (rewound at every window rebuild)
+# through its own route-local arena (rewound at every window rebuild)
 # and the shared device tables.
 cmake --build build-tsan -j "${JOBS}" --target test_stream
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_stream \

@@ -220,8 +220,10 @@ StreamRouteStats run_sabre_stream(GateSource& source, const Device& device,
   if (!device.artifacts()->connected()) {
     throw MappingError("device coupling graph is disconnected");
   }
-  RouteArena& arena = RouteArena::scratch();
-  const ArenaScope scope(arena);
+  // A route-local arena, not the thread's scratch one: its blocks, sized
+  // by the window, are freed when the route ends instead of staying
+  // resident through the stages that follow.
+  RouteArena arena;
   StreamWindow window(source, device, initial, options.chunk_gates,
                       params.enable_bridge, arena);
   StreamLoopCore core(window, device, arena);
