@@ -469,8 +469,7 @@ TEST(StreamRoute, RejectsWideNonBarrierGates) {
 TEST(StreamRoute, WindowPeakStaysBoundedOnLongCircuits) {
   // 20x the gates must not mean 20x the window: the resident high-water
   // mark is a function of the circuit's qubit-reuse distance, not its
-  // length. Both runs are long enough to cross the retire threshold
-  // (shorter circuits simply stay resident whole — that IS the window).
+  // length, since every pull drops the scheduled gates from the window.
   const Device device = verify::device_by_name("ibm_qx5");
   StreamRouteOptions options;
   options.chunk_gates = 64;
