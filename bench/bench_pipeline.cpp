@@ -231,6 +231,51 @@ void BM_ScheduleConstrained(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleConstrained)->Arg(0)->Arg(1);
 
+// The two layers that fuse and lower single-qubit runs, by themselves, on
+// the same two Surface-17 inputs: qft17 (arg 0) and the 17-qubit, 408-gate
+// random Clifford circuit (arg 1).
+Circuit layer_input(std::int64_t arg) {
+  Rng rng(17);
+  return arg == 0 ? workloads::qft(17)
+                  : workloads::random_clifford_circuit(17, 408, rng);
+}
+
+std::string layer_label(std::int64_t arg, std::size_t gates) {
+  return std::string(arg == 0 ? "qft17" : "clifford17x408") +
+         ", surface17, " + std::to_string(gates) + " gates";
+}
+
+// Postroute's native tail (SWAP expansion, direction repair, peephole,
+// fusion and {Rx, Ry} lowering) on the routed circuit of a default
+// compile, copied in per iteration as postroute copies it.
+void BM_FinalizeRouted(benchmark::State& state) {
+  const Device device = devices::surface17();
+  CompilerOptions options;
+  options.run_scheduler = false;
+  const std::vector<Gate> routed = Compiler(device, options)
+                                       .compile(layer_input(state.range(0)))
+                                       .routing.circuit.gates();
+  for (auto _ : state) {
+    std::vector<Gate> gates = routed;
+    finalize_routed(gates, device.num_qubits(), device, /*peephole=*/true);
+    benchmark::DoNotOptimize(gates);
+  }
+  state.SetLabel(layer_label(state.range(0), routed.size()));
+}
+BENCHMARK(BM_FinalizeRouted)->Arg(0)->Arg(1);
+
+// Decompose's lowering (two-qubit target, fusion, {Rx, Ry} basis) of the
+// unrouted input, SWAPs kept as the decompose stage keeps them.
+void BM_LowerToDevice(benchmark::State& state) {
+  const Device device = devices::surface17();
+  const Circuit input = layer_input(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lower_to_device(input, device, true));
+  }
+  state.SetLabel(layer_label(state.range(0), input.size()));
+}
+BENCHMARK(BM_LowerToDevice)->Arg(0)->Arg(1);
+
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -4,6 +4,9 @@
 // plain composition of the lowering passes.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 #include "ir/gate_stream.hpp"
 #include "pass/manager.hpp"
 #include "qasm/openqasm.hpp"
+#include "reference_fuser.hpp"
 #include "route/sabre.hpp"
 #include "schedule/schedulers.hpp"
 #include "sim/equivalence.hpp"
@@ -438,6 +442,245 @@ TEST(DecomposeReference, MaterializedAndStreamedMatchTheComposition) {
               << label << " chunk=" << chunk;
         }
       }
+    }
+  }
+}
+
+// --- SingleQubitFuser against the plain per-run synthesis ---
+//
+// Whatever the fuser keeps between runs, every closed run must leave it
+// exactly as tests/reference_fuser.hpp synthesizes that run from scratch:
+// the same gates on the same qubits with the same parameter bits, in the
+// U basis (QX5) and the {Rx, Ry} basis (Surface-17).
+
+constexpr int kFuserQubits = 5;
+
+/// `run` (gates written on qubit 0) moved onto qubit `q`, then closed by a
+/// CX onto the next qubit or, every third run, by a measurement.
+void append_run(std::vector<Gate>& input, const std::vector<Gate>& run, int q,
+                int cbit) {
+  for (Gate gate : run) {
+    gate.qubits[0] = q;
+    input.push_back(std::move(gate));
+  }
+  if (cbit % 3 == 2) {
+    input.push_back(make_measure(q, cbit));
+  } else {
+    input.push_back(make_gate(GateKind::CX, {q, (q + 1) % kFuserQubits}));
+  }
+}
+
+/// `draws` runs picked from `pool` with replacement, each on a random
+/// qubit; the last few stay open for finish().
+std::vector<Gate> draw_runs(const std::vector<std::vector<Gate>>& pool,
+                            int draws, Rng& rng) {
+  std::vector<Gate> input;
+  for (int i = 0; i < draws; ++i) {
+    append_run(input, pool[rng.index(pool.size())],
+               rng.integer(0, kFuserQubits - 1), i);
+  }
+  for (int q = 0; q < kFuserQubits; q += 2) {
+    for (Gate gate : pool[rng.index(pool.size())]) {
+      gate.qubits[0] = q;
+      input.push_back(std::move(gate));
+    }
+  }
+  return input;
+}
+
+/// Feeds `input` to a SingleQubitFuser and to the reference on QX5 and
+/// Surface-17; both outputs must match gate for gate.
+void expect_fuser_matches_reference(const std::vector<Gate>& input,
+                                    const std::string& label) {
+  for (const Device& device : {devices::ibm_qx5(), devices::surface17()}) {
+    SingleQubitFuser fuser(kFuserQubits, &device);
+    ReferenceFuser reference(kFuserQubits,
+                             !device.is_native_kind(GateKind::U));
+    std::vector<Gate> got;
+    std::vector<Gate> want;
+    for (const Gate& gate : input) {
+      fuser.push(gate, got);
+      reference.push(gate, want);
+    }
+    fuser.finish(got);
+    reference.finish(want);
+    EXPECT_EQ(first_gate_difference(got, want), "")
+        << label << " on " << device.name();
+  }
+}
+
+Gate rotation(GateKind kind, double angle) {
+  return make_gate(kind, {0}, {angle});
+}
+
+TEST(FuserReference, RepeatedCliffordRunsMatch) {
+  const std::vector<GateKind> cliffords = {
+      GateKind::H, GateKind::S,  GateKind::Sdg, GateKind::X,
+      GateKind::Y, GateKind::Z,  GateKind::SX,  GateKind::SXdg};
+  Rng rng(0xF05E);
+  std::vector<std::vector<Gate>> pool;
+  for (int i = 0; i < 24; ++i) {
+    std::vector<Gate> run;
+    const int length = rng.integer(1, 4);
+    for (int k = 0; k < length; ++k) {
+      run.push_back(make_gate(cliffords[rng.index(cliffords.size())], {0}));
+    }
+    pool.push_back(std::move(run));
+  }
+  // Exact and near identities among the repeats: H H, X X, S Sdg.
+  pool.push_back({make_gate(GateKind::H, {0}), make_gate(GateKind::H, {0})});
+  pool.push_back({make_gate(GateKind::X, {0}), make_gate(GateKind::X, {0})});
+  pool.push_back({make_gate(GateKind::S, {0}), make_gate(GateKind::Sdg, {0})});
+  expect_fuser_matches_reference(draw_runs(pool, 2000, rng), "clifford");
+}
+
+TEST(FuserReference, RandomRunsBeyondTheSlotCountMatch) {
+  // Three times 256 distinct runs drawn 4000 times: most runs are seen
+  // again after many others, so a bounded table has evicted them or
+  // handed their slot to another run in between.
+  Rng rng(0xF05F);
+  std::vector<std::vector<Gate>> pool;
+  for (int i = 0; i < 3 * 256; ++i) {
+    std::vector<Gate> run;
+    const int length = rng.integer(1, 3);
+    for (int k = 0; k < length; ++k) {
+      const double angle = rng.uniform(-kPi, kPi);
+      switch (rng.integer(0, 3)) {
+        case 0: run.push_back(rotation(GateKind::Rx, angle)); break;
+        case 1: run.push_back(rotation(GateKind::Ry, angle)); break;
+        case 2: run.push_back(rotation(GateKind::Rz, angle)); break;
+        default:
+          run.push_back(make_gate(GateKind::U, {0},
+                                  {angle, rng.uniform(-kPi, kPi),
+                                   rng.uniform(-kPi, kPi)}));
+      }
+    }
+    pool.push_back(std::move(run));
+  }
+  expect_fuser_matches_reference(draw_runs(pool, 4000, rng), "random");
+}
+
+TEST(FuserReference, NearIdentityAndNearTwinRunsMatch) {
+  // Runs on both sides of the 1e-10 identity test, and pairs of runs whose
+  // matrices differ in the last bits: each must be synthesized from its own
+  // bits, never from a neighbour's.
+  Rng rng(0xF060);
+  std::vector<std::vector<Gate>> pool = {
+      {rotation(GateKind::Rz, 1e-11)},
+      {rotation(GateKind::Rx, -4e-11)},
+      {rotation(GateKind::Ry, 1e-10)},
+      {rotation(GateKind::Rz, 3e-10)},
+      {rotation(GateKind::Rx, 1e-9)},
+      {rotation(GateKind::Ry, 1e-13)},
+      {make_gate(GateKind::I, {0})},
+  };
+  for (int i = 0; i < 12; ++i) {
+    const double a = rng.uniform(-kPi, kPi);
+    const double b = rng.uniform(-kPi, kPi);
+    // a then -a: the identity up to rounding.
+    pool.push_back({rotation(GateKind::Rz, a), rotation(GateKind::Rz, -a)});
+    pool.push_back({rotation(GateKind::Rx, a), rotation(GateKind::Rx, -a),
+                    rotation(GateKind::Ry, b), rotation(GateKind::Ry, -b)});
+    // Twins one ulp and 1e-13 apart.
+    pool.push_back({rotation(GateKind::Rz, a), rotation(GateKind::Rx, b)});
+    pool.push_back({rotation(GateKind::Rz, std::nextafter(a, 4.0)),
+                    rotation(GateKind::Rx, b)});
+    pool.push_back({rotation(GateKind::Ry, b + 1e-13),
+                    rotation(GateKind::Rz, a)});
+    pool.push_back({rotation(GateKind::Ry, b), rotation(GateKind::Rz, a)});
+  }
+  expect_fuser_matches_reference(draw_runs(pool, 1500, rng), "near");
+}
+
+TEST(FuserReference, NegativeZeroEntriesMatch) {
+  // Y, Sdg and every Rx carry -0.0 real parts; a -0.0 angle leaves -0.0
+  // entries too. Each comes with a +0.0 twin of equal value.
+  Rng rng(0xF061);
+  std::vector<std::vector<Gate>> pool = {
+      {make_gate(GateKind::Y, {0})},
+      {make_gate(GateKind::Sdg, {0})},
+      {rotation(GateKind::Rx, -0.0)},
+      {rotation(GateKind::Rx, 0.0)},
+      {rotation(GateKind::Rz, -0.0)},
+      {rotation(GateKind::Rz, 0.0)},
+      {rotation(GateKind::Ry, -0.0)},
+      {rotation(GateKind::Phase, -0.0)},
+      {make_gate(GateKind::U, {0}, {0.0, -0.0, -0.0})},
+      {make_gate(GateKind::U, {0}, {kPi, 0.0, -0.0})},
+      {make_gate(GateKind::U, {0}, {kPi, 0.0, 0.0})},
+      {rotation(GateKind::Rx, kPi)},
+      {rotation(GateKind::Rx, -kPi)},
+      {rotation(GateKind::Rx, kPi / 2)},
+      {make_gate(GateKind::Y, {0}), rotation(GateKind::Rz, -0.0)},
+      {make_gate(GateKind::Sdg, {0}), rotation(GateKind::Rx, -0.0)},
+  };
+  expect_fuser_matches_reference(draw_runs(pool, 600, rng), "negative zero");
+}
+
+TEST(FuserReference, ChunkedLoweringMatches) {
+  // StreamingLowerer holds its fuser across chunks: chunks of 1 and 7 must
+  // give lower_two_qubit followed by the reference fuser, gate for gate.
+  for (const Device& device : {devices::ibm_qx5(), devices::surface17()}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Circuit circuit = reference_circuit(seed, 7, 300, true);
+      Rng rng(Rng::derive_stream(0xF062, seed));
+      for (int i = 0; i < 200; ++i) {
+        const int q = rng.integer(0, 6);
+        circuit.h(q).s(q);
+        if (i % 2 == 0) circuit.sx(q);
+        circuit.cz(q, (q + 3) % 7);
+      }
+      const Circuit two_qubit =
+          lower_two_qubit(circuit, device.native_two_qubit(), true);
+      ReferenceFuser reference(circuit.num_qubits(),
+                               !device.is_native_kind(GateKind::U));
+      std::vector<Gate> want;
+      for (const Gate& gate : two_qubit) reference.push(gate, want);
+      reference.finish(want);
+      for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
+        StreamingLowerer lowerer(device, circuit.num_qubits(), true);
+        Circuit got(circuit.num_qubits(), "chunked");
+        for (std::size_t begin = 0; begin < circuit.size(); begin += chunk) {
+          const std::size_t end = std::min(circuit.size(), begin + chunk);
+          lowerer.lower_chunk(
+              std::vector<Gate>(circuit.gates().begin() +
+                                    static_cast<std::ptrdiff_t>(begin),
+                                circuit.gates().begin() +
+                                    static_cast<std::ptrdiff_t>(end)),
+              got);
+        }
+        lowerer.finish(got);
+        EXPECT_EQ(first_gate_difference(got.gates(), want), "")
+            << device.name() << " seed=" << seed << " chunk=" << chunk;
+      }
+    }
+  }
+}
+
+TEST(FuserReference, FinalizeRoutedMatches) {
+  // Postroute's native tail: the fusing stage must equal the reference
+  // fuser run over the tail's output without it.
+  for (const Device& device : {devices::ibm_qx5(), devices::surface17()}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const Circuit lowered = lower_to_device(
+          reference_circuit(seed, 7, 300, false), device, true);
+      const std::vector<Gate> routed =
+          SabreRouter()
+              .route(lowered, device,
+                     Placement::identity(lowered.num_qubits(),
+                                         device.num_qubits()))
+              .circuit.gates();
+      std::vector<Gate> unfused = routed;
+      finalize_routed(unfused, device.num_qubits(), device, true, false);
+      ReferenceFuser reference(device.num_qubits(),
+                               !device.is_native_kind(GateKind::U));
+      std::vector<Gate> want;
+      for (const Gate& gate : unfused) reference.push(gate, want);
+      reference.finish(want);
+      std::vector<Gate> got = routed;
+      finalize_routed(got, device.num_qubits(), device, true, true);
+      EXPECT_EQ(first_gate_difference(got, want), "")
+          << device.name() << " seed=" << seed;
     }
   }
 }
