@@ -100,7 +100,8 @@ RouteIR RouteIR::build(const Circuit& circuit, DagMode mode,
   // discovery order gives ascending successor lists. stamp[] dedups
   // (src, dst) pairs in O(1): a duplicate can only repeat an edge already
   // found for the *current* destination, so a per-destination stamp is
-  // enough.
+  // enough. stamp[i] = i before gate i's operands are visited keeps a gate
+  // that names one qubit twice (barrier q0,q0) from depending on itself.
   const std::uint32_t* edge_src = nullptr;
   const std::uint32_t* edge_dst = nullptr;
   std::size_t num_edges = 0;
@@ -133,6 +134,7 @@ RouteIR RouteIR::build(const Circuit& circuit, DagMode mode,
       last_writer[q] = static_cast<std::int32_t>(i);
     };
     for (std::uint32_t i = 0; i < n; ++i) {
+      stamp[i] = i;
       // Flat q0/q1 for arity <= 2 (operand order preserved); the rare
       // wider gates re-read the Gate, keeping discovery identical to the
       // old per-Gate loop.
@@ -158,6 +160,7 @@ RouteIR RouteIR::build(const Circuit& circuit, DagMode mode,
         ir.num_program_qubits);
     for (std::uint32_t i = 0; i < n; ++i) {
       const Gate& gate = circuit.gate(i);
+      stamp[i] = i;
       for (const int q : gate.qubits) {
         for (const std::uint32_t prev : per_qubit[static_cast<std::size_t>(q)]) {
           if (stamp[prev] != i && !gates_commute(circuit.gate(prev), gate)) {

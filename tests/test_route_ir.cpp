@@ -33,8 +33,12 @@
 #include "decompose/decomposer.hpp"
 #include "engine/cancel.hpp"
 #include "naive_dag.hpp"
+#include "ir/gate_stream.hpp"
 #include "pass/registry.hpp"
+#include "qasm/openqasm.hpp"
 #include "route/route_ir.hpp"
+#include "route/sabre.hpp"
+#include "schedule/schedulers.hpp"
 #include "verify/reproducer.hpp"
 #include "workloads/workloads.hpp"
 
@@ -387,6 +391,31 @@ TEST(RouteIrCsr, HandlesEmptyAndSingleGateCircuits) {
   EXPECT_EQ(ir_one.num_two_qubit, 1u);
   FrontLayer front(ir_one, arena);
   EXPECT_EQ(front.ready_size(), 1u);
+}
+
+TEST(RouteIrCsr, RepeatedOperandGetsNoSelfEdge) {
+  // `barrier q0,q0` names q0 twice. Its second operand must not make the
+  // barrier depend on itself, or it never becomes ready and routing stalls.
+  Circuit circuit(2, "repeated_operand");
+  circuit.h(0).barrier({0, 0}).cx(0, 1);
+  expect_csr_matches_dag(circuit, DagMode::Sequential);
+  expect_csr_matches_dag(circuit, DagMode::Commutation);
+
+  const Device qx5 = devices::ibm_qx5();
+  const Placement placement = Placement::identity(2, qx5.num_qubits());
+  const RoutingResult routed = SabreRouter().route(circuit, qx5, placement);
+  EXPECT_EQ(routed.added_swaps, 0);
+
+  CircuitSource source(circuit);
+  CircuitSink sink(qx5.num_qubits(), routed.circuit.name());
+  StreamRouteOptions options;
+  options.chunk_gates = 1;
+  (void)SabreRouter().route_stream(source, qx5, placement, sink, options);
+  EXPECT_EQ(to_openqasm(std::move(sink).take()), to_openqasm(routed.circuit));
+
+  const Schedule schedule = schedule_constrained(
+      routed.circuit, qx5, constraints_for_device(qx5));
+  EXPECT_EQ(schedule.size(), routed.circuit.size());
 }
 
 // The scheduling walk: drive FrontLayer through a random schedule and
