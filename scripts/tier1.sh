@@ -169,7 +169,10 @@ echo "== tier 1: arena-backed suites under ASan+UBSan =="
 # reliability (test_noise) and shuttle (test_shuttle) routers run on
 # RouteIR arena memory too. The decompose stage (test_decompose,
 # test_stream) recycles gate buffers through take_gates/set_gates between
-# chunks, where a use-after-move would go unnoticed without ASan. The
+# chunks, where a use-after-move would go unnoticed without ASan;
+# test_decompose also drives SingleQubitFuser's synthesis memo, a raw
+# heap table indexed by a hash of the run's bits, through slot reuse
+# (more distinct runs than slots, runs sharing a slot). The
 # postroute chain (test_peephole, and test_pass with its postroute pins)
 # compacts its gate buffer in place, moving gates out of slots the
 # peephole's live indices still name while a pass marks. Every router

@@ -1,5 +1,6 @@
 #include "decompose/decomposer.hpp"
 
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -200,19 +201,18 @@ void put(FuserInput& input, Gate gate) {
 }
 
 /// The {Rx, Ry} rewrite of one single-qubit unitary: Ry Rx Ry by YXY, with
-/// zero-angle rotations skipped.
-template <typename Out>
-void emit_yxy(const Mat2& u, int q, Out& out) {
+/// zero-angle rotations skipped; `emit(kind, angle)` takes each rotation
+/// kept, in circuit order.
+template <typename Emit>
+void yxy_rotations(const Mat2& u, Emit&& emit) {
   const EulerAngles angles = yxy_decompose(u);
   if (std::abs(angles.lambda) > kAngleTolerance) {
-    put(out, make_gate(GateKind::Ry, {q}, {angles.lambda}));
+    emit(GateKind::Ry, angles.lambda);
   }
   if (std::abs(angles.theta) > kAngleTolerance) {
-    put(out, make_gate(GateKind::Rx, {q}, {angles.theta}));
+    emit(GateKind::Rx, angles.theta);
   }
-  if (std::abs(angles.phi) > kAngleTolerance) {
-    put(out, make_gate(GateKind::Ry, {q}, {angles.phi}));
-  }
+  if (std::abs(angles.phi) > kAngleTolerance) emit(GateKind::Ry, angles.phi);
 }
 
 /// Native-basis rewrite, one gate (the body of lower_single_qubit's loop).
@@ -229,7 +229,9 @@ void lower_single_gate(const Gate& gate, const Device& device, bool has_u,
     out.u(angles.theta, angles.phi, angles.lambda, q);
     return;
   }
-  emit_yxy(gate.matrix2(), q, out);
+  yxy_rotations(gate.matrix2(), [&](GateKind kind, double angle) {
+    out.add(make_gate(kind, {q}, {angle}));
+  });
 }
 
 /// The native single-qubit basis of a device with a restricted set: true
@@ -280,18 +282,59 @@ SingleQubitFuser::SingleQubitFuser(int num_qubits, const Device* device)
                  !device->native_single_qubit().empty() &&
                  !native_basis_is_u(*device)) {}
 
+std::size_t SingleQubitFuser::slot_of(const MemoKey& key) {
+  static_assert(std::has_single_bit(kMemoSlots));
+  std::uint64_t hash = 0;
+  for (const std::uint64_t word : key) {
+    hash = (hash ^ word) * 0x9E3779B97F4A7C15ULL;
+  }
+  return static_cast<std::size_t>(hash >> (64 - std::countr_zero(kMemoSlots)));
+}
+
+std::size_t SingleQubitFuser::memo_slot(const Mat2& run) {
+  return slot_of(std::bit_cast<MemoKey>(run.data));
+}
+
+void SingleQubitFuser::synthesize(const Mat2& run, MemoSlot& slot) const {
+  slot.count = 0;
+  if (run.equal_up_to_global_phase(Mat2::identity(), 1e-10)) return;
+  const EulerAngles angles = zyz_decompose(run);
+  if (!rotations_) {
+    slot.angles = {angles.theta, angles.phi, angles.lambda};
+    slot.count = 1;
+    return;
+  }
+  yxy_rotations(u_matrix(angles.theta, angles.phi, angles.lambda),
+                [&](GateKind kind, double angle) {
+                  slot.kinds[slot.count] = kind;
+                  slot.angles[slot.count] = angle;
+                  ++slot.count;
+                });
+}
+
 void SingleQubitFuser::flush(int qubit, std::vector<Gate>& out) {
   const auto index = static_cast<std::size_t>(qubit);
   if (!open_[index]) return;
   open_[index] = 0;
   const Mat2& run = pending_[index];
-  if (run.equal_up_to_global_phase(Mat2::identity(), 1e-10)) return;
-  const EulerAngles angles = zyz_decompose(run);
-  if (rotations_) {
-    emit_yxy(u_matrix(angles.theta, angles.phi, angles.lambda), qubit, out);
-  } else {
-    out.push_back(make_gate(GateKind::U, {qubit},
-                            {angles.theta, angles.phi, angles.lambda}));
+  // new[] without () leaves every member but `valid` unwritten.
+  if (!memo_) memo_.reset(new MemoSlot[kMemoSlots]);
+  const auto key = std::bit_cast<MemoKey>(run.data);
+  MemoSlot& slot = memo_[slot_of(key)];
+  if (!slot.valid || slot.key != key) {
+    synthesize(run, slot);
+    slot.key = key;
+    slot.valid = true;
+  }
+  if (!rotations_) {
+    if (slot.count != 0) {
+      out.push_back(make_gate(GateKind::U, {qubit},
+                              {slot.angles[0], slot.angles[1], slot.angles[2]}));
+    }
+    return;
+  }
+  for (std::uint8_t i = 0; i < slot.count; ++i) {
+    out.push_back(make_gate(slot.kinds[i], {qubit}, {slot.angles[i]}));
   }
 }
 

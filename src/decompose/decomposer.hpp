@@ -8,6 +8,10 @@
 // the placement is known.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "arch/device.hpp"
@@ -36,8 +40,20 @@ namespace qmap {
 /// one U(theta, phi, lambda): fuse_single_qubit. With a device it leaves in
 /// the native basis, exactly as lower_single_qubit rewrites that U. The
 /// output does not depend on how the gate sequence was chunked.
+///
+/// Closed runs repeat (Clifford runs take few distinct values), so each
+/// fuser memoizes their synthesis in a direct-mapped table of kMemoSlots
+/// entries, allocated by its first flush and owned by it alone. The key is
+/// the exact bits of the run's accumulated matrix; the value is what the
+/// synthesis emits for it (nothing, one U, or up to three rotations),
+/// re-emitted on the qubit being flushed. The emitted gates are a pure
+/// function of those bits, so the output is byte-identical to
+/// synthesizing every run; a colliding run overwrites its slot.
 class SingleQubitFuser {
  public:
+  /// Entries of the synthesis memo; a power of two.
+  static constexpr std::size_t kMemoSlots = 256;
+
   /// Throws MappingError for unsupported native sets, like
   /// lower_single_qubit would.
   explicit SingleQubitFuser(int num_qubits, const Device* device = nullptr);
@@ -50,11 +66,30 @@ class SingleQubitFuser {
   /// first.
   void finish(std::vector<Gate>& out);
 
+  /// The memo entry a closed run with this accumulated matrix maps to.
+  [[nodiscard]] static std::size_t memo_slot(const Mat2& run);
+
  private:
+  using MemoKey = std::array<std::uint64_t, 8>;  // a Mat2's bits
+
+  /// What flush emits for the run whose matrix has the bits `key`: `count`
+  /// gates, in the U basis one U(angles), in the {Rx, Ry} basis the
+  /// rotations kinds[i](angles[i]).
+  struct MemoSlot {
+    MemoKey key;
+    std::array<double, 3> angles;
+    std::array<GateKind, 3> kinds;
+    std::uint8_t count;
+    bool valid = false;  // the only member set before the slot is filled
+  };
+
+  static std::size_t slot_of(const MemoKey& key);
   void flush(int qubit, std::vector<Gate>& out);
+  void synthesize(const Mat2& run, MemoSlot& slot) const;
 
   std::vector<Mat2> pending_;
   std::vector<char> open_;
+  std::unique_ptr<MemoSlot[]> memo_;  // kMemoSlots entries once allocated
   bool rotations_ = false;  // runs leave as Ry Rx Ry (YXY), not as one U
 };
 

@@ -560,6 +560,34 @@ TEST(FuserReference, RandomRunsBeyondTheSlotCountMatch) {
   expect_fuser_matches_reference(draw_runs(pool, 4000, rng), "random");
 }
 
+TEST(FuserReference, RunsSharingAMemoSlotMatch) {
+  // Pairs of distinct runs that map to one memo slot, fed in turn on
+  // different qubits: each evicts the other before it comes back.
+  Rng rng(0xF063);
+  std::vector<std::vector<Gate>> by_slot(SingleQubitFuser::kMemoSlots);
+  std::vector<Gate> input;
+  int pairs = 0;
+  for (int i = 0; i < 4 * 256 && pairs < 16; ++i) {
+    const std::vector<Gate> run = {
+        rotation(GateKind::Rz, rng.uniform(-kPi, kPi)),
+        rotation(GateKind::Rx, rng.uniform(-kPi, kPi))};
+    const Mat2 matrix = run[1].matrix2() * run[0].matrix2();
+    std::vector<Gate>& other = by_slot[SingleQubitFuser::memo_slot(matrix)];
+    if (other.empty()) {
+      other = run;
+      continue;
+    }
+    for (int round = 0; round < 3; ++round) {
+      append_run(input, other, round % kFuserQubits, round);
+      append_run(input, run, (round + 2) % kFuserQubits, round + 1);
+    }
+    other.clear();
+    ++pairs;
+  }
+  ASSERT_EQ(pairs, 16);
+  expect_fuser_matches_reference(input, "shared slot");
+}
+
 TEST(FuserReference, NearIdentityAndNearTwinRunsMatch) {
   // Runs on both sides of the 1e-10 identity test, and pairs of runs whose
   // matrices differ in the last bits: each must be synthesized from its own
