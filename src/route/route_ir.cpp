@@ -100,8 +100,9 @@ RouteIR RouteIR::build(const Circuit& circuit, DagMode mode,
   // discovery order gives ascending successor lists. stamp[] dedups
   // (src, dst) pairs in O(1): a duplicate can only repeat an edge already
   // found for the *current* destination, so a per-destination stamp is
-  // enough. stamp[i] = i before gate i's operands are visited keeps a gate
-  // that names one qubit twice (barrier q0,q0) from depending on itself.
+  // enough. A gate that names one qubit twice (barrier q0,q0) finds
+  // itself as that qubit's previous gate; prev != i keeps it from
+  // depending on itself.
   const std::uint32_t* edge_src = nullptr;
   const std::uint32_t* edge_dst = nullptr;
   std::size_t num_edges = 0;
@@ -123,7 +124,8 @@ RouteIR RouteIR::build(const Circuit& circuit, DagMode mode,
               std::int32_t{-1});
     const auto visit = [&](std::uint32_t i, int q) {
       const std::int32_t prev = last_writer[q];
-      if (prev >= 0 && stamp[prev] != i) {
+      if (prev >= 0 && static_cast<std::uint32_t>(prev) != i &&
+          stamp[prev] != i) {
         stamp[prev] = i;
         src[num_edges] = static_cast<std::uint32_t>(prev);
         dst[num_edges] = i;
@@ -134,7 +136,6 @@ RouteIR RouteIR::build(const Circuit& circuit, DagMode mode,
       last_writer[q] = static_cast<std::int32_t>(i);
     };
     for (std::uint32_t i = 0; i < n; ++i) {
-      stamp[i] = i;
       // Flat q0/q1 for arity <= 2 (operand order preserved); the rare
       // wider gates re-read the Gate, keeping discovery identical to the
       // old per-Gate loop.
@@ -160,10 +161,10 @@ RouteIR RouteIR::build(const Circuit& circuit, DagMode mode,
         ir.num_program_qubits);
     for (std::uint32_t i = 0; i < n; ++i) {
       const Gate& gate = circuit.gate(i);
-      stamp[i] = i;
       for (const int q : gate.qubits) {
         for (const std::uint32_t prev : per_qubit[static_cast<std::size_t>(q)]) {
-          if (stamp[prev] != i && !gates_commute(circuit.gate(prev), gate)) {
+          if (prev != i && stamp[prev] != i &&
+              !gates_commute(circuit.gate(prev), gate)) {
             stamp[prev] = i;
             src_v.push_back(prev);
             dst_v.push_back(i);
