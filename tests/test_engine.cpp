@@ -344,6 +344,27 @@ TEST(Portfolio, DefaultPortfolioAddsReliabilityOnNoisyDevices) {
   EXPECT_EQ(with_noise.back().router, "reliability");
 }
 
+TEST(Portfolio, DefaultPortfolioIsTheLiteralStrategyList) {
+  const auto describe = [](const std::vector<StrategySpec>& strategies) {
+    std::vector<std::string> out;
+    for (const StrategySpec& s : strategies) {
+      out.push_back(s.label() + "/" + std::to_string(s.max_qubits) + "/" +
+                    std::to_string(s.deadline_ms));
+    }
+    return out;
+  };
+  std::vector<std::string> expected = {
+      "greedy+sabre/0/0.000000",     "greedy+bridge/0/0.000000",
+      "annealing+qmap/0/0.000000",   "greedy+sabre+commute/0/0.000000",
+      "exhaustive+astar/5/0.000000", "greedy+exact/6/0.000000"};
+  EXPECT_EQ(describe(PortfolioCompiler::default_portfolio(devices::surface17())),
+            expected);
+  Device noisy = devices::surface17();
+  noisy.set_noise(NoiseModel::uniform(noisy.coupling(), 0.001, 0.01, 0.02));
+  expected.push_back("reliability+reliability/0/0.000000");
+  EXPECT_EQ(describe(PortfolioCompiler::default_portfolio(noisy)), expected);
+}
+
 TEST(Portfolio, DefaultPortfolioEntersBridgeInTheRace) {
   const auto strategies =
       PortfolioCompiler::default_portfolio(devices::surface17());

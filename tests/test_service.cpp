@@ -607,6 +607,22 @@ TEST(CompileService, PinnedPipelineRunsAsRungOne) {
   EXPECT_EQ(response.winner, "identity+naive");
 }
 
+TEST(CompileService, PinnedStandardPipelinePassesRungOneOnNativeGateDevices) {
+  // The standard pipeline lowers to each device's native set, so rung 1's
+  // validity audit passes and the ladder never falls through to rung 2.
+  CompileService service;
+  for (const char* device : {"surface17", "ibm_qx5"}) {
+    ServiceRequest request = compile_request("r", "a", ghz_qasm(4));
+    request.device = device;
+    request.pipeline = PipelineSpec::standard();
+    const ServiceResponse response = service.handle(request);
+    ASSERT_EQ(response.status, "ok") << device << ": " << response.error;
+    EXPECT_EQ(response.rung, 1) << device;
+    EXPECT_EQ(response.winner, "greedy+sabre") << device;
+    EXPECT_TRUE(response.validated) << device;
+  }
+}
+
 TEST(CompileService, QueueCapRejectsFloodingClient) {
   ServiceConfig config;
   config.num_workers = 1;
