@@ -12,7 +12,6 @@ Compiler::Compiler(Device device, CompilerOptions options)
 
 PipelineSpec Compiler::pipeline() const {
   return PipelineSpec::standard(options_.placer, options_.router,
-                                options_.lower_to_native, options_.peephole,
                                 options_.run_scheduler,
                                 options_.use_control_constraints);
 }

@@ -44,11 +44,12 @@ namespace qmap {
 
 class CancelToken;  // engine/cancel.hpp
 
+/// The classic pipeline's settings. Every compile lowers to the device's
+/// native gate set and runs the peephole clean-up: a device runs only its
+/// native gates, so neither is optional.
 struct CompilerOptions {
   std::string placer = "greedy";   // see known_placers()
   std::string router = "sabre";    // see known_routers()
-  bool lower_to_native = true;     // decompose before routing
-  bool peephole = true;            // post-routing gate-count clean-up
   bool run_scheduler = true;
   bool use_control_constraints = true;  // when the device declares them
   /// Seed for stochastic placers (annealing). The portfolio engine derives

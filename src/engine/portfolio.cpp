@@ -201,10 +201,9 @@ std::vector<StrategySpec> PortfolioCompiler::default_portfolio(
   // Preferred pairings, in priority order (priority = tie-break index):
   // fast heuristics first, then the slow near-optimal entries gated to
   // small widths (the paper's "exact approaches are not scalable",
-  // Sec. IV). Filtered against the registered factory names so a renamed
-  // or removed strategy silently drops out instead of breaking every
-  // default-constructed portfolio.
-  std::vector<StrategySpec> preferred = {
+  // Sec. IV). The constructor validates every name against the
+  // factories.
+  std::vector<StrategySpec> portfolio = {
       {"greedy", "sabre", 0, 0.0},
       {"greedy", "bridge", 0, 0.0},
       {"annealing", "qmap", 0, 0.0},
@@ -215,18 +214,7 @@ std::vector<StrategySpec> PortfolioCompiler::default_portfolio(
       {"greedy", "exact", 6, 0.0},
   };
   if (device.has_noise()) {
-    preferred.push_back({"reliability", "reliability", 0, 0.0});
-  }
-  const auto known = [](const std::vector<std::string>& names,
-                        const std::string& name) {
-    return std::find(names.begin(), names.end(), name) != names.end();
-  };
-  std::vector<StrategySpec> portfolio;
-  for (StrategySpec& spec : preferred) {
-    if (known(known_placers(), spec.placer) &&
-        known(known_routers(), spec.router)) {
-      portfolio.push_back(std::move(spec));
-    }
+    portfolio.push_back({"reliability", "reliability", 0, 0.0});
   }
   return portfolio;
 }

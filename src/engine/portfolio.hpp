@@ -175,9 +175,8 @@ class PortfolioCompiler {
 
   /// The built-in strategy set: every heuristic placer x router pairing
   /// worth racing, exact/exhaustive entries gated to small widths, and a
-  /// reliability pairing when the device carries calibration data. Built
-  /// from known_placers()/known_routers(), so it never names a strategy
-  /// the factories would reject.
+  /// reliability pairing when the device carries calibration data. A
+  /// literal list, pinned by tests/test_engine.cpp.
   [[nodiscard]] static std::vector<StrategySpec> default_portfolio(
       const Device& device);
 

@@ -11,33 +11,22 @@
 
 namespace qmap {
 
-DecomposeStage::DecomposeStage(const Device& device, int num_qubits,
-                               bool lower_to_native)
-    : device_(&device), baseline_(num_qubits, "baseline"), sweep_(num_qubits) {
-  if (lower_to_native) {
-    // SWAPs stay as routing placeholders in the routed copy.
-    lowerer_.emplace(device, num_qubits, /*keep_swaps=*/true);
-    baseline_lowerer_.emplace(device, num_qubits, /*keep_swaps=*/false);
-  }
-}
+DecomposeStage::DecomposeStage(const Device& device, int num_qubits)
+    : device_(&device),
+      lowerer_(device, num_qubits, /*keep_swaps=*/true),
+      baseline_lowerer_(device, num_qubits, /*keep_swaps=*/false),
+      baseline_(num_qubits, "baseline"),
+      sweep_(num_qubits) {}
 
 void DecomposeStage::feed(const std::vector<Gate>& gates, Circuit& out) {
-  if (!lowerer_) {
-    for (const Gate& gate : gates) {
-      sweep_.push(gate, device_->cycles_for(gate));
-      out.add_unchecked(gate);
-    }
-    return;
-  }
-  lowerer_->lower_chunk(gates, out);
-  baseline_lowerer_->lower_chunk(gates, baseline_);
+  lowerer_.lower_chunk(gates, out);
+  baseline_lowerer_.lower_chunk(gates, baseline_);
   sweep_baseline();
 }
 
 void DecomposeStage::finish(Circuit& out) {
-  if (!lowerer_) return;
-  lowerer_->finish(out);
-  baseline_lowerer_->finish(baseline_);
+  lowerer_.finish(out);
+  baseline_lowerer_.finish(baseline_);
   sweep_baseline();
 }
 
@@ -52,10 +41,8 @@ void DecomposeStage::sweep_baseline() {
 
 void DecomposePass::run(CompileContext& ctx) {
   const Circuit& circuit = ctx.input();
-  DecomposeStage decompose = stage(ctx.device(), circuit.num_qubits());
+  DecomposeStage decompose(ctx.device(), circuit.num_qubits());
   Circuit lowered(circuit.num_qubits(), circuit.name());
-  // The pass-through keeps the input's declared classical register.
-  if (!lower_to_native_) lowered.declare_cbits(circuit.num_cbits());
   decompose.feed(circuit.gates(), lowered);
   decompose.finish(lowered);
   ctx.result.lowered = std::move(lowered);
@@ -132,8 +119,8 @@ void PostRoutePass::run(CompileContext& ctx) {
       relocate_measurements(ctx.result.routing.circuit, device,
                             ctx.result.routing.final)
           .take_gates();
-  if (peephole_) peephole_optimize(gates, num_qubits);
-  finalize_routed(gates, num_qubits, device, peephole_, lower_to_native_);
+  peephole_optimize(gates, num_qubits);
+  finalize_routed(gates, num_qubits, device, /*peephole=*/true);
   Circuit final_circuit(num_qubits, ctx.input().name() + "@" + device.name());
   final_circuit.reserve(gates.size());
   for (Gate& gate : gates) final_circuit.add(std::move(gate));

@@ -6,7 +6,6 @@
 // message naming the missing stage instead of crashing downstream.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,19 +17,18 @@
 namespace qmap {
 
 /// The decompose stage's work as a chunk-fed object: the keep-SWAPs
-/// lowering that feeds routing, the keep_swaps=false lowering whose ASAP
-/// latency is the paper's "before mapping" baseline (Sec. V), and the
-/// lower_to_native=false pass-through (gates verbatim, baseline of the
-/// input itself). DecomposePass feeds it the whole input as one chunk;
-/// run_stream feeds it the source chunk by chunk. Either way the output
-/// and the baseline are the same bytes.
+/// lowering that feeds routing and the keep_swaps=false lowering whose
+/// ASAP latency is the paper's "before mapping" baseline (Sec. V).
+/// DecomposePass feeds it the whole input as one chunk; run_stream feeds
+/// it the source chunk by chunk. Either way the output and the baseline
+/// are the same bytes.
 class DecomposeStage {
  public:
-  DecomposeStage(const Device& device, int num_qubits, bool lower_to_native);
+  DecomposeStage(const Device& device, int num_qubits);
 
-  /// Appends the lowering of `gates` to `out` (a copy of them when not
-  /// lowering) and advances the baseline sweep. Trailing single-qubit runs
-  /// stay buffered until a later chunk or finish() closes them.
+  /// Appends the lowering of `gates` to `out` and advances the baseline
+  /// sweep. Trailing single-qubit runs stay buffered until a later chunk
+  /// or finish() closes them.
   void feed(const std::vector<Gate>& gates, Circuit& out);
   /// End of input: flushes the open single-qubit runs into `out`.
   void finish(Circuit& out);
@@ -44,8 +42,8 @@ class DecomposeStage {
   void sweep_baseline();
 
   const Device* device_;
-  std::optional<StreamingLowerer> lowerer_;
-  std::optional<StreamingLowerer> baseline_lowerer_;
+  StreamingLowerer lowerer_;  // SWAPs kept as routing placeholders
+  StreamingLowerer baseline_lowerer_;
   Circuit baseline_;  // per-chunk baseline lowering, recycled
   AsapSweep sweep_;
 };
@@ -53,27 +51,14 @@ class DecomposeStage {
 /// Gate decomposition: lowers the input to the device's native set with
 /// SWAPs kept as routing placeholders, and records the paper's "before
 /// mapping" baseline latency (dependency-only ASAP latency of the fully
-/// lowered circuit). With `lower_to_native == false` the input passes
-/// through verbatim but the baseline is still recorded. Not a stage
-/// boundary: the facade never hooked/spanned decomposition, and keeping it
-/// silent preserves hook sequences and golden traces.
+/// lowered circuit). Not a stage boundary: the facade never
+/// hooked/spanned decomposition, and keeping it silent preserves hook
+/// sequences and golden traces.
 class DecomposePass final : public Pass {
  public:
-  explicit DecomposePass(bool lower_to_native = true)
-      : lower_to_native_(lower_to_native) {}
   [[nodiscard]] std::string name() const override { return "decompose"; }
   [[nodiscard]] bool is_stage_boundary() const override { return false; }
   void run(CompileContext& ctx) override;
-
-  /// This pass's stage, for a caller that feeds the input itself (the
-  /// streamed pipeline).
-  [[nodiscard]] DecomposeStage stage(const Device& device,
-                                     int num_qubits) const {
-    return DecomposeStage(device, num_qubits, lower_to_native_);
-  }
-
- private:
-  bool lower_to_native_;
 };
 
 /// Initial placement. `algorithm` is any known_placers() name; stochastic
@@ -81,7 +66,7 @@ class DecomposePass final : public Pass {
 /// the placer search loops.
 class PlacePass final : public Pass {
  public:
-  explicit PlacePass(std::string algorithm = "greedy");
+  explicit PlacePass(std::string algorithm);
   [[nodiscard]] std::string name() const override { return "placer"; }
   [[nodiscard]] const std::string& algorithm() const noexcept {
     return algorithm_;
@@ -96,7 +81,7 @@ class PlacePass final : public Pass {
 /// Requires a placement from an earlier placer pass.
 class RoutePass final : public Pass {
  public:
-  explicit RoutePass(std::string algorithm = "sabre");
+  explicit RoutePass(std::string algorithm);
   [[nodiscard]] std::string name() const override { return "router"; }
   [[nodiscard]] const std::string& algorithm() const noexcept {
     return algorithm_;
@@ -123,20 +108,14 @@ class TokenSwapFinisherPass final : public Pass {
 };
 
 /// Post-routing clean-up: measurement relocation (Sec. VI-A), which makes
-/// the one working copy of the routed circuit, then optional peephole and
-/// finalize_routed (SWAP expansion, CX direction repair, optional peephole,
-/// final native lowering) over that gate buffer, and the final metrics.
+/// the one working copy of the routed circuit, then peephole and
+/// finalize_routed (SWAP expansion, CX direction repair, peephole, final
+/// native lowering) over that gate buffer, and the final metrics.
 /// Requires a routing result.
 class PostRoutePass final : public Pass {
  public:
-  PostRoutePass(bool peephole = true, bool lower_to_native = true)
-      : peephole_(peephole), lower_to_native_(lower_to_native) {}
   [[nodiscard]] std::string name() const override { return "postroute"; }
   void run(CompileContext& ctx) override;
-
- private:
-  bool peephole_;
-  bool lower_to_native_;
 };
 
 /// Operation scheduling (control constraints included when the device
@@ -144,7 +123,7 @@ class PostRoutePass final : public Pass {
 /// postroute pass's final circuit.
 class SchedulePass final : public Pass {
  public:
-  explicit SchedulePass(bool use_control_constraints = true)
+  explicit SchedulePass(bool use_control_constraints)
       : use_control_constraints_(use_control_constraints) {}
   [[nodiscard]] std::string name() const override { return "schedule"; }
   void run(CompileContext& ctx) override;

@@ -1,8 +1,5 @@
 #include "pass/registry.hpp"
 
-#include <initializer_list>
-#include <utility>
-
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "noise/reliability.hpp"
@@ -71,66 +68,19 @@ const std::vector<std::string>& known_passes() {
 
 namespace {
 
-// Aliases keep historical spellings (and the natural verb forms) working
-// in pipeline JSON; stage hooks always receive the canonical Pass::name().
-const std::vector<std::pair<std::string, std::string>>& pass_aliases() {
-  static const std::vector<std::pair<std::string, std::string>> aliases = {
-      {"lower", "decompose"},  {"place", "placer"},
-      {"route", "router"},     {"post-route", "postroute"},
-      {"scheduler", "schedule"},
-      {"token-swap", "token_swap_finisher"}};
-  return aliases;
-}
-
-std::string pass_names_for_error() {
-  std::string out = join(known_passes(), ", ");
-  out += "; aliases:";
-  for (const auto& [alias, canonical] : pass_aliases()) {
-    out += " " + alias + "=" + canonical;
+/// The complete option object each pass runs with when none is given: the
+/// one place a pass option's default is written. A pass with no options
+/// has a null default.
+Json default_pass_options(const std::string& pass) {
+  Json out;
+  if (pass == "placer") {
+    out["algorithm"] = Json(std::string("greedy"));
+  } else if (pass == "router") {
+    out["algorithm"] = Json(std::string("sabre"));
+  } else if (pass == "schedule") {
+    out["use_control_constraints"] = Json(true);
   }
   return out;
-}
-
-/// Rejects option keys outside `valid`, so a typo in pipeline JSON fails
-/// with the pass name and the accepted keys instead of being ignored.
-void check_option_keys(const Json& options, const std::string& pass,
-                       std::initializer_list<const char*> valid) {
-  if (options.is_null()) return;
-  if (!options.is_object()) {
-    throw MappingError("pass '" + pass + "': options must be a JSON object");
-  }
-  for (const auto& [key, value] : options.as_object()) {
-    bool known = false;
-    for (const char* name : valid) {
-      if (key == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::string names;
-      for (const char* name : valid) {
-        if (!names.empty()) names += ", ";
-        names += name;
-      }
-      if (names.empty()) names = "none";
-      throw MappingError("pass '" + pass + "': unknown option '" + key +
-                         "' (valid: " + names + ")");
-    }
-  }
-}
-
-bool bool_option(const Json& options, const char* key, bool fallback) {
-  if (options.is_null()) return fallback;
-  const Json* value = options.find(key);
-  return value ? value->as_bool() : fallback;
-}
-
-std::string string_option(const Json& options, const char* key,
-                          const char* fallback) {
-  if (options.is_null()) return fallback;
-  const Json* value = options.find(key);
-  return value ? value->as_string() : fallback;
 }
 
 }  // namespace
@@ -139,63 +89,54 @@ std::string canonical_pass_name(const std::string& name) {
   for (const std::string& canonical : known_passes()) {
     if (name == canonical) return canonical;
   }
-  for (const auto& [alias, canonical] : pass_aliases()) {
-    if (name == alias) return canonical;
-  }
   throw MappingError("unknown pass: '" + name +
-                     "' (valid: " + pass_names_for_error() + ")");
+                     "' (valid: " + join(known_passes(), ", ") + ")");
 }
 
-Json default_pass_options(const std::string& name) {
-  const std::string canonical = canonical_pass_name(name);
-  Json out;
-  if (canonical == "decompose") {
-    out["lower_to_native"] = Json(true);
-  } else if (canonical == "placer") {
-    out["algorithm"] = Json(std::string("greedy"));
-  } else if (canonical == "router") {
-    out["algorithm"] = Json(std::string("sabre"));
-  } else if (canonical == "postroute") {
-    out["peephole"] = Json(true);
-    out["lower_to_native"] = Json(true);
-  } else if (canonical == "schedule") {
-    out["use_control_constraints"] = Json(true);
+Json resolve_pass_options(const std::string& name, const Json& options) {
+  const std::string pass = canonical_pass_name(name);
+  Json resolved = default_pass_options(pass);
+  if (options.is_null()) return resolved;
+  if (!options.is_object()) {
+    throw MappingError("pass '" + pass + "': options must be a JSON object");
   }
-  // token_swap_finisher takes no options; its default stays null.
-  return out;
+  // A key without a default is a typo or a removed option: fail with the
+  // pass name and the accepted keys instead of ignoring it.
+  for (const auto& [key, value] : options.as_object()) {
+    if (!resolved.contains(key)) {
+      std::string names;
+      if (resolved.is_object()) {
+        for (const auto& [valid, fallback] : resolved.as_object()) {
+          if (!names.empty()) names += ", ";
+          names += valid;
+        }
+      }
+      if (names.empty()) names = "none";
+      throw MappingError("pass '" + pass + "': unknown option '" + key +
+                         "' (valid: " + names + ")");
+    }
+    resolved[key] = value;
+  }
+  return resolved;
 }
 
 std::unique_ptr<Pass> make_pass(const std::string& name, const Json& options) {
-  const std::string canonical = canonical_pass_name(name);
-  if (canonical == "decompose") {
-    check_option_keys(options, canonical, {"lower_to_native"});
-    return std::make_unique<DecomposePass>(
-        bool_option(options, "lower_to_native", true));
+  const std::string pass = canonical_pass_name(name);
+  const Json resolved = resolve_pass_options(pass, options);
+  if (pass == "decompose") return std::make_unique<DecomposePass>();
+  if (pass == "placer") {
+    return std::make_unique<PlacePass>(resolved.at("algorithm").as_string());
   }
-  if (canonical == "placer") {
-    check_option_keys(options, canonical, {"algorithm"});
-    return std::make_unique<PlacePass>(
-        string_option(options, "algorithm", "greedy"));
+  if (pass == "router") {
+    return std::make_unique<RoutePass>(resolved.at("algorithm").as_string());
   }
-  if (canonical == "router") {
-    check_option_keys(options, canonical, {"algorithm"});
-    return std::make_unique<RoutePass>(
-        string_option(options, "algorithm", "sabre"));
-  }
-  if (canonical == "postroute") {
-    check_option_keys(options, canonical, {"peephole", "lower_to_native"});
-    return std::make_unique<PostRoutePass>(
-        bool_option(options, "peephole", true),
-        bool_option(options, "lower_to_native", true));
-  }
-  if (canonical == "token_swap_finisher") {
-    check_option_keys(options, canonical, {});
+  if (pass == "token_swap_finisher") {
     return std::make_unique<TokenSwapFinisherPass>();
   }
+  if (pass == "postroute") return std::make_unique<PostRoutePass>();
   // canonical_pass_name() already rejected everything else.
-  check_option_keys(options, canonical, {"use_control_constraints"});
   return std::make_unique<SchedulePass>(
-      bool_option(options, "use_control_constraints", true));
+      resolved.at("use_control_constraints").as_bool());
 }
 
 }  // namespace qmap

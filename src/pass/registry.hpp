@@ -4,8 +4,8 @@
 // passes, the engine, benches, and tests all resolve strategy names through
 // one seam (core/compiler.hpp re-exports them; existing includes keep
 // working). The pass registry maps pipeline-spec names to Pass instances
-// and is the single list the DESIGN.md §9 table — and the
-// scripts/check_pass_registry.sh lint — must cover.
+// and is the single list of pass names and option keys the DESIGN.md §9
+// table must match (linted by scripts/check_pass_registry.sh).
 #pragma once
 
 #include <cstdint>
@@ -37,25 +37,25 @@ namespace qmap {
 /// bottom ("decompose", "placer", "router", "postroute", "schedule").
 [[nodiscard]] const std::vector<std::string>& known_passes();
 
-/// Resolves a pass name or alias ("place" -> "placer", "route" ->
-/// "router", "lower" -> "decompose", "scheduler" -> "schedule") to its
-/// canonical name. Unknown names throw a MappingError listing every valid
-/// name and alias.
+/// Returns `name` if it is a registered pass name. Unknown names throw a
+/// MappingError listing every valid name.
 [[nodiscard]] std::string canonical_pass_name(const std::string& name);
 
-/// Builds a pass from its (canonical or aliased) name and a JSON options
-/// object (null = defaults). Unknown option keys throw a MappingError
-/// naming the key and the valid keys for that pass.
+/// The complete option object a pass runs with: every option's default
+/// (written once, in registry.cpp) overlaid with `options` (null =
+/// defaults). make_pass() builds each pass from it, and
+/// PipelineSpec::canonical() materializes it so that option elision
+/// cannot split a content-addressed cache: {"pass": "router"} and
+/// {"pass": "router", "options": {"algorithm": "sabre"}} canonicalize
+/// identically. A pass without options resolves to null. Option keys the
+/// pass does not take throw a MappingError naming the key and the valid
+/// keys for that pass.
+[[nodiscard]] Json resolve_pass_options(const std::string& name,
+                                        const Json& options = Json());
+
+/// Builds a pass from its name and a JSON options object (null =
+/// defaults), resolved by resolve_pass_options().
 [[nodiscard]] std::unique_ptr<Pass> make_pass(const std::string& name,
                                               const Json& options = Json());
-
-/// The complete option object a pass runs with when none is given — every
-/// key present, every value the default make_pass() would substitute.
-/// This is the normal form PipelineSpec::canonical() materializes so that
-/// option elision cannot split a content-addressed cache: {"pass":
-/// "router"} and {"pass": "router", "options": {"algorithm": "sabre"}}
-/// canonicalize identically. Must stay in lock-step with make_pass()'s
-/// fallbacks (pinned by tests/test_pass.cpp).
-[[nodiscard]] Json default_pass_options(const std::string& name);
 
 }  // namespace qmap

@@ -23,23 +23,17 @@ void PipelineSpec::append(const std::string& pass, Json options) {
 
 PipelineSpec PipelineSpec::standard(const std::string& placer,
                                     const std::string& router,
-                                    bool lower_to_native, bool peephole,
                                     bool run_scheduler,
                                     bool use_control_constraints) {
   PipelineSpec spec;
-  Json decompose_options;
-  decompose_options["lower_to_native"] = Json(lower_to_native);
-  spec.append("decompose", std::move(decompose_options));
+  spec.append("decompose");
   Json placer_options;
   placer_options["algorithm"] = Json(placer);
   spec.append("placer", std::move(placer_options));
   Json router_options;
   router_options["algorithm"] = Json(router);
   spec.append("router", std::move(router_options));
-  Json postroute_options;
-  postroute_options["peephole"] = Json(peephole);
-  postroute_options["lower_to_native"] = Json(lower_to_native);
-  spec.append("postroute", std::move(postroute_options));
+  spec.append("postroute");
   if (run_scheduler) {
     Json schedule_options;
     schedule_options["use_control_constraints"] =
@@ -96,16 +90,7 @@ PipelineSpec PipelineSpec::from_json_text(std::string_view text) {
 PipelineSpec PipelineSpec::canonical() const {
   PipelineSpec out;
   for (const PassSpec& spec : passes_) {
-    // Start from the full default object and overlay the explicit options;
-    // JsonObject is a std::map, so the merged object is sorted by
-    // construction.
-    Json options = default_pass_options(spec.pass);
-    if (!spec.options.is_null()) {
-      for (const auto& [key, value] : spec.options.as_object()) {
-        options[key] = value;
-      }
-    }
-    out.append(spec.pass, std::move(options));
+    out.append(spec.pass, resolve_pass_options(spec.pass, spec.options));
   }
   return out;
 }
@@ -124,13 +109,9 @@ Json PipelineSpec::to_json() const {
 std::string PipelineSpec::algorithm_of(const std::string& pass) const {
   for (const PassSpec& spec : passes_) {
     if (spec.pass != pass) continue;
-    if (!spec.options.is_null()) {
-      if (const Json* algorithm = spec.options.find("algorithm")) {
-        return algorithm->as_string();
-      }
-    }
-    // Defaults mirror make_pass().
-    return pass == "placer" ? "greedy" : "sabre";
+    return resolve_pass_options(pass, spec.options)
+        .at("algorithm")
+        .as_string();
   }
   return "";
 }

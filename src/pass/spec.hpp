@@ -51,18 +51,20 @@ class PipelineSpec {
   PipelineSpec() = default;
 
   /// The classic Fig. 2 preset: decompose, placer, router, postroute, and
-  /// (when `run_scheduler`) schedule — with options spelled out so the
-  /// JSON form is self-describing. Compiler::pipeline() builds this from
-  /// its CompilerOptions; parity with the pre-pass facade is pinned in
-  /// tests/test_pass.cpp.
+  /// (when `run_scheduler`) schedule — with the placer, router and
+  /// schedule options spelled out so the JSON form is self-describing.
+  /// Every compile lowers to the device's native set and runs the
+  /// peephole; decompose and postroute take no options. With no arguments
+  /// it equals the canonical form of the bare pass names (pinned in
+  /// tests/test_pass.cpp). Compiler::pipeline() builds this from its
+  /// CompilerOptions.
   [[nodiscard]] static PipelineSpec standard(
       const std::string& placer = "greedy",
-      const std::string& router = "sabre", bool lower_to_native = true,
-      bool peephole = true, bool run_scheduler = true,
+      const std::string& router = "sabre", bool run_scheduler = true,
       bool use_control_constraints = true);
 
-  /// Parses {"passes": [...]} or a bare array. Validates every name
-  /// (aliases resolved to canonical) and every option key; throws
+  /// Parses {"passes": [...]} or a bare array. Validates every name and
+  /// every option key; throws
   /// MappingError with the offending name/key and the valid choices.
   [[nodiscard]] static PipelineSpec from_json(const Json& json);
   [[nodiscard]] static PipelineSpec from_json_text(std::string_view text);
@@ -75,7 +77,7 @@ class PipelineSpec {
 
   /// The normal form: every pass carries its complete option object, with
   /// elided options materialized to the defaults make_pass() would use
-  /// (registry default_pass_options()). Two semantically equal specs —
+  /// (registry resolve_pass_options()). Two semantically equal specs —
   /// one spelling out {"algorithm": "sabre"}, one omitting it — have equal
   /// canonical forms, so a content-addressed cache keyed on
   /// canonical_json().dump() cannot be split by option elision or source
@@ -90,8 +92,8 @@ class PipelineSpec {
   [[nodiscard]] bool empty() const noexcept { return passes_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return passes_.size(); }
 
-  /// Appends one entry; validates the name (alias ok, stored canonical)
-  /// and options by constructing the pass once.
+  /// Appends one entry; validates the name and options by constructing
+  /// the pass once.
   void append(const std::string& pass, Json options = Json());
 
   /// "placer_algorithm+router_algorithm" when both stages are present

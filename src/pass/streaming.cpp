@@ -4,7 +4,7 @@
 // When the head can stream, the window-capable chain is assembled as a
 // source→sink pipeline:
 //
-//   GateSource → [LoweringSource: DecomposePass's stage, fed chunk-wise]
+//   GateSource → [LoweringSource: a DecomposeStage, fed chunk-wise]
 //              → route_stream (bounded window)
 //              → [TokenSwapFinisherSink: cleanup at end-of-stream]
 //              → sink (or a CircuitSink when a materialized tail follows)
@@ -287,11 +287,7 @@ StreamReport PassManager::run_stream(GateSource& source, const Device& device,
   std::optional<LoweringSource> lowering;
   GateSource* route_source = &source;
   if (layout.decompose >= 0) {
-    // analyze() matched the name, and the registry builds "decompose" as a
-    // DecomposePass.
-    const auto& decompose = static_cast<const DecomposePass&>(
-        *passes_[static_cast<std::size_t>(layout.decompose)]);
-    lowering.emplace(source, decompose.stage(device, source.num_qubits()),
+    lowering.emplace(source, DecomposeStage(device, source.num_qubits()),
                      options.chunk_gates);
     route_source = &*lowering;
   }

@@ -943,12 +943,23 @@ int CompileService::serve(std::istream& in, std::ostream& out) {
       write_line(response);
       continue;
     }
+    Json json;
     ServiceRequest request;
     try {
-      request = ServiceRequest::from_json(Json::parse(line));
+      json = Json::parse(line);
+      request = ServiceRequest::from_json(json);
     } catch (const std::exception& e) {
       obs::add(config_.obs, "service.requests.invalid");
       ServiceResponse response;
+      // Compile responses arrive out of order, so echo what names the
+      // request whenever the line parsed.
+      if (const Json* id = json.find("id"); id && id->is_string()) {
+        response.id = id->as_string();
+      }
+      if (const Json* client = json.find("client");
+          client && client->is_string()) {
+        response.client = client->as_string();
+      }
       response.status = "error";
       response.error = std::string("bad request: ") + e.what();
       write_line(response);

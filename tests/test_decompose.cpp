@@ -312,9 +312,8 @@ TEST(SwapCost, ThreeTwoQubitGatesOnBothFamilies) {
 //
 // Whatever DecomposePass and the streamed pipeline's lowering stage do
 // internally, `lowered` must equal the plain three-pass composition below
-// and `baseline_cycles` the ASAP latency of the keep_swaps=false lowering
-// (the input itself when lower_to_native is off), materialized and
-// streamed at every chunk size.
+// and `baseline_cycles` the ASAP latency of the keep_swaps=false lowering,
+// materialized and streamed at every chunk size.
 
 Circuit reference_lowering(const Circuit& circuit, const Device& device,
                            bool keep_swaps) {
@@ -327,7 +326,7 @@ Circuit reference_lowering(const Circuit& circuit, const Device& device,
 /// gates, CX, CZ, SWAP, iSWAP, CPhase, mid-circuit measurements and
 /// barriers, plus CRz, CCX and CSWAP when `wide`. Routers reject 3-qubit
 /// gates and cannot flip a directional non-CX gate on a directed coupling,
-/// so the unlowered streamed runs use the narrow mix.
+/// so a circuit routed without the decompose stage uses the narrow mix.
 Circuit reference_circuit(std::uint64_t seed, int num_qubits, int num_gates,
                           bool wide) {
   Rng rng(Rng::derive_stream(0xDEC0, seed));
@@ -367,11 +366,9 @@ Circuit reference_circuit(std::uint64_t seed, int num_qubits, int num_gates,
   return circuit;
 }
 
-PipelineSpec decompose_spec(bool lower_to_native, bool route) {
+PipelineSpec decompose_spec(bool route) {
   PipelineSpec spec;
-  Json options;
-  options["lower_to_native"] = Json(lower_to_native);
-  spec.append("decompose", std::move(options));
+  spec.append("decompose");
   if (route) {
     Json placer;
     placer["algorithm"] = Json(std::string("identity"));
@@ -387,60 +384,46 @@ TEST(DecomposeReference, MaterializedAndStreamedMatchTheComposition) {
   const std::vector<Device> devices_under_test = {
       devices::ibm_qx5(), devices::surface17(), devices::trapped_ion(7)};
   for (const Device& device : devices_under_test) {
-    for (const bool lower : {true, false}) {
-      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        const std::string label = device.name() + " lower_to_native=" +
-                                  std::to_string(lower) + " seed=" +
-                                  std::to_string(seed);
-        const PipelineRuntime runtime;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const std::string label =
+          device.name() + " seed=" + std::to_string(seed);
+      const PipelineRuntime runtime;
 
-        // Materialized: DecomposePass on the full zoo.
-        const Circuit wide = reference_circuit(seed, 7, 90, true);
-        const Circuit expect_lowered =
-            lower ? reference_lowering(wide, device, true) : wide;
-        const int expect_baseline =
-            schedule_asap(lower ? reference_lowering(wide, device, false)
-                                : wide,
-                          device)
-                .total_cycles();
-        const CompilationResult materialized =
-            PassManager(decompose_spec(lower, false))
-                .run(wide, device, runtime);
-        EXPECT_EQ(to_openqasm(materialized.lowered),
-                  to_openqasm(expect_lowered))
-            << label;
-        EXPECT_EQ(materialized.baseline_cycles, expect_baseline) << label;
+      // Materialized: DecomposePass on the full zoo.
+      const Circuit circuit = reference_circuit(seed, 7, 90, true);
+      const Circuit lowered = reference_lowering(circuit, device, true);
+      const int baseline =
+          schedule_asap(reference_lowering(circuit, device, false), device)
+              .total_cycles();
+      const CompilationResult materialized =
+          PassManager(decompose_spec(false)).run(circuit, device, runtime);
+      EXPECT_EQ(to_openqasm(materialized.lowered), to_openqasm(lowered))
+          << label;
+      EXPECT_EQ(materialized.baseline_cycles, baseline) << label;
 
-        // Streamed: decompose -> identity -> sabre through run_stream; the
-        // sink must see the reference lowering routed by sabre.
-        const Circuit circuit =
-            lower ? wide : reference_circuit(seed, 7, 90, false);
-        const Circuit lowered = lower ? expect_lowered : circuit;
-        const int baseline =
-            lower ? expect_baseline
-                  : schedule_asap(circuit, device).total_cycles();
-        const Circuit routed =
-            SabreRouter()
-                .route(lowered, device,
-                       Placement::identity(circuit.num_qubits(),
-                                           device.num_qubits()))
-                .circuit;
-        const PassManager manager(decompose_spec(lower, true));
-        for (const std::size_t chunk :
-             {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
-          CircuitSource source(circuit);
-          CircuitSink sink(device.num_qubits(), "streamed");
-          StreamPipelineOptions options;
-          options.chunk_gates = chunk;
-          const StreamReport report =
-              manager.run_stream(source, device, sink, runtime, options);
-          EXPECT_TRUE(report.stream.streamed_route) << label;
-          EXPECT_EQ(report.stream.gates_in, circuit.size()) << label;
-          EXPECT_EQ(to_openqasm(std::move(sink).take()), to_openqasm(routed))
-              << label << " chunk=" << chunk;
-          EXPECT_EQ(report.result.baseline_cycles, baseline)
-              << label << " chunk=" << chunk;
-        }
+      // Streamed: decompose -> identity -> sabre through run_stream; the
+      // sink must see the reference lowering routed by sabre.
+      const Circuit routed =
+          SabreRouter()
+              .route(lowered, device,
+                     Placement::identity(circuit.num_qubits(),
+                                         device.num_qubits()))
+              .circuit;
+      const PassManager manager(decompose_spec(true));
+      for (const std::size_t chunk :
+           {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+        CircuitSource source(circuit);
+        CircuitSink sink(device.num_qubits(), "streamed");
+        StreamPipelineOptions options;
+        options.chunk_gates = chunk;
+        const StreamReport report =
+            manager.run_stream(source, device, sink, runtime, options);
+        EXPECT_TRUE(report.stream.streamed_route) << label;
+        EXPECT_EQ(report.stream.gates_in, circuit.size()) << label;
+        EXPECT_EQ(to_openqasm(std::move(sink).take()), to_openqasm(routed))
+            << label << " chunk=" << chunk;
+        EXPECT_EQ(report.result.baseline_cycles, baseline)
+            << label << " chunk=" << chunk;
       }
     }
   }

@@ -5,7 +5,8 @@
 //     every placer x router pairing, three devices, and three seeds;
 //   - the Device-owned ArchArtifacts: shared by copies and by every
 //     compiler built from the Device, and another device's bundle refused;
-//   - PipelineSpec JSON round-trips, aliases, and descriptive errors;
+//   - PipelineSpec JSON round-trips, canonical forms, and descriptive
+//     errors;
 //   - custom pipelines (dropped/reordered stages), hook order, cancellation;
 //   - concurrent compiles reading one Device's shared artifacts bundle;
 //   - the postroute pins: PostRoutePass output, params hashed bitwise,
@@ -214,8 +215,6 @@ TEST(ArchArtifacts, AnotherDevicesBundleIsRejectedBeforeAnyPass) {
 
 TEST(PipelineSpec, StandardRoundTripsThroughJsonText) {
   const PipelineSpec spec = PipelineSpec::standard("annealing", "astar",
-                                                   /*lower_to_native=*/false,
-                                                   /*peephole=*/false,
                                                    /*run_scheduler=*/true,
                                                    /*use_control=*/false);
   const PipelineSpec reparsed =
@@ -227,9 +226,23 @@ TEST(PipelineSpec, StandardRoundTripsThroughJsonText) {
   EXPECT_EQ(spec.size(), 5u);
 }
 
-TEST(PipelineSpec, AcceptsBareArrayStringsAndAliases) {
+TEST(PipelineSpec, StandardIsTheCanonicalFormOfTheBarePassNames) {
+  // The preset's defaults are the registry's: one place writes them.
+  const PipelineSpec bare = PipelineSpec::from_json_text(
+      R"(["decompose", "placer", "router", "postroute", "schedule"])");
+  EXPECT_EQ(PipelineSpec::standard(), bare.canonical());
+  EXPECT_EQ(PipelineSpec::standard().canonical(), PipelineSpec::standard());
+  EXPECT_EQ(PipelineSpec::standard().to_json().dump(),
+            R"({"passes":[{"pass":"decompose"},)"
+            R"({"options":{"algorithm":"greedy"},"pass":"placer"},)"
+            R"({"options":{"algorithm":"sabre"},"pass":"router"},)"
+            R"({"pass":"postroute"},)"
+            R"({"options":{"use_control_constraints":true},"pass":"schedule"}]})");
+}
+
+TEST(PipelineSpec, AcceptsBareArrayAndStrings) {
   const PipelineSpec spec = PipelineSpec::from_json_text(
-      R"(["lower", {"pass": "place"}, "route", "post-route", "scheduler"])");
+      R"(["decompose", {"pass": "placer"}, "router", "postroute", "schedule"])");
   ASSERT_EQ(spec.size(), 5u);
   EXPECT_EQ(spec.passes()[0].pass, "decompose");
   EXPECT_EQ(spec.passes()[1].pass, "placer");
@@ -249,6 +262,42 @@ TEST(PipelineSpec, UnknownPassNameFailsWithTheValidNames) {
     EXPECT_NE(what.find("unknown pass"), std::string::npos) << what;
     EXPECT_NE(what.find("optimize"), std::string::npos) << what;
     EXPECT_NE(what.find("decompose"), std::string::npos) << what;  // valid list
+  }
+}
+
+TEST(PipelineSpec, FormerAliasesFailWithTheSixCanonicalNames) {
+  for (const char* alias :
+       {"lower", "place", "route", "post-route", "scheduler", "token-swap"}) {
+    try {
+      (void)PipelineSpec::from_json_text(std::string("[\"") + alias + "\"]");
+      FAIL() << "expected MappingError for " << alias;
+    } catch (const MappingError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("unknown pass: '") + alias +
+                    "' (valid: decompose, placer, router, "
+                    "token_swap_finisher, postroute, schedule)");
+    }
+  }
+}
+
+TEST(PipelineSpec, LoweringAndPeepholeAreNotOptions) {
+  // Every compile lowers to the native set and runs the peephole; a spec
+  // that still tries to switch either off is refused, naming the key.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"([{"pass": "decompose", "options": {"lower_to_native": false}}])",
+       "pass 'decompose': unknown option 'lower_to_native' (valid: none)"},
+      {R"([{"pass": "postroute", "options": {"peephole": true}}])",
+       "pass 'postroute': unknown option 'peephole' (valid: none)"},
+      {R"([{"pass": "postroute", "options": {"lower_to_native": true}}])",
+       "pass 'postroute': unknown option 'lower_to_native' (valid: none)"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      (void)PipelineSpec::from_json_text(text);
+      FAIL() << "expected MappingError for " << text;
+    } catch (const MappingError& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
   }
 }
 
@@ -466,11 +515,14 @@ TEST(TokenSwapFinisher, RemapsTerminalMeasurementsThroughTheCleanup) {
   EXPECT_EQ(measures, 5u);
 }
 
-TEST(TokenSwapFinisher, TokenSwapAliasAndCanonicalNameBothParse) {
+TEST(TokenSwapFinisher, OnlyTheCanonicalNameParses) {
   const PipelineSpec spec = PipelineSpec::from_json_text(
-      R"(["decompose", "placer", "router", "token-swap", "postroute"])");
+      R"(["decompose", "placer", "router", "token_swap_finisher", "postroute"])");
   const Json canonical = spec.canonical_json();
   EXPECT_NE(canonical.dump().find("token_swap_finisher"), std::string::npos);
+  EXPECT_THROW((void)PipelineSpec::from_json_text(
+                   R"(["decompose", "placer", "router", "token-swap"])"),
+               MappingError);
 }
 
 TEST(TokenSwapFinisher, WithoutARouterFailsWithActionableError) {
@@ -521,9 +573,11 @@ namespace {
 // direction repair, single-qubit fusion and native lowering) pinned byte for
 // byte against tests/golden/postroute_fingerprints.txt, across devices with
 // directed CX (QX4, QX5), CZ + {Rx, Ry} (Surface-17), an unrestricted
-// single-qubit set (trapped ion) and a measurable mask (relocation SWAPs),
-// and all four peephole x lower_to_native combinations. Regenerate only
-// after an intentional output change:
+// single-qubit set (trapped ion) and a measurable mask (relocation SWAPs).
+// Each id ends in "p1l1" (peephole on, native lowering on), the one
+// combination left of an earlier peephole x lower_to_native grid, so the
+// rows and digests are unchanged. Regenerate only after an intentional
+// output change:
 //   QMAP_REGEN_GOLDEN=1 ./build/tests/test_pass --gtest_filter='PostRoutePins.*'
 
 std::string postroute_fingerprint(const CompileContext& ctx) {
@@ -663,20 +717,14 @@ std::map<std::string, std::string> postroute_pins() {
     random.measure(0, 0).measure(3, 1);
     routed.emplace_back("random5", pin_route(random, device));
     for (const auto& [circuit_name, routing] : routed) {
-      for (const bool peephole : {false, true}) {
-        for (const bool lower : {false, true}) {
-          const Circuit input(m, circuit_name);
-          CompileContext ctx(input, device, PipelineRuntime{});
-          ctx.placed = true;
-          ctx.routed = true;
-          ctx.result.routing = routing;
-          PostRoutePass(peephole, lower).run(ctx);
-          const std::string id = device_name + "/" + circuit_name + "/p" +
-                                 std::to_string(peephole) + "l" +
-                                 std::to_string(lower);
-          pins[id] = postroute_fingerprint(ctx);
-        }
-      }
+      const Circuit input(m, circuit_name);
+      CompileContext ctx(input, device, PipelineRuntime{});
+      ctx.placed = true;
+      ctx.routed = true;
+      ctx.result.routing = routing;
+      PostRoutePass().run(ctx);
+      pins[device_name + "/" + circuit_name + "/p1l1"] =
+          postroute_fingerprint(ctx);
     }
   }
   return pins;

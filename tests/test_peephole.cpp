@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "arch/builtin.hpp"
+#include "common/rng.hpp"
 #include "core/compiler.hpp"
+#include "decompose/decomposer.hpp"
 #include "decompose/peephole.hpp"
 #include "sim/equivalence.hpp"
 #include "workloads/workloads.hpp"
@@ -119,19 +121,19 @@ TEST(Peephole, CleansUpRedundantRoutingPatterns) {
   EXPECT_EQ(optimized.gate(0).kind, GateKind::CX);
 }
 
-TEST(Peephole, CompilerOptionReducesGateCount) {
-  const Circuit circuit = workloads::qft(5);
-  CompilerOptions with;
-  with.peephole = true;
-  CompilerOptions without;
-  without.peephole = false;
-  const CompilationResult a =
-      Compiler(devices::surface17(), with).compile(circuit);
-  const CompilationResult b =
-      Compiler(devices::surface17(), without).compile(circuit);
-  EXPECT_LE(a.final_metrics.total_gates, b.final_metrics.total_gates);
-  EXPECT_TRUE(Compiler::verify(a));
-  EXPECT_TRUE(Compiler::verify(b));
+TEST(Peephole, DefaultCompileReducesGateCount) {
+  // Every compile runs the peephole; the same routed circuit finalized
+  // without it is the comparison. The circuit has no measurements, so
+  // postroute's measurement relocation leaves the routed circuit as it is.
+  const Device device = devices::ibm_qx4();
+  Rng rng(0x9057);
+  const CompilationResult with =
+      Compiler(device).compile(workloads::random_circuit(5, 80, rng, 0.5));
+  CompilationResult without = with;
+  without.final_circuit = finalize_routed(with.routing.circuit, device);
+  EXPECT_LT(with.final_circuit.size(), without.final_circuit.size());
+  EXPECT_TRUE(Compiler::verify(with));
+  EXPECT_TRUE(Compiler::verify(without));
 }
 
 }  // namespace

@@ -365,7 +365,7 @@ TEST(CanonicalKey, PipelineKeyOrderAndElisionDoNotSplitCache) {
   // Same pipeline, three spellings: shuffled JSON key order, elided
   // default options, fully spelled out. All must produce one cache entry.
   const char* spelled = R"({"passes": [
-      {"pass": "decompose", "options": {"lower_to_native": true}},
+      {"pass": "decompose", "options": {}},
       {"pass": "placer", "options": {"algorithm": "greedy"}},
       {"options": {"algorithm": "sabre"}, "pass": "router"}]})";
   const char* elided = R"({"passes": ["decompose", "placer", "router"]})";
@@ -779,6 +779,53 @@ TEST(CompileService, ServeAnswersJsonLines) {
   // assert the stats *shape* here and the final counts on the service.
   EXPECT_TRUE(responses.at("s").at("payload").at("cache").contains("misses"));
   EXPECT_EQ(service.cache_stats().misses, 1u);
+}
+
+TEST(CompileService, BadRequestErrorsEchoTheRequestsIdAndClient) {
+  // Compile answers come back out of order, so a client finds which
+  // request failed only by its id. A pin that still switches lowering or
+  // the peephole off names the pass and the key.
+  const std::string qasm = Json(ghz_qasm(3)).dump();
+  std::istringstream in(
+      "{\"op\":\"compile\",\"id\":\"a\",\"client\":\"alice\","
+      "\"device\":\"surface17\",\"qasm\":" + qasm +
+      ",\"pipeline\":[{\"pass\":\"decompose\",\"options\":"
+      "{\"lower_to_native\":false}},\"placer\",\"router\"]}\n"
+      "{\"op\":\"compile\",\"id\":\"b\",\"client\":\"bob\","
+      "\"device\":\"ibm_qx5\",\"qasm\":" + qasm +
+      ",\"pipeline\":[\"decompose\",\"placer\",\"router\","
+      "{\"pass\":\"postroute\",\"options\":{\"peephole\":false}}]}\n"
+      "{\"op\":\"compile\",\"id\":7,\"client\":\"carol\","
+      "\"typo\":1}\n"
+      "[\"not\", \"an\", \"object\"]\n");
+  std::ostringstream out;
+  CompileService service;
+  EXPECT_EQ(service.serve(in, out), 4);
+
+  std::vector<Json> responses;
+  std::istringstream replies(out.str());
+  std::string line;
+  while (std::getline(replies, line)) responses.push_back(Json::parse(line));
+  ASSERT_EQ(responses.size(), 4u);
+  for (const Json& response : responses) {
+    EXPECT_EQ(response.at("status").as_string(), "error") << response.dump();
+  }
+  EXPECT_EQ(responses[0].at("id").as_string(), "a");
+  EXPECT_EQ(responses[0].at("client").as_string(), "alice");
+  EXPECT_EQ(responses[0].at("error").as_string(),
+            "bad request: pass 'decompose': unknown option "
+            "'lower_to_native' (valid: none)");
+  EXPECT_EQ(responses[1].at("id").as_string(), "b");
+  EXPECT_EQ(responses[1].at("client").as_string(), "bob");
+  EXPECT_EQ(responses[1].at("error").as_string(),
+            "bad request: pass 'postroute': unknown option 'peephole' "
+            "(valid: none)");
+  // A non-string id is not echoed; the client still is.
+  EXPECT_FALSE(responses[2].contains("id"));
+  EXPECT_EQ(responses[2].at("client").as_string(), "carol");
+  // A line that is not a JSON object names no request.
+  EXPECT_FALSE(responses[3].contains("id"));
+  EXPECT_EQ(responses[3].at("client").as_string(), "");
 }
 
 TEST(CompileService, DefaultServiceRegistersTheFourBuiltInDevices) {
