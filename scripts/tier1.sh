@@ -105,6 +105,12 @@ echo "== tier 1: pass registry lint =="
 # Every registered pass name must be documented in DESIGN.md's pass table.
 scripts/check_pass_registry.sh
 
+echo "== tier 1: number text lint =="
+# Every double written as text goes through append_double() in
+# src/common/strings.cpp (std::to_chars, locale-free); no %g/%e printf
+# conversion is left anywhere else in src/.
+scripts/check_number_text.sh
+
 echo "== tier 1: service metrics lint =="
 # Every service.* metric recorded in src/service/ must be documented in
 # DESIGN.md's §10 metrics table.

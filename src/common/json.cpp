@@ -342,10 +342,9 @@ void Json::dump_impl(std::string& out, int indent, int depth) const {
       if (std::nearbyint(d) == d && std::abs(d) < 1e15) {
         out += std::to_string(static_cast<long long>(d));
       } else {
-        // %.17g round-trips IEEE doubles exactly through the parser.
-        char buffer[40];
-        std::snprintf(buffer, sizeof(buffer), "%.17g", d);
-        out += buffer;
+        // 17 significant digits round-trip IEEE doubles exactly through
+        // the parser.
+        append_double(out, d, 17);
       }
       break;
     }

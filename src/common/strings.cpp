@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+
+#include "common/error.hpp"
 
 namespace qmap {
 
@@ -68,10 +71,30 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", value);
-  return buffer;
+void append_double(std::string& out, double value, int precision) {
+  if (precision < 1 || precision > 17) {
+    throw Error("append_double: precision must be 1..17, got " +
+                std::to_string(precision));
+  }
+  // "-1.2345678901234567e-308" is the longest %.17g text: 24 characters.
+  char buffer[32];
+  const std::to_chars_result r =
+      std::to_chars(buffer, buffer + sizeof(buffer), value,
+                    std::chars_format::general, precision);
+  out.append(buffer, r.ptr);
+}
+
+void append_int(std::string& out, long long value) {
+  char buffer[24];
+  const std::to_chars_result r =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out.append(buffer, r.ptr);
+}
+
+std::string format_double(double value, int precision) {
+  std::string out;
+  append_double(out, value, precision);
+  return out;
 }
 
 std::string json_escape(std::string_view s) {

@@ -23,8 +23,18 @@ namespace qmap {
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
                                std::string_view sep);
 
-/// Format a double compactly: no trailing zeros, "pi"-free plain decimal.
-[[nodiscard]] std::string format_double(double value);
+/// Appends `value` exactly as printf's "%.{precision}g" writes it in the C
+/// locale: std::to_chars in general format, which the standard defines
+/// that way. The one writer behind every double the library writes as
+/// text (QASM angles at 12 digits, JSON at 17), so no writer depends on
+/// LC_NUMERIC, like the from_chars-based readers. `precision` is 1..17.
+void append_double(std::string& out, double value, int precision = 12);
+
+/// Appends the decimal digits of `value` (std::to_chars).
+void append_int(std::string& out, long long value);
+
+/// append_double into a new string.
+[[nodiscard]] std::string format_double(double value, int precision = 12);
 
 /// Escape `s` for inclusion inside a JSON string literal (no surrounding
 /// quotes): '"', '\\', and the short escapes \b \f \n \r \t, with every

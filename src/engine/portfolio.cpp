@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "core/report.hpp"
 #include "engine/cancel.hpp"
 #include "pass/manager.hpp"
@@ -51,12 +52,6 @@ struct StrategyRun {
   StrategyTelemetry telemetry;
   std::optional<CompilationResult> result;
 };
-
-std::string format_cost(double cost) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof(buffer), "%.6g", cost);
-  return buffer;
-}
 
 }  // namespace
 
@@ -118,8 +113,8 @@ std::string PortfolioResult::report() const {
     table.add_row({TextTable::num(t.strategy_index), t.spec.label(),
                    t.status_name(), TextTable::num(t.wall_ms, 2),
                    done ? TextTable::num(t.added_swaps) : "-",
-                   done ? format_cost(t.cost) : "-",
-                   done ? format_cost(t.margin) : "-",
+                   done ? format_double(t.cost, 6) : "-",
+                   done ? format_double(t.margin, 6) : "-",
                    done ? TextTable::num(t.peak_layer_ops) : "-",
                    t.winner ? "<==" : ""});
   }
@@ -128,8 +123,8 @@ std::string PortfolioResult::report() const {
   std::snprintf(buffer, sizeof(buffer),
                 "winner: %s (cost %s, margin to runner-up %s), "
                 "%zu/%zu completed, wall %.2f ms on %d thread(s)\n",
-                winner_label.c_str(), format_cost(best_cost_()).c_str(),
-                format_cost(winning_margin).c_str(), completed_count(),
+                winner_label.c_str(), format_double(best_cost_(), 6).c_str(),
+                format_double(winning_margin, 6).c_str(), completed_count(),
                 telemetry.size(), wall_ms, num_threads);
   out += buffer;
   return out;
@@ -160,7 +155,7 @@ Json PortfolioResult::to_json() const {
 std::string PortfolioResult::fingerprint() const {
   std::string out;
   out += "winner " + std::to_string(winner_index) + " " + winner_label + "\n";
-  out += "cost " + format_cost(best_cost_()) + "\n";
+  out += "cost " + format_double(best_cost_(), 6) + "\n";
   out += "scheduled_cycles " + std::to_string(best.scheduled_cycles) + "\n";
   out += "initial";
   for (const int p : best.routing.initial.wire_to_phys()) {

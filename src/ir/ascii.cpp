@@ -48,7 +48,7 @@ std::string gate_label(const Gate& gate, int operand_index) {
         std::string args;
         for (std::size_t i = 0; i < gate.params.size(); ++i) {
           if (i != 0) args += ",";
-          args += format_double(gate.params[i]);
+          append_double(args, gate.params[i]);
         }
         return "[" + name + "(" + args + ")]";
       }

@@ -77,22 +77,30 @@ GateKind gate_kind_from_name(std::string_view name) {
 }
 
 std::string Gate::to_string() const {
-  std::string out{gate_info(kind).name};
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void Gate::append_to(std::string& out) const {
+  out += gate_info(kind).name;
   if (!params.empty()) {
     out += '(';
     for (std::size_t i = 0; i < params.size(); ++i) {
       if (i != 0) out += ", ";
-      out += format_double(params[i]);
+      append_double(out, params[i]);
     }
     out += ')';
   }
   out += ' ';
   for (std::size_t i = 0; i < qubits.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += 'q' + std::to_string(qubits[i]);
+    out += i == 0 ? "q" : ", q";
+    append_int(out, qubits[i]);
   }
-  if (kind == GateKind::Measure) out += " -> c" + std::to_string(cbit);
-  return out;
+  if (kind == GateKind::Measure) {
+    out += " -> c";
+    append_int(out, cbit);
+  }
 }
 
 Mat2 Gate::matrix2() const {

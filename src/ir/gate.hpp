@@ -76,6 +76,8 @@ struct Gate {
 
   /// Human-readable form, e.g. "cx q2, q4" or "rz(0.5) q1".
   [[nodiscard]] std::string to_string() const;
+  /// Appends to_string()'s text to `out` without a temporary.
+  void append_to(std::string& out) const;
 
   /// Unitary matrix (2^arity square). Throws CircuitError for non-unitary
   /// kinds. Uses the qubit-ordering convention documented above.

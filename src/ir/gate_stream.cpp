@@ -19,7 +19,9 @@ CircuitSink::CircuitSink(int num_qubits, std::string name)
     : circuit_(num_qubits, std::move(name)) {}
 
 void CircuitSink::put_chunk(std::vector<Gate>& gates) {
-  circuit_.reserve(circuit_.size() + gates.size());
+  // No reserve(size + chunk): an exact reserve per chunk reallocates and
+  // moves the whole circuit on every chunk; push_back's geometric growth
+  // moves each gate O(1) times.
   for (Gate& gate : gates) circuit_.add_unchecked(std::move(gate));
 }
 

@@ -95,7 +95,7 @@ std::string CompilationResult::fingerprint() const {
   out += "circuit " + original.name() + "\n";
   out += "final " + final_circuit.name() + "\n";
   for (const Gate& gate : final_circuit.gates()) {
-    out += gate.to_string();
+    gate.append_to(out);
     out += '\n';
   }
   out += "initial";

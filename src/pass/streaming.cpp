@@ -20,6 +20,8 @@
 #include "pass/manager.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <iterator>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -111,6 +113,76 @@ std::size_t push_circuit(const Circuit& circuit, GateSink& sink,
   return circuit.size();
 }
 
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
+
+/// Adds the wall time of `work` to `ms`.
+template <typename Work>
+void timed(double& ms, Work&& work) {
+  const Clock::time_point start = Clock::now();
+  work();
+  ms += ms_since(start);
+}
+
+/// Adds a pass's wall time (as run_stage recorded it) to its stage field.
+void add_pass_time(StreamStageTimes& times, const std::string& pass,
+                   double ms) {
+  if (pass == "decompose") times.decompose_ms += ms;
+  if (pass == "placer") times.placer_ms += ms;
+  if (pass == "router") times.route_ms += ms;
+  if (pass == "token_swap_finisher") times.token_swap_ms += ms;
+  if (pass == "postroute") times.postroute_ms += ms;
+  if (pass == "schedule") times.schedule_ms += ms;
+}
+
+/// GateSource wrapper adding the wall time of each pull() — one chunk — to
+/// a counter.
+class TimedSource final : public GateSource {
+ public:
+  TimedSource(GateSource& inner, double& ms) : inner_(&inner), ms_(&ms) {}
+
+  [[nodiscard]] int num_qubits() const override {
+    return inner_->num_qubits();
+  }
+  [[nodiscard]] int num_cbits() const override { return inner_->num_cbits(); }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+  std::size_t pull(std::vector<Gate>& out, std::size_t max_gates) override {
+    std::size_t pulled = 0;
+    timed(*ms_, [&] { pulled = inner_->pull(out, max_gates); });
+    return pulled;
+  }
+
+ private:
+  GateSource* inner_;
+  double* ms_;
+};
+
+/// GateSink wrapper adding the wall time of each call to a counter. The
+/// streamed head pushes whole chunks, so that is per chunk, not per gate.
+class TimedSink final : public GateSink {
+ public:
+  TimedSink(GateSink& inner, double& ms) : inner_(&inner), ms_(&ms) {}
+
+  void put(Gate gate) override {
+    timed(*ms_, [&] { inner_->put(std::move(gate)); });
+  }
+  void put_chunk(std::vector<Gate>& gates) override {
+    timed(*ms_, [&] { inner_->put_chunk(gates); });
+  }
+  void flush() override {
+    timed(*ms_, [&] { inner_->flush(); });
+  }
+
+ private:
+  GateSink* inner_;
+  double* ms_;
+};
+
 /// GateSource adapter running the decompose stage chunk-by-chunk: each
 /// refill pulls one upstream chunk through the DecomposeStage, which also
 /// keeps the baseline latency DecomposePass records.
@@ -191,7 +263,7 @@ class TokenSwapFinisherSink final : public GateSink {
       : downstream_(&downstream) {}
 
   void put(Gate gate) override {
-    if (gate.kind == GateKind::Measure || gate.kind == GateKind::Barrier) {
+    if (is_suffix_kind(gate.kind)) {
       suffix_.push_back(std::move(gate));
       return;
     }
@@ -200,8 +272,21 @@ class TokenSwapFinisherSink final : public GateSink {
     downstream_->put(std::move(gate));
   }
 
+  /// Forwards the chunk up to its last gate that is not a Measure/Barrier
+  /// in one downstream call, and holds back the trailing run.
   void put_chunk(std::vector<Gate>& gates) override {
-    for (Gate& gate : gates) put(std::move(gate));
+    std::size_t keep = gates.size();
+    while (keep > 0 && is_suffix_kind(gates[keep - 1].kind)) --keep;
+    if (keep == 0) {
+      std::move(gates.begin(), gates.end(), std::back_inserter(suffix_));
+      return;
+    }
+    forward_suffix();
+    std::move(gates.begin() + static_cast<std::ptrdiff_t>(keep), gates.end(),
+              std::back_inserter(suffix_));
+    gates.resize(keep);
+    forwarded_ += keep;
+    downstream_->put_chunk(gates);
   }
 
   void flush() override {}
@@ -230,6 +315,10 @@ class TokenSwapFinisherSink final : public GateSink {
     forwarded_ += suffix_.size();
     downstream_->put_chunk(suffix_);
     suffix_.clear();
+  }
+
+  static bool is_suffix_kind(GateKind kind) {
+    return kind == GateKind::Measure || kind == GateKind::Barrier;
   }
 
   GateSink* downstream_;
@@ -263,18 +352,26 @@ StreamReport PassManager::run_stream(GateSource& source, const Device& device,
   }
   obs::add(obs, "compile.stream_runs");
 
+  StreamStageTimes& times = stats.stage_ms;
   if (!stream_head) {
+    const Clock::time_point drain_start = Clock::now();
     const Circuit input = materialize_source(source, options.chunk_gates);
+    times.source_ms = ms_since(drain_start);
     stats.gates_in = input.size();
     CompileContext ctx(input, device, runtime);
     for (const std::unique_ptr<Pass>& pass : passes_) {
       stats.materialized_passes.push_back(pass->name());
     }
     run(ctx);
+    for (const CompileContext::PassTiming& timing : ctx.timings) {
+      add_pass_time(times, timing.pass, timing.ms);
+    }
     const Circuit& product = ctx.postrouted ? ctx.result.final_circuit
                              : ctx.routed   ? ctx.result.routing.circuit
                                             : ctx.result.lowered;
-    stats.gates_out = push_circuit(product, sink, options.chunk_gates);
+    timed(times.sink_ms, [&] {
+      stats.gates_out = push_circuit(product, sink, options.chunk_gates);
+    });
     report.result = std::move(ctx.result);
     return report;
   }
@@ -284,12 +381,18 @@ StreamReport PassManager::run_stream(GateSource& source, const Device& device,
   obs::Span stage_span;
 
   // --- Head: decompose inside the route's source, identity placement. ---
+  // Each link of the chain is wrapped in a timer (one clock pair per
+  // chunk); a stage's self time is its link's total minus its neighbours'.
+  TimedSource timed_source(source, times.source_ms);
+  GateSource* route_source = &timed_source;
   std::optional<LoweringSource> lowering;
-  GateSource* route_source = &source;
+  double lowering_ms = 0.0;
+  std::optional<TimedSource> timed_lowering;
   if (layout.decompose >= 0) {
-    lowering.emplace(source, DecomposeStage(device, source.num_qubits()),
+    lowering.emplace(timed_source, DecomposeStage(device, source.num_qubits()),
                      options.chunk_gates);
-    route_source = &*lowering;
+    timed_lowering.emplace(*lowering, lowering_ms);
+    route_source = &*timed_lowering;
   }
   run_stage(ctx, stage_span, "placer", true, [&] {
     ctx.placement =
@@ -301,16 +404,24 @@ StreamReport PassManager::run_stream(GateSource& source, const Device& device,
   const bool tail_materializes =
       layout.postroute >= 0 || layout.schedule >= 0;
   std::optional<CircuitSink> collect;
-  GateSink* route_dest = &sink;
+  GateSink* product_dest = &sink;
   if (tail_materializes) {
     collect.emplace(device.num_qubits(),
                     route_source->name() + "@" + device.name());
-    route_dest = &*collect;
+    product_dest = &*collect;
   }
+  // The routed stream's last hop: into the caller's sink, or into the
+  // collector when a materialized tail follows.
+  double& product_ms = tail_materializes ? times.collect_ms : times.sink_ms;
+  TimedSink timed_product(*product_dest, product_ms);
+  GateSink* route_dest = &timed_product;
   std::optional<TokenSwapFinisherSink> token_swap_sink;
+  double finisher_ms = 0.0;
+  std::optional<TimedSink> timed_finisher;
   if (layout.token_swap >= 0) {
-    token_swap_sink.emplace(*route_dest);
-    route_dest = &*token_swap_sink;
+    token_swap_sink.emplace(timed_product);
+    timed_finisher.emplace(*token_swap_sink, finisher_ms);
+    route_dest = &*timed_finisher;
   }
   StreamRouteStats route_stats;
   run_stage(ctx, stage_span, "router", true, [&] {
@@ -364,11 +475,22 @@ StreamReport PassManager::run_stream(GateSource& source, const Device& device,
   if (tail_materializes) {
     const Circuit& product = ctx.postrouted ? ctx.result.final_circuit
                                             : ctx.result.routing.circuit;
-    stats.gates_out = push_circuit(product, sink, options.chunk_gates);
+    timed(times.sink_ms, [&] {
+      stats.gates_out = push_circuit(product, sink, options.chunk_gates);
+    });
   } else {
     stats.gates_out =
         token_swap_sink ? token_swap_sink->forwarded() : route_stats.gates_out;
   }
+  // run_stage's wall times of the placer, router, finisher and tail
+  // passes; router and finisher are then reduced to their self time.
+  for (const CompileContext::PassTiming& timing : ctx.timings) {
+    add_pass_time(times, timing.pass, timing.ms);
+  }
+  if (lowering) times.decompose_ms = lowering_ms - times.source_ms;
+  times.route_ms -= (lowering ? lowering_ms : times.source_ms) +
+                    (token_swap_sink ? finisher_ms : product_ms);
+  if (token_swap_sink) times.token_swap_ms += finisher_ms - product_ms;
   report.result = std::move(ctx.result);
   return report;
 }

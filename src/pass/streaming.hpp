@@ -38,6 +38,38 @@ struct StreamPipelineOptions {
   std::size_t chunk_gates = 4096;
 };
 
+/// Self time of each stage of one run_stream call, in milliseconds: the
+/// time a stage spent minus what it spent waiting on its upstream pulls and
+/// downstream pushes. The clock is read once per chunk, not once per gate.
+/// The fields sum to the call's wall time less its fixed set-up (router
+/// construction, context and result moves).
+struct StreamStageTimes {
+  /// The caller's source: its pull() calls (parsing, for a QASM source).
+  /// In the materialized shape: draining the source into a circuit.
+  double source_ms = 0.0;
+  /// Lowering to the device's gate set (LoweringSource, chunk-wise).
+  double decompose_ms = 0.0;
+  double placer_ms = 0.0;
+  /// Routing, minus the pulls from decompose/source and the pushes to the
+  /// finisher/collector/sink.
+  double route_ms = 0.0;
+  /// The token-swap finisher: forwarding the routed stream and planning
+  /// and splicing the end-of-stream cleanup, minus its downstream pushes.
+  double token_swap_ms = 0.0;
+  /// Gathering the routed stream into a circuit for a materialized tail.
+  double collect_ms = 0.0;
+  double postroute_ms = 0.0;
+  double schedule_ms = 0.0;
+  /// Handing the product to the caller's sink (put_chunk and flush; with
+  /// a materialized tail, the chunk copies of the circuit too).
+  double sink_ms = 0.0;
+
+  [[nodiscard]] double total_ms() const noexcept {
+    return source_ms + decompose_ms + placer_ms + route_ms + token_swap_ms +
+           collect_ms + postroute_ms + schedule_ms + sink_ms;
+  }
+};
+
 /// What actually streamed. A fully out-of-core run has streamed_route true
 /// and materialized_passes empty.
 struct StreamStats {
@@ -53,6 +85,8 @@ struct StreamStats {
   std::size_t gates_out = 0;
   /// Router window high-water mark (0 when routing did not stream).
   std::size_t window_peak_gates = 0;
+  /// Where the run's time went, stage by stage.
+  StreamStageTimes stage_ms;
 };
 
 /// Product of a streaming run. `result` carries the same placements,

@@ -194,51 +194,71 @@ Circuit load_cqasm(const std::string& path) {
   return circuit;
 }
 
-std::string cqasm_instruction(const Gate& gate) {
-  const auto q = [](int index) { return "q[" + std::to_string(index) + "]"; };
-  switch (gate.kind) {
-    case GateKind::I: return "i " + q(gate.qubits[0]);
-    case GateKind::X: return "x " + q(gate.qubits[0]);
-    case GateKind::Y: return "y " + q(gate.qubits[0]);
-    case GateKind::Z: return "z " + q(gate.qubits[0]);
-    case GateKind::H: return "h " + q(gate.qubits[0]);
-    case GateKind::S: return "s " + q(gate.qubits[0]);
-    case GateKind::Sdg: return "sdag " + q(gate.qubits[0]);
-    case GateKind::T: return "t " + q(gate.qubits[0]);
-    case GateKind::Tdg: return "tdag " + q(gate.qubits[0]);
-    case GateKind::Rx:
-      return "rx " + q(gate.qubits[0]) + ", " + format_double(gate.params[0]);
-    case GateKind::Ry:
-      return "ry " + q(gate.qubits[0]) + ", " + format_double(gate.params[0]);
-    case GateKind::Rz:
-      return "rz " + q(gate.qubits[0]) + ", " + format_double(gate.params[0]);
-    case GateKind::CX:
-      return "cnot " + q(gate.qubits[0]) + ", " + q(gate.qubits[1]);
-    case GateKind::CZ:
-      return "cz " + q(gate.qubits[0]) + ", " + q(gate.qubits[1]);
+namespace {
+
+/// The cQASM v1 mnemonic of `kind`; empty for a barrier (cQASM v1 has
+/// none: parallelism is re-derived). Throws ParseError for a kind cQASM
+/// cannot express.
+std::string_view cqasm_mnemonic(GateKind kind) {
+  switch (kind) {
+    case GateKind::I: return "i";
+    case GateKind::X: return "x";
+    case GateKind::Y: return "y";
+    case GateKind::Z: return "z";
+    case GateKind::H: return "h";
+    case GateKind::S: return "s";
+    case GateKind::Sdg: return "sdag";
+    case GateKind::T: return "t";
+    case GateKind::Tdg: return "tdag";
+    case GateKind::Rx: return "rx";
+    case GateKind::Ry: return "ry";
+    case GateKind::Rz: return "rz";
+    case GateKind::CX: return "cnot";
+    case GateKind::CZ: return "cz";
     case GateKind::SWAP:
     case GateKind::Move:  // exported as its SWAP wire semantics
-      return "swap " + q(gate.qubits[0]) + ", " + q(gate.qubits[1]);
-    case GateKind::CCX:
-      return "toffoli " + q(gate.qubits[0]) + ", " + q(gate.qubits[1]) +
-             ", " + q(gate.qubits[2]);
-    case GateKind::Measure:
-      return "measure " + q(gate.qubits[0]);
-    case GateKind::Barrier:
-      return "";  // cQASM v1 has no barrier; parallelism is re-derived
+      return "swap";
+    case GateKind::CCX: return "toffoli";
+    case GateKind::Measure: return "measure";
+    case GateKind::Barrier: return {};
     default:
       throw ParseError("to_cqasm: gate '" +
-                       std::string(gate_info(gate.kind).name) +
+                       std::string(gate_info(kind).name) +
                        "' is not expressible in cQASM v1");
   }
+}
+
+/// Appends cqasm_instruction(gate) to `out`; returns false (appending
+/// nothing) for a barrier.
+bool append_cqasm_instruction(std::string& out, const Gate& gate) {
+  const std::string_view mnemonic = cqasm_mnemonic(gate.kind);
+  if (mnemonic.empty()) return false;
+  out += mnemonic;
+  for (std::size_t i = 0; i < gate.qubits.size(); ++i) {
+    out += i == 0 ? " q[" : ", q[";
+    append_int(out, gate.qubits[i]);
+    out += ']';
+  }
+  for (const double param : gate.params) {
+    out += ", ";
+    append_double(out, param);
+  }
+  return true;
+}
+
+}  // namespace
+
+std::string cqasm_instruction(const Gate& gate) {
+  std::string out;
+  append_cqasm_instruction(out, gate);
+  return out;
 }
 
 std::string to_cqasm(const Circuit& circuit) {
   std::string out = "version 1.0\n";
   out += "qubits " + std::to_string(circuit.num_qubits()) + "\n";
   for (const Gate& gate : circuit) {
-    const std::string instruction = cqasm_instruction(gate);
-    if (!instruction.empty()) out += instruction + "\n";
+    if (append_cqasm_instruction(out, gate)) out += '\n';
   }
   return out;
 }

@@ -473,26 +473,30 @@ void OpenQasmParser::finalize() {
 
 void append_openqasm_gate(std::string& out, const Gate& gate) {
   if (gate.kind == GateKind::Measure) {
-    out += "measure q[" + std::to_string(gate.qubits[0]) + "] -> c[" +
-           std::to_string(gate.cbit) + "];\n";
+    out += "measure q[";
+    append_int(out, gate.qubits[0]);
+    out += "] -> c[";
+    append_int(out, gate.cbit);
+    out += "];\n";
     return;
   }
-  std::string name{gate_info(gate.kind).name};
-  if (gate.kind == GateKind::U) name = "u3";  // widest compatibility
-  if (gate.kind == GateKind::Phase) name = "u1";
-  out += name;
+  // u3/u1 rather than u/p: the widest-compatible qelib1 names.
+  out += gate.kind == GateKind::U       ? std::string_view("u3")
+         : gate.kind == GateKind::Phase ? std::string_view("u1")
+                                        : gate_info(gate.kind).name;
   if (!gate.params.empty()) {
     out += '(';
     for (std::size_t i = 0; i < gate.params.size(); ++i) {
       if (i != 0) out += ',';
-      out += format_double(gate.params[i]);
+      append_double(out, gate.params[i]);
     }
     out += ')';
   }
   out += ' ';
   for (std::size_t i = 0; i < gate.qubits.size(); ++i) {
-    if (i != 0) out += ',';
-    out += "q[" + std::to_string(gate.qubits[i]) + "]";
+    out += i == 0 ? "q[" : ",q[";
+    append_int(out, gate.qubits[i]);
+    out += ']';
   }
   out += ";\n";
 }
@@ -547,6 +551,9 @@ std::string to_openqasm(const Circuit& circuit) {
   if (circuit.num_cbits() > 0) {
     out += "creg c[" + std::to_string(circuit.num_cbits()) + "];\n";
   }
+  // ~31 bytes per gate on routed output; one reserve instead of log2(n)
+  // reallocations of a multi-megabyte string.
+  out.reserve(out.size() + 32 * circuit.size());
   for (const Gate& gate : circuit) {
     qasm_detail::append_openqasm_gate(out, gate);
   }

@@ -1,6 +1,13 @@
 // Tests for the common support layer: strings, JSON, matrices, RNG.
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +77,92 @@ TEST(Strings, JsonEscapeAgreesWithJsonDumper) {
   EXPECT_EQ(Json(nasty).dump(), json_quote(nasty));
   // And the escaped form must survive a parse round-trip.
   EXPECT_EQ(Json::parse(json_quote(nasty)).as_string(), nasty);
+}
+
+/// What printf writes for `value` at "%.{precision}g" (this process runs in
+/// the C locale, so the decimal point is '.').
+std::string printf_g(double value, int precision) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
+  return buffer;
+}
+
+/// The values the number-writer pin compares: an explicit edge list, then
+/// a seeded sweep of random bit patterns, scaled mantissas, rounding ties
+/// at each precision, and multiples of pi/16.
+std::vector<double> number_writer_values() {
+  constexpr double kPi = 3.14159265358979323846;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {
+      0.0, -0.0, 1e-5, std::nextafter(1e-5, 0.0), std::nextafter(1e-5, 1.0),
+      -1e-5, 1e-4, 1e12, 999999999999.5, 999999999999.4, 1e17, 1e6,
+      999999.5, 99999.95, 0.5, 1.5, 2.5, 1e-13, 1e13,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), DBL_MIN,
+      std::nextafter(DBL_MIN, 0.0), DBL_MAX, -DBL_MAX, DBL_EPSILON, inf,
+      -inf, nan, -nan};
+  for (int k = -64; k <= 64; ++k) values.push_back(k * kPi / 16);
+
+  std::mt19937_64 bits(0x70C4A125);
+  std::uniform_int_distribution<int> decade(-30, 30);
+  std::uniform_real_distribution<double> mantissa(1.0, 10.0);
+  for (int i = 0; i < 400000; ++i) {
+    const std::uint64_t pattern = bits();
+    double value;
+    std::memcpy(&value, &pattern, sizeof(value));
+    values.push_back(value);
+  }
+  for (int i = 0; i < 400000; ++i) {
+    const double value = mantissa(bits) * std::pow(10.0, decade(bits));
+    values.push_back(i % 2 == 0 ? value : -value);
+  }
+  // Decimal ties one digit past each precision: m * 10^e with m a
+  // (p+1)-digit integer ending in 5.
+  for (const int precision : {6, 12, 17}) {
+    std::uniform_int_distribution<std::int64_t> digits(
+        static_cast<std::int64_t>(std::pow(10.0, precision - 1)),
+        static_cast<std::int64_t>(std::pow(10.0, precision)) - 1);
+    for (int i = 0; i < 30000; ++i) {
+      const double m = static_cast<double>(digits(bits) * 10 + 5);
+      values.push_back(m * std::pow(10.0, decade(bits) - precision));
+    }
+  }
+  for (int k = -100000; k < 100000; ++k) values.push_back(k * kPi / 16);
+  return values;
+}
+
+TEST(Strings, AppendDoubleMatchesPrintfG) {
+  const std::vector<double> values = number_writer_values();
+  ASSERT_GE(values.size(), 1000000u);
+  std::string written;
+  for (const double value : values) {
+    for (const int precision : {12, 17, 6}) {
+      written.clear();
+      append_double(written, value, precision);
+      const std::string expected = printf_g(value, precision);
+      if (written != expected) {
+        char hex[64];
+        std::snprintf(hex, sizeof(hex), "%a", value);
+        FAIL() << "first value that differs: " << hex << " at %." << precision
+               << "g: append_double wrote '" << written << "', printf '"
+               << expected << "'";
+      }
+    }
+  }
+}
+
+TEST(Strings, AppendDoubleAppendsAndFormatDoubleWraps) {
+  std::string out = "rz(";
+  append_double(out, 0.5);
+  out += ',';
+  append_int(out, -42);
+  EXPECT_EQ(out, "rz(0.5,-42");
+  EXPECT_EQ(format_double(1.0 / 3.0), "0.333333333333");
+  EXPECT_EQ(format_double(1.0 / 3.0, 17), "0.33333333333333331");
+  EXPECT_EQ(format_double(1.0 / 3.0, 6), "0.333333");
+  EXPECT_THROW(append_double(out, 1.0, 0), Error);
+  EXPECT_THROW(append_double(out, 1.0, 18), Error);
 }
 
 TEST(Json, ParsesScalars) {

@@ -1,5 +1,8 @@
 // QASM front-end tests: OpenQASM 2.0 and cQASM parsing, writing, round
 // trips, angle expressions, broadcast semantics, and diagnostics.
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -287,6 +290,153 @@ TEST(Files, SaveAndLoadRoundTrip) {
   const std::string cpath = testing::TempDir() + "/qmap_roundtrip.cq";
   save_cqasm(original, cpath);
   EXPECT_TRUE(circuits_equivalent_exact(original, load_cqasm(cpath), 1e-9));
+}
+
+/// One gate of every GateKind on multi-digit operands, then a measure and
+/// a barrier. The angles stress the number writer: a negative zero, a
+/// tiny and a huge value, and multiples of pi.
+Circuit every_kind_circuit() {
+  const std::vector<double> angles = {-0.0,     1e-13,          1e13,
+                                      kPi,      -kPi / 2,       3 * kPi / 4,
+                                      2 * kPi,  -5 * kPi / 16,  7 * kPi};
+  const std::vector<int> operands = {11, 3, 10};
+  std::size_t next = 0;
+  Circuit circuit(12, "every_kind");
+  for (std::size_t k = 0; k < static_cast<std::size_t>(GateKind::Measure);
+       ++k) {
+    const auto kind = static_cast<GateKind>(k);
+    const GateInfo& info = gate_info(kind);
+    std::vector<double> params;
+    for (int p = 0; p < info.num_params; ++p) {
+      params.push_back(angles[next++ % angles.size()]);
+    }
+    circuit.add(make_gate(
+        kind, std::vector<int>(operands.begin(), operands.begin() + info.arity),
+        std::move(params)));
+  }
+  circuit.add(make_measure(10, 2));
+  circuit.add(make_barrier({0, 11, 3}));
+  return circuit;
+}
+
+/// The cQASM-expressible subset, with the same angle list.
+Circuit every_cqasm_kind_circuit() {
+  Circuit circuit(12, "every_cqasm_kind");
+  for (const Gate& gate : every_kind_circuit()) {
+    switch (gate.kind) {
+      case GateKind::SX: case GateKind::SXdg: case GateKind::Phase:
+      case GateKind::U: case GateKind::ISWAP: case GateKind::CPhase:
+      case GateKind::CRz: case GateKind::CSWAP:
+        break;
+      default:
+        circuit.add(gate);
+    }
+  }
+  circuit.add(make_gate(GateKind::Rz, {11}, {-0.0}));
+  circuit.add(make_gate(GateKind::Rx, {3}, {1e13}));
+  circuit.add(make_gate(GateKind::Ry, {10}, {1e-13}));
+  return circuit;
+}
+
+std::string gate_strings(const Circuit& circuit) {
+  std::string out;
+  for (const Gate& gate : circuit) out += gate.to_string() + "\n";
+  return out;
+}
+
+// The writers' exact bytes, pinned as literals: a change to the number
+// writer or to the emitters that alters one character fails here.
+TEST(WriterPins, OpenQasmText) {
+  EXPECT_EQ(to_openqasm(every_kind_circuit()),
+            "OPENQASM 2.0;\n"
+            "include \"qelib1.inc\";\n"
+            "qreg q[12];\n"
+            "creg c[3];\n"
+            "id q[11];\n"
+            "x q[11];\n"
+            "y q[11];\n"
+            "z q[11];\n"
+            "h q[11];\n"
+            "s q[11];\n"
+            "sdg q[11];\n"
+            "t q[11];\n"
+            "tdg q[11];\n"
+            "sx q[11];\n"
+            "sxdg q[11];\n"
+            "rx(-0) q[11];\n"
+            "ry(1e-13) q[11];\n"
+            "rz(1e+13) q[11];\n"
+            "u1(3.14159265359) q[11];\n"
+            "u3(-1.57079632679,2.35619449019,6.28318530718) q[11];\n"
+            "cx q[11],q[3];\n"
+            "cz q[11],q[3];\n"
+            "swap q[11],q[3];\n"
+            "iswap q[11],q[3];\n"
+            "cp(-0.981747704247) q[11],q[3];\n"
+            "crz(21.9911485751) q[11],q[3];\n"
+            "move q[11],q[3];\n"
+            "ccx q[11],q[3],q[10];\n"
+            "cswap q[11],q[3],q[10];\n"
+            "measure q[10] -> c[2];\n"
+            "barrier q[0],q[11],q[3];\n");
+}
+
+TEST(WriterPins, CqasmText) {
+  EXPECT_EQ(to_cqasm(every_cqasm_kind_circuit()),
+            "version 1.0\n"
+            "qubits 12\n"
+            "i q[11]\n"
+            "x q[11]\n"
+            "y q[11]\n"
+            "z q[11]\n"
+            "h q[11]\n"
+            "s q[11]\n"
+            "sdag q[11]\n"
+            "t q[11]\n"
+            "tdag q[11]\n"
+            "rx q[11], -0\n"
+            "ry q[11], 1e-13\n"
+            "rz q[11], 1e+13\n"
+            "cnot q[11], q[3]\n"
+            "cz q[11], q[3]\n"
+            "swap q[11], q[3]\n"
+            "swap q[11], q[3]\n"
+            "toffoli q[11], q[3], q[10]\n"
+            "measure q[10]\n"
+            "rz q[11], -0\n"
+            "rx q[3], 1e+13\n"
+            "ry q[10], 1e-13\n");
+}
+
+TEST(WriterPins, GateToString) {
+  EXPECT_EQ(gate_strings(every_kind_circuit()),
+            "id q11\n"
+            "x q11\n"
+            "y q11\n"
+            "z q11\n"
+            "h q11\n"
+            "s q11\n"
+            "sdg q11\n"
+            "t q11\n"
+            "tdg q11\n"
+            "sx q11\n"
+            "sxdg q11\n"
+            "rx(-0) q11\n"
+            "ry(1e-13) q11\n"
+            "rz(1e+13) q11\n"
+            "p(3.14159265359) q11\n"
+            "u(-1.57079632679, 2.35619449019, 6.28318530718) q11\n"
+            "cx q11, q3\n"
+            "cz q11, q3\n"
+            "swap q11, q3\n"
+            "iswap q11, q3\n"
+            "cp(-0.981747704247) q11, q3\n"
+            "crz(21.9911485751) q11, q3\n"
+            "move q11, q3\n"
+            "ccx q11, q3, q10\n"
+            "cswap q11, q3, q10\n"
+            "measure q10 -> c2\n"
+            "barrier q0, q11, q3\n");
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -659,6 +660,62 @@ TEST(StreamPass, PostrouteTailMatchesMaterialized) {
   EXPECT_EQ(report.result.baseline_cycles, materialized.baseline_cycles);
   EXPECT_EQ(report.result.final_metrics.two_qubit_gates,
             materialized.final_metrics.two_qubit_gates);
+}
+
+// StreamStats::stage_ms accounts for a whole run: the per-stage self
+// times sum to run_stream's wall time within 5%. QASM text in and out, so
+// parsing and emitting are in the run; three streamed shapes (with and
+// without a materialized tail, with and without the token-swap finisher)
+// and the materialized one.
+TEST(StreamPass, StageTimesSumToWallTime) {
+  const Device device = verify::device_by_name("ibm_qx5");
+  Rng rng(Rng::derive_stream(0x57A6E, 1));
+  const std::string text =
+      to_openqasm(workloads::random_clifford_circuit(16, 8000, rng));
+  struct Shape {
+    const char* label;
+    PipelineSpec spec;
+    bool streamed;
+  };
+  const std::vector<Shape> shapes = {
+      {"streamed, postroute+schedule tail", streamed_spec("sabre", true, true),
+       true},
+      {"streamed, no tail", streamed_spec("sabre", true, false), true},
+      {"streamed, no finisher", streamed_spec("sabre", false, false), true},
+      {"materialized", PipelineSpec::standard("greedy", "sabre"), false}};
+  for (const Shape& shape : shapes) {
+    const PassManager manager(shape.spec);
+    std::istringstream in(text);
+    QasmStreamSource source(in, "stage-times");
+    std::ostringstream out;
+    QasmStreamSink sink(out, device.num_qubits(), source.num_cbits());
+    const auto start = std::chrono::steady_clock::now();
+    const StreamReport report =
+        manager.run_stream(source, device, sink, PipelineRuntime{});
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    const StreamStageTimes& t = report.stream.stage_ms;
+    EXPECT_EQ(report.stream.streamed_route, shape.streamed) << shape.label;
+    for (const double ms :
+         {t.source_ms, t.decompose_ms, t.placer_ms, t.route_ms,
+          t.token_swap_ms, t.collect_ms, t.postroute_ms, t.schedule_ms,
+          t.sink_ms}) {
+      EXPECT_GE(ms, 0.0) << shape.label;
+    }
+    EXPECT_GT(t.source_ms, 0.0) << shape.label;
+    EXPECT_GT(t.decompose_ms, 0.0) << shape.label;
+    EXPECT_GT(t.route_ms, 0.0) << shape.label;
+    EXPECT_GT(t.sink_ms, 0.0) << shape.label;
+    EXPECT_LE(t.total_ms(), wall_ms) << shape.label;
+    EXPECT_GE(t.total_ms(), 0.95 * wall_ms)
+        << shape.label << ": stages sum to " << t.total_ms() << " ms of a "
+        << wall_ms << " ms run (source " << t.source_ms << ", decompose "
+        << t.decompose_ms << ", placer " << t.placer_ms << ", route "
+        << t.route_ms << ", token swap " << t.token_swap_ms << ", collect "
+        << t.collect_ms << ", postroute " << t.postroute_ms << ", schedule "
+        << t.schedule_ms << ", sink " << t.sink_ms << ")";
+  }
 }
 
 // The golden fingerprint matrix (tests/golden/route_ir_fingerprints.txt)
